@@ -9,7 +9,7 @@
 //!   before online cycle maintenance (escalated-confidence queries
 //!   still take this path, now parallelised).
 //! - `online_state` — assemble the result from the online per-rule
-//!   cycle counts, the cost `query_rules(None)` pays once per ingest.
+//!   hold rings, the cost `query_rules(None)` pays once per ingest.
 //! - `warm_cache` — the memoised view: an `Arc` bump, the cost every
 //!   repeat query pays between ingests.
 //!

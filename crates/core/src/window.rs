@@ -12,15 +12,19 @@
 //! # Query fast path
 //!
 //! Cycle state is maintained *online*: every push folds the unit's
-//! held rules into per-rule [`OnlineRuleCycles`] counters (the paper's
-//! cycle-elimination rule, incrementally — a miss at unit `u` kills
-//! candidates `(l, u mod l)`, expressed here as a hold-count falling
-//! behind the class total), and eviction re-anchors by decrementing
-//! counters rather than re-detecting. A default-confidence query
-//! ([`query_rules`](SlidingWindowMiner::query_rules) with `None`) is
-//! therefore a read of already-maintained state — assembled once after
-//! each ingest, memoised as a shared [`RuleView`], and handed out by
-//! `Arc` clone until the next push invalidates it. Escalated-confidence
+//! held rules into per-rule [`OnlineRuleCycles`] rings — the rule's
+//! binary sequence over the retained units, one bit per unit at
+//! position `abs_unit mod C` with `C ≥ window + 1`. A hold sets its
+//! bit, a miss touches nothing, and eviction clears the evicted hold's
+//! bit, which is what revives a cycle an old miss had killed. A rule
+//! whose ring empties is dropped. A default-confidence query
+//! ([`query_rules`](SlidingWindowMiner::query_rules) with `None`)
+//! builds the `(l, o)` [`CycleMasks`] of the current window once and
+//! tests every ring against them with AND-compares (the paper's cycle
+//! elimination: a cycle survives iff no retained unit on it is a miss),
+//! skipping rules with too few holds to fill any residue class. The
+//! result is memoised as a shared [`RuleView`] and handed out by `Arc`
+//! clone until the next push invalidates it. Escalated-confidence
 //! queries (`Some(q)` above the mining threshold) change which units
 //! count as holds, so they bypass the online state and re-detect — in
 //! parallel, via [`detect_cycles_batch`].
@@ -36,7 +40,9 @@ use std::time::Instant;
 
 use car_apriori::hash::FastHashMap;
 use car_apriori::{generate_rules, Apriori, AprioriConfig, MinConfidence, Rule};
-use car_cycles::{detect_cycles_batch, minimal_cycles, BitSeq, OnlineRuleCycles};
+use car_cycles::{
+    detect_cycles_batch, minimal_cycles, BitSeq, CycleMasks, CycleSet, OnlineRuleCycles,
+};
 use car_itemset::ItemSet;
 
 use crate::config::{ConfigError, MiningConfig};
@@ -99,7 +105,7 @@ pub struct SlidingWindowMiner {
     /// per-shard summary the cluster router merges — item partitioning
     /// makes per-item counts exact under concatenation.
     unit_items: VecDeque<Vec<(u32, u64)>>,
-    /// Per-rule online cycle-candidate state in absolute coordinates;
+    /// Per-rule ring of retained holds in absolute unit coordinates;
     /// rules with no retained hold are removed.
     online: FastHashMap<Rule, OnlineRuleCycles>,
     /// Memoised `query_rules(None)` view; cleared by every push. A
@@ -198,7 +204,10 @@ impl SlidingWindowMiner {
     /// full. Returns the number of units evicted (0 or 1).
     pub fn push_unit(&mut self, transactions: &[ItemSet]) -> usize {
         let _span = car_obs::time_span!("window.push_unit");
-        let frequent = self.apriori.mine(transactions);
+        let frequent = {
+            let _span = car_obs::time_span!("window.apriori");
+            self.apriori.mine(transactions)
+        };
         // Frequent single items of this unit, kept as the compact
         // per-unit summary behind `item_supports`.
         let mut items: Vec<(u32, u64)> = frequent
@@ -206,24 +215,29 @@ impl SlidingWindowMiner {
             .filter_map(|(s, c)| s.as_slice().first().map(|item| (item.id(), c)))
             .collect();
         items.sort_unstable();
-        let rules: Vec<HeldRule> = generate_rules(&frequent, self.config.min_confidence)
-            .into_iter()
-            .map(|r| HeldRule {
-                rule: r.rule,
-                rule_count: r.rule_count,
-                antecedent_count: r.antecedent_count,
-            })
-            .collect();
-        // Fold this unit's holds into the online cycle state. Rules
-        // absent from the unit need no visit: their hold counts simply
-        // fall behind the growing class totals, which *is* the cycle
-        // elimination (see `OnlineRuleCycles`).
+        let rules: Vec<HeldRule> = {
+            let _span = car_obs::time_span!("window.rule_gen");
+            generate_rules(&frequent, self.config.min_confidence)
+                .into_iter()
+                .map(|r| HeldRule {
+                    rule: r.rule,
+                    rule_count: r.rule_count,
+                    antecedent_count: r.antecedent_count,
+                })
+                .collect()
+        };
+        let _fold = car_obs::time_span!("window.fold");
+        // Fold this unit's holds into the online cycle state: one bit per
+        // held rule. Rules absent from the unit need no visit — their
+        // unset bit *is* the miss (see `OnlineRuleCycles`). The new unit
+        // is recorded before the oldest is evicted, which is why rings
+        // hold `window + 1` positions.
         let abs_unit = self.total_pushed;
         for held in &rules {
             match self.online.get_mut(&held.rule) {
                 Some(state) => state.record_hold(abs_unit),
                 None => {
-                    let mut state = OnlineRuleCycles::new(self.config.cycle_bounds);
+                    let mut state = OnlineRuleCycles::new(self.window);
                     state.record_hold(abs_unit);
                     self.online.insert(held.rule.clone(), state);
                 }
@@ -402,27 +416,40 @@ impl SlidingWindowMiner {
     }
 
     /// Materialises the current window's cyclic rules from the online
-    /// per-rule counters (no bit sequences, no re-detection).
+    /// per-rule rings (no bit sequences, no re-detection): the window's
+    /// cycle masks are built once, then every ring is AND-compared.
     fn assemble_from_online(&self) -> Vec<CyclicRule> {
-        let n = self.unit_rules.len();
-        let base = self.total_pushed.saturating_sub(n as u64);
-        let candidates = self.config.cycle_bounds.num_cycles() as u64;
-        let mut eliminated: u64 = 0;
-        let mut out: Vec<CyclicRule> = Vec::with_capacity(self.online.len());
-        for (rule, state) in &self.online {
-            let live = state.live_cycles(base, n);
-            eliminated =
-                eliminated.saturating_add(candidates.saturating_sub(live.len() as u64));
-            if live.is_empty() {
-                continue;
-            }
-            out.push(CyclicRule { rule: rule.clone(), cycles: minimal_cycles(&live) });
-        }
+        let (out, eliminated) = self.assemble_counted();
         if eliminated > 0 {
             car_obs::counters::MINE.add_online_eliminations(eliminated);
         }
-        out.sort();
         out
+    }
+
+    /// [`assemble_from_online`](Self::assemble_from_online) without the
+    /// counter flush: the rules plus the candidates eliminated across
+    /// every tracked rule, `Σ (num_cycles − live cycles)`.
+    fn assemble_counted(&self) -> (Vec<CyclicRule>, u64) {
+        let n = self.unit_rules.len();
+        let base = self.total_pushed.saturating_sub(n as u64);
+        let bounds = self.config.cycle_bounds;
+        let masks = CycleMasks::new(bounds, self.window, base, n);
+        let candidates = bounds.num_cycles() as u64;
+        let mut eliminated: u64 = 0;
+        let mut out: Vec<CyclicRule> = Vec::new();
+        for (rule, state) in &self.online {
+            let live = masks.live_cycles(state);
+            let survivors = live.as_ref().map_or(0, CycleSet::len) as u64;
+            eliminated = eliminated.saturating_add(candidates.saturating_sub(survivors));
+            if let Some(live) = live {
+                out.push(CyclicRule {
+                    rule: rule.clone(),
+                    cycles: minimal_cycles(&live),
+                });
+            }
+        }
+        out.sort();
+        (out, eliminated)
     }
 
     /// The memoised-view slot, recovering from (impossible in practice)
@@ -599,6 +626,79 @@ mod tests {
             miner.push_unit(&vec![set(&[7]); 4]);
         }
         assert_eq!(miner.item_supports(), vec![(7, 16)]);
+    }
+
+    /// Lengths 2..=16 at count support 2: the shape of the daemon's
+    /// default bounds.
+    fn wide_config() -> MiningConfig {
+        MiningConfig::builder()
+            .min_support_count(2)
+            .min_confidence(0.5)
+            .cycle_bounds(2, 16)
+            .build()
+            .unwrap()
+    }
+
+    /// Overlapping planted patterns with periods 2, 3, 7 and 16, so rule
+    /// sequences both keep and break cycles as the window slides.
+    fn cyclic_unit(day: usize) -> Vec<ItemSet> {
+        let mut unit = vec![set(&[9])];
+        for (period, offset, items) in
+            [(2, 0, [1, 2]), (3, 1, [3, 4]), (16, 5, [5, 6]), (7, 2, [1, 5])]
+        {
+            if day % period == offset {
+                unit.push(set(&items));
+                unit.push(set(&items));
+            }
+        }
+        unit
+    }
+
+    #[test]
+    fn window_64_matches_batch_and_the_elimination_oracle_as_rings_wrap() {
+        // 150 pushes through a 64-unit window wrap the 128-position ring
+        // more than once; the arriving and the evicted unit (64 apart)
+        // must never share a ring bit. Every view must equal batch
+        // mining, and its eliminations must be Σ (num_cycles − live)
+        // over every tracked rule, live cycles taken from batch
+        // detection of the rule's retained sequence.
+        let cfg = wide_config();
+        let bounds = cfg.cycle_bounds;
+        let mut miner = SlidingWindowMiner::new(cfg, 64).unwrap();
+        let history: Vec<Vec<ItemSet>> = (0..150).map(cyclic_unit).collect();
+        for (day, unit) in history.iter().enumerate() {
+            miner.push_unit(unit);
+            let n = miner.len();
+            if n < 16 {
+                continue;
+            }
+            let window_db =
+                SegmentedDb::from_unit_itemsets(history[day + 1 - n..=day].to_vec());
+            let batch = mine_sequential(&window_db, &cfg).unwrap();
+            let (rules, eliminated) = miner.assemble_counted();
+            assert_eq!(rules, batch.rules, "after day {day}");
+            let mut sequences: FastHashMap<&Rule, BitSeq> = FastHashMap::default();
+            for (u, rules) in miner.unit_rules.iter().enumerate() {
+                for held in rules {
+                    sequences
+                        .entry(&held.rule)
+                        .or_insert_with(|| BitSeq::zeros(n))
+                        .set(u, true);
+                }
+            }
+            assert_eq!(sequences.len(), miner.tracked_rules(), "day {day}");
+            let oracle: u64 = sequences
+                .values()
+                .map(|seq| {
+                    let live = car_cycles::detect_cycles(seq, bounds).len();
+                    (bounds.num_cycles() - live) as u64
+                })
+                .sum();
+            assert_eq!(eliminated, oracle, "day {day}");
+        }
+        let served = miner.current_rules().unwrap();
+        assert!(served.iter().any(|r| r.rule.to_string() == "{1} => {2}"));
+        assert!(served.iter().any(|r| r.rule.to_string() == "{5} => {6}"));
     }
 
     #[test]

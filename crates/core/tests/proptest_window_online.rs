@@ -7,7 +7,9 @@
 //! per-query re-detection: the memoised fast path, the uncached online
 //! rebuild, and the parallel escalated path all have to agree with
 //! `mine_sequential` over the retained units at every point of the
-//! stream.
+//! stream. Short windows exercise the revival logic densely; one
+//! property runs a 64-unit window long enough that every rule's ring
+//! (`window + 1` positions, two words) wraps.
 
 use car_apriori::CountStrategy;
 use car_core::window::SlidingWindowMiner;
@@ -45,6 +47,37 @@ fn arb_window_config() -> impl Strategy<Value = (usize, MiningConfig)> {
                 .expect("valid generated config");
             (window, config)
         })
+}
+
+/// 140..160 small units over items 0..4 for a 64-unit window. Every
+/// `period`-th unit also carries two `{0, 1}` transactions, so some
+/// rules keep cycles across the whole stream.
+fn arb_long_stream() -> impl Strategy<Value = Vec<Vec<ItemSet>>> {
+    let unit = proptest::collection::vec(
+        proptest::collection::vec(0u32..4, 1..4).prop_map(ItemSet::from_ids),
+        0..6,
+    );
+    (proptest::collection::vec(unit, 140..160), 1usize..=16).prop_map(
+        |(mut units, period)| {
+            for unit in units.iter_mut().step_by(period) {
+                unit.extend([ItemSet::from_ids([0, 1]), ItemSet::from_ids([0, 1])]);
+            }
+            units
+        },
+    )
+}
+
+/// Count support 1..3, any confidence, lengths up to 16 — the
+/// daemon's default `l_max` at its default window of 64.
+fn arb_wide_config() -> impl Strategy<Value = MiningConfig> {
+    (1u64..=3, 0.0f64..=1.0, 1u32..=4, 0u32..=12).prop_map(|(count, conf, lo, extra)| {
+        MiningConfig::builder()
+            .min_support_count(count)
+            .min_confidence(conf)
+            .cycle_bounds(lo, lo + extra)
+            .build()
+            .expect("valid generated config")
+    })
 }
 
 /// Batch oracle: mine the last `window` units of `history` from scratch.
@@ -162,6 +195,32 @@ proptest! {
             prop_assert_eq!(
                 &*miner.query_rules(None).unwrap(), &batch,
                 "fast path after escalation, day {}", day
+            );
+        }
+    }
+}
+
+proptest! {
+    // Each case pushes ~150 units and batch-mines 64 of them per push.
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn window_64_fast_path_matches_batch_after_the_rings_wrap(
+        units in arb_long_stream(),
+        cfg in arb_wide_config(),
+    ) {
+        const WINDOW: usize = 64;
+        let mut miner = SlidingWindowMiner::new(cfg, WINDOW).unwrap();
+        for (day, unit) in units.iter().enumerate() {
+            miner.push_unit(unit);
+            if miner.len() < cfg.cycle_bounds.l_max() as usize {
+                continue;
+            }
+            let batch = batch_rules(&units[..=day], WINDOW, &cfg);
+            prop_assert_eq!(&*miner.current_rules().unwrap(), &batch, "day {}", day);
+            prop_assert_eq!(
+                &*miner.assemble_view().unwrap(), &batch,
+                "uncached day {}", day
             );
         }
     }

@@ -59,5 +59,5 @@ pub use cycle::Cycle;
 pub use cycleset::CycleSet;
 pub use detect::{detect_cycles, detect_cycles_batch, has_any_cycle, minimal_cycles};
 pub use merge::merge_minimal_cycle_lists;
-pub use online::OnlineRuleCycles;
+pub use online::{CycleMasks, OnlineRuleCycles};
 pub use spectrum::{autocorrelation, dominant_period, spectrum, PeriodStrength};

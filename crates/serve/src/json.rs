@@ -54,11 +54,11 @@ impl Json {
     /// Parses a complete JSON document; trailing non-whitespace is an
     /// error.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { text: input, pos: 0 };
         p.skip_ws();
         let value = p.value(0)?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(p.err("trailing characters after JSON value"));
         }
         Ok(value)
@@ -230,7 +230,7 @@ fn render_string(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -239,14 +239,18 @@ impl<'a> Parser<'a> {
         JsonError { offset: self.pos, message: message.to_string() }
     }
 
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     /// Everything from the cursor to the end of input (empty once past
     /// the end, so callers never index out of bounds).
     fn rest(&self) -> &'a [u8] {
-        self.bytes.get(self.pos..).unwrap_or(&[])
+        self.bytes().get(self.pos..).unwrap_or(&[])
     }
 
     fn skip_ws(&mut self) {
@@ -300,7 +304,7 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(self.bytes.get(start..self.pos).unwrap_or(&[]))
+        let text = std::str::from_utf8(self.bytes().get(start..self.pos).unwrap_or(&[]))
             .map_err(|_| self.err("invalid number"))?;
         let n: f64 = text.parse().map_err(|_| JsonError {
             offset: start,
@@ -350,15 +354,20 @@ impl<'a> Parser<'a> {
                     return Err(self.err("control character in string"));
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so this is
-                    // always a valid boundary walk).
-                    let rest = std::str::from_utf8(self.rest())
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let Some(c) = rest.chars().next() else {
-                        return Err(self.err("unterminated string"));
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one go. Those bytes are all ASCII,
+                    // so the run ends on a char boundary of the input.
+                    let run = self
+                        .rest()
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.rest().len());
+                    let end = self.pos + run;
+                    let Some(chunk) = self.text.get(self.pos..end) else {
+                        return Err(self.err("invalid UTF-8"));
                     };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(chunk);
+                    self.pos = end;
                 }
             }
         }
@@ -386,7 +395,7 @@ impl<'a> Parser<'a> {
 
     fn hex4(&mut self) -> Result<u16, JsonError> {
         let end = self.pos + 4;
-        let Some(raw) = self.bytes.get(self.pos..end) else {
+        let Some(raw) = self.bytes().get(self.pos..end) else {
             return Err(self.err("truncated \\u escape"));
         };
         let text =
@@ -526,6 +535,54 @@ mod tests {
         assert_eq!(Json::Number(-1.0).as_u64(), None);
         assert_eq!(Json::Number(0.25).as_f64(), Some(0.25));
         assert_eq!(Json::Bool(true).as_u64(), None);
+    }
+
+    #[test]
+    fn megabyte_strings_parse_in_linear_time() {
+        // Multi-byte characters and escapes spread through a 1 MiB value:
+        // the parser once re-validated the rest of the input per
+        // character, which took tens of seconds at this size.
+        let chunk = "rule {1} => {2} é 😀 \\n";
+        let value: String = chunk.repeat((1 << 20) / chunk.len() + 1);
+        assert!(value.len() >= 1 << 20);
+        let body = Json::String(value.clone()).render();
+        let started = std::time::Instant::now();
+        assert_eq!(Json::parse(&body).unwrap().as_str(), Some(value.as_str()));
+        assert!(started.elapsed() < std::time::Duration::from_secs(5));
+    }
+
+    #[test]
+    fn megabyte_rules_body_parses_in_linear_time() {
+        // A `/v1/rules`-shaped body the router parses on every fan-out.
+        let rule = |i: u64| {
+            object([
+                ("rule", Json::from(format!("{{{i}}} => {{{}}}", i + 1))),
+                ("antecedent", Json::Array(vec![Json::from(i)])),
+                ("consequent", Json::Array(vec![Json::from(i + 1)])),
+                (
+                    "cycles",
+                    Json::Array(vec![object([
+                        ("length", Json::from(2u64)),
+                        ("offset", Json::from(i % 2)),
+                    ])]),
+                ),
+            ])
+        };
+        let rules: Vec<Json> = (0..12_000).map(rule).collect();
+        let count = rules.len() as u64;
+        let body = object([
+            ("units_retained", Json::from(64u64)),
+            ("window", Json::from(64u64)),
+            ("count", Json::from(count)),
+            ("rules", Json::Array(rules)),
+        ])
+        .render();
+        assert!(body.len() >= 1 << 20, "body is only {} bytes", body.len());
+        let started = std::time::Instant::now();
+        let parsed = Json::parse(&body).unwrap();
+        assert!(started.elapsed() < std::time::Duration::from_secs(5));
+        assert_eq!(parsed.get("count").and_then(Json::as_u64), Some(count));
+        assert_eq!(parsed.render(), body);
     }
 
     #[test]
