@@ -52,6 +52,8 @@ pub fn default_config() -> AuditConfig {
             "crates/core/src/incremental.rs",
             "crates/core/src/parallel.rs",
             "crates/apriori/src/bitmap.rs",
+            "crates/cycles/src/cycleset.rs",
+            "crates/cycles/src/detect.rs",
             "crates/itemset/src/refstore.rs",
             "crates/obs/src",
             "crates/shard/src",

@@ -18,7 +18,7 @@
 
 use car_apriori::hash::FastHashMap;
 use car_apriori::{generate_rules, Apriori, AprioriConfig, Rule};
-use car_cycles::{detect_cycles, minimal_cycles, BitSeq};
+use car_cycles::{detect_cycles_with, minimal_cycles, BitSeq, CycleSet};
 use car_itemset::{ItemSet, SegmentedDb};
 
 use crate::config::{ConfigError, MiningConfig};
@@ -107,12 +107,13 @@ impl IncrementalMiner {
     pub fn current_rules(&self) -> Result<Vec<CyclicRule>, ConfigError> {
         self.config.validate_for(self.units)?;
         let mut rules: Vec<CyclicRule> = Vec::new();
+        let units = CycleSet::of_units(self.config.cycle_bounds, self.units);
         for (rule, holds) in &self.sequences {
             let mut seq = BitSeq::zeros(self.units);
             for &u in holds {
                 seq.set(u as usize, true);
             }
-            let set = detect_cycles(&seq, self.config.cycle_bounds);
+            let set = detect_cycles_with(&seq, self.config.cycle_bounds, &units);
             if set.is_empty() {
                 continue;
             }

@@ -19,6 +19,15 @@
 //!   unit `i`, every candidate cycle `(l, i mod l)` dies immediately,
 //!   enlarging the skip set for later units.
 //!
+//! The cycles each unit lies on are built once per run, as one
+//! [`CycleSet`] per unit ([`CycleSet::of_units`]), and shared by every
+//! candidate: skipping is an [`intersects`](CycleSet::intersects) test
+//! against the unit's set and elimination an
+//! [`eliminate`](CycleSet::eliminate) (AND-NOT) with it, a few word
+//! operations per candidate and unit. An item first seen at unit `i`
+//! starts from one AND-NOT against the union of the sets of units
+//! `0..i`.
+//!
 //! **Phase 2 — cyclic rules.** For each cyclic large itemset `Z` and each
 //! split `X ⇒ Z∖X`, the rule's candidate cycles start from `Z`'s final
 //! cycle set (which is always a subset of `X`'s, so every needed support
@@ -109,7 +118,7 @@ struct CandidateState {
     cycles: CycleSet,
     /// Units counted and found *not* large; only filled when cycle
     /// elimination is disabled, applied at the end of the level scan.
-    misses: Vec<u32>,
+    misses: Vec<usize>,
     /// Support counts at units where the itemset was counted and large.
     supports: FastHashMap<u32, u64>,
 }
@@ -124,16 +133,13 @@ impl CandidateState {
         }
     }
 
-    /// Applies deferred misses (no-op when elimination ran eagerly).
-    fn finalize(&mut self) -> u64 {
+    /// Applies deferred misses (no-op when elimination ran eagerly),
+    /// given the cycle sets of the units.
+    fn finalize(&mut self, units: &[CycleSet]) -> u64 {
         let mut eliminated = 0;
-        for &m in &self.misses {
-            eliminated += self.cycles.eliminate(m as usize) as u64;
-            if self.cycles.is_empty() {
-                break;
-            }
+        for unit in self.misses.drain(..).filter_map(|m| units.get(m)) {
+            eliminated += self.cycles.eliminate(unit) as u64;
         }
-        self.misses.clear();
         eliminated
     }
 }
@@ -158,15 +164,15 @@ pub fn mine_interleaved(
 
     let phase1_start = Instant::now();
     let phase1_span = car_obs::time_span!("mine.int.itemsets");
-    let cyclic = find_cyclic_itemsets(db, config, options, &mut stats);
+    let units = CycleSet::of_units(config.cycle_bounds, db.num_units());
+    let cyclic = find_cyclic_itemsets(db, config, options, &units, &mut stats);
     stats.cyclic_itemsets = cyclic.len() as u64;
     drop(phase1_span);
     stats.phase1 = phase1_start.elapsed();
 
     let phase2_start = Instant::now();
     let phase2_span = car_obs::time_span!("mine.int.rule_gen");
-    let rules =
-        generate_cyclic_rules(db.num_units(), config, options, &cyclic, &mut stats);
+    let rules = generate_cyclic_rules(config, options, &units, &cyclic, &mut stats);
     drop(phase2_span);
     stats.phase2 = phase2_start.elapsed();
 
@@ -198,11 +204,12 @@ pub fn mine_interleaved(
 
 /// Phase 1: the cyclic large itemsets of `db`, each with its final
 /// (un-filtered) cycle set and its per-unit support counts on large
-/// units.
+/// units. `units[i]` is the set of cycles unit `i` lies on.
 fn find_cyclic_itemsets(
     db: &SegmentedDb,
     config: &MiningConfig,
     options: InterleavedOptions,
+    units: &[CycleSet],
     stats: &mut MiningStats,
 ) -> Vec<CandidateState> {
     let n = db.num_units();
@@ -212,7 +219,8 @@ fn find_cyclic_itemsets(
     // ---- Level 1 ----------------------------------------------------
     // Items are discovered as they first appear; a state created at unit
     // `i` inherits misses for every earlier unit (its count there was 0,
-    // which is never large).
+    // which is never large): one AND-NOT against `earlier`, the union of
+    // the cycle sets of units `0..i`.
     //
     // The per-unit occurrence counter and the seen-item set are flat
     // refstores when the id space is dense (the common case); one cheap
@@ -233,7 +241,8 @@ fn find_cyclic_itemsets(
     let mut unit_counts = ItemCounter::for_universe(max_id, occurrences);
 
     let level1_span = car_obs::time_span!("mine.int.level1_scan");
-    for i in 0..n {
+    let mut earlier = CycleSet::empty(bounds);
+    for (i, unit) in units.iter().enumerate() {
         let transactions = db.unit(i);
         let threshold = config.min_support.threshold(transactions.len());
 
@@ -252,14 +261,9 @@ fn find_cyclic_itemsets(
                 let mut cycles = CycleSet::full(bounds);
                 let mut misses = Vec::new();
                 if options.cycle_elimination {
-                    for j in 0..i {
-                        stats.cycles_eliminated += cycles.eliminate(j) as u64;
-                        if cycles.is_empty() {
-                            break;
-                        }
-                    }
+                    stats.cycles_eliminated += cycles.eliminate(&earlier) as u64;
                 } else {
-                    misses.extend(0..i as u32);
+                    misses.extend(0..i);
                 }
                 let mut state =
                     CandidateState::new(ItemSet::single(Item::new(id)), cycles);
@@ -270,7 +274,7 @@ fn find_cyclic_itemsets(
         }
 
         for state in &mut states {
-            let active = !options.cycle_skipping || state.cycles.includes_unit(i);
+            let active = !options.cycle_skipping || state.cycles.intersects(unit);
             if !active {
                 stats.skipped_counts += 1;
                 continue;
@@ -283,18 +287,19 @@ fn find_cyclic_itemsets(
             if count >= threshold {
                 state.supports.insert(i as u32, count);
             } else if options.cycle_elimination {
-                stats.cycles_eliminated += state.cycles.eliminate(i) as u64;
+                stats.cycles_eliminated += state.cycles.eliminate(unit) as u64;
             } else {
-                state.misses.push(i as u32);
+                state.misses.push(i);
             }
         }
+        earlier.union_with(unit);
     }
     drop(level1_span);
 
     let mut survivors: Vec<CandidateState> = states
         .into_iter()
         .filter_map(|mut s| {
-            stats.cycles_eliminated += s.finalize();
+            stats.cycles_eliminated += s.finalize(units);
             (!s.cycles.is_empty()).then_some(s)
         })
         .collect();
@@ -364,11 +369,11 @@ fn find_cyclic_itemsets(
 
         // Scan all units for this level.
         let scan_span = car_obs::time_span!("mine.int.support_count");
-        for i in 0..n {
+        for (i, unit) in units.iter().enumerate() {
             let active: Vec<usize> = states
                 .iter()
                 .enumerate()
-                .filter(|(_, s)| !options.cycle_skipping || s.cycles.includes_unit(i))
+                .filter(|(_, s)| !options.cycle_skipping || s.cycles.intersects(unit))
                 .map(|(idx, _)| idx)
                 .collect();
             stats.skipped_counts += (states.len() - active.len()) as u64;
@@ -395,9 +400,9 @@ fn find_cyclic_itemsets(
                 if count >= threshold {
                     state.supports.insert(i as u32, count);
                 } else if options.cycle_elimination {
-                    stats.cycles_eliminated += state.cycles.eliminate(i) as u64;
+                    stats.cycles_eliminated += state.cycles.eliminate(unit) as u64;
                 } else {
-                    state.misses.push(i as u32);
+                    state.misses.push(i);
                 }
             }
         }
@@ -406,7 +411,7 @@ fn find_cyclic_itemsets(
         survivors = states
             .into_iter()
             .filter_map(|mut s| {
-                stats.cycles_eliminated += s.finalize();
+                stats.cycles_eliminated += s.finalize(units);
                 (!s.cycles.is_empty()).then_some(s)
             })
             .collect();
@@ -417,10 +422,11 @@ fn find_cyclic_itemsets(
 }
 
 /// Phase 2: derive cyclic rules from the cyclic large itemsets.
+/// `units[i]` is the set of cycles unit `i` lies on.
 fn generate_cyclic_rules(
-    num_units: usize,
     config: &MiningConfig,
     options: InterleavedOptions,
+    units: &[CycleSet],
     cyclic: &[CandidateState],
     stats: &mut MiningStats,
 ) -> Vec<CyclicRule> {
@@ -433,7 +439,8 @@ fn generate_cyclic_rules(
             continue;
         }
         // Units that can influence any cycle of a rule derived from Z.
-        let covered = z.cycles.covered_units(num_units);
+        let covered: Vec<(u32, &CycleSet)> =
+            (0u32..).zip(units).filter(|(_, unit)| z.cycles.intersects(unit)).collect();
         for antecedent in z.itemset.proper_nonempty_subsets() {
             stats.rules_checked += 1;
             // Subsets of a cyclic itemset are always cyclic, so the
@@ -448,25 +455,22 @@ fn generate_cyclic_rules(
             // where Z is large, and C_Z ⊆ C_X guarantees X's counts are
             // available at every unit we inspect.
             let mut rule_cycles = z.cycles.clone();
-            for u in covered.iter_ones() {
-                if options.cycle_skipping && !rule_cycles.includes_unit(u) {
+            for &(u, unit) in &covered {
+                if options.cycle_skipping && !rule_cycles.intersects(unit) {
                     continue;
                 }
                 // Z is large on every unit of its cycles and X is large
                 // wherever Z is, so both counts are recorded; if either
                 // is somehow missing, the rule is unverifiable at this
                 // unit and its cycles through it must die.
-                let (Some(&z_count), Some(&x_count)) =
-                    (z.supports.get(&(u as u32)), x_state.supports.get(&(u as u32)))
-                else {
-                    rule_cycles.eliminate(u);
-                    if rule_cycles.is_empty() {
-                        break;
+                let holds = match (z.supports.get(&u), x_state.supports.get(&u)) {
+                    (Some(&z_count), Some(&x_count)) => {
+                        config.min_confidence.accepts(z_count, x_count)
                     }
-                    continue;
+                    _ => false,
                 };
-                if !config.min_confidence.accepts(z_count, x_count) {
-                    rule_cycles.eliminate(u);
+                if !holds {
+                    rule_cycles.eliminate(unit);
                     if rule_cycles.is_empty() {
                         break;
                     }

@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use car_apriori::hash::FastHashMap;
 use car_apriori::{generate_rules, Apriori, AprioriConfig, Rule};
-use car_cycles::{detect_cycles, minimal_cycles, BitSeq};
+use car_cycles::{detect_cycles_with, minimal_cycles, BitSeq, CycleSet};
 use car_itemset::SegmentedDb;
 
 use crate::config::{ConfigError, MiningConfig};
@@ -100,8 +100,9 @@ pub fn mine_sequential_parallel(
 
     let phase2_start = Instant::now();
     let mut rules: Vec<CyclicRule> = Vec::new();
+    let units = CycleSet::of_units(config.cycle_bounds, n);
     for (rule, seq) in sequences {
-        let set = detect_cycles(&seq, config.cycle_bounds);
+        let set = detect_cycles_with(&seq, config.cycle_bounds, &units);
         if set.is_empty() {
             continue;
         }

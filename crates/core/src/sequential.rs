@@ -8,7 +8,10 @@
 //!    there (support and confidence computed within the unit).
 //! 2. **Cycle detection.** Each distinct rule induces a binary sequence
 //!    over the units (1 where it held); detect that sequence's cycles by
-//!    candidate elimination and report the minimal ones.
+//!    candidate elimination and report the minimal ones. The cycle sets
+//!    of the units are built once and shared by every sequence, and a
+//!    sequence with fewer holds than any cycle covers is settled by its
+//!    popcount.
 //!
 //! This is the natural baseline: correct, simple, and — as the paper
 //! shows — wasteful, because it mines every unit at full strength even
@@ -19,7 +22,7 @@ use std::time::Instant;
 
 use car_apriori::hash::FastHashMap;
 use car_apriori::{generate_rules, Apriori, AprioriConfig, Rule};
-use car_cycles::{detect_cycles, minimal_cycles, BitSeq};
+use car_cycles::{detect_cycles_with, minimal_cycles, BitSeq, CycleSet};
 use car_itemset::SegmentedDb;
 
 use crate::config::{ConfigError, MiningConfig};
@@ -73,8 +76,9 @@ pub fn mine_sequential(
     let phase2_start = Instant::now();
     let phase2_span = car_obs::time_span!("mine.seq.cycle_detect");
     let mut rules: Vec<CyclicRule> = Vec::new();
+    let units = CycleSet::of_units(config.cycle_bounds, n);
     for (rule, seq) in sequences {
-        let set = detect_cycles(&seq, config.cycle_bounds);
+        let set = detect_cycles_with(&seq, config.cycle_bounds, &units);
         if set.is_empty() {
             continue;
         }

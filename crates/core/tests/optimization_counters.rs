@@ -149,3 +149,85 @@ fn interleaved_counts_strictly_fewer_units_than_sequential() {
         int.stats.support_computations
     );
 }
+
+/// Every `MiningStats` work counter of one INTERLEAVED run, in the order
+/// support computations, skipped counts, skipped unit scans, bitmap
+/// builds, candidates generated, candidates pruned by cycles, cycles
+/// eliminated, cyclic itemsets, rules checked.
+fn work_counters(s: &car_core::MiningStats) -> [u64; 9] {
+    [
+        s.support_computations,
+        s.skipped_counts,
+        s.skipped_unit_scans,
+        s.bitmap_builds,
+        s.candidates_generated,
+        s.candidates_pruned_by_cycles,
+        s.cycles_eliminated,
+        s.cyclic_itemsets,
+        s.rules_checked,
+    ]
+}
+
+/// The 8 ablation combinations as (pruning, skipping, elimination).
+fn ablation(pruning: bool, skipping: bool, elimination: bool) -> InterleavedOptions {
+    InterleavedOptions {
+        cycle_pruning: pruning,
+        cycle_skipping: skipping,
+        cycle_elimination: elimination,
+    }
+}
+
+#[test]
+fn ablation_work_counters_are_pinned() {
+    // The counters are deterministic, so the paper's ablation accounting
+    // is pinned exactly: a change to how cycle sets are stored or
+    // combined must leave every count where it was. Two configurations:
+    // bounds 2..6 under the default counting strategy, and bounds 2..16
+    // (135 cycles in 3 words) under the vertical kernel, whose bitmap
+    // builds then count unit scans.
+    type Row = (bool, bool, bool, [u64; 9]);
+    let narrow: [Row; 8] = [
+        (false, false, false, [5300, 0, 0, 24, 222, 0, 4296, 69, 220]),
+        (true, false, false, [4244, 0, 0, 24, 178, 44, 1629, 69, 220]),
+        (false, true, false, [5300, 0, 0, 24, 222, 0, 4296, 69, 220]),
+        (true, true, false, [2456, 1788, 14, 0, 178, 44, 1629, 69, 220]),
+        (false, false, true, [5300, 0, 0, 24, 222, 0, 4296, 69, 220]),
+        (true, false, true, [4244, 0, 0, 24, 178, 44, 1629, 69, 220]),
+        (false, true, true, [1945, 3355, 7, 6, 222, 0, 4296, 69, 220]),
+        (true, true, true, [1049, 3195, 14, 0, 178, 44, 1629, 69, 220]),
+    ];
+    let wide: [Row; 8] = [
+        (false, false, false, [11324, 0, 0, 96, 473, 0, 61893, 218, 1384]),
+        (true, false, false, [9428, 0, 0, 96, 394, 79, 11522, 218, 1384]),
+        (false, true, false, [11324, 0, 0, 96, 473, 0, 61893, 218, 1384]),
+        (true, true, false, [3101, 6327, 25, 71, 394, 79, 11522, 218, 1384]),
+        (false, false, true, [11324, 0, 0, 96, 473, 0, 61893, 218, 1384]),
+        (true, false, true, [9428, 0, 0, 96, 394, 79, 11522, 218, 1384]),
+        (false, true, true, [8798, 2526, 1, 95, 473, 0, 61893, 218, 1384]),
+        (true, true, true, [2548, 6880, 25, 71, 394, 79, 11522, 218, 1384]),
+    ];
+    let wide_config = MiningConfig::builder()
+        .min_support_fraction(0.2)
+        .min_confidence(0.5)
+        .cycle_bounds(2, 16)
+        .counting(CountStrategy::Vertical)
+        .build()
+        .unwrap();
+    let db = cyclic_db();
+    for (config, rows) in [(config(), narrow), (wide_config, wide)] {
+        let mut rules = None;
+        for (pruning, skipping, elimination, expected) in rows {
+            let options = ablation(pruning, skipping, elimination);
+            let outcome = mine_interleaved(&db, &config, options).unwrap();
+            assert_eq!(
+                work_counters(&outcome.stats),
+                expected,
+                "{options:?} at {:?}",
+                config.cycle_bounds
+            );
+            // Every combination finds the same rules.
+            let first = rules.get_or_insert_with(|| outcome.rules.clone());
+            assert_eq!(&outcome.rules, first, "{options:?}");
+        }
+    }
+}

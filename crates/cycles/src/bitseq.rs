@@ -104,7 +104,23 @@ impl BitSeq {
 
     /// Iterates the indices of 0-bits in increasing order.
     pub fn iter_zeros(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len).filter(move |&i| !self.get(i))
+        let len = self.len;
+        self.words.iter().enumerate().flat_map(move |(wi, &w)| {
+            let start = wi * WORD_BITS;
+            let mut w = !w;
+            if len - start < WORD_BITS {
+                w &= (1u64 << (len - start)) - 1;
+            }
+            std::iter::from_fn(move || {
+                if w == 0 {
+                    None
+                } else {
+                    let bit = w.trailing_zeros() as usize;
+                    w &= w - 1;
+                    Some(start + bit)
+                }
+            })
+        })
     }
 
     /// Iterates all bits in order.
@@ -214,6 +230,19 @@ mod tests {
         assert_eq!(s.iter_ones().collect::<Vec<_>>(), vec![1, 2, 4]);
         assert_eq!(s.iter_zeros().collect::<Vec<_>>(), vec![0, 3]);
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![false, true, true, false, true]);
+    }
+
+    #[test]
+    fn iter_zeros_stops_at_len_across_words() {
+        for len in [0, 1, 63, 64, 65, 128, 130] {
+            let mut s = BitSeq::zeros(len);
+            for i in (0..len).step_by(3) {
+                s.set(i, true);
+            }
+            let expect: Vec<usize> = (0..len).filter(|i| i % 3 != 0).collect();
+            assert_eq!(s.iter_zeros().collect::<Vec<_>>(), expect, "len {len}");
+            assert_eq!(BitSeq::ones(len).iter_zeros().count(), 0, "len {len}");
+        }
     }
 
     #[test]

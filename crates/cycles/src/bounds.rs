@@ -78,6 +78,15 @@ impl CycleBounds {
     }
 }
 
+/// `⌊n / length⌋`: the fewest of the units `0..n` that lie on any one
+/// cycle of `length`, so the fewest ones a sequence of `n` units needs to
+/// have a cycle of that length. With `length = l_max` it bounds every
+/// length within the bounds: a sequence with fewer ones has no cycle at
+/// all, which a popcount settles without eliminating anything.
+pub(crate) fn min_holds(n: usize, length: u32) -> usize {
+    n.checked_div(length as usize).unwrap_or(0)
+}
+
 impl fmt::Debug for CycleBounds {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[{},{}]", self.l_min, self.l_max)
@@ -120,6 +129,17 @@ mod tests {
                 Cycle::make(3, 2),
             ]
         );
+    }
+
+    #[test]
+    fn min_holds_is_the_smallest_residue_class() {
+        for n in 0..40usize {
+            for l in 1..12u32 {
+                let smallest =
+                    (0..l).map(|o| Cycle::make(l, o).num_units(n)).min().unwrap_or(0);
+                assert_eq!(min_holds(n, l), smallest, "n {n} length {l}");
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 use std::fmt;
 
-use crate::{BitSeq, Cycle, CycleBounds};
+use crate::{Cycle, CycleBounds};
 
-const WORD_BITS: usize = 64;
+const WORD_BITS: usize = u64::BITS as usize;
 
 /// A set of candidate cycles within fixed [`CycleBounds`].
 ///
@@ -10,50 +10,86 @@ const WORD_BITS: usize = 64;
 /// the ICDE'98 paper. Each itemset under consideration owns a `CycleSet`
 /// holding the cycles it could still have; the set only ever shrinks as
 /// evidence (a unit where the itemset is not large) arrives. The three
-/// optimization techniques of the paper map onto three operations:
+/// optimization techniques of the paper map onto three operations, where
+/// `on_unit` is the set [`CycleSet::of_unit`] of the cycles a unit lies on:
 ///
-/// * **cycle elimination** → [`CycleSet::eliminate`]: after observing a
-///   miss at `unit`, every candidate `(l, unit mod l)` is removed;
-/// * **cycle skipping** → [`CycleSet::includes_unit`]: support counting in
-///   a unit can be skipped when the unit lies on no remaining candidate;
+/// * **cycle elimination** → [`CycleSet::eliminate`]`(on_unit)`: after
+///   observing a miss at the unit, every candidate `(l, unit mod l)` is
+///   removed;
+/// * **cycle skipping** → [`CycleSet::intersects`]`(on_unit)`: support
+///   counting in a unit can be skipped when the unit lies on no remaining
+///   candidate;
 /// * **cycle pruning** → [`CycleSet::intersect_with`]: a `k`-itemset's
 ///   candidates start from the intersection of its `(k−1)`-subsets' sets.
 ///
-/// Internally the set stores one offset-bitmap per length, so all three
-/// operations cost `O(l_max − l_min + 1)` word operations.
+/// Internally the set is one flat bitset over every cycle within the
+/// bounds, in `(length, offset)` order: `(l, o)` is bit `first(l) + o`,
+/// where `first(l)` counts the cycles of the lengths below `l`. At bounds
+/// 2..16 that is 135 bits in 3 words. Every operation between two sets
+/// is one pass over those `⌈num_cycles / 64⌉` words. A miner builds the
+/// per-unit sets once and shares them across its candidates, so skipping
+/// and elimination cost a few word operations and no division per
+/// candidate.
 #[derive(Clone, PartialEq, Eq)]
 pub struct CycleSet {
     bounds: CycleBounds,
-    /// `offsets[l - l_min]` is the bitmap of live offsets for length `l`.
-    offsets: Vec<Vec<u64>>,
-    /// Number of live cycles, maintained incrementally.
-    count: usize,
+    /// Bit `first(l) + o` is set iff `(l, o)` is live. Bits past
+    /// `bounds.num_cycles()` in the last word are always clear.
+    words: Box<[u64]>,
+}
+
+/// Index of the first bit of length `length`: `Σ_{l_min ≤ k < length} k`.
+fn first_bit(bounds: CycleBounds, length: u32) -> usize {
+    let (lo, l) = (bounds.l_min() as usize, length as usize);
+    ((lo + l - 1) * (l - lo)) >> 1
+}
+
+/// The word index and bit mask of bit `bit` (64-bit words).
+fn position(bit: usize) -> (usize, u64) {
+    (bit >> 6, 1 << (bit & 63))
 }
 
 impl CycleSet {
     /// The empty set over the given bounds.
     pub fn empty(bounds: CycleBounds) -> Self {
-        let offsets = bounds
-            .lengths()
-            .map(|l| vec![0u64; (l as usize).div_ceil(WORD_BITS)])
-            .collect();
-        CycleSet { bounds, offsets, count: 0 }
+        let words = vec![0; bounds.num_cycles().div_ceil(WORD_BITS)];
+        CycleSet { bounds, words: words.into_boxed_slice() }
     }
 
     /// The full set: every `(l, o)` with `l` within bounds.
     pub fn full(bounds: CycleBounds) -> Self {
-        let mut offsets =
-            Vec::with_capacity((bounds.l_max() - bounds.l_min() + 1) as usize);
-        for l in bounds.lengths() {
-            let l = l as usize;
-            let mut words = vec![u64::MAX; l.div_ceil(WORD_BITS)];
-            let rem = l % WORD_BITS;
-            if rem != 0 {
-                *words.last_mut().expect("l >= 1") &= (1u64 << rem) - 1;
+        let mut set = CycleSet::empty(bounds);
+        set.words.fill(u64::MAX);
+        let tail = bounds.num_cycles() & 63;
+        if tail != 0 {
+            if let Some(last) = set.words.last_mut() {
+                *last = (1 << tail) - 1;
             }
-            offsets.push(words);
         }
-        CycleSet { bounds, offsets, count: bounds.num_cycles() }
+        set
+    }
+
+    /// The cycles unit `unit` lies on: `(l, unit mod l)` for every length
+    /// within the bounds.
+    ///
+    /// Removing this set is the paper's cycle elimination after a miss at
+    /// `unit`; a set that does not intersect it can skip counting there.
+    pub fn of_unit(bounds: CycleBounds, unit: usize) -> Self {
+        let mut set = CycleSet::empty(bounds);
+        let mut first = 0;
+        for l in bounds.lengths() {
+            let offset = unit.checked_rem(l as usize).unwrap_or(0);
+            set.set_bit(first + offset);
+            first += l as usize;
+        }
+        set
+    }
+
+    /// [`of_unit`](Self::of_unit) for each of the units `0..num_units`,
+    /// indexed by unit: the table a miner builds once and shares across
+    /// every candidate.
+    pub fn of_units(bounds: CycleBounds, num_units: usize) -> Vec<CycleSet> {
+        (0..num_units).map(|unit| CycleSet::of_unit(bounds, unit)).collect()
     }
 
     /// The bounds this set ranges over.
@@ -63,29 +99,35 @@ impl CycleSet {
     }
 
     /// Number of live cycles.
-    #[inline]
     pub fn len(&self) -> usize {
-        self.count
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether no candidate cycles remain.
-    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.words.iter().all(|&w| w == 0)
     }
 
-    #[inline]
-    fn row(&self, length: u32) -> &[u64] {
-        &self.offsets[(length - self.bounds.l_min()) as usize]
+    /// The bit of `c`, or `None` when its length is outside the bounds.
+    fn bit(&self, c: Cycle) -> Option<usize> {
+        self.bounds
+            .contains(c)
+            .then(|| first_bit(self.bounds, c.length()) + c.offset() as usize)
+    }
+
+    fn set_bit(&mut self, bit: usize) {
+        let (word, mask) = position(bit);
+        if let Some(w) = self.words.get_mut(word) {
+            *w |= mask;
+        }
     }
 
     /// Membership test.
     pub fn contains(&self, c: Cycle) -> bool {
-        if !self.bounds.contains(c) {
-            return false;
-        }
-        let o = c.offset() as usize;
-        self.row(c.length())[o / WORD_BITS] >> (o % WORD_BITS) & 1 == 1
+        self.bit(c).is_some_and(|bit| {
+            let (word, mask) = position(bit);
+            self.words.get(word).is_some_and(|w| w & mask != 0)
+        })
     }
 
     /// Inserts a cycle; returns `true` if it was newly added.
@@ -94,69 +136,70 @@ impl CycleSet {
     ///
     /// Panics if the cycle's length is outside the bounds.
     pub fn insert(&mut self, c: Cycle) -> bool {
-        assert!(self.bounds.contains(c), "cycle {c} outside bounds {:?}", self.bounds);
-        let l_min = self.bounds.l_min();
-        let o = c.offset() as usize;
-        let word = &mut self.offsets[(c.length() - l_min) as usize][o / WORD_BITS];
-        let mask = 1u64 << (o % WORD_BITS);
-        if *word & mask == 0 {
-            *word |= mask;
-            self.count += 1;
-            true
-        } else {
-            false
-        }
+        let Some(bit) = self.bit(c) else {
+            // audit:allow(a1-panic) reason="documented contract: a cycle outside the set's bounds has no bit, and dropping it silently would lose a caller's data"
+            panic!("cycle {c} outside bounds {:?}", self.bounds);
+        };
+        let (word, mask) = position(bit);
+        self.words.get_mut(word).is_some_and(|w| {
+            let added = *w & mask == 0;
+            *w |= mask;
+            added
+        })
     }
 
     /// Removes a cycle; returns `true` if it was present.
     pub fn remove(&mut self, c: Cycle) -> bool {
-        if !self.bounds.contains(c) {
+        let Some((word, mask)) = self.bit(c).map(position) else {
             return false;
-        }
-        let l_min = self.bounds.l_min();
-        let o = c.offset() as usize;
-        let word = &mut self.offsets[(c.length() - l_min) as usize][o / WORD_BITS];
-        let mask = 1u64 << (o % WORD_BITS);
-        if *word & mask != 0 {
-            *word &= !mask;
-            self.count -= 1;
-            true
-        } else {
-            false
-        }
+        };
+        self.words.get_mut(word).is_some_and(|w| {
+            let present = *w & mask != 0;
+            *w &= !mask;
+            present
+        })
     }
 
-    /// **Cycle elimination**: removes every candidate `(l, unit mod l)`.
-    /// Returns the number of cycles removed.
+    /// Panics unless `other` ranges over the same bounds: a word-wise
+    /// operation between different layouts would pair unrelated cycles.
+    fn check_bounds(&self, other: &CycleSet) {
+        // audit:allow(a1-panic) reason="documented contract of every two-set operation: sets over different bounds have different bit layouts, so any answer would be wrong"
+        assert_eq!(self.bounds, other.bounds, "cycle sets with different bounds");
+    }
+
+    /// **Cycle elimination**: removes every cycle of `other` and returns
+    /// how many were live.
     ///
-    /// Calling this for each unit where a sequence is 0, starting from the
-    /// full set, performs exact cycle detection.
-    pub fn eliminate(&mut self, unit: usize) -> usize {
+    /// With `other` = [`CycleSet::of_unit`]`(bounds, u)` this removes
+    /// every candidate `(l, u mod l)` after a miss at `u`. Doing that for
+    /// each unit where a sequence is 0, starting from the full set,
+    /// performs exact cycle detection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two sets have different bounds.
+    pub fn eliminate(&mut self, other: &CycleSet) -> usize {
+        self.check_bounds(other);
         let mut removed = 0;
-        for l in self.bounds.lengths() {
-            let o = unit % l as usize;
-            let word =
-                &mut self.offsets[(l - self.bounds.l_min()) as usize][o / WORD_BITS];
-            let mask = 1u64 << (o % WORD_BITS);
-            if *word & mask != 0 {
-                *word &= !mask;
-                removed += 1;
-            }
+        for (w, &o) in self.words.iter_mut().zip(other.words.iter()) {
+            removed += (*w & o).count_ones() as usize;
+            *w &= !o;
         }
-        self.count -= removed;
         removed
     }
 
-    /// **Cycle skipping** test: whether `unit` lies on any live candidate
-    /// cycle. Units failing this test need no support counting.
-    pub fn includes_unit(&self, unit: usize) -> bool {
-        for l in self.bounds.lengths() {
-            let o = unit % l as usize;
-            if self.row(l)[o / WORD_BITS] >> (o % WORD_BITS) & 1 == 1 {
-                return true;
-            }
-        }
-        false
+    /// **Cycle skipping** test: whether `self` and `other` share a cycle.
+    ///
+    /// With `other` = [`CycleSet::of_unit`]`(bounds, u)` this asks whether
+    /// unit `u` lies on any live candidate cycle; units failing the test
+    /// need no support counting.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two sets have different bounds.
+    pub fn intersects(&self, other: &CycleSet) -> bool {
+        self.check_bounds(other);
+        self.words.iter().zip(other.words.iter()).any(|(&a, &b)| a & b != 0)
     }
 
     /// **Cycle pruning** primitive: intersects `self` with `other` in
@@ -166,21 +209,17 @@ impl CycleSet {
     ///
     /// Panics if the two sets have different bounds.
     pub fn intersect_with(&mut self, other: &CycleSet) {
-        assert_eq!(
-            self.bounds, other.bounds,
-            "cannot intersect cycle sets with different bounds"
-        );
-        let mut count = 0;
-        for (mine, theirs) in self.offsets.iter_mut().zip(&other.offsets) {
-            for (w, &ow) in mine.iter_mut().zip(theirs) {
-                *w &= ow;
-                count += w.count_ones() as usize;
-            }
+        self.check_bounds(other);
+        for (w, &o) in self.words.iter_mut().zip(other.words.iter()) {
+            *w &= o;
         }
-        self.count = count;
     }
 
     /// Returns the intersection of two sets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two sets have different bounds.
     pub fn intersection(&self, other: &CycleSet) -> CycleSet {
         let mut out = self.clone();
         out.intersect_with(other);
@@ -193,63 +232,57 @@ impl CycleSet {
     ///
     /// Panics if the two sets have different bounds.
     pub fn union_with(&mut self, other: &CycleSet) {
-        assert_eq!(
-            self.bounds, other.bounds,
-            "cannot union cycle sets with different bounds"
-        );
-        let mut count = 0;
-        for (mine, theirs) in self.offsets.iter_mut().zip(&other.offsets) {
-            for (w, &ow) in mine.iter_mut().zip(theirs) {
-                *w |= ow;
-                count += w.count_ones() as usize;
-            }
+        self.check_bounds(other);
+        for (w, &o) in self.words.iter_mut().zip(other.words.iter()) {
+            *w |= o;
         }
-        self.count = count;
     }
 
     /// Returns the union of two sets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two sets have different bounds.
     pub fn union(&self, other: &CycleSet) -> CycleSet {
         let mut out = self.clone();
         out.union_with(other);
         out
     }
 
-    /// Whether every cycle of `self` is in `other`.
+    /// Whether every cycle of `self` is in `other` (never, across
+    /// different bounds).
     pub fn is_subset_of(&self, other: &CycleSet) -> bool {
-        if self.bounds != other.bounds {
-            return false;
-        }
-        self.offsets
-            .iter()
-            .zip(&other.offsets)
-            .all(|(a, b)| a.iter().zip(b).all(|(&x, &y)| x & !y == 0))
+        self.bounds == other.bounds
+            && self.words.iter().zip(other.words.iter()).all(|(&a, &b)| a & !b == 0)
     }
 
     /// Iterates live cycles in `(length, offset)` order.
     pub fn iter(&self) -> impl Iterator<Item = Cycle> + '_ {
-        self.bounds.lengths().flat_map(move |l| {
-            let row = self.row(l);
-            (0..l as usize)
-                .filter(move |&o| row[o / WORD_BITS] >> (o % WORD_BITS) & 1 == 1)
-                .map(move |o| Cycle::make(l, o as u32))
+        let ones = self.words.iter().enumerate().flat_map(|(index, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    index * WORD_BITS + bit
+                })
+            })
+        });
+        // Bits ascend, so the length only ever moves forward.
+        let mut length = self.bounds.l_min();
+        let mut first = 0;
+        ones.map(move |bit| {
+            while bit >= first + length as usize {
+                first += length as usize;
+                length += 1;
+            }
+            Cycle::make(length, (bit - first) as u32)
         })
     }
 
     /// Collects live cycles into a vector.
     pub fn to_vec(&self) -> Vec<Cycle> {
         self.iter().collect()
-    }
-
-    /// The units in `0..num_units` lying on at least one live cycle, as a
-    /// bit sequence. Used to plan which units need support counting.
-    pub fn covered_units(&self, num_units: usize) -> BitSeq {
-        let mut seq = BitSeq::zeros(num_units);
-        for c in self.iter() {
-            for u in c.units(num_units) {
-                seq.set(u, true);
-            }
-        }
-        seq
     }
 }
 
@@ -269,9 +302,18 @@ impl fmt::Debug for CycleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BitSeq;
 
     fn bounds() -> CycleBounds {
         CycleBounds::make(1, 4)
+    }
+
+    fn eliminate(set: &mut CycleSet, unit: usize) -> usize {
+        set.eliminate(&CycleSet::of_unit(set.bounds(), unit))
+    }
+
+    fn includes_unit(set: &CycleSet, unit: usize) -> bool {
+        set.intersects(&CycleSet::of_unit(set.bounds(), unit))
     }
 
     #[test]
@@ -302,6 +344,24 @@ mod tests {
     }
 
     #[test]
+    fn flat_layout_fills_whole_words_exactly() {
+        // 2..=16 is 135 cycles in 3 words; 1..=10 is 55 in one word;
+        // 1..=11 is 66, one past a word; 60..=70 is 715 in 12 words.
+        for (lo, hi, cycles) in [(2, 16, 135), (1, 10, 55), (1, 11, 66), (60, 70, 715)] {
+            let b = CycleBounds::make(lo, hi);
+            let full = CycleSet::full(b);
+            assert_eq!(full.len(), cycles, "{b:?}");
+            assert_eq!(full.words.len(), cycles.div_ceil(64), "{b:?}");
+            assert_eq!(full.to_vec(), b.all_cycles().collect::<Vec<_>>(), "{b:?}");
+            let last = Cycle::make(hi, hi - 1);
+            assert!(full.contains(last));
+            let mut empty = CycleSet::empty(b);
+            assert!(empty.insert(last));
+            assert_eq!(empty.to_vec(), vec![last]);
+        }
+    }
+
+    #[test]
     fn insert_remove_contains() {
         let mut s = CycleSet::empty(bounds());
         let c = Cycle::make(3, 2);
@@ -313,6 +373,8 @@ mod tests {
         assert!(s.remove(c));
         assert!(!s.remove(c));
         assert!(s.is_empty());
+        assert!(!s.contains(Cycle::make(9, 0)));
+        assert!(!s.remove(Cycle::make(9, 0)));
     }
 
     #[test]
@@ -323,10 +385,24 @@ mod tests {
     }
 
     #[test]
+    fn of_unit_holds_one_offset_per_length() {
+        let b = CycleBounds::make(2, 16);
+        for unit in [0, 1, 15, 16, 63, 64, 1000] {
+            let on = CycleSet::of_unit(b, unit);
+            let expect: Vec<Cycle> =
+                b.lengths().map(|l| Cycle::make(l, unit as u32 % l)).collect();
+            assert_eq!(on.to_vec(), expect, "unit {unit}");
+        }
+        let table = CycleSet::of_units(b, 40);
+        assert_eq!(table.len(), 40);
+        assert_eq!(table[17], CycleSet::of_unit(b, 17));
+    }
+
+    #[test]
     fn eliminate_removes_matching_offsets() {
         let mut s = CycleSet::full(bounds());
         // Miss at unit 5 kills (1,0), (2,1), (3,2), (4,1).
-        let removed = s.eliminate(5);
+        let removed = eliminate(&mut s, 5);
         assert_eq!(removed, 4);
         assert_eq!(s.len(), 6);
         assert!(!s.contains(Cycle::make(1, 0)));
@@ -335,21 +411,36 @@ mod tests {
         assert!(!s.contains(Cycle::make(4, 1)));
         assert!(s.contains(Cycle::make(2, 0)));
         // Eliminating the same unit again removes nothing.
-        assert_eq!(s.eliminate(5), 0);
+        assert_eq!(eliminate(&mut s, 5), 0);
+    }
+
+    #[test]
+    fn eliminating_a_union_counts_each_cycle_once() {
+        // Units 0 and 4 share (1,0), (2,0) and (4,0); their union holds
+        // 5 distinct cycles, which one AND-NOT removes and counts once.
+        let b = bounds();
+        let mut union = CycleSet::of_unit(b, 0);
+        union.union_with(&CycleSet::of_unit(b, 4));
+        assert_eq!(union.len(), 5);
+        let mut s = CycleSet::full(b);
+        assert_eq!(s.eliminate(&union), 5);
+        let mut one_by_one = CycleSet::full(b);
+        assert_eq!(eliminate(&mut one_by_one, 0) + eliminate(&mut one_by_one, 4), 5);
+        assert_eq!(s, one_by_one);
     }
 
     #[test]
     fn includes_unit_matches_live_cycles() {
         let mut s = CycleSet::empty(bounds());
         s.insert(Cycle::make(4, 3));
-        assert!(s.includes_unit(3));
-        assert!(s.includes_unit(7));
-        assert!(!s.includes_unit(0));
-        assert!(!s.includes_unit(4));
+        assert!(includes_unit(&s, 3));
+        assert!(includes_unit(&s, 7));
+        assert!(!includes_unit(&s, 0));
+        assert!(!includes_unit(&s, 4));
         s.insert(Cycle::make(2, 0));
-        assert!(s.includes_unit(0));
-        assert!(s.includes_unit(4));
-        assert!(!s.includes_unit(1));
+        assert!(includes_unit(&s, 0));
+        assert!(includes_unit(&s, 4));
+        assert!(!includes_unit(&s, 1));
     }
 
     #[test]
@@ -378,14 +469,10 @@ mod tests {
     }
 
     #[test]
-    fn covered_units() {
-        let mut s = CycleSet::empty(bounds());
-        s.insert(Cycle::make(3, 1));
-        s.insert(Cycle::make(4, 0));
-        let covered = s.covered_units(9);
-        // Units of (3,1) in 0..9: 1,4,7; units of (4,0): 0,4,8.
-        assert_eq!(covered.iter_ones().collect::<Vec<_>>(), vec![0, 1, 4, 7, 8]);
-        assert_eq!(covered.to_string(), "110010011");
+    #[should_panic(expected = "different bounds")]
+    fn eliminate_different_bounds_panics() {
+        let mut a = CycleSet::full(CycleBounds::make(2, 4));
+        a.eliminate(&CycleSet::of_unit(CycleBounds::make(1, 4), 0));
     }
 
     #[test]
@@ -394,7 +481,7 @@ mod tests {
         let mut s = CycleSet::full(bounds());
         let seq: BitSeq = "10101010".parse().unwrap();
         for z in seq.iter_zeros() {
-            s.eliminate(z);
+            eliminate(&mut s, z);
         }
         let got = s.to_vec();
         assert_eq!(got, vec![Cycle::make(2, 0), Cycle::make(4, 0), Cycle::make(4, 2)]);
@@ -402,14 +489,15 @@ mod tests {
 
     #[test]
     fn large_lengths_cross_word_boundary() {
-        // Lengths > 64 exercise multi-word offset bitmaps.
+        // Lengths > 64 put one length's offsets across several words.
         let b = CycleBounds::make(70, 70);
         let mut s = CycleSet::full(b);
         assert_eq!(s.len(), 70);
         assert!(s.contains(Cycle::make(70, 69)));
-        s.eliminate(69);
+        eliminate(&mut s, 69);
         assert!(!s.contains(Cycle::make(70, 69)));
         assert_eq!(s.len(), 69);
-        assert!(s.includes_unit(68));
+        assert!(includes_unit(&s, 68));
+        assert!(!includes_unit(&s, 139));
     }
 }

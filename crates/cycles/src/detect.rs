@@ -1,6 +1,7 @@
 //! Exact cycle detection over binary sequences and minimal-cycle
 //! filtering.
 
+use crate::bounds::min_holds;
 use crate::{BitSeq, Cycle, CycleBounds, CycleSet};
 
 /// Detects every cycle (within `bounds`) of a binary sequence.
@@ -8,8 +9,18 @@ use crate::{BitSeq, Cycle, CycleBounds, CycleSet};
 /// This is the elimination-based procedure of the ICDE'98 paper: begin
 /// with every candidate `(l, o)` alive and, for each position where the
 /// sequence is 0, eliminate the candidates that include that position.
-/// What survives is exactly the set of cycles of the sequence. Detection
-/// stops early once no candidate remains.
+/// What survives is exactly the set of cycles of the sequence. Two
+/// shortcuts keep it cheap:
+///
+/// * every cycle covers at least `⌊n / l_max⌋` of the `n` units, so a
+///   sequence with fewer ones has no cycle, which a popcount settles;
+/// * otherwise each zero is one AND-NOT against the set of cycles its
+///   unit lies on ([`CycleSet::of_unit`]), and detection stops once no
+///   candidate remains.
+///
+/// This call builds the per-unit sets itself when the popcount does not
+/// settle the answer. To detect many sequences, build them once with
+/// [`CycleSet::of_units`] and call [`detect_cycles_with`].
 ///
 /// The returned set is **unfiltered** — it contains multiples of smaller
 /// cycles. Apply [`minimal_cycles`] before presenting results to users;
@@ -20,24 +31,61 @@ use crate::{BitSeq, Cycle, CycleBounds, CycleSet};
 /// vacuously. Mining configurations validate `l_max ≤ num_units` to keep
 /// every reported cycle supported by at least one observation.
 pub fn detect_cycles(seq: &BitSeq, bounds: CycleBounds) -> CycleSet {
+    let units = if has_too_few_holds(seq, bounds) {
+        Vec::new()
+    } else {
+        CycleSet::of_units(bounds, seq.len())
+    };
+    detect_cycles_with(seq, bounds, &units)
+}
+
+/// [`detect_cycles`] with the per-unit cycle sets built by the caller:
+/// `units[u]` must be [`CycleSet::of_unit`]`(bounds, u)`, as
+/// [`CycleSet::of_units`] builds them. Units past the end of `units` are
+/// built on the fly.
+///
+/// # Panics
+///
+/// Panics if a set in `units` has bounds other than `bounds`.
+pub fn detect_cycles_with(
+    seq: &BitSeq,
+    bounds: CycleBounds,
+    units: &[CycleSet],
+) -> CycleSet {
     // Deliberately no span here: this runs once per candidate rule, so a
     // per-call timer would dwarf the detection itself. The stage spans
     // (`mine.seq.cycle_detect`, `mine.int.rule_gen`) time it in bulk.
-    let mut set = CycleSet::full(bounds);
-    let mut eliminated: u64 = 0;
-    for zero in seq.iter_zeros() {
-        eliminated += set.eliminate(zero) as u64;
-        if set.is_empty() {
-            break;
+    let candidates = bounds.num_cycles() as u64;
+    let (set, eliminated) = if has_too_few_holds(seq, bounds) {
+        (CycleSet::empty(bounds), candidates)
+    } else {
+        let mut set = CycleSet::full(bounds);
+        let mut eliminated: u64 = 0;
+        for zero in seq.iter_zeros() {
+            let removed = match units.get(zero) {
+                Some(unit) => set.eliminate(unit),
+                None => set.eliminate(&CycleSet::of_unit(bounds, zero)),
+            };
+            eliminated += removed as u64;
+            if eliminated == candidates {
+                break;
+            }
         }
-    }
+        (set, eliminated)
+    };
     // Global diagnostic only; deliberately separate from the INTERLEAVED
     // cycle-elimination optimization counter, which must stay zero when
-    // this a-posteriori detector is doing the eliminating.
+    // this a-posteriori detector is doing the eliminating. Either way it
+    // receives `num_cycles − |result|`.
     if eliminated > 0 {
         car_obs::counters::MINE.add_detect_eliminations(eliminated);
     }
     set
+}
+
+/// Whether `seq` has too few ones for any cycle within `bounds`.
+fn has_too_few_holds(seq: &BitSeq, bounds: CycleBounds) -> bool {
+    seq.count_ones() < min_holds(seq.len(), bounds.l_max())
 }
 
 /// Detects cycles for a batch of sequences, fanning contiguous chunks
@@ -48,7 +96,8 @@ pub fn detect_cycles(seq: &BitSeq, bounds: CycleBounds) -> CycleSet {
 /// threads than sequences, and a single-thread batch runs inline. This
 /// is the escalated-confidence query path of the window miner: each
 /// rule's sequence is independent, so the work splits into contiguous
-/// chunks exactly like `mine_sequential_parallel` splits itemsets.
+/// chunks exactly like `mine_sequential_parallel` splits itemsets. The
+/// per-unit cycle sets are built once and shared by every worker.
 ///
 /// If a worker panics, every other worker is still joined before the
 /// panic payload is resumed on the caller's thread — no scoped thread
@@ -65,8 +114,10 @@ pub fn detect_cycles_batch(
         num_threads
     }
     .clamp(1, n.max(1));
+    let longest = seqs.iter().map(BitSeq::len).max().unwrap_or(0);
+    let units = &CycleSet::of_units(bounds, longest);
     if threads <= 1 {
-        return seqs.iter().map(|s| detect_cycles(s, bounds)).collect();
+        return seqs.iter().map(|s| detect_cycles_with(s, bounds, units)).collect();
     }
     let chunk = n.div_ceil(threads);
     let joined: Vec<std::thread::Result<Vec<CycleSet>>> = std::thread::scope(|scope| {
@@ -74,7 +125,7 @@ pub fn detect_cycles_batch(
             .chunks(chunk)
             .map(|piece| {
                 scope.spawn(move || {
-                    piece.iter().map(|s| detect_cycles(s, bounds)).collect()
+                    piece.iter().map(|s| detect_cycles_with(s, bounds, units)).collect()
                 })
             })
             .collect();
@@ -206,6 +257,47 @@ mod tests {
         // sequence → vacuously true.
         let got = detect("0000", 6, 6);
         assert_eq!(got, vec![Cycle::make(6, 4), Cycle::make(6, 5)]);
+    }
+
+    #[test]
+    fn hold_count_bound_is_tight() {
+        // 64 units, lengths 2..=16: every cycle covers at least 4 units.
+        // Four holds on the units of (16, 3) are just enough; three are
+        // not, and the popcount alone decides.
+        let bounds = CycleBounds::make(2, 16);
+        let mut seq = BitSeq::zeros(64);
+        for u in [3, 19, 35] {
+            seq.set(u, true);
+        }
+        assert!(detect_cycles(&seq, bounds).is_empty());
+        seq.set(51, true);
+        assert_eq!(detect_cycles(&seq, bounds).to_vec(), vec![Cycle::make(16, 3)]);
+        // One unit fewer than a multiple of 16: (16, 15) covers only 3
+        // units, so 3 holds on it already make a cycle.
+        let mut short = BitSeq::zeros(63);
+        for u in [15, 31, 47] {
+            short.set(u, true);
+        }
+        assert_eq!(detect_cycles(&short, bounds).to_vec(), vec![Cycle::make(16, 15)]);
+    }
+
+    #[test]
+    fn shared_unit_sets_match_per_call_detection() {
+        // A table shorter than the sequence falls back to building the
+        // missing units' sets; a longer one is never read past the end.
+        let bounds = CycleBounds::make(2, 5);
+        for s in ["110110110110", "101010101010", "111111111111", "011011011"] {
+            let seq: BitSeq = s.parse().unwrap();
+            let expected = detect_cycles(&seq, bounds);
+            for table in [0, 5, seq.len(), 40] {
+                let units = CycleSet::of_units(bounds, table);
+                assert_eq!(
+                    detect_cycles_with(&seq, bounds, &units),
+                    expected,
+                    "{s} {table}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,16 +12,24 @@
 //! * [`Cycle`] — cycle arithmetic: membership of units, the *multiple-of*
 //!   relation, and enumeration of all cycles within length bounds.
 //! * [`CycleSet`] — the candidate-cycle set at the heart of the paper's
-//!   INTERLEAVED algorithm, supporting the three optimization primitives:
-//!   - `eliminate(unit)` — **cycle elimination**: kill every candidate
-//!     `(l, unit mod l)` after a miss at `unit`;
-//!   - `includes_unit(unit)` — **cycle skipping**: test whether a unit is
-//!     on any remaining candidate cycle;
-//!   - `intersect` — **cycle pruning**: candidate cycles of an itemset are
-//!     at most the intersection of its subsets' cycles.
+//!   INTERLEAVED algorithm: one flat bitset over every `(l, o)` within
+//!   the bounds, so each operation is a pass over a few words (3 at
+//!   lengths 2..16). The cycles a unit lies on are a `CycleSet` too
+//!   ([`CycleSet::of_unit`]), built once per unit and shared, and the
+//!   three optimization primitives are word operations against it:
+//!   - `eliminate(&on_unit)` — **cycle elimination**: an AND-NOT that
+//!     kills every candidate `(l, unit mod l)` after a miss at `unit` and
+//!     counts the cycles it removed;
+//!   - `intersects(&on_unit)` — **cycle skipping**: test whether a unit
+//!     is on any remaining candidate cycle;
+//!   - `intersect_with` — **cycle pruning**: candidate cycles of an
+//!     itemset are at most the intersection of its subsets' cycles.
 //! * [`detect_cycles`] — exact cycle detection for a binary sequence,
 //!   implemented as elimination from the full candidate set (exactly the
-//!   procedure the SEQUENTIAL algorithm uses on rule sequences).
+//!   procedure the SEQUENTIAL algorithm uses on rule sequences). A
+//!   sequence with fewer ones than `⌊n / l_max⌋`, the fewest units any
+//!   cycle covers, is settled by its popcount;
+//!   [`detect_cycles_with`] shares the per-unit sets across sequences.
 //! * [`minimal_cycles`] — filtering of cycles that are multiples of other
 //!   detected cycles (only *minimal* cycles are reported to users).
 //! * [`detect_approx_cycles`] — the paper's future-work relaxation: cycles
@@ -57,7 +65,9 @@ pub use bitseq::BitSeq;
 pub use bounds::CycleBounds;
 pub use cycle::Cycle;
 pub use cycleset::CycleSet;
-pub use detect::{detect_cycles, detect_cycles_batch, has_any_cycle, minimal_cycles};
+pub use detect::{
+    detect_cycles, detect_cycles_batch, detect_cycles_with, has_any_cycle, minimal_cycles,
+};
 pub use merge::merge_minimal_cycle_lists;
 pub use online::{CycleMasks, OnlineRuleCycles};
 pub use spectrum::{autocorrelation, dominant_period, spectrum, PeriodStrength};

@@ -56,8 +56,8 @@ mod tests {
 
     #[test]
     fn disjoint_lists_concatenate_sorted() {
-        let a = vec![Cycle::make(3, 2)];
-        let b = vec![Cycle::make(2, 0)];
+        let a = [Cycle::make(3, 2)];
+        let b = [Cycle::make(2, 0)];
         assert_eq!(
             merge_minimal_cycle_lists([&a[..], &b[..]]),
             vec![Cycle::make(2, 0), Cycle::make(3, 2)]
@@ -66,7 +66,7 @@ mod tests {
 
     #[test]
     fn exact_duplicates_collapse() {
-        let a = vec![Cycle::make(2, 1)];
+        let a = [Cycle::make(2, 1)];
         assert_eq!(
             merge_minimal_cycle_lists([&a[..], &a[..], &a[..]]),
             vec![Cycle::make(2, 1)]
@@ -76,8 +76,8 @@ mod tests {
     #[test]
     fn multiples_across_lists_are_dropped() {
         // (6,5) and (4,1) are both multiples of (2,1) from another list.
-        let a = vec![Cycle::make(6, 5), Cycle::make(4, 1)];
-        let b = vec![Cycle::make(2, 1)];
+        let a = [Cycle::make(6, 5), Cycle::make(4, 1)];
+        let b = [Cycle::make(2, 1)];
         assert_eq!(merge_minimal_cycle_lists([&a[..], &b[..]]), vec![Cycle::make(2, 1)]);
         // Order of the lists is irrelevant.
         assert_eq!(merge_minimal_cycle_lists([&b[..], &a[..]]), vec![Cycle::make(2, 1)]);
@@ -85,8 +85,8 @@ mod tests {
 
     #[test]
     fn unrelated_cycles_survive_alongside_a_base() {
-        let a = vec![Cycle::make(2, 0), Cycle::make(3, 1)];
-        let b = vec![Cycle::make(4, 0), Cycle::make(5, 2)];
+        let a = [Cycle::make(2, 0), Cycle::make(3, 1)];
+        let b = [Cycle::make(4, 0), Cycle::make(5, 2)];
         assert_eq!(
             merge_minimal_cycle_lists([&a[..], &b[..]]),
             vec![Cycle::make(2, 0), Cycle::make(3, 1), Cycle::make(5, 2)]

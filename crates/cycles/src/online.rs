@@ -34,6 +34,7 @@
 //! cycle of length `l`, and one with fewer than `⌊len / l_max⌋` holds
 //! has none at all — that check, a popcount, settles most rules.
 
+use crate::bounds::min_holds;
 use crate::{Cycle, CycleBounds, CycleSet};
 
 const WORD_BITS: u64 = u64::BITS as u64;
@@ -146,7 +147,7 @@ impl CycleMasks {
                 first += l as usize;
             }
         }
-        let min_holds = bounds.lengths().map(|l| len / l as usize).collect();
+        let min_holds = bounds.lengths().map(|l| min_holds(len, l)).collect();
         CycleMasks { bounds, words, min_holds, masks }
     }
 
@@ -157,6 +158,7 @@ impl CycleMasks {
     pub fn live_cycles(&self, state: &OnlineRuleCycles) -> Option<CycleSet> {
         debug_assert_eq!(state.ring.len(), self.words, "ring built for another window");
         let holds = state.holds();
+        // The last length is `l_max`, whose bound covers every length.
         if self.min_holds.last().is_some_and(|&fewest| holds < fewest) {
             return None;
         }

@@ -449,12 +449,12 @@ mod tests {
         SHARD.add_partial_response();
         let after = SHARD.snapshot();
         assert!(after.fanout_legs >= before.fanout_legs + 3);
-        assert!(after.fanout_failures >= before.fanout_failures + 1);
-        assert!(after.down_transitions >= before.down_transitions + 1);
-        assert!(after.readmissions >= before.readmissions + 1);
+        assert!(after.fanout_failures > before.fanout_failures);
+        assert!(after.down_transitions > before.down_transitions);
+        assert!(after.readmissions > before.readmissions);
         assert!(after.catchup_units >= before.catchup_units + 7);
         assert!(after.units_routed >= before.units_routed + 2);
-        assert!(after.partial_responses >= before.partial_responses + 1);
+        assert!(after.partial_responses > before.partial_responses);
     }
 
     #[test]
@@ -464,9 +464,9 @@ mod tests {
         RESILIENCE.add_header_timeout();
         RESILIENCE.add_deadline_exceeded();
         let after = RESILIENCE.snapshot();
-        assert!(after.shed >= before.shed + 1);
-        assert!(after.header_timeouts >= before.header_timeouts + 1);
-        assert!(after.deadline_exceeded >= before.deadline_exceeded + 1);
+        assert!(after.shed > before.shed);
+        assert!(after.header_timeouts > before.header_timeouts);
+        assert!(after.deadline_exceeded > before.deadline_exceeded);
     }
 
     #[test]
@@ -477,10 +477,10 @@ mod tests {
         TRACE.add_retained_sampled();
         TRACE.add_discarded();
         let after = TRACE.snapshot();
-        assert!(after.retained_error >= before.retained_error + 1);
-        assert!(after.retained_slow >= before.retained_slow + 1);
-        assert!(after.retained_sampled >= before.retained_sampled + 1);
-        assert!(after.discarded >= before.discarded + 1);
+        assert!(after.retained_error > before.retained_error);
+        assert!(after.retained_slow > before.retained_slow);
+        assert!(after.retained_sampled > before.retained_sampled);
+        assert!(after.discarded > before.discarded);
     }
 
     #[test]

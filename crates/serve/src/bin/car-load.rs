@@ -405,7 +405,7 @@ fn main() {
     if opts.trace_slowest > 0 {
         let mut traced: Vec<(u64, String)> =
             reports.into_iter().flat_map(|r| r.traced).collect();
-        traced.sort_unstable_by(|a, b| b.0.cmp(&a.0));
+        traced.sort_unstable_by_key(|t| std::cmp::Reverse(t.0));
         traced.truncate(opts.trace_slowest);
         if traced.is_empty() {
             println!("  no answered request carried an x-car-trace-id header");

@@ -7,7 +7,7 @@
 //! faithful online view of the paper's SEQUENTIAL algorithm.
 
 use std::collections::BTreeSet;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use car_core::sequential::mine_sequential;
 use car_core::{CyclicRule, MiningConfig};
@@ -189,7 +189,23 @@ fn full_queue_applies_backpressure_then_recovers() {
         drop(guard);
     }
 
-    // Once the applier drains, ingest works again.
+    // Once the applier drains, ingest works again. Releasing the lock
+    // does not drain the queue at once, so wait (bounded) for the
+    // applier to empty it before the next post.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let resp = client.request("GET", "/v1/health", None).unwrap();
+        let doc = Json::parse(&resp.body_text()).unwrap();
+        if doc.get("queue_depth").and_then(Json::as_u64) == Some(0) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "ingest queue never drained: {}",
+            resp.body_text()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
     let resp = client.request("POST", "/v1/units?wait=true", Some(&body)).unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_text());
 

@@ -75,7 +75,7 @@ fn materialize(raw: &RawUnits, pools: &[Vec<u32>]) -> Vec<Vec<ItemSet>> {
 
 fn mine(units: &[Vec<ItemSet>], config: &MiningConfig) -> SlidingWindowMiner {
     let mut miner =
-        SlidingWindowMiner::new(config.clone(), units.len().max(1)).expect("valid miner");
+        SlidingWindowMiner::new(*config, units.len().max(1)).expect("valid miner");
     for unit in units {
         miner.push_unit(unit);
     }
