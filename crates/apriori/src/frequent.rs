@@ -96,6 +96,16 @@ impl FrequentItemsets {
     }
 }
 
+impl IntoIterator for FrequentItemsets {
+    type Item = (ItemSet, u64);
+    type IntoIter = std::iter::Flatten<std::vec::IntoIter<FastHashMap<ItemSet, u64>>>;
+
+    /// Every large itemset with its count (arbitrary order), by value.
+    fn into_iter(self) -> Self::IntoIter {
+        self.levels.into_iter().flatten()
+    }
+}
+
 impl fmt::Debug for FrequentItemsets {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

@@ -1,19 +1,22 @@
 //! Query fast-path guard.
 //!
-//! The PR-5 query path has three tiers with sharply different costs,
-//! and this bench pins all three at serving scale (256 retained units)
-//! so a regression in any tier is visible:
+//! The query path has three tiers with sharply different costs, and this
+//! bench pins all three at serving scale (256 retained units) so a
+//! regression in any tier is visible:
 //!
-//! - `cold_detect` — full re-detection: rebuild every rule's hold
-//!   sequence and re-run cycle detection, the cost every query paid
-//!   before online cycle maintenance (escalated-confidence queries
-//!   still take this path, now parallelised).
-//! - `online_state` — assemble the result from the online per-rule
-//!   hold rings, the cost `query_rules(None)` pays once per ingest.
+//! - `cold_detect` — an escalated-confidence query: the rules assembled
+//!   from the online itemset rings at a confidence above the mining
+//!   threshold, with no memo to hit. (The name predates the itemset
+//!   rings, when this tier rebuilt every rule's hold sequence and
+//!   re-ran cycle detection.)
+//! - `online_state` — the same assembly at the mining threshold, the
+//!   cost `query_rules(None)` pays once per ingest.
 //! - `warm_cache` — the memoised view: an `Arc` bump, the cost every
 //!   repeat query pays between ingests.
 //!
-//! Expected ordering: `warm_cache` ≪ `online_state` < `cold_detect`.
+//! The first two run the same code at two confidences, so they cost
+//! about the same. Expected ordering: `warm_cache` ≪ `online_state` ≈
+//! `cold_detect`.
 
 #![allow(clippy::field_reassign_with_default)]
 
@@ -45,9 +48,10 @@ fn bench(c: &mut Criterion) {
     for (_, unit) in s.db.iter_units() {
         miner.push_unit(unit);
     }
-    // A hair above the configured threshold: forces the re-detection
-    // path while keeping the rule population essentially unchanged, so
-    // `cold_detect` measures detection cost, not a smaller workload.
+    // A hair above the configured threshold: forces the escalated path
+    // while keeping the rule population essentially unchanged, so
+    // `cold_detect` measures the unmemoised assembly, not a smaller
+    // workload.
     let q = MinConfidence::new(s.config.min_confidence.value() + 1e-9)
         .expect("escalated confidence stays in range");
 

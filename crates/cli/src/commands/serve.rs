@@ -31,8 +31,8 @@ pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         .min_confidence(min_confidence)
         .cycle_bounds(l_min, l_max);
     // An absolute support count partitions exactly across shards (a
-    // fraction of per-shard transaction volume does not), so the shard
-    // router requires its workers to run with --min-support-count.
+    // fraction of per-shard transaction volume does not), so a worker of
+    // a cluster must run with --min-support-count (checked below).
     if let Some(raw) = args.get("min-support-count") {
         let count: u64 = raw.parse().map_err(|_| {
             CliError::Usage(format!("invalid value `{raw}` for --min-support-count"))
@@ -54,6 +54,13 @@ pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
             if shard_id >= shard_count {
                 return Err(CliError::Usage(format!(
                     "--shard-id {shard_id} out of range for --shard-count {shard_count}"
+                )));
+            }
+            if shard_count >= 2 && args.get("min-support-count").is_none() {
+                return Err(CliError::Usage(format!(
+                    "--shard-count {shard_count} needs --min-support-count: each shard \
+                     sees only its partition, so a support fraction of per-shard \
+                     volume does not add up to the single-node answer"
                 )));
             }
             Some(ShardIdentity { shard_id, shard_count })

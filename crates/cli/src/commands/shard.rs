@@ -13,7 +13,9 @@
 //! count (`--min-support-count`): each shard sees only its partition's
 //! transactions, so a support *fraction* would be taken of per-shard
 //! volume and shards would disagree with a single node. Spawn mode
-//! enforces this; attach mode trusts the operator.
+//! forwards only the count, so `car shard` rejects `--min-support`
+//! rather than ignore it; a `car serve` worker given `--shard-count` of
+//! 2 or more refuses to boot without `--min-support-count`.
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
@@ -137,6 +139,14 @@ fn forwarded_worker_args(args: &Args) -> Vec<String> {
 /// Runs the `shard` command: boots (or attaches to) the workers, starts
 /// the router, and blocks until it shuts down (`POST /v1/shutdown`).
 pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
+    if args.get("min-support").is_some() {
+        return Err(CliError::Usage(
+            "car shard takes --min-support-count, not --min-support: each shard \
+             sees only its partition, so a support fraction of per-shard volume \
+             does not add up to the single-node answer"
+                .into(),
+        ));
+    }
     let host = args.get("host").unwrap_or("127.0.0.1");
     let port: u16 = args.parse_or("port", 7979)?;
     let threads: usize = args.parse_or("threads", 4)?;

@@ -95,7 +95,7 @@ COMMANDS:
              [--io-timeout-secs S] [--header-timeout-ms MS] [--max-inflight N]
              [--data-dir DIR]
              [--fsync always|never|every=N] [--snapshot-every N]
-             [--shard-id I --shard-count N]
+             [--shard-id I --shard-count N]  (2+ shards need --min-support-count)
     shard    Run the sharded-cluster router over car-serve workers
              (--workers a:p,b:p,... | --shards N)
              [--host H] [--port P] [--threads N]
@@ -105,6 +105,7 @@ COMMANDS:
              [--request-budget-ms MS]
              spawn mode forwards: [--min-support-count N] [--min-confidence F]
              [--l-min L] [--l-max L] [--window N] [--queue-capacity N]
+             (--min-support is rejected: shards need a count)
     chaos    Run the deterministic fault-injecting TCP proxy
              --listen HOST:PORT --upstream HOST:PORT
              [--seed S] [--schedule FILE]

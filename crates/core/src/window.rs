@@ -9,62 +9,63 @@
 //! evicted, and queries see a database of exactly the retained units,
 //! re-indexed so the oldest retained unit is unit 0.
 //!
-//! # Query fast path
+//! # Online state: itemsets, not rules
 //!
-//! Cycle state is maintained *online*: every push folds the unit's
-//! held rules into per-rule [`OnlineRuleCycles`] rings — the rule's
-//! binary sequence over the retained units, one bit per unit at
-//! position `abs_unit mod C` with `C ≥ window + 1`. A hold sets its
-//! bit, a miss touches nothing, and eviction clears the evicted hold's
-//! bit, which is what revives a cycle an old miss had killed. A rule
-//! whose ring empties is dropped. A default-confidence query
-//! ([`query_rules`](SlidingWindowMiner::query_rules) with `None`)
-//! builds the `(l, o)` [`CycleMasks`] of the current window once and
-//! tests every ring against them with AND-compares (the paper's cycle
-//! elimination: a cycle survives iff no retained unit on it is a miss),
-//! skipping rules with too few holds to fill any residue class. The
-//! result is memoised as a shared [`RuleView`] and handed out by `Arc`
-//! clone until the next push invalidates it. Escalated-confidence
-//! queries (`Some(q)` above the mining threshold) change which units
-//! count as holds, so they bypass the online state and re-detect — in
-//! parallel, via [`detect_cycles_batch`].
+//! A push runs Apriori on the unit and folds every large itemset into
+//! that itemset's [`OnlineCycles`] ring: the itemset's binary sequence
+//! over the retained units, one bit per unit at position `abs_unit mod
+//! C` with `C ≥ window + 1`, plus its support count at each hold. An
+//! itemset absent from the unit is not visited — its unset bit *is* the
+//! miss. Eviction clears the evicted unit's holds, which is what revives
+//! a cycle an old miss had killed, and an itemset whose ring empties is
+//! dropped. No rule is generated at push time.
+//!
+//! # Assembly at a confidence `q`
+//!
+//! Rules are derived when a view is assembled. The assembly builds the
+//! window's `(l, o)` [`CycleMasks`] once and tests every itemset's ring
+//! against them with AND-compares (the paper's cycle elimination: a
+//! cycle survives iff no retained unit on it is a miss). A rule holds
+//! only where its itemset `Z` is large, so its cycles are a subset of
+//! `Z`'s, and an itemset with no live cycle yields no cyclic rule — the
+//! argument INTERLEAVED uses to skip rule generation. For each `Z` of
+//! two or more items with a live cycle, consequents `Y` grow level-wise
+//! as in `generate_rules`. The rule `Z \ Y ⇒ Y` holds at the units of
+//! `Z`'s ring where `count(Z) / count(Z \ Y)` meets `q`, and its cycles
+//! are the masks that ring covers. A larger consequent leaves a smaller
+//! antecedent, whose count is at least as large at every unit, so
+//! confidence can only fall as `Y` grows: a consequent whose rule has no
+//! live cycle prunes all its supersets.
+//!
+//! The same assembly serves both kinds of query. At the mining
+//! threshold ([`query_rules`](SlidingWindowMiner::query_rules) with
+//! `None`) its result is memoised as a shared [`RuleView`] and handed
+//! out by `Arc` clone until the next push invalidates it. An escalated
+//! query (`Some(q)` above the threshold) runs it at `q`, under an
+//! optional deadline.
 //!
 //! Results are identical to batch-mining the retained units
 //! (equivalence property-tested), with per-unit mining work paid once
-//! per unit — eviction never requires re-mining because per-unit rule
-//! sets are cached verbatim.
+//! per unit: eviction never re-mines, because the rings keep the counts
+//! that confidence is computed from.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use car_apriori::hash::FastHashMap;
-use car_apriori::{generate_rules, Apriori, AprioriConfig, MinConfidence, Rule};
-use car_cycles::{
-    detect_cycles_batch, minimal_cycles, BitSeq, CycleMasks, CycleSet, OnlineRuleCycles,
-};
+use car_apriori::{apriori_gen, Apriori, AprioriConfig, MinConfidence, Rule};
+use car_cycles::{minimal_cycles, CycleMasks, CycleSet, OnlineCycles};
 use car_itemset::ItemSet;
 
 use crate::config::{ConfigError, MiningConfig};
 use crate::result::{CyclicRule, RuleView};
 
-/// How often (in retained units scanned) the escalated query path
-/// re-reads the clock against its deadline. Coarse on purpose: a clock
-/// read per unit would dominate the per-unit filter work for small
-/// windows. Must stay a power of two — the check masks rather than
-/// divides.
-const DEADLINE_CHECK_UNITS: usize = 64;
-
-/// A rule that held in one retained unit, with the counts needed to
-/// re-evaluate its confidence at query time.
-#[derive(Clone, Debug)]
-struct HeldRule {
-    rule: Rule,
-    /// Transactions of the unit containing antecedent ∪ consequent.
-    rule_count: u64,
-    /// Transactions of the unit containing the antecedent.
-    antecedent_count: u64,
-}
+/// How often (in itemsets visited) an escalated assembly re-reads the
+/// clock against its deadline. Coarse on purpose: a clock read per
+/// itemset would dominate the popcount that settles most of them. Must
+/// stay a power of two — the check masks rather than divides.
+const DEADLINE_CHECK_ITEMSETS: usize = 1024;
 
 /// A cyclic rule miner over the most recent `window` time units.
 ///
@@ -97,17 +98,13 @@ pub struct SlidingWindowMiner {
     config: MiningConfig,
     apriori: Apriori,
     window: usize,
-    /// Per retained unit (oldest first): the rules that held there, with
-    /// the counts backing their confidence.
-    unit_rules: VecDeque<Vec<HeldRule>>,
-    /// Per retained unit (oldest first): the frequent single items and
-    /// their support counts, sorted by item id. This is the compact
-    /// per-shard summary the cluster router merges — item partitioning
-    /// makes per-item counts exact under concatenation.
-    unit_items: VecDeque<Vec<(u32, u64)>>,
-    /// Per-rule ring of retained holds in absolute unit coordinates;
-    /// rules with no retained hold are removed.
-    online: FastHashMap<Rule, OnlineRuleCycles>,
+    /// Per retained unit (oldest first): the itemsets large there, whose
+    /// rings hold the unit until it is evicted.
+    unit_itemsets: VecDeque<Vec<ItemSet>>,
+    /// Per-itemset ring of retained holds, with the support count of
+    /// each, in absolute unit coordinates; itemsets with no retained
+    /// hold are removed.
+    online: FastHashMap<ItemSet, OnlineCycles>,
     /// Memoised `query_rules(None)` view; cleared by every push. A
     /// `Mutex` (not `RwLock`) because fills are rare and reads clone an
     /// `Arc` in nanoseconds.
@@ -135,8 +132,7 @@ impl SlidingWindowMiner {
             config,
             apriori: Apriori::new(apriori_config),
             window,
-            unit_rules: VecDeque::with_capacity(window + 1),
-            unit_items: VecDeque::with_capacity(window + 1),
+            unit_itemsets: VecDeque::with_capacity(window + 1),
             online: FastHashMap::default(),
             view: Mutex::new(None),
             total_pushed: 0,
@@ -150,12 +146,12 @@ impl SlidingWindowMiner {
 
     /// Number of units currently retained (`≤ window`).
     pub fn len(&self) -> usize {
-        self.unit_rules.len()
+        self.unit_itemsets.len()
     }
 
     /// Whether no units have been retained yet.
     pub fn is_empty(&self) -> bool {
-        self.unit_rules.is_empty()
+        self.unit_itemsets.is_empty()
     }
 
     /// Total units ever pushed, including evicted ones.
@@ -165,37 +161,42 @@ impl SlidingWindowMiner {
 
     /// Units evicted from the window so far.
     pub fn evictions(&self) -> u64 {
-        self.total_pushed - self.unit_rules.len() as u64
+        self.total_pushed - self.unit_itemsets.len() as u64
     }
 
-    /// Total `(rule, unit)` hold entries currently retained — the
-    /// working-set size a serving layer reports as a gauge.
+    /// Total `(itemset, unit)` hold entries currently retained — the
+    /// working-set size a serving layer reports as a gauge. The online
+    /// state is kept per itemset, so these are itemset holds; the name
+    /// is older than that.
     pub fn retained_rule_entries(&self) -> usize {
-        self.unit_rules.iter().map(Vec::len).sum()
+        self.unit_itemsets.iter().map(Vec::len).sum()
     }
 
-    /// Distinct rules with online cycle state (held in ≥ 1 retained
-    /// unit).
+    /// Distinct itemsets with online cycle state (large in ≥ 1 retained
+    /// unit), from which every served rule is derived. The name is older
+    /// than the per-itemset state.
     pub fn tracked_rules(&self) -> usize {
         self.online.len()
     }
 
     /// Aggregated support counts of the frequent single items across
-    /// the retained window, sorted by item id. Items infrequent in a
-    /// unit contribute nothing for that unit (mirroring what the
-    /// per-unit miner retains). This is the compact summary a shard
-    /// worker exposes for the router's cluster-wide item merge: shards
+    /// the retained window, sorted by item id: each tracked 1-itemset's
+    /// counts summed over its retained holds. Items infrequent in a unit
+    /// contribute nothing for that unit (mirroring what the per-unit
+    /// miner retains). This is the compact summary a shard worker
+    /// exposes for the router's cluster-wide item merge: shards
     /// partition the *transaction* space per unit, so per-item sums
     /// concatenate exactly.
     pub fn item_supports(&self) -> Vec<(u32, u64)> {
-        let mut totals: FastHashMap<u32, u64> = FastHashMap::default();
-        for unit in &self.unit_items {
-            for &(id, count) in unit {
-                let slot = totals.entry(id).or_insert(0);
-                *slot = slot.saturating_add(count);
-            }
-        }
-        let mut out: Vec<(u32, u64)> = totals.into_iter().collect();
+        let mut out: Vec<(u32, u64)> = self
+            .online
+            .iter()
+            .filter(|(itemset, _)| itemset.len() == 1)
+            .filter_map(|(itemset, state)| {
+                let item = itemset.as_slice().first()?;
+                Some((item.id(), state.total_count()))
+            })
+            .collect();
         out.sort_unstable();
         out
     }
@@ -208,61 +209,43 @@ impl SlidingWindowMiner {
             let _span = car_obs::time_span!("window.apriori");
             self.apriori.mine(transactions)
         };
-        // Frequent single items of this unit, kept as the compact
-        // per-unit summary behind `item_supports`.
-        let mut items: Vec<(u32, u64)> = frequent
-            .level(1)
-            .filter_map(|(s, c)| s.as_slice().first().map(|item| (item.id(), c)))
-            .collect();
-        items.sort_unstable();
-        let rules: Vec<HeldRule> = {
-            let _span = car_obs::time_span!("window.rule_gen");
-            generate_rules(&frequent, self.config.min_confidence)
-                .into_iter()
-                .map(|r| HeldRule {
-                    rule: r.rule,
-                    rule_count: r.rule_count,
-                    antecedent_count: r.antecedent_count,
-                })
-                .collect()
-        };
         let _fold = car_obs::time_span!("window.fold");
-        // Fold this unit's holds into the online cycle state: one bit per
-        // held rule. Rules absent from the unit need no visit — their
-        // unset bit *is* the miss (see `OnlineRuleCycles`). The new unit
-        // is recorded before the oldest is evicted, which is why rings
-        // hold `window + 1` positions.
+        // Fold this unit's large itemsets into the online cycle state:
+        // one bit and one count per itemset. Itemsets absent from the
+        // unit need no visit — their unset bit *is* the miss (see
+        // `OnlineCycles`). The new unit is recorded before the oldest is
+        // evicted, which is why rings hold `window + 1` positions.
         let abs_unit = self.total_pushed;
-        for held in &rules {
-            match self.online.get_mut(&held.rule) {
-                Some(state) => state.record_hold(abs_unit),
+        let mut held = Vec::with_capacity(frequent.len());
+        for (itemset, count) in frequent {
+            match self.online.get_mut(&itemset) {
+                Some(state) => state.record_hold(abs_unit, count),
                 None => {
-                    let mut state = OnlineRuleCycles::new(self.window);
-                    state.record_hold(abs_unit);
-                    self.online.insert(held.rule.clone(), state);
+                    let mut state = OnlineCycles::new(self.window);
+                    state.record_hold(abs_unit, count);
+                    self.online.insert(itemset.clone(), state);
                 }
             }
+            held.push(itemset);
         }
-        car_obs::counters::MINE.add_online_holds(rules.len() as u64);
-        self.unit_rules.push_back(rules);
-        self.unit_items.push_back(items);
+        car_obs::counters::MINE.add_online_holds(held.len() as u64);
+        self.unit_itemsets.push_back(held);
         self.total_pushed += 1;
-        let evicted = if self.unit_rules.len() > self.window {
+        let evicted = if self.unit_itemsets.len() > self.window {
             // The evicted unit's absolute index: the retained range
             // before popping is `(abs_unit - window) ..= abs_unit`.
             let abs_evicted = abs_unit - self.window as u64;
-            self.unit_items.pop_front();
-            if let Some(old) = self.unit_rules.pop_front() {
-                for held in &old {
-                    let drop_rule = match self.online.get_mut(&held.rule) {
+            if let Some(old) = self.unit_itemsets.pop_front() {
+                for itemset in &old {
+                    let drop_itemset = match self.online.get_mut(itemset) {
                         Some(state) => {
                             state.record_evict(abs_evicted);
                             state.is_empty()
                         }
                         None => false,
                     };
-                    if drop_rule {
-                        self.online.remove(&held.rule);
+                    if drop_itemset {
+                        self.online.remove(itemset);
                     }
                 }
             }
@@ -289,14 +272,13 @@ impl SlidingWindowMiner {
     /// at a *stricter* minimum confidence than the mining configuration.
     ///
     /// With `None` (or a `q` at or below the configured threshold — a
-    /// no-op, since rules below the mining threshold were never cached),
-    /// this is the fast path: a clone of the memoised [`RuleView`]
-    /// assembled from online cycle state, costing an `Arc` bump after
-    /// the first query per ingest. With `Some(q)` above the threshold,
-    /// which units count as holds changes, so the online state does not
-    /// apply: the rule sequences are rebuilt under `q` and re-detected
-    /// in parallel via [`detect_cycles_batch`] — identical to
-    /// batch-mining the retained window at confidence `q`.
+    /// no-op, since rules below the mining threshold are never served),
+    /// this is a clone of the memoised [`RuleView`], costing an `Arc`
+    /// bump after the first query per ingest. With `Some(q)` above the
+    /// threshold the same assembly runs at `q`: the itemset rings keep
+    /// the support counts, so each rule's holds are re-derived under the
+    /// stricter confidence — identical to batch-mining the retained
+    /// window at confidence `q`.
     ///
     /// # Errors
     ///
@@ -316,11 +298,11 @@ impl SlidingWindowMiner {
     }
 
     /// [`query_rules`](Self::query_rules) with a hard deadline on the
-    /// escalated (re-detection) path. Returns `Ok(None)` when the
-    /// deadline expired before the view was assembled — the serving
-    /// tier answers `504 deadline_exceeded` — and `Ok(Some(view))`
-    /// otherwise. The fast path never checks the deadline: a memoised
-    /// `Arc` clone is cheaper than reading the clock.
+    /// escalated path. Returns `Ok(None)` when the deadline expired
+    /// before the view was assembled — the serving tier answers `504
+    /// deadline_exceeded` — and `Ok(Some(view))` otherwise. The
+    /// memoised default view never checks the deadline: an `Arc` clone
+    /// is cheaper than reading the clock.
     ///
     /// # Errors
     ///
@@ -335,19 +317,23 @@ impl SlidingWindowMiner {
             min_confidence.filter(|q| q.value() > self.config.min_confidence.value());
         match escalated {
             None => self.query_fast().map(Some),
-            Some(q) => self.query_detect(q, deadline),
+            Some(q) => {
+                let _span = car_obs::time_span!("window.query_rules.escalated");
+                self.config.validate_for(self.len())?;
+                Ok(self.assemble(q, deadline).map(Arc::new))
+            }
         }
     }
 
-    /// Fast path: memoised view over online cycle state.
+    /// Default confidence: the memoised view.
     fn query_fast(&self) -> Result<RuleView, ConfigError> {
         let _span = car_obs::time_span!("window.query_rules.fast");
-        self.config.validate_for(self.unit_rules.len())?;
+        self.config.validate_for(self.len())?;
         let mut slot = self.view_slot();
         if let Some(view) = slot.as_ref() {
             return Ok(Arc::clone(view));
         }
-        let view: RuleView = Arc::new(self.assemble_from_online());
+        let view: RuleView = Arc::new(self.assemble_default());
         *slot = Some(Arc::clone(&view));
         Ok(view)
     }
@@ -363,93 +349,116 @@ impl SlidingWindowMiner {
     /// Returns a [`ConfigError`] while fewer than `l_max` units are
     /// retained.
     pub fn assemble_view(&self) -> Result<RuleView, ConfigError> {
-        self.config.validate_for(self.unit_rules.len())?;
-        Ok(Arc::new(self.assemble_from_online()))
+        self.config.validate_for(self.len())?;
+        Ok(Arc::new(self.assemble_default()))
     }
 
-    /// Escalated path: rebuild sequences under `q`, re-detect in
-    /// parallel. Aborts with `Ok(None)` if `deadline` passes before
-    /// re-detection starts; the deadline is checked at entry, every
-    /// [`DEADLINE_CHECK_UNITS`] units of the sequence rebuild, and once
-    /// more before the (parallel, unabortable) batch detection.
-    fn query_detect(
+    /// The assembly at the mining threshold, which has no deadline to
+    /// miss.
+    fn assemble_default(&self) -> Vec<CyclicRule> {
+        self.assemble(self.config.min_confidence, None).unwrap_or_default()
+    }
+
+    /// The window's cyclic rules at confidence `q`, assembled from the
+    /// online itemset rings, or `None` when `deadline` passed first.
+    fn assemble(
         &self,
         q: MinConfidence,
         deadline: Option<Instant>,
-    ) -> Result<Option<RuleView>, ConfigError> {
-        let _span = car_obs::time_span!("window.query_rules.detect");
-        let n = self.unit_rules.len();
-        self.config.validate_for(n)?;
-        let expired = |on: bool| on && deadline.is_some_and(|d| Instant::now() >= d);
-        if expired(true) {
-            return Ok(None);
-        }
-        let mut sequences: FastHashMap<&Rule, BitSeq> = FastHashMap::default();
-        for (u, rules) in self.unit_rules.iter().enumerate() {
-            if expired(u & (DEADLINE_CHECK_UNITS - 1) == 0) {
-                return Ok(None);
-            }
-            for held in rules {
-                if !q.accepts(held.rule_count, held.antecedent_count) {
-                    continue;
-                }
-                sequences
-                    .entry(&held.rule)
-                    .or_insert_with(|| BitSeq::zeros(n))
-                    .set(u, true);
-            }
-        }
-        if expired(true) {
-            return Ok(None);
-        }
-        let (rules, seqs): (Vec<&Rule>, Vec<BitSeq>) = sequences.into_iter().unzip();
-        let sets = detect_cycles_batch(&seqs, self.config.cycle_bounds, 0);
-        let mut out: Vec<CyclicRule> = Vec::new();
-        for (rule, set) in rules.into_iter().zip(sets) {
-            if set.is_empty() {
-                continue;
-            }
-            out.push(CyclicRule { rule: rule.clone(), cycles: minimal_cycles(&set) });
-        }
-        out.sort();
-        Ok(Some(Arc::new(out)))
-    }
-
-    /// Materialises the current window's cyclic rules from the online
-    /// per-rule rings (no bit sequences, no re-detection): the window's
-    /// cycle masks are built once, then every ring is AND-compared.
-    fn assemble_from_online(&self) -> Vec<CyclicRule> {
-        let (out, eliminated) = self.assemble_counted();
+    ) -> Option<Vec<CyclicRule>> {
+        let (out, eliminated) = self.assemble_counted(q, deadline)?;
         if eliminated > 0 {
             car_obs::counters::MINE.add_online_eliminations(eliminated);
         }
-        out
+        Some(out)
     }
 
-    /// [`assemble_from_online`](Self::assemble_from_online) without the
-    /// counter flush: the rules plus the candidates eliminated across
-    /// every tracked rule, `Σ (num_cycles − live cycles)`.
-    fn assemble_counted(&self) -> (Vec<CyclicRule>, u64) {
-        let n = self.unit_rules.len();
+    /// [`assemble`](Self::assemble) without the counter flush: the rules
+    /// plus the candidate cycles eliminated across every tracked
+    /// itemset, `Σ (num_cycles − live cycles)` — INTERLEAVED's
+    /// `cycles_eliminated` counts itemset candidates the same way. The
+    /// clock is read at entry and every [`DEADLINE_CHECK_ITEMSETS`]
+    /// itemsets.
+    fn assemble_counted(
+        &self,
+        q: MinConfidence,
+        deadline: Option<Instant>,
+    ) -> Option<(Vec<CyclicRule>, u64)> {
+        let n = self.len();
         let base = self.total_pushed.saturating_sub(n as u64);
         let bounds = self.config.cycle_bounds;
         let masks = CycleMasks::new(bounds, self.window, base, n);
         let candidates = bounds.num_cycles() as u64;
         let mut eliminated: u64 = 0;
         let mut out: Vec<CyclicRule> = Vec::new();
-        for (rule, state) in &self.online {
+        for (visited, (itemset, state)) in self.online.iter().enumerate() {
+            let check = visited & (DEADLINE_CHECK_ITEMSETS - 1) == 0;
+            if check && deadline.is_some_and(|d| Instant::now() >= d) {
+                return None;
+            }
             let live = masks.live_cycles(state);
             let survivors = live.as_ref().map_or(0, CycleSet::len) as u64;
             eliminated = eliminated.saturating_add(candidates.saturating_sub(survivors));
-            if let Some(live) = live {
-                out.push(CyclicRule {
-                    rule: rule.clone(),
-                    cycles: minimal_cycles(&live),
-                });
+            if live.is_some() && itemset.len() >= 2 {
+                self.rules_of(itemset, state, &masks, q, &mut out);
             }
         }
         out.sort();
-        (out, eliminated)
+        Some((out, eliminated))
+    }
+
+    /// Appends the cyclic rules `X ⇒ Y` with `X ∪ Y = z` at confidence
+    /// `q`. Consequents grow level-wise as in `generate_rules`, and one
+    /// survives to seed the next level only while its rule has a live
+    /// cycle: a superset consequent's rule holds at a subset of the
+    /// units, so it cannot have a cycle the smaller one's rule lacks.
+    fn rules_of(
+        &self,
+        z: &ItemSet,
+        z_state: &OnlineCycles,
+        masks: &CycleMasks,
+        q: MinConfidence,
+        out: &mut Vec<CyclicRule>,
+    ) {
+        let mut consequents: Vec<ItemSet> = z.iter().map(ItemSet::single).collect();
+        loop {
+            consequents.retain(|y| self.push_rule(z, z_state, y, masks, q, out));
+            // Stop before the consequent swallows z.
+            match consequents.first() {
+                Some(y) if y.len() + 1 < z.len() => {}
+                _ => return,
+            }
+            consequents.sort_unstable();
+            consequents = apriori_gen(&consequents);
+        }
+    }
+
+    /// Tests the rule `z \ y ⇒ y`: its ring is `z`'s minus the units
+    /// where `count(z) / count(z \ y)` fails `q`. Appends the rule when a
+    /// cycle survives and returns whether one did.
+    fn push_rule(
+        &self,
+        z: &ItemSet,
+        z_state: &OnlineCycles,
+        y: &ItemSet,
+        masks: &CycleMasks,
+        q: MinConfidence,
+        out: &mut Vec<CyclicRule>,
+    ) -> bool {
+        let antecedent = z.difference(y);
+        // A subset of z is large wherever z is, so it is always tracked.
+        let Some(x_state) = self.online.get(&antecedent) else {
+            return false;
+        };
+        let accepts = |z_count, x_count| q.accepts(z_count, x_count);
+        let Some(live) = masks.live_cycles_where(z_state, x_state, accepts) else {
+            return false;
+        };
+        out.push(CyclicRule {
+            rule: Rule { antecedent, consequent: y.clone() },
+            cycles: minimal_cycles(&live),
+        });
+        true
     }
 
     /// The memoised-view slot, recovering from (impossible in practice)
@@ -464,7 +473,8 @@ impl SlidingWindowMiner {
 mod tests {
     use super::*;
     use crate::sequential::mine_sequential;
-    use car_itemset::SegmentedDb;
+    use car_cycles::BitSeq;
+    use car_itemset::{Item, SegmentedDb};
 
     fn set(ids: &[u32]) -> ItemSet {
         ItemSet::from_ids(ids.iter().copied())
@@ -608,9 +618,12 @@ mod tests {
             .unwrap()
             .iter()
             .all(|r| r.rule.to_string() != "{1} => {2}"));
-        // Single-item {7} units generate no rules, so once the pattern
-        // units slide out the online state must be fully reclaimed.
-        assert_eq!(miner.tracked_rules(), 0);
+        // Once the pattern units slide out, their itemsets' state must be
+        // reclaimed: {7} stays large, and nothing else is tracked.
+        let (one, two) = (Item::new(1), Item::new(2));
+        assert!(miner.online.keys().all(|s| !s.contains(one) && !s.contains(two)));
+        assert_eq!(miner.online.keys().collect::<Vec<_>>(), vec![&set(&[7])]);
+        assert_eq!(miner.tracked_rules(), 1);
     }
 
     #[test]
@@ -660,8 +673,8 @@ mod tests {
         // more than once; the arriving and the evicted unit (64 apart)
         // must never share a ring bit. Every view must equal batch
         // mining, and its eliminations must be Σ (num_cycles − live)
-        // over every tracked rule, live cycles taken from batch
-        // detection of the rule's retained sequence.
+        // over every tracked itemset, live cycles taken from batch
+        // detection of the itemset's retained sequence.
         let cfg = wide_config();
         let bounds = cfg.cycle_bounds;
         let mut miner = SlidingWindowMiner::new(cfg, 64).unwrap();
@@ -672,21 +685,24 @@ mod tests {
             if n < 16 {
                 continue;
             }
-            let window_db =
-                SegmentedDb::from_unit_itemsets(history[day + 1 - n..=day].to_vec());
+            let retained = &history[day + 1 - n..=day];
+            let window_db = SegmentedDb::from_unit_itemsets(retained.to_vec());
             let batch = mine_sequential(&window_db, &cfg).unwrap();
-            let (rules, eliminated) = miner.assemble_counted();
+            let (rules, eliminated) =
+                miner.assemble_counted(cfg.min_confidence, None).unwrap();
             assert_eq!(rules, batch.rules, "after day {day}");
-            let mut sequences: FastHashMap<&Rule, BitSeq> = FastHashMap::default();
-            for (u, rules) in miner.unit_rules.iter().enumerate() {
-                for held in rules {
+            let mut sequences: FastHashMap<ItemSet, BitSeq> = FastHashMap::default();
+            for (u, unit) in retained.iter().enumerate() {
+                for (itemset, _) in miner.apriori.mine(unit) {
                     sequences
-                        .entry(&held.rule)
+                        .entry(itemset)
                         .or_insert_with(|| BitSeq::zeros(n))
                         .set(u, true);
                 }
             }
             assert_eq!(sequences.len(), miner.tracked_rules(), "day {day}");
+            let holds: usize = sequences.values().map(BitSeq::count_ones).sum();
+            assert_eq!(holds, miner.retained_rule_entries(), "day {day}");
             let oracle: u64 = sequences
                 .values()
                 .map(|seq| {

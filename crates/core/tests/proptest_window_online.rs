@@ -5,11 +5,16 @@
 //!
 //! This is the contract that lets the online cycle state replace
 //! per-query re-detection: the memoised fast path, the uncached online
-//! rebuild, and the parallel escalated path all have to agree with
+//! rebuild, and the escalated assembly all have to agree with
 //! `mine_sequential` over the retained units at every point of the
 //! stream. Short windows exercise the revival logic densely; one
-//! property runs a 64-unit window long enough that every rule's ring
-//! (`window + 1` positions, two words) wraps.
+//! property runs a 64-unit window long enough that every itemset's ring
+//! (`window + 1` positions, two words) wraps. Rules are derived from the
+//! itemset rings only when a view is assembled, so one property plants
+//! 5–7-item patterns: consequents then grow three or more levels and a
+//! consequent whose rule has no live cycle prunes its supersets. It
+//! also draws fraction support (the daemon's mode) with empty units, a
+//! `max_itemset_size` cap, and escalation to exactly 1.0.
 
 use car_apriori::CountStrategy;
 use car_core::window::SlidingWindowMiner;
@@ -78,6 +83,72 @@ fn arb_wide_config() -> impl Strategy<Value = MiningConfig> {
             .build()
             .expect("valid generated config")
     })
+}
+
+/// Units over items 0..10 with a planted pattern of 5–7 items. A unit on
+/// the pattern's period carries 1–4 full copies of it and copies missing
+/// one or two of its items, so a rule inside the pattern meets a given
+/// confidence at some units and not at others. Every unit also carries
+/// noise transactions of up to 8 items, and about one in six is empty.
+fn arb_deep_stream() -> impl Strategy<Value = Vec<Vec<ItemSet>>> {
+    let noise = proptest::collection::vec(0u32..10, 0..=8).prop_map(ItemSet::from_ids);
+    let unit = (
+        0u8..6,
+        proptest::collection::vec(noise, 0..6),
+        1usize..5,
+        proptest::collection::vec((0usize..7, 0usize..7), 0..4),
+    );
+    (
+        proptest::collection::btree_set(0u32..10, 5..=7),
+        1usize..=3,
+        proptest::collection::vec(unit, 8..18),
+    )
+        .prop_map(|(pattern, period, units)| {
+            let pattern: Vec<u32> = pattern.into_iter().collect();
+            let without = |drop: &[usize]| {
+                let kept = pattern.iter().enumerate().filter(|(i, _)| !drop.contains(i));
+                ItemSet::from_ids(kept.map(|(_, &id)| id))
+            };
+            units
+                .into_iter()
+                .enumerate()
+                .map(|(day, (kind, mut noise, copies, partial))| {
+                    if kind == 0 {
+                        return Vec::new();
+                    }
+                    if day % period == 0 {
+                        noise.extend(std::iter::repeat(without(&[])).take(copies));
+                        noise.extend(partial.iter().map(|&(a, b)| without(&[a, b])));
+                    }
+                    noise
+                })
+                .collect()
+        })
+}
+
+/// Fraction support, any confidence, an optional `max_itemset_size` cap
+/// (2–7 items, so it can cut a planted pattern), lengths up to 3 and
+/// windows of 4–10 units.
+fn arb_deep_config() -> impl Strategy<Value = (usize, MiningConfig)> {
+    (
+        (0.05f64..0.6, 0.0f64..=1.0),
+        proptest::option::of(2usize..=7),
+        1u32..=3,
+        0u32..=2,
+        4usize..=10,
+    )
+        .prop_map(|((support, conf), cap, lo, extra, window)| {
+            let hi = (lo + extra).min(window as u32);
+            let lo = lo.min(hi);
+            let mut builder = MiningConfig::builder()
+                .min_support_fraction(support)
+                .min_confidence(conf)
+                .cycle_bounds(lo, hi);
+            if let Some(cap) = cap {
+                builder = builder.max_itemset_size(cap);
+            }
+            (window, builder.build().expect("valid generated config"))
+        })
 }
 
 /// Batch oracle: mine the last `window` units of `history` from scratch.
@@ -189,13 +260,59 @@ proptest! {
                 &*miner.query_rules(Some(q)).unwrap(), &strict_batch,
                 "escalated day {}", day
             );
-            // The detour through re-detection must not disturb the
+            // The escalated assembly must not disturb the
             // default-confidence fast path.
             let batch = batch_rules(&units[..=day], window, &cfg);
             prop_assert_eq!(
                 &*miner.query_rules(None).unwrap(), &batch,
                 "fast path after escalation, day {}", day
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn deep_patterns_match_batch_at_every_confidence(
+        units in arb_deep_stream(),
+        window_config in arb_deep_config(),
+        bump in 0.0f64..=1.0,
+    ) {
+        let (window, cfg) = window_config;
+        let base = cfg.min_confidence.value();
+        let at = |q: f64| {
+            let mut strict = cfg;
+            strict.min_confidence = MinConfidence::new(q).expect("q stays in 0..=1");
+            strict
+        };
+        // An interpolated escalation (clamped against fp drift), and
+        // exactly 1.0: a rule must then hold in every transaction of its
+        // antecedent.
+        let interpolated = at((base + (1.0 - base) * bump).min(1.0));
+        let full = at(1.0);
+        let mut miner = SlidingWindowMiner::new(cfg, window).unwrap();
+        for (day, unit) in units.iter().enumerate() {
+            miner.push_unit(unit);
+            if miner.len() < cfg.cycle_bounds.l_max() as usize {
+                prop_assert!(miner.current_rules().is_err(), "day {}", day);
+                continue;
+            }
+            let batch = batch_rules(&units[..=day], window, &cfg);
+            prop_assert_eq!(&*miner.current_rules().unwrap(), &batch, "day {}", day);
+            prop_assert_eq!(
+                &*miner.assemble_view().unwrap(), &batch,
+                "uncached day {}", day
+            );
+            for strict in [interpolated, full] {
+                let q = strict.min_confidence;
+                prop_assert_eq!(
+                    &*miner.query_rules(Some(q)).unwrap(),
+                    &batch_rules(&units[..=day], window, &strict),
+                    "escalated to {} on day {}", q.value(), day
+                );
+            }
         }
     }
 }

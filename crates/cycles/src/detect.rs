@@ -88,67 +88,6 @@ fn has_too_few_holds(seq: &BitSeq, bounds: CycleBounds) -> bool {
     seq.count_ones() < min_holds(seq.len(), bounds.l_max())
 }
 
-/// Detects cycles for a batch of sequences, fanning contiguous chunks
-/// across scoped worker threads.
-///
-/// Results are index-aligned with `seqs`. `num_threads == 0` selects
-/// the machine's available parallelism; small batches never spawn more
-/// threads than sequences, and a single-thread batch runs inline. This
-/// is the escalated-confidence query path of the window miner: each
-/// rule's sequence is independent, so the work splits into contiguous
-/// chunks exactly like `mine_sequential_parallel` splits itemsets. The
-/// per-unit cycle sets are built once and shared by every worker.
-///
-/// If a worker panics, every other worker is still joined before the
-/// panic payload is resumed on the caller's thread — no scoped thread
-/// outlives the call and no partial result escapes.
-pub fn detect_cycles_batch(
-    seqs: &[BitSeq],
-    bounds: CycleBounds,
-    num_threads: usize,
-) -> Vec<CycleSet> {
-    let n = seqs.len();
-    let threads = if num_threads == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        num_threads
-    }
-    .clamp(1, n.max(1));
-    let longest = seqs.iter().map(BitSeq::len).max().unwrap_or(0);
-    let units = &CycleSet::of_units(bounds, longest);
-    if threads <= 1 {
-        return seqs.iter().map(|s| detect_cycles_with(s, bounds, units)).collect();
-    }
-    let chunk = n.div_ceil(threads);
-    let joined: Vec<std::thread::Result<Vec<CycleSet>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = seqs
-            .chunks(chunk)
-            .map(|piece| {
-                scope.spawn(move || {
-                    piece.iter().map(|s| detect_cycles_with(s, bounds, units)).collect()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join()).collect()
-    });
-    let mut out = Vec::with_capacity(n);
-    let mut panicked = None;
-    for result in joined {
-        match result {
-            Ok(sets) => out.extend(sets),
-            Err(payload) => {
-                if panicked.is_none() {
-                    panicked = Some(payload);
-                }
-            }
-        }
-    }
-    if let Some(payload) = panicked {
-        std::panic::resume_unwind(payload);
-    }
-    out
-}
-
 /// Whether the sequence has at least one cycle within `bounds`.
 pub fn has_any_cycle(seq: &BitSeq, bounds: CycleBounds) -> bool {
     !detect_cycles(seq, bounds).is_empty()
@@ -298,32 +237,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn batch_matches_per_sequence_detection() {
-        let bounds = CycleBounds::make(1, 4);
-        let seqs: Vec<BitSeq> = [
-            "10101010", "11111111", "00000000", "110110", "1001001", "1110111",
-            "01010101",
-        ]
-        .iter()
-        .map(|s| s.parse().unwrap())
-        .collect();
-        let expected: Vec<Vec<Cycle>> =
-            seqs.iter().map(|s| detect_cycles(s, bounds).to_vec()).collect();
-        for threads in [0, 1, 2, 3, 16] {
-            let got: Vec<Vec<Cycle>> = detect_cycles_batch(&seqs, bounds, threads)
-                .iter()
-                .map(CycleSet::to_vec)
-                .collect();
-            assert_eq!(got, expected, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn batch_of_empty_input_is_empty() {
-        assert!(detect_cycles_batch(&[], CycleBounds::make(1, 3), 0).is_empty());
     }
 
     #[test]

@@ -5,20 +5,22 @@
 //! A *sliding* window also **forgets**: when the unit that killed a
 //! cycle is evicted, that cycle must come back. Destructive elimination
 //! (as in [`CycleSet::eliminate`](crate::CycleSet::eliminate)) cannot
-//! express that revival, so [`OnlineRuleCycles`] keeps the evidence
-//! itself — the rule's binary sequence over the retained units — and
+//! express that revival, so [`OnlineCycles`] keeps the evidence itself —
+//! an itemset's binary sequence over the retained units (1 where the
+//! itemset was large), with its support count at each hold — and
 //! re-derives the live cycles from it when a view is assembled.
 //!
 //! The sequence is stored as a **ring bitset in absolute unit
-//! coordinates**: the rule held at retained absolute unit `t` iff bit
+//! coordinates**: the itemset held at retained absolute unit `t` iff bit
 //! `t mod C` is set, where the capacity `C` is `window + 1` rounded up
 //! to whole `u64` words (2 words at window 64).
 //!
-//! * a push where the rule holds sets one bit;
-//! * a push where the rule misses touches nothing — absence is the miss,
-//!   so pushes cost O(rules *present* in the unit);
-//! * evicting a hold clears its bit; evicting a miss needs no call. The
-//!   cleared position is what revives a cycle the miss had killed.
+//! * a push where the itemset is large sets one bit and stores its count;
+//! * a push where it is not touches nothing — absence is the miss, so
+//!   pushes cost O(itemsets *large* in the unit);
+//! * evicting a hold clears its bit and drops its count; evicting a miss
+//!   needs no call. The cleared position is what revives a cycle the
+//!   miss had killed.
 //!
 //! Why `window + 1` positions and not `window`: the window miner records
 //! the arriving unit *before* it evicts the oldest one, and those two
@@ -28,11 +30,17 @@
 //! Liveness is an AND-compare. The retained window is the contiguous
 //! absolute range `[base, base + len)`, so a [`CycleMasks`] built once
 //! per view holds, for every cycle `(l, o)`, the ring bits of the
-//! retained units `base + o + k·l`. A cycle is live iff the rule's ring
-//! covers its mask. Every residue class of a length `l` has at least
-//! `⌊len / l⌋` retained units, so a rule with fewer holds has no live
+//! retained units `base + o + k·l`. A cycle is live iff the ring covers
+//! its mask. Every residue class of a length `l` has at least
+//! `⌊len / l⌋` retained units, so a ring with fewer holds has no live
 //! cycle of length `l`, and one with fewer than `⌊len / l_max⌋` holds
-//! has none at all — that check, a popcount, settles most rules.
+//! has none at all — that check, a popcount, settles most itemsets.
+//!
+//! A rule `X ⇒ Y` holds at a unit iff its itemset `Z = X ∪ Y` is large
+//! there and `count(Z) / count(X)` meets the confidence threshold, so the
+//! rule's ring is `Z`'s ring minus the units where the ratio fails.
+//! [`CycleMasks::live_cycles_where`] tests that ring from the two
+//! itemsets' counts without storing it.
 
 use crate::bounds::min_holds;
 use crate::{Cycle, CycleBounds, CycleSet};
@@ -45,56 +53,87 @@ fn ring_words(window: usize) -> usize {
     (window + 1).div_ceil(WORD_BITS as usize)
 }
 
-/// Per-rule online cycle state over a sliding unit window: the rule's
-/// retained holds as a ring bitset in absolute unit coordinates.
+/// Per-itemset online cycle state over a sliding unit window: the
+/// retained units at which the itemset was large, as a ring bitset in
+/// absolute unit coordinates, and its support count at each of them.
 ///
-/// Feed it every retained unit at which the rule held
+/// Feed it every retained unit at which the itemset held
 /// ([`record_hold`](Self::record_hold) on push,
 /// [`record_evict`](Self::record_evict) when that unit leaves the
 /// window), then read the surviving cycles of the current window
 /// through a [`CycleMasks`] built for the same window length. Units at
-/// which the rule did *not* hold are never reported — absence is the
+/// which the itemset did *not* hold are never reported — absence is the
 /// miss.
 #[derive(Clone, Debug)]
-pub struct OnlineRuleCycles {
-    /// Bit `t mod (64 · ring.len())` is set iff the rule held at
+pub struct OnlineCycles {
+    /// Bit `t mod (64 · ring.len())` is set iff the itemset held at
     /// retained absolute unit `t`.
     ring: Box<[u64]>,
+    /// The support count of every hold in ring-position order:
+    /// `counts[i]` belongs to the `i`-th set bit of `ring`.
+    counts: Vec<u64>,
 }
 
-impl OnlineRuleCycles {
+impl OnlineCycles {
     /// Creates empty state for a window retaining `window` units.
     pub fn new(window: usize) -> Self {
-        OnlineRuleCycles { ring: vec![0; ring_words(window)].into_boxed_slice() }
-    }
-
-    /// Number of retained units at which the rule held.
-    pub fn holds(&self) -> usize {
-        self.ring.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// True when no retained unit holds — the rule can be dropped.
-    pub fn is_empty(&self) -> bool {
-        self.ring.iter().all(|&w| w == 0)
-    }
-
-    /// Records that the rule held at absolute unit `abs_unit` (which
-    /// just entered the window).
-    pub fn record_hold(&mut self, abs_unit: u64) {
-        let (word, bit) = self.position(abs_unit);
-        if let Some(w) = self.ring.get_mut(word) {
-            *w |= bit;
+        OnlineCycles {
+            ring: vec![0; ring_words(window)].into_boxed_slice(),
+            counts: Vec::new(),
         }
     }
 
-    /// Records that absolute unit `abs_unit`, at which the rule held,
+    /// True when no retained unit holds — the itemset can be dropped.
+    pub fn is_empty(&self) -> bool {
+        self.counts.is_empty()
+    }
+
+    /// The itemset's support summed over its retained holds.
+    pub fn total_count(&self) -> u64 {
+        self.counts.iter().fold(0, |sum, &c| sum.saturating_add(c))
+    }
+
+    /// Records that the itemset held, with support `count`, at absolute
+    /// unit `abs_unit` (which just entered the window).
+    pub fn record_hold(&mut self, abs_unit: u64, count: u64) {
+        let (word, bit) = self.position(abs_unit);
+        let rank = self.rank(word, bit);
+        let Some(w) = self.ring.get_mut(word) else { return };
+        if *w & bit == 0 {
+            *w |= bit;
+            self.counts.insert(rank, count);
+        } else if let Some(slot) = self.counts.get_mut(rank) {
+            *slot = count;
+        }
+    }
+
+    /// Records that absolute unit `abs_unit`, at which the itemset held,
     /// left the window. Evicted misses need no call — they were never
     /// recorded.
     pub fn record_evict(&mut self, abs_unit: u64) {
         let (word, bit) = self.position(abs_unit);
-        if let Some(w) = self.ring.get_mut(word) {
+        let rank = self.rank(word, bit);
+        let Some(w) = self.ring.get_mut(word) else { return };
+        if *w & bit != 0 {
             *w &= !bit;
+            self.counts.remove(rank);
         }
+    }
+
+    /// The support count of the hold at ring `word` and `bit`, or `None`
+    /// when the itemset did not hold there.
+    fn count_at(&self, word: usize, bit: u64) -> Option<u64> {
+        let held = self.ring.get(word).is_some_and(|w| w & bit != 0);
+        held.then(|| self.counts.get(self.rank(word, bit)).copied()).flatten()
+    }
+
+    /// The number of holds before ring `word` and `bit`: the index into
+    /// `counts` of a hold there.
+    fn rank(&self, word: usize, bit: u64) -> usize {
+        let before: u32 = self.ring.iter().take(word).map(|w| w.count_ones()).sum();
+        let within =
+            self.ring.get(word).map_or(0, |w| (w & bit.wrapping_sub(1)).count_ones());
+        (before + within) as usize
     }
 
     /// The ring word and bit of absolute unit `abs_unit`.
@@ -106,11 +145,11 @@ impl OnlineRuleCycles {
 
 /// The `(l, o)` masks of one view of a sliding window, in ring
 /// coordinates: built once per assembled view, then applied to every
-/// rule's [`OnlineRuleCycles`] with AND-compares.
+/// itemset's and rule's ring with AND-compares.
 #[derive(Clone, Debug)]
 pub struct CycleMasks {
     bounds: CycleBounds,
-    /// Ring words per mask (the same for every rule of the window).
+    /// Ring words per mask (the same for every ring of the window).
     words: usize,
     /// Per length `l_min..=l_max`: `⌊len / l⌋`, the fewest retained
     /// units in any residue class of that length.
@@ -125,11 +164,11 @@ impl CycleMasks {
     /// `[base, base + len)` of a window retaining at most `window`
     /// units (window unit 0 = absolute unit `base`).
     ///
-    /// [`live_cycles`](Self::live_cycles) matches `detect_cycles` on the
-    /// rule's window bit sequence whenever `bounds.l_max() <= len <=
-    /// window` — `len >= l_max` is the precondition every mining query
-    /// already validates (`CycleBoundExceedsUnits`), which rules out
-    /// vacuous offsets `>= len`.
+    /// The live cycles match `detect_cycles` on the ring's window bit
+    /// sequence whenever `bounds.l_max() <= len <= window` — `len >=
+    /// l_max` is the precondition every mining query already validates
+    /// (`CycleBoundExceedsUnits`), which rules out vacuous offsets
+    /// `>= len`.
     pub fn new(bounds: CycleBounds, window: usize, base: u64, len: usize) -> Self {
         let words = ring_words(window);
         let capacity = WORD_BITS * words as u64;
@@ -151,13 +190,48 @@ impl CycleMasks {
         CycleMasks { bounds, words, min_holds, masks }
     }
 
-    /// The rule's surviving cycles over the view's retained units, in
-    /// window coordinates, or `None` when no cycle survives. Rules with
-    /// too few holds to fill any residue class are rejected on their
-    /// popcount alone.
-    pub fn live_cycles(&self, state: &OnlineRuleCycles) -> Option<CycleSet> {
+    /// The itemset's surviving cycles over the view's retained units, in
+    /// window coordinates, or `None` when no cycle survives.
+    pub fn live_cycles(&self, state: &OnlineCycles) -> Option<CycleSet> {
         debug_assert_eq!(state.ring.len(), self.words, "ring built for another window");
-        let holds = state.holds();
+        self.live_in(&state.ring)
+    }
+
+    /// The surviving cycles of the sequence that holds where `state`
+    /// holds and `keep(count, sub_count)` accepts, where `count` is
+    /// `state`'s support count at that unit and `sub_count` is `sub`'s
+    /// (0 where `sub` did not hold). For a rule `X ⇒ Y` with itemset `Z`,
+    /// `state` is `Z`'s, `sub` is `X`'s, and `keep` the confidence test:
+    /// the cycles of the rule.
+    pub fn live_cycles_where(
+        &self,
+        state: &OnlineCycles,
+        sub: &OnlineCycles,
+        mut keep: impl FnMut(u64, u64) -> bool,
+    ) -> Option<CycleSet> {
+        debug_assert_eq!(state.ring.len(), self.words, "ring built for another window");
+        debug_assert_eq!(sub.ring.len(), self.words, "ring built for another window");
+        let mut ring = state.ring.clone();
+        let mut counts = state.counts.iter();
+        for (word, w) in ring.iter_mut().enumerate() {
+            let mut rest = *w;
+            while rest != 0 {
+                let bit = rest & rest.wrapping_neg();
+                rest &= rest - 1;
+                let count = counts.next().copied().unwrap_or(0);
+                if !keep(count, sub.count_at(word, bit).unwrap_or(0)) {
+                    *w &= !bit;
+                }
+            }
+        }
+        self.live_in(&ring)
+    }
+
+    /// The cycles whose masks `ring` covers, or `None` when there are
+    /// none. Rings with too few holds to fill any residue class are
+    /// rejected on their popcount alone.
+    fn live_in(&self, ring: &[u64]) -> Option<CycleSet> {
+        let holds: usize = ring.iter().map(|w| w.count_ones() as usize).sum();
         // The last length is `l_max`, whose bound covers every length.
         if self.min_holds.last().is_some_and(|&fewest| holds < fewest) {
             return None;
@@ -171,7 +245,7 @@ impl CycleMasks {
                 continue;
             }
             for (offset, mask) in (0..l).zip(row.chunks_exact(self.words)) {
-                let covered = state.ring.iter().zip(mask).all(|(&r, &m)| r & m == m);
+                let covered = ring.iter().zip(mask).all(|(&r, &m)| r & m == m);
                 if covered {
                     live.get_or_insert_with(|| CycleSet::empty(self.bounds))
                         .insert(Cycle::make(l, offset));
@@ -197,21 +271,24 @@ mod tests {
     /// given window size — recording each arriving unit before evicting
     /// the oldest, as the window miner does — and checks the live
     /// cycles against the oracle after every push once the window is at
-    /// least `l_max` deep. Returns the number of live cycles seen, so
-    /// callers can rule out a vacuous pass.
+    /// least `l_max` deep. Each hold's count is its absolute unit, so
+    /// the counts are checked too. Returns the number of live cycles
+    /// seen, so callers can rule out a vacuous pass.
     fn check_stream(history: &[bool], window: usize, bounds: CycleBounds) -> usize {
-        let mut state = OnlineRuleCycles::new(window);
+        let mut state = OnlineCycles::new(window);
         let mut seen = 0;
         for (abs, &held) in history.iter().enumerate() {
             if held {
-                state.record_hold(abs as u64);
+                state.record_hold(abs as u64, abs as u64);
             }
             if abs >= window && history[abs - window] {
                 state.record_evict((abs - window) as u64);
             }
             let len = (abs + 1).min(window);
-            let retained = history[abs + 1 - len..=abs].iter().filter(|&&h| h).count();
-            assert_eq!(state.holds(), retained, "holds at abs {abs}");
+            let retained: Vec<u64> =
+                (abs + 1 - len..=abs).filter(|&u| history[u]).map(|u| u as u64).collect();
+            assert_eq!(state.counts.len(), retained.len(), "holds at abs {abs}");
+            assert_eq!(state.total_count(), retained.iter().sum::<u64>(), "abs {abs}");
             if len < bounds.l_max() as usize {
                 continue;
             }
@@ -269,10 +346,10 @@ mod tests {
         // once abs 1 slides out, every odd retained unit holds again.
         let bounds = CycleBounds::make(2, 2);
         let history = [true, false, true, true, true, true, true];
-        let mut state = OnlineRuleCycles::new(4);
+        let mut state = OnlineCycles::new(4);
         for (abs, &held) in history.iter().enumerate() {
             if held {
-                state.record_hold(abs as u64);
+                state.record_hold(abs as u64, 1);
             }
             if abs >= 4 && history[abs - 4] {
                 state.record_evict((abs - 4) as u64);
@@ -318,13 +395,13 @@ mod tests {
         // three holds — even all on one class of length 16 — are not
         // enough.
         let bounds = CycleBounds::make(2, 16);
-        let mut state = OnlineRuleCycles::new(64);
+        let mut state = OnlineCycles::new(64);
         for abs in [0, 16, 32] {
-            state.record_hold(abs);
+            state.record_hold(abs, 1);
         }
         let masks = CycleMasks::new(bounds, 64, 0, 64);
         assert!(masks.live_cycles(&state).is_none());
-        state.record_hold(48);
+        state.record_hold(48, 1);
         let live = masks.live_cycles(&state).unwrap();
         assert_eq!(live.to_vec(), vec![Cycle::make(16, 0)]);
     }
@@ -332,13 +409,70 @@ mod tests {
     #[test]
     fn empty_state_reports_no_cycles_and_is_droppable() {
         let bounds = CycleBounds::make(1, 3);
-        let mut state = OnlineRuleCycles::new(3);
+        let mut state = OnlineCycles::new(3);
         assert!(state.is_empty());
         assert!(CycleMasks::new(bounds, 3, 0, 3).live_cycles(&state).is_none());
-        state.record_hold(7);
+        state.record_hold(7, 5);
         assert!(!state.is_empty());
-        assert_eq!(state.holds(), 1);
+        assert_eq!((state.counts.len(), state.total_count()), (1, 5));
         state.record_evict(7);
         assert!(state.is_empty());
+        assert_eq!(state.total_count(), 0);
+    }
+
+    #[test]
+    fn counts_follow_their_holds_as_the_ring_wraps() {
+        // Window 64 (a 128-position ring): holds at every third unit of
+        // a 300-unit stream, each with a count derived from its unit, so
+        // a count read at the wrong rank shows up as a wrong value.
+        let mut state = OnlineCycles::new(64);
+        let count = |abs: u64| 1000 + abs * 7;
+        for abs in 0..300u64 {
+            if abs % 3 == 0 {
+                state.record_hold(abs, count(abs));
+            }
+            if abs >= 64 && (abs - 64) % 3 == 0 {
+                state.record_evict(abs - 64);
+            }
+            for retained in abs.saturating_sub(63)..=abs {
+                let (word, bit) = state.position(retained);
+                let want = (retained % 3 == 0).then(|| count(retained));
+                assert_eq!(state.count_at(word, bit), want, "unit {retained} at {abs}");
+            }
+        }
+    }
+
+    #[test]
+    fn rule_rings_drop_exactly_the_units_keep_rejects() {
+        // Z holds at every unit of an 8-unit window; X at the same units
+        // with counts that make Z/X = 1 on even units and 1/2 on odd
+        // ones. At confidence 1 only the even units hold: cycle (2, 0).
+        let bounds = CycleBounds::make(2, 4);
+        let (mut z, mut x) = (OnlineCycles::new(8), OnlineCycles::new(8));
+        for abs in 0..8u64 {
+            z.record_hold(abs, 4);
+            x.record_hold(abs, if abs % 2 == 0 { 4 } else { 8 });
+        }
+        let masks = CycleMasks::new(bounds, 8, 0, 8);
+        let full = |zc: u64, xc: u64| zc == xc;
+        let live = masks.live_cycles_where(&z, &x, full).unwrap();
+        assert_eq!(
+            live.to_vec(),
+            vec![Cycle::make(2, 0), Cycle::make(4, 0), Cycle::make(4, 2)]
+        );
+        // A `sub` missing from a unit reads as count 0 there.
+        let mut sparse = OnlineCycles::new(8);
+        sparse.record_hold(0, 4);
+        let seen: Vec<u64> = {
+            let mut seen = Vec::new();
+            masks.live_cycles_where(&z, &sparse, |_, xc| {
+                seen.push(xc);
+                true
+            });
+            seen
+        };
+        assert_eq!(seen, vec![4, 0, 0, 0, 0, 0, 0, 0]);
+        // Accepting everything leaves the itemset's own cycles.
+        assert_eq!(masks.live_cycles_where(&z, &x, |_, _| true), masks.live_cycles(&z));
     }
 }

@@ -12,8 +12,8 @@
 use std::collections::BTreeSet;
 
 use car_cycles::{
-    detect_approx_cycles, detect_cycles, detect_cycles_batch, detect_cycles_with,
-    minimal_cycles, BitSeq, Cycle, CycleBounds, CycleSet,
+    detect_approx_cycles, detect_cycles, detect_cycles_with, minimal_cycles, BitSeq,
+    Cycle, CycleBounds, CycleSet,
 };
 use proptest::prelude::*;
 
@@ -79,10 +79,6 @@ fn arb_case() -> impl Strategy<Value = (CycleBounds, BitSeq)> {
     )
 }
 
-fn arb_seq() -> impl Strategy<Value = BitSeq> {
-    proptest::collection::vec(any::<bool>(), 1..80).prop_map(BitSeq::from_bits)
-}
-
 /// Definition-level oracle for cycle detection.
 fn oracle(seq: &BitSeq, bounds: CycleBounds) -> Vec<Cycle> {
     bounds.all_cycles().filter(|c| c.units(seq.len()).all(|u| seq.get(u))).collect()
@@ -107,20 +103,6 @@ proptest! {
         let units = CycleSet::of_units(bounds, table);
         let got = detect_cycles_with(&seq, bounds, &units).to_vec();
         prop_assert_eq!(got, oracle(&seq, bounds));
-    }
-
-    #[test]
-    fn batch_matches_oracle(
-        bounds in arb_bounds(),
-        seqs in proptest::collection::vec(arb_seq(), 0..6),
-        threads in 0usize..4,
-    ) {
-        let got: Vec<Vec<Cycle>> = detect_cycles_batch(&seqs, bounds, threads)
-            .iter()
-            .map(CycleSet::to_vec)
-            .collect();
-        let expect: Vec<Vec<Cycle>> = seqs.iter().map(|s| oracle(s, bounds)).collect();
-        prop_assert_eq!(got, expect);
     }
 
     #[test]

@@ -439,12 +439,12 @@ impl Metrics {
             ),
             (
                 "car_mine_online_holds_total",
-                "Rule-unit hold entries folded into online cycle state at push.",
+                "Itemset-unit hold entries folded into online cycle state at push.",
                 mine.online_holds,
             ),
             (
                 "car_mine_online_eliminations_total",
-                "Candidate cycle classes found dead at online view assembly.",
+                "Candidate cycles of tracked itemsets found dead at online view assembly.",
                 mine.online_eliminations,
             ),
         ] {

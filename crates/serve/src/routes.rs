@@ -515,12 +515,13 @@ fn health(state: &Arc<AppState>) -> Response {
 }
 
 fn metrics(state: &Arc<AppState>) -> Response {
-    let (retained_units, evictions, rule_entries, rules_current, rules_tracked) = {
+    let (retained_units, evictions, hold_entries, rules_current, itemsets_tracked) = {
         let miner = state.miner.read_or_recover();
         let rules_current = miner.current_rules().map(|r| r.len()).unwrap_or(0);
         (
             miner.len(),
             miner.evictions(),
+            // Both count the window's per-itemset online state.
             miner.retained_rule_entries(),
             rules_current,
             miner.tracked_rules(),
@@ -543,9 +544,9 @@ fn metrics(state: &Arc<AppState>) -> Response {
             evictions as f64,
         ),
         (
-            "car_rules_held_entries",
-            "Per-unit rule hold entries retained in the window.",
-            rule_entries as f64,
+            "car_itemset_hold_entries",
+            "Per-unit itemset hold entries retained in the window.",
+            hold_entries as f64,
         ),
         (
             "car_rules_current",
@@ -553,9 +554,9 @@ fn metrics(state: &Arc<AppState>) -> Response {
             rules_current as f64,
         ),
         (
-            "car_rules_tracked",
-            "Distinct rules with online cycle state in the window miner.",
-            rules_tracked as f64,
+            "car_itemsets_tracked",
+            "Distinct itemsets with online cycle state in the window miner.",
+            itemsets_tracked as f64,
         ),
         (
             "car_query_cache_entries",

@@ -68,7 +68,7 @@
 //! Every `/v1/rules` request gets a budget: the smaller of the router's
 //! configured `request_budget` and the client's `X-Car-Deadline-Ms`
 //! header. Each fan-out leg forwards the *remaining* budget as
-//! `X-Car-Deadline-Ms`, and workers abort escalated re-detection when
+//! `X-Car-Deadline-Ms`, and workers abort an escalated assembly when
 //! it expires (answering `504 deadline_exceeded`), so one slow shard
 //! cannot pin the whole merge past the deadline.
 //!
@@ -924,7 +924,7 @@ fn rules(state: &Arc<RouterState>, req: &http::Request) -> Response {
                             return Leg::TimedOut(w.shard_id);
                         }
                         // Forward the remaining budget so the worker can
-                        // abort escalated re-detection instead of pinning
+                        // abort an escalated assembly instead of pinning
                         // the merge past the deadline — and the trace
                         // context, so the worker's spans nest under this
                         // leg.
