@@ -149,3 +149,34 @@ pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     )?;
     Ok(())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sharded_serve_without_a_support_count_is_refused() {
+        // The bad --fsync is parsed after the check, so a regression
+        // fails on that usage error instead of booting a daemon.
+        let tokens: Vec<String> = [
+            "--shard-id",
+            "0",
+            "--shard-count",
+            "2",
+            "--min-support",
+            "0.05",
+            "--data-dir",
+            "unused",
+            "--fsync",
+            "bogus",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let result = run(&Args::parse(&tokens).unwrap(), &mut Vec::new());
+        let Err(CliError::Usage(msg)) = result else {
+            panic!("expected a usage error, got {result:?}");
+        };
+        assert!(msg.contains("--shard-count 2 needs --min-support-count"), "{msg}");
+    }
+}

@@ -253,3 +253,25 @@ pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     )?;
     Ok(())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shard_router_refuses_a_support_fraction() {
+        // The bad --partition-key is parsed after the check, so a
+        // regression fails on that usage error instead of spawning
+        // workers.
+        let tokens: Vec<String> =
+            ["--shards", "2", "--min-support", "0.05", "--partition-key", "bogus"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+        let result = run(&Args::parse(&tokens).unwrap(), &mut Vec::new());
+        let Err(CliError::Usage(msg)) = result else {
+            panic!("expected a usage error, got {result:?}");
+        };
+        assert!(msg.contains("takes --min-support-count, not --min-support"), "{msg}");
+    }
+}

@@ -320,7 +320,7 @@ impl SlidingWindowMiner {
             Some(q) => {
                 let _span = car_obs::time_span!("window.query_rules.escalated");
                 self.config.validate_for(self.len())?;
-                Ok(self.assemble(q, deadline).map(Arc::new))
+                Ok(self.assemble_counted(q, deadline).map(|(rules, _)| Arc::new(rules)))
             }
         }
     }
@@ -354,26 +354,23 @@ impl SlidingWindowMiner {
     }
 
     /// The assembly at the mining threshold, which has no deadline to
-    /// miss.
+    /// miss. Only this view flushes its eliminations into the online
+    /// counter: whether an itemset has a live cycle does not depend on
+    /// the confidence, so an escalated view would count them again.
     fn assemble_default(&self) -> Vec<CyclicRule> {
-        self.assemble(self.config.min_confidence, None).unwrap_or_default()
-    }
-
-    /// The window's cyclic rules at confidence `q`, assembled from the
-    /// online itemset rings, or `None` when `deadline` passed first.
-    fn assemble(
-        &self,
-        q: MinConfidence,
-        deadline: Option<Instant>,
-    ) -> Option<Vec<CyclicRule>> {
-        let (out, eliminated) = self.assemble_counted(q, deadline)?;
+        let Some((out, eliminated)) =
+            self.assemble_counted(self.config.min_confidence, None)
+        else {
+            return Vec::new();
+        };
         if eliminated > 0 {
             car_obs::counters::MINE.add_online_eliminations(eliminated);
         }
-        Some(out)
+        out
     }
 
-    /// [`assemble`](Self::assemble) without the counter flush: the rules
+    /// The window's cyclic rules at confidence `q`, assembled from the
+    /// online itemset rings, or `None` when `deadline` passed first,
     /// plus the candidate cycles eliminated across every tracked
     /// itemset, `Σ (num_cycles − live cycles)` — INTERLEAVED's
     /// `cycles_eliminated` counts itemset candidates the same way. The

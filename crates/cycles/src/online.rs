@@ -120,13 +120,6 @@ impl OnlineCycles {
         }
     }
 
-    /// The support count of the hold at ring `word` and `bit`, or `None`
-    /// when the itemset did not hold there.
-    fn count_at(&self, word: usize, bit: u64) -> Option<u64> {
-        let held = self.ring.get(word).is_some_and(|w| w & bit != 0);
-        held.then(|| self.counts.get(self.rank(word, bit)).copied()).flatten()
-    }
-
     /// The number of holds before ring `word` and `bit`: the index into
     /// `counts` of a hold there.
     fn rank(&self, word: usize, bit: u64) -> usize {
@@ -213,16 +206,26 @@ impl CycleMasks {
         debug_assert_eq!(sub.ring.len(), self.words, "ring built for another window");
         let mut ring = state.ring.clone();
         let mut counts = state.counts.iter();
-        for (word, w) in ring.iter_mut().enumerate() {
+        // `sub`'s holds in the words already walked: with the holds
+        // below a bit in its own word, the index of its count there.
+        let mut sub_before = 0;
+        for (w, &sub_word) in ring.iter_mut().zip(sub.ring.iter()) {
             let mut rest = *w;
             while rest != 0 {
                 let bit = rest & rest.wrapping_neg();
                 rest &= rest - 1;
                 let count = counts.next().copied().unwrap_or(0);
-                if !keep(count, sub.count_at(word, bit).unwrap_or(0)) {
+                let sub_count = if sub_word & bit == 0 {
+                    0
+                } else {
+                    let rank = sub_before + (sub_word & (bit - 1)).count_ones() as usize;
+                    sub.counts.get(rank).copied().unwrap_or(0)
+                };
+                if !keep(count, sub_count) {
                     *w &= !bit;
                 }
             }
+            sub_before += sub_word.count_ones() as usize;
         }
         self.live_in(&ring)
     }
@@ -420,6 +423,13 @@ mod tests {
         assert_eq!(state.total_count(), 0);
     }
 
+    /// The support count of `state`'s hold at ring `word` and `bit`, or
+    /// `None` when the itemset did not hold there.
+    fn count_at(state: &OnlineCycles, word: usize, bit: u64) -> Option<u64> {
+        let held = state.ring.get(word).is_some_and(|w| w & bit != 0);
+        held.then(|| state.counts.get(state.rank(word, bit)).copied()).flatten()
+    }
+
     #[test]
     fn counts_follow_their_holds_as_the_ring_wraps() {
         // Window 64 (a 128-position ring): holds at every third unit of
@@ -437,8 +447,47 @@ mod tests {
             for retained in abs.saturating_sub(63)..=abs {
                 let (word, bit) = state.position(retained);
                 let want = (retained % 3 == 0).then(|| count(retained));
-                assert_eq!(state.count_at(word, bit), want, "unit {retained} at {abs}");
+                assert_eq!(count_at(&state, word, bit), want, "unit {retained} at {abs}");
             }
+        }
+    }
+
+    #[test]
+    fn rule_rings_read_sub_counts_across_ring_words() {
+        // Window 64 (two ring words) over 300 units: `z` holds at every
+        // unit with its absolute unit as its count, `x` at every third
+        // unit with a count derived from its unit. Each unit `keep` sees
+        // must pair `z`'s count with `x`'s at the same unit, in both
+        // words and as the ring wraps.
+        let bounds = CycleBounds::make(2, 16);
+        let (mut z, mut x) = (OnlineCycles::new(64), OnlineCycles::new(64));
+        let x_count = |abs: u64| (abs % 3 == 0).then(|| 1000 + abs * 7);
+        for abs in 0..300u64 {
+            z.record_hold(abs, abs);
+            if let Some(count) = x_count(abs) {
+                x.record_hold(abs, count);
+            }
+            if abs >= 64 {
+                z.record_evict(abs - 64);
+                if x_count(abs - 64).is_some() {
+                    x.record_evict(abs - 64);
+                }
+            }
+            let len = (abs + 1).min(64);
+            if len < 16 {
+                continue;
+            }
+            let base = abs + 1 - len;
+            let masks = CycleMasks::new(bounds, 64, base, len as usize);
+            let mut seen = Vec::new();
+            masks.live_cycles_where(&z, &x, |zc, xc| {
+                seen.push((zc, xc));
+                true
+            });
+            seen.sort_unstable();
+            let want: Vec<(u64, u64)> =
+                (base..=abs).map(|u| (u, x_count(u).unwrap_or(0))).collect();
+            assert_eq!(seen, want, "window ending at abs {abs}");
         }
     }
 

@@ -95,11 +95,11 @@ impl MiningCounters {
         self.online_holds.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Counts candidate cycle classes found dead while assembling a
-    /// rule view from online state (hold count behind the class
-    /// total). The online path never eliminates eagerly — absent rules
-    /// are not visited at push time — so this is observed at view
-    /// assembly, once per window epoch.
+    /// Counts candidate cycles found dead while assembling the default
+    /// rule view from online state, `num_cycles − live` per tracked
+    /// itemset. The online path never eliminates eagerly — absent
+    /// itemsets are not visited at push time — so this is observed at
+    /// view assembly, once per window epoch.
     pub fn add_online_eliminations(&self, n: u64) {
         self.online_eliminations.fetch_add(n, Ordering::Relaxed);
     }

@@ -444,7 +444,7 @@ impl Metrics {
             ),
             (
                 "car_mine_online_eliminations_total",
-                "Candidate cycles of tracked itemsets found dead at online view assembly.",
+                "Candidate cycles of tracked itemsets found dead at default-view assembly.",
                 mine.online_eliminations,
             ),
         ] {
