@@ -49,7 +49,7 @@
 //! per unit: eviction never re-mines, because the rings keep the counts
 //! that confidence is computed from.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -105,6 +105,11 @@ pub struct SlidingWindowMiner {
     /// each, in absolute unit coordinates; itemsets with no retained
     /// hold are removed.
     online: FastHashMap<ItemSet, OnlineCycles>,
+    /// Per tracked 1-itemset, by item id: its support summed over its
+    /// retained holds, kept as holds arrive and leave so that
+    /// `item_supports` reads the frequent items instead of scanning
+    /// every tracked itemset.
+    item_totals: BTreeMap<u32, u64>,
     /// Memoised `query_rules(None)` view; cleared by every push. A
     /// `Mutex` (not `RwLock`) because fills are rare and reads clone an
     /// `Arc` in nanoseconds.
@@ -134,6 +139,7 @@ impl SlidingWindowMiner {
             window,
             unit_itemsets: VecDeque::with_capacity(window + 1),
             online: FastHashMap::default(),
+            item_totals: BTreeMap::new(),
             view: Mutex::new(None),
             total_pushed: 0,
         })
@@ -188,17 +194,7 @@ impl SlidingWindowMiner {
     /// partition the *transaction* space per unit, so per-item sums
     /// concatenate exactly.
     pub fn item_supports(&self) -> Vec<(u32, u64)> {
-        let mut out: Vec<(u32, u64)> = self
-            .online
-            .iter()
-            .filter(|(itemset, _)| itemset.len() == 1)
-            .filter_map(|(itemset, state)| {
-                let item = itemset.as_slice().first()?;
-                Some((item.id(), state.total_count()))
-            })
-            .collect();
-        out.sort_unstable();
-        out
+        self.item_totals.iter().map(|(&item, &total)| (item, total)).collect()
     }
 
     /// Ingests the next unit, evicting the oldest once the window is
@@ -218,6 +214,10 @@ impl SlidingWindowMiner {
         let abs_unit = self.total_pushed;
         let mut held = Vec::with_capacity(frequent.len());
         for (itemset, count) in frequent {
+            if let [item] = itemset.as_slice() {
+                let total = self.item_totals.entry(item.id()).or_default();
+                *total = total.saturating_add(count);
+            }
             match self.online.get_mut(&itemset) {
                 Some(state) => state.record_hold(abs_unit, count),
                 None => {
@@ -237,15 +237,18 @@ impl SlidingWindowMiner {
             let abs_evicted = abs_unit - self.window as u64;
             if let Some(old) = self.unit_itemsets.pop_front() {
                 for itemset in &old {
-                    let drop_itemset = match self.online.get_mut(itemset) {
-                        Some(state) => {
-                            state.record_evict(abs_evicted);
-                            state.is_empty()
-                        }
-                        None => false,
-                    };
-                    if drop_itemset {
+                    let Some(state) = self.online.get_mut(itemset) else { continue };
+                    let count = state.record_evict(abs_evicted).unwrap_or(0);
+                    let emptied = state.is_empty();
+                    if emptied {
                         self.online.remove(itemset);
+                    }
+                    if let [item] = itemset.as_slice() {
+                        if emptied {
+                            self.item_totals.remove(&item.id());
+                        } else if let Some(total) = self.item_totals.get_mut(&item.id()) {
+                            *total = total.saturating_sub(count);
+                        }
                     }
                 }
             }

@@ -14,7 +14,11 @@
 //! 5–7-item patterns: consequents then grow three or more levels and a
 //! consequent whose rule has no live cycle prunes its supersets. It
 //! also draws fraction support (the daemon's mode) with empty units, a
-//! `max_itemset_size` cap, and escalation to exactly 1.0.
+//! `max_itemset_size` cap, and escalation to exactly 1.0. The window's
+//! item supports, kept as running per-item totals, are checked against
+//! a direct count of the retained units.
+
+use std::collections::BTreeMap;
 
 use car_apriori::CountStrategy;
 use car_core::window::SlidingWindowMiner;
@@ -162,6 +166,28 @@ fn batch_rules(
     mine_sequential(&db, cfg).expect("batch config valid").rules
 }
 
+/// Item-support oracle: each item's count summed over the last `window`
+/// units of `history` in which it is large.
+fn batch_item_supports(
+    history: &[Vec<ItemSet>],
+    window: usize,
+    cfg: &MiningConfig,
+) -> Vec<(u32, u64)> {
+    let start = history.len().saturating_sub(window);
+    let mut totals: BTreeMap<u32, u64> = BTreeMap::new();
+    for unit in &history[start..] {
+        let mut counts: BTreeMap<u32, u64> = BTreeMap::new();
+        for item in unit.iter().flat_map(ItemSet::iter) {
+            *counts.entry(item.id()).or_default() += 1;
+        }
+        let threshold = cfg.min_support.threshold(unit.len());
+        for (item, count) in counts.into_iter().filter(|&(_, c)| c >= threshold) {
+            *totals.entry(item).or_default() += count;
+        }
+    }
+    totals.into_iter().collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -295,6 +321,11 @@ proptest! {
         let mut miner = SlidingWindowMiner::new(cfg, window).unwrap();
         for (day, unit) in units.iter().enumerate() {
             miner.push_unit(unit);
+            prop_assert_eq!(
+                miner.item_supports(),
+                batch_item_supports(&units[..=day], window, &cfg),
+                "item supports on day {}", day
+            );
             if miner.len() < cfg.cycle_bounds.l_max() as usize {
                 prop_assert!(miner.current_rules().is_err(), "day {}", day);
                 continue;
@@ -330,6 +361,11 @@ proptest! {
         let mut miner = SlidingWindowMiner::new(cfg, WINDOW).unwrap();
         for (day, unit) in units.iter().enumerate() {
             miner.push_unit(unit);
+            prop_assert_eq!(
+                miner.item_supports(),
+                batch_item_supports(&units[..=day], WINDOW, &cfg),
+                "item supports on day {}", day
+            );
             if miner.len() < cfg.cycle_bounds.l_max() as usize {
                 continue;
             }

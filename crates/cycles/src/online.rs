@@ -108,16 +108,17 @@ impl OnlineCycles {
     }
 
     /// Records that absolute unit `abs_unit`, at which the itemset held,
-    /// left the window. Evicted misses need no call — they were never
-    /// recorded.
-    pub fn record_evict(&mut self, abs_unit: u64) {
+    /// left the window, and returns the support count it held with.
+    /// Evicted misses need no call — they were never recorded.
+    pub fn record_evict(&mut self, abs_unit: u64) -> Option<u64> {
         let (word, bit) = self.position(abs_unit);
         let rank = self.rank(word, bit);
-        let Some(w) = self.ring.get_mut(word) else { return };
-        if *w & bit != 0 {
-            *w &= !bit;
-            self.counts.remove(rank);
+        let w = self.ring.get_mut(word)?;
+        if *w & bit == 0 {
+            return None;
         }
+        *w &= !bit;
+        Some(self.counts.remove(rank))
     }
 
     /// The number of holds before ring `word` and `bit`: the index into
