@@ -88,11 +88,6 @@ impl OnlineCycles {
         self.counts.is_empty()
     }
 
-    /// The itemset's support summed over its retained holds.
-    pub fn total_count(&self) -> u64 {
-        self.counts.iter().fold(0, |sum, &c| sum.saturating_add(c))
-    }
-
     /// Records that the itemset held, with support `count`, at absolute
     /// unit `abs_unit` (which just entered the window).
     pub fn record_hold(&mut self, abs_unit: u64, count: u64) {
@@ -286,13 +281,16 @@ mod tests {
                 state.record_hold(abs as u64, abs as u64);
             }
             if abs >= window && history[abs - window] {
-                state.record_evict((abs - window) as u64);
+                let evicted = (abs - window) as u64;
+                assert_eq!(state.record_evict(evicted), Some(evicted), "abs {abs}");
             }
             let len = (abs + 1).min(window);
             let retained: Vec<u64> =
                 (abs + 1 - len..=abs).filter(|&u| history[u]).map(|u| u as u64).collect();
-            assert_eq!(state.counts.len(), retained.len(), "holds at abs {abs}");
-            assert_eq!(state.total_count(), retained.iter().sum::<u64>(), "abs {abs}");
+            // Counts sit in ring order, which wraps; compare as multisets.
+            let mut counts = state.counts.clone();
+            counts.sort_unstable();
+            assert_eq!(counts, retained, "holds at abs {abs}");
             if len < bounds.l_max() as usize {
                 continue;
             }
@@ -418,10 +416,10 @@ mod tests {
         assert!(CycleMasks::new(bounds, 3, 0, 3).live_cycles(&state).is_none());
         state.record_hold(7, 5);
         assert!(!state.is_empty());
-        assert_eq!((state.counts.len(), state.total_count()), (1, 5));
-        state.record_evict(7);
+        assert_eq!(state.counts, vec![5]);
+        assert_eq!(state.record_evict(7), Some(5));
         assert!(state.is_empty());
-        assert_eq!(state.total_count(), 0);
+        assert_eq!(state.record_evict(7), None, "a miss has nothing to evict");
     }
 
     /// The support count of `state`'s hold at ring `word` and `bit`, or
@@ -443,7 +441,7 @@ mod tests {
                 state.record_hold(abs, count(abs));
             }
             if abs >= 64 && (abs - 64) % 3 == 0 {
-                state.record_evict(abs - 64);
+                assert_eq!(state.record_evict(abs - 64), Some(count(abs - 64)));
             }
             for retained in abs.saturating_sub(63)..=abs {
                 let (word, bit) = state.position(retained);
