@@ -85,36 +85,14 @@ impl Apriori {
         let mut stats = AprioriStats::default();
         let mut result = FrequentItemsets::new(transactions.len());
         let threshold = self.config.min_support.threshold(transactions.len());
+        if self.config.max_size == Some(0) {
+            return (result, stats);
+        }
 
-        // Level 1: direct item counting through a flat refstore when the
-        // id space is dense (the vocabulary-interned common case); one
-        // cheap pre-pass sizes the store.
-        let mut max_id: u32 = 0;
-        let mut occurrences: usize = 0;
-        for t in transactions {
-            for item in t.iter() {
-                max_id = max_id.max(item.id());
-                occurrences = occurrences.saturating_add(1);
-            }
-        }
-        let mut item_counts = ItemCounter::for_universe(max_id, occurrences);
-        for t in transactions {
-            for item in t.iter() {
-                item_counts.add(item.id(), 1);
-            }
-        }
-        stats.candidates_counted =
-            stats.candidates_counted.saturating_add(item_counts.len() as u64);
+        // Level 1: every item that occurs is a counted candidate.
+        let (counted, mut large) = large_items(transactions, threshold, &mut result);
+        stats.candidates_counted = counted as u64;
         stats.levels = 1;
-        let mut large: Vec<ItemSet> = Vec::new();
-        for id in item_counts.ids_sorted() {
-            let count = item_counts.get(id);
-            if count >= threshold {
-                let s = ItemSet::single(Item::new(id));
-                result.insert(s.clone(), count);
-                large.push(s);
-            }
-        }
 
         // Levels k >= 2.
         let mut k = 1;
@@ -151,6 +129,42 @@ impl Apriori {
         }
         (result, stats)
     }
+}
+
+/// The level-1 scan both [`Apriori`] and [`eclat`](crate::eclat) start
+/// from: direct item counting through a flat refstore when the id space
+/// is dense (the vocabulary-interned common case), after one cheap
+/// pre-pass that sizes the store. Records the large items in `result`
+/// and returns them, sorted, with the number of distinct items counted.
+pub(crate) fn large_items(
+    transactions: &[ItemSet],
+    threshold: u64,
+    result: &mut FrequentItemsets,
+) -> (usize, Vec<ItemSet>) {
+    let mut max_id: u32 = 0;
+    let mut occurrences: usize = 0;
+    for t in transactions {
+        for item in t.iter() {
+            max_id = max_id.max(item.id());
+            occurrences = occurrences.saturating_add(1);
+        }
+    }
+    let mut item_counts = ItemCounter::for_universe(max_id, occurrences);
+    for t in transactions {
+        for item in t.iter() {
+            item_counts.add(item.id(), 1);
+        }
+    }
+    let mut large: Vec<ItemSet> = Vec::new();
+    for id in item_counts.ids_sorted() {
+        let count = item_counts.get(id);
+        if count >= threshold {
+            let s = ItemSet::single(Item::new(id));
+            result.insert(s.clone(), count);
+            large.push(s);
+        }
+    }
+    (item_counts.len(), large)
 }
 
 #[cfg(test)]
@@ -235,6 +249,8 @@ mod tests {
         assert_eq!(f.max_level(), 2);
         assert!(f.contains(&set(&[1, 2])));
         assert!(!f.contains(&set(&[1, 2, 3])));
+        let zero = AprioriConfig::new(MinSupport::count(1)).with_max_size(0);
+        assert!(Apriori::new(zero).mine(&tx).is_empty());
     }
 
     #[test]

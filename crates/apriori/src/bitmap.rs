@@ -239,6 +239,14 @@ impl TidBitmaps {
         TidBitmaps { rows, index, scratch: Vec::new() }
     }
 
+    /// The tid-bitset of `id`: bit `t` is set iff transaction `t`
+    /// contains the item (and is at least the build's `min_len` long).
+    /// `None` for an item that was not among the build's candidates.
+    pub fn row(&self, id: u32) -> Option<&[u64]> {
+        let row = self.index.get(id)?;
+        self.rows.get(row as usize).map(Vec::as_slice)
+    }
+
     /// The support of `candidate`: the number of transactions containing
     /// every item of it. An item with no row (never seen in the build
     /// batch) gives support 0. The empty candidate also counts as 0 —

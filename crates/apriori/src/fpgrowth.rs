@@ -6,7 +6,7 @@
 //! candidate generation, two database passes total.
 //!
 //! It completes the substrate trio (Apriori levels + hash tree, Eclat
-//! tid-lists, FP-Growth pattern growth): three independent mechanisms
+//! tid-bitmaps, FP-Growth pattern growth): three independent mechanisms
 //! that must produce identical frequent itemsets, which the property
 //! tests exploit as a three-way oracle.
 

@@ -17,13 +17,18 @@
 //!   - a **vertical tid-bitmap** kernel ([`CountStrategy::Vertical`]):
 //!     support is a chained `u64` AND + popcount over per-item bitsets
 //!     (see [`bitmap`]), by far the fastest at realistic batch sizes.
-//! * [`Apriori`] — the level-wise driver producing [`FrequentItemsets`].
+//! * [`Apriori`] — the level-wise driver producing [`FrequentItemsets`],
+//!   which the paper's SEQUENTIAL and INTERLEAVED algorithms extend.
+//! * [`eclat`] — depth-first mining over the same tid-bitmaps: each
+//!   extension of a prefix class is one AND plus popcount, with no
+//!   candidate generation. It is the live window's per-unit miner.
 //! * [`generate_rules`] — `ap-genrules` association rule generation with
 //!   confidence-based consequent pruning.
 //! * [`MinSupport`] / [`MinConfidence`] — threshold handling (absolute
 //!   counts or fractions) with explicit empty-database semantics.
-//! * [`naive`] — deliberately simple reference implementations used as
-//!   oracles by tests and as baselines by benchmarks.
+//! * [`naive`] and [`fp_growth`] — a definition-level miner and an
+//!   independent pattern-growth miner, used as oracles by tests and as
+//!   baselines by benchmarks.
 //!
 //! ```
 //! use car_apriori::{Apriori, AprioriConfig, MinSupport};
@@ -45,7 +50,6 @@
 mod apriori;
 pub mod bitmap;
 mod candidate;
-mod closed;
 mod count;
 mod eclat;
 mod fpgrowth;
@@ -59,7 +63,6 @@ mod support;
 pub use apriori::{Apriori, AprioriConfig, AprioriStats};
 pub use bitmap::{count_vertical, ItemMap, TidBitmaps};
 pub use candidate::apriori_gen;
-pub use closed::{closed_itemsets, maximal_itemsets};
 pub use count::{
     count_candidates, count_candidates_detailed, CountEngine, CountOutcome, CountStrategy,
 };

@@ -28,6 +28,9 @@ pub fn frequent_itemsets(
 ) -> FrequentItemsets {
     let threshold = min_support.threshold(transactions.len());
     let mut result = FrequentItemsets::new(transactions.len());
+    if max_size == Some(0) {
+        return result;
+    }
 
     // Universe of items actually present.
     let mut universe: Vec<u32> =
@@ -120,6 +123,7 @@ mod tests {
         let f = frequent_itemsets(&tx, MinSupport::count(1), Some(2));
         assert_eq!(f.max_level(), 2);
         assert_eq!(f.len(), 6);
+        assert!(frequent_itemsets(&tx, MinSupport::count(1), Some(0)).is_empty());
     }
 
     #[test]

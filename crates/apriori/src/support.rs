@@ -34,11 +34,21 @@ impl MinSupport {
 
     /// The absolute count an itemset needs in a database of
     /// `num_transactions` to be large. Always at least 1.
+    ///
+    /// For a fraction `f` this is the smallest `c ≥ 1` with
+    /// `c / num_transactions ≥ f`, compared in `f64`, so an itemset at
+    /// exactly the requested support is large. `ceil(f · n)` alone can
+    /// overshoot: `0.07 · 100` is `7.000000000000001` in floating point,
+    /// which would make 8 the threshold.
     pub fn threshold(self, num_transactions: usize) -> u64 {
         match self {
             MinSupport::Count(c) => c.max(1),
             MinSupport::Fraction(f) => {
-                ((f * num_transactions as f64).ceil() as u64).max(1)
+                // The rounded product is at most one above the answer,
+                // so scan up from one below it; `n` always meets `f`.
+                let n = num_transactions as u64;
+                let from = ((f * n as f64).ceil() as u64).saturating_sub(1).max(1);
+                (from..n).find(|&c| c as f64 / n as f64 >= f).unwrap_or(n.max(1))
             }
         }
     }
@@ -102,6 +112,7 @@ impl fmt::Display for MinConfidence {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn count_threshold_clamps_to_one() {
@@ -119,6 +130,25 @@ mod tests {
         assert_eq!(ms.threshold(0), 1); // nothing large in empty db
         let tiny = MinSupport::fraction(0.0).unwrap();
         assert_eq!(tiny.threshold(100), 1); // still requires presence
+
+        // 0.07 · 100 and 0.14 · 50 overshoot 7 in floating point.
+        assert_eq!(MinSupport::fraction(0.07).unwrap().threshold(100), 7);
+        assert_eq!(MinSupport::fraction(0.14).unwrap().threshold(50), 7);
+        let all = MinSupport::fraction(1.0).unwrap();
+        assert_eq!(all.threshold(7), 7);
+        assert_eq!(all.threshold(0), 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        #[test]
+        fn fraction_of_a_count_thresholds_at_that_count(
+            cn in (1u64..=10_000).prop_flat_map(|n| (1..=n, Just(n))),
+        ) {
+            let (c, n) = cn;
+            let ms = MinSupport::fraction(c as f64 / n as f64).unwrap();
+            prop_assert_eq!(ms.threshold(n as usize), c);
+        }
     }
 
     #[test]

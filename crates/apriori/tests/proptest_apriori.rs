@@ -33,6 +33,32 @@ fn sparse_id(v: u32) -> u32 {
     }
 }
 
+/// Databases of 0–200 transactions, so that they cross the 64- and
+/// 128-transaction words of a tid-bitmap, with ids either dense or
+/// through [`sparse_id`], empty transactions, and an empty database in at
+/// least one case in eight.
+fn arb_wide_transactions() -> impl Strategy<Value = Vec<ItemSet>> {
+    (0u32..8, any::<bool>()).prop_flat_map(|(shape, sparse)| {
+        let max_len = if shape == 0 { 0 } else { 200 };
+        let id = move |v: u32| if sparse { sparse_id(v) } else { v };
+        proptest::collection::vec(
+            proptest::collection::vec((0u32..24).prop_map(id), 0..8)
+                .prop_map(ItemSet::from_ids),
+            0..=max_len,
+        )
+    })
+}
+
+/// Count support, fraction support, and the fractions 0.0 and 1.0.
+fn arb_min_support() -> impl Strategy<Value = MinSupport> {
+    (0u32..6, 1u64..6, 0.0f64..0.2).prop_map(|(kind, count, fraction)| match kind {
+        0..=2 => MinSupport::count(count),
+        3 => MinSupport::fraction(fraction).unwrap(),
+        4 => MinSupport::fraction(0.0).unwrap(),
+        _ => MinSupport::fraction(1.0).unwrap(),
+    })
+}
+
 fn arb_sparse_transactions() -> impl Strategy<Value = Vec<ItemSet>> {
     proptest::collection::vec(
         proptest::collection::vec((0u32..24).prop_map(sparse_id), 0..8)
@@ -91,14 +117,14 @@ proptest! {
 
     #[test]
     fn three_miners_agree(
-        tx in arb_transactions(),
-        threshold in 1u64..6,
-        max_size in proptest::option::of(1usize..5),
+        tx in arb_wide_transactions(),
+        ms in arb_min_support(),
+        max_size in proptest::option::of(0usize..6),
     ) {
-        // Apriori (level-wise), Eclat (tid-lists), and FP-Growth (pattern
-        // growth) are three independent mechanisms; they must produce
-        // identical frequent itemsets with identical counts.
-        let ms = MinSupport::count(threshold);
+        // Apriori (level-wise), Eclat (depth-first over tid-bitmaps), and
+        // FP-Growth (pattern growth) are three independent mechanisms;
+        // they must produce identical frequent itemsets with identical
+        // counts.
         let mut config = AprioriConfig::new(ms);
         if let Some(cap) = max_size {
             config = config.with_max_size(cap);

@@ -52,6 +52,7 @@ pub fn default_config() -> AuditConfig {
             "crates/core/src/incremental.rs",
             "crates/core/src/parallel.rs",
             "crates/apriori/src/bitmap.rs",
+            "crates/apriori/src/eclat.rs",
             "crates/cycles/src/cycleset.rs",
             "crates/cycles/src/detect.rs",
             "crates/itemset/src/refstore.rs",
@@ -66,6 +67,7 @@ pub fn default_config() -> AuditConfig {
             "crates/apriori/src/hash_tree.rs",
             "crates/apriori/src/apriori.rs",
             "crates/apriori/src/bitmap.rs",
+            "crates/apriori/src/eclat.rs",
             "crates/itemset/src/refstore.rs",
             "crates/obs/src",
         ]),

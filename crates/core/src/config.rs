@@ -14,7 +14,10 @@ pub struct MiningConfig {
     pub cycle_bounds: CycleBounds,
     /// Optional cap on mined itemset size.
     pub max_itemset_size: Option<usize>,
-    /// Support counting engine.
+    /// Support counting engine of the level-wise miners (SEQUENTIAL,
+    /// INTERLEAVED, and the parallel, approximate and incremental
+    /// miners). The sliding window ignores it: it mines each unit
+    /// depth-first over tid-bitmaps.
     pub counting: CountStrategy,
 }
 

@@ -11,14 +11,21 @@
 //!
 //! # Online state: itemsets, not rules
 //!
-//! A push runs Apriori on the unit and folds every large itemset into
-//! that itemset's [`OnlineCycles`] ring: the itemset's binary sequence
-//! over the retained units, one bit per unit at position `abs_unit mod
-//! C` with `C ≥ window + 1`, plus its support count at each hold. An
-//! itemset absent from the unit is not visited — its unset bit *is* the
-//! miss. Eviction clears the evicted unit's holds, which is what revives
-//! a cycle an old miss had killed, and an itemset whose ring empties is
+//! A push mines the unit with [`eclat`], depth-first over the unit's
+//! tid-bitmaps, and folds every large itemset into that itemset's
+//! [`OnlineCycles`] ring: the itemset's binary sequence over the
+//! retained units, one bit per unit at position `abs_unit mod C` with
+//! `C ≥ window + 1`, plus its support count at each hold. An itemset
+//! absent from the unit is not visited — its unset bit *is* the miss.
+//! Eviction clears the evicted unit's holds, which is what revives a
+//! cycle an old miss had killed, and an itemset whose ring empties is
 //! dropped. No rule is generated at push time.
+//!
+//! The fold needs every large itemset of the unit with its count, and
+//! nothing else. Apriori's levels exist so that INTERLEAVED can prune
+//! candidates by cycle between them; one unit has no cycles to prune
+//! by, so the push skips candidate generation altogether and ignores
+//! [`MiningConfig::counting`]. It honours `max_itemset_size`.
 //!
 //! # Assembly at a confidence `q`
 //!
@@ -54,7 +61,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use car_apriori::hash::FastHashMap;
-use car_apriori::{apriori_gen, Apriori, AprioriConfig, MinConfidence, Rule};
+use car_apriori::{apriori_gen, eclat, MinConfidence, Rule};
 use car_cycles::{minimal_cycles, CycleMasks, CycleSet, OnlineCycles};
 use car_itemset::ItemSet;
 
@@ -96,7 +103,6 @@ const DEADLINE_CHECK_ITEMSETS: usize = 1024;
 /// ```
 pub struct SlidingWindowMiner {
     config: MiningConfig,
-    apriori: Apriori,
     window: usize,
     /// Per retained unit (oldest first): the itemsets large there, whose
     /// rings hold the unit until it is evicted.
@@ -128,14 +134,8 @@ impl SlidingWindowMiner {
     /// never confirm the longest requested cycles.
     pub fn new(config: MiningConfig, window: usize) -> Result<Self, ConfigError> {
         config.validate_for(window)?;
-        let mut apriori_config =
-            AprioriConfig::new(config.min_support).with_counting(config.counting);
-        if let Some(cap) = config.max_itemset_size {
-            apriori_config = apriori_config.with_max_size(cap);
-        }
         Ok(SlidingWindowMiner {
             config,
-            apriori: Apriori::new(apriori_config),
             window,
             unit_itemsets: VecDeque::with_capacity(window + 1),
             online: FastHashMap::default(),
@@ -202,8 +202,8 @@ impl SlidingWindowMiner {
     pub fn push_unit(&mut self, transactions: &[ItemSet]) -> usize {
         let _span = car_obs::time_span!("window.push_unit");
         let frequent = {
-            let _span = car_obs::time_span!("window.apriori");
-            self.apriori.mine(transactions)
+            let _span = car_obs::time_span!("window.mine");
+            eclat(transactions, self.config.min_support, self.config.max_itemset_size)
         };
         let _fold = car_obs::time_span!("window.fold");
         // Fold this unit's large itemsets into the online cycle state:
@@ -473,6 +473,7 @@ impl SlidingWindowMiner {
 mod tests {
     use super::*;
     use crate::sequential::mine_sequential;
+    use car_apriori::{Apriori, AprioriConfig};
     use car_cycles::BitSeq;
     use car_itemset::{Item, SegmentedDb};
 
@@ -677,6 +678,7 @@ mod tests {
         // detection of the itemset's retained sequence.
         let cfg = wide_config();
         let bounds = cfg.cycle_bounds;
+        let apriori = Apriori::new(AprioriConfig::new(cfg.min_support));
         let mut miner = SlidingWindowMiner::new(cfg, 64).unwrap();
         let history: Vec<Vec<ItemSet>> = (0..150).map(cyclic_unit).collect();
         for (day, unit) in history.iter().enumerate() {
@@ -693,7 +695,7 @@ mod tests {
             assert_eq!(rules, batch.rules, "after day {day}");
             let mut sequences: FastHashMap<ItemSet, BitSeq> = FastHashMap::default();
             for (u, unit) in retained.iter().enumerate() {
-                for (itemset, _) in miner.apriori.mine(unit) {
+                for (itemset, _) in apriori.mine(unit) {
                     sequences
                         .entry(itemset)
                         .or_insert_with(|| BitSeq::zeros(n))
