@@ -49,7 +49,6 @@ pub fn default_config() -> AuditConfig {
             "crates/core/src/window.rs",
             "crates/core/src/interleaved.rs",
             "crates/core/src/sequential.rs",
-            "crates/core/src/incremental.rs",
             "crates/core/src/parallel.rs",
             "crates/apriori/src/bitmap.rs",
             "crates/apriori/src/eclat.rs",

@@ -1,14 +1,14 @@
 //! EXP-9 (extension): incremental maintenance vs batch re-mining.
 //!
 //! Measures the cost of keeping cyclic rules current as one new time
-//! unit arrives: pushing the unit into an `IncrementalMiner` and
-//! re-querying, versus re-mining the whole window from scratch.
+//! unit arrives: pushing the unit into a `SlidingWindowMiner` as long as
+//! the stream and re-querying, versus re-mining the whole window.
 
 #![allow(clippy::field_reassign_with_default)]
 
 use car_bench::{scenario, ScenarioParams};
-use car_core::incremental::IncrementalMiner;
 use car_core::sequential::mine_sequential;
+use car_core::window::SlidingWindowMiner;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn params() -> ScenarioParams {
@@ -32,7 +32,8 @@ fn bench(c: &mut Criterion) {
     group.bench_function("incremental_one_unit", |b| {
         b.iter_batched(
             || {
-                let mut miner = IncrementalMiner::new(s.config);
+                let mut miner =
+                    SlidingWindowMiner::new(s.config, n).expect("window covers l_max");
                 for u in 0..n - 1 {
                     miner.push_unit(s.db.unit(u));
                 }

@@ -6,20 +6,20 @@
 //! future work: a rule has an *approximate* cycle `(l, o)` when it holds
 //! in all but at most `max_misses` of the units `i ≡ o (mod l)`.
 //!
-//! Mining follows the SEQUENTIAL shape (per-unit rule mining, then
-//! sequence analysis) because approximate cycles sacrifice the eager
-//! elimination the INTERLEAVED algorithm depends on: a miss no longer
-//! kills a cycle, it only consumes budget.
+//! Mining runs SEQUENTIAL's phase 1 (per-unit rule mining), then
+//! analyses each rule's sequence, because approximate cycles sacrifice
+//! the eager elimination the INTERLEAVED algorithm depends on: a miss no
+//! longer kills a cycle, it only consumes budget.
 
 use std::time::Instant;
 
-use car_apriori::hash::FastHashMap;
-use car_apriori::{generate_rules, Apriori, AprioriConfig, Rule};
-use car_cycles::{detect_approx_cycles, ApproxCycle, BitSeq};
+use car_apriori::Rule;
+use car_cycles::{detect_approx_cycles, ApproxCycle};
 use car_itemset::SegmentedDb;
 
 use crate::config::{ConfigError, MiningConfig};
 use crate::result::MiningStats;
+use crate::sequential::rule_sequences;
 
 /// A rule together with its approximate cycles.
 #[derive(Clone, Debug, PartialEq)]
@@ -35,7 +35,7 @@ pub struct ApproxCyclicRule {
 pub struct ApproxOutcome {
     /// Rules with at least one approximate cycle.
     pub rules: Vec<ApproxCyclicRule>,
-    /// Work counters (sequential-shaped).
+    /// Work counters, equal to SEQUENTIAL's on the same input.
     pub stats: MiningStats,
 }
 
@@ -65,22 +65,7 @@ pub fn mine_approx(
     };
 
     let phase1_start = Instant::now();
-    let mut sequences: FastHashMap<Rule, BitSeq> = FastHashMap::default();
-    let mut apriori_config =
-        AprioriConfig::new(config.min_support).with_counting(config.counting);
-    if let Some(cap) = config.max_itemset_size {
-        apriori_config = apriori_config.with_max_size(cap);
-    }
-    let apriori = Apriori::new(apriori_config);
-    for (unit, transactions) in db.iter_units() {
-        let (frequent, apriori_stats) = apriori.mine_with_stats(transactions);
-        stats.support_computations += apriori_stats.candidates_counted;
-        let rules = generate_rules(&frequent, config.min_confidence);
-        stats.rules_checked += rules.len() as u64;
-        for r in rules {
-            sequences.entry(r.rule).or_insert_with(|| BitSeq::zeros(n)).set(unit, true);
-        }
-    }
+    let sequences = rule_sequences(db, config, 0..n, &mut stats);
     stats.phase1 = phase1_start.elapsed();
 
     let phase2_start = Instant::now();

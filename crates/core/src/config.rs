@@ -15,9 +15,9 @@ pub struct MiningConfig {
     /// Optional cap on mined itemset size.
     pub max_itemset_size: Option<usize>,
     /// Support counting engine of the level-wise miners (SEQUENTIAL,
-    /// INTERLEAVED, and the parallel, approximate and incremental
-    /// miners). The sliding window ignores it: it mines each unit
-    /// depth-first over tid-bitmaps.
+    /// INTERLEAVED, and the parallel and approximate miners). The
+    /// sliding window ignores it: it mines each unit depth-first over
+    /// tid-bitmaps.
     pub counting: CountStrategy,
 }
 

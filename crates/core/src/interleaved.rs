@@ -212,6 +212,10 @@ fn find_cyclic_itemsets(
     units: &[CycleSet],
     stats: &mut MiningStats,
 ) -> Vec<CandidateState> {
+    // A zero cap admits no itemset, so nothing is counted, as in Apriori.
+    if config.max_itemset_size == Some(0) {
+        return Vec::new();
+    }
     let n = db.num_units();
     let bounds = config.cycle_bounds;
     let mut all_survivors: Vec<CandidateState> = Vec::new();
@@ -636,5 +640,14 @@ mod tests {
             .iter()
             .all(|r| r.rule.antecedent.len() + r.rule.consequent.len() <= 2));
         assert_eq!(outcome.rules, mine_sequential(&db, &cfg).unwrap().rules);
+
+        // A zero cap admits no itemset: no work, as in SEQUENTIAL.
+        cfg.max_itemset_size = Some(0);
+        let outcome = mine_interleaved(&db, &cfg, InterleavedOptions::all()).unwrap();
+        let sequential = mine_sequential(&db, &cfg).unwrap();
+        assert!(outcome.rules.is_empty());
+        for stats in [&outcome.stats, &sequential.stats] {
+            assert_eq!((stats.support_computations, stats.cyclic_itemsets), (0, 0));
+        }
     }
 }

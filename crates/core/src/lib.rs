@@ -42,9 +42,10 @@
 //!
 //! * [`approx`] — approximate cycles with a bounded number of misses
 //!   (sketched as future work in the paper).
-//! * [`parallel`] *(feature `parallel`, default on)* — the SEQUENTIAL
-//!   algorithm fanned out over worker threads, one chunk of time units
-//!   each.
+//! * [`parallel`] — the SEQUENTIAL algorithm fanned out over worker
+//!   threads, one chunk of time units each.
+//! * [`window`] — the most recent time units, each mined once as it
+//!   arrives, with online cycle state; what the serving daemon runs.
 //!
 //! ## Quick start
 //!
@@ -83,11 +84,8 @@
 pub mod analyze;
 pub mod approx;
 mod config;
-pub mod constraints;
-pub mod incremental;
 pub mod interleaved;
 mod miner;
-#[cfg(feature = "parallel")]
 pub mod parallel;
 pub mod report;
 mod result;
@@ -96,7 +94,6 @@ pub mod window;
 
 pub use analyze::{analyze_rule, RuleTimeline};
 pub use config::{ConfigBuilder, ConfigError, MiningConfig};
-pub use constraints::RuleConstraints;
 pub use interleaved::InterleavedOptions;
 pub use miner::{Algorithm, CyclicRuleMiner};
 pub use report::{MiningReport, RankedRule};

@@ -1,22 +1,23 @@
-//! Parallel SEQUENTIAL mining (feature `parallel`).
+//! Parallel SEQUENTIAL mining.
 //!
 //! The SEQUENTIAL algorithm's phase 1 mines every time unit
 //! independently, which parallelises embarrassingly: the units are split
-//! into contiguous chunks, each worker thread mines its chunk with the
-//! ordinary per-unit Apriori + rule generation, and the per-rule binary
-//! sequences are merged afterwards. Phase 2 (cycle detection) is cheap
-//! and stays single-threaded. Results are bit-for-bit identical to
+//! into contiguous chunks, each worker thread runs SEQUENTIAL's phase 1
+//! on its chunk, and the per-rule binary sequences are merged
+//! afterwards. Phase 2 (cycle detection) is cheap and stays
+//! single-threaded. Rules and work counters are identical to
 //! [`mine_sequential`](crate::sequential::mine_sequential).
 
 use std::time::Instant;
 
 use car_apriori::hash::FastHashMap;
-use car_apriori::{generate_rules, Apriori, AprioriConfig, Rule};
-use car_cycles::{detect_cycles_with, minimal_cycles, BitSeq, CycleSet};
+use car_apriori::Rule;
+use car_cycles::BitSeq;
 use car_itemset::SegmentedDb;
 
 use crate::config::{ConfigError, MiningConfig};
-use crate::result::{CyclicRule, MiningOutcome, MiningStats};
+use crate::result::{MiningOutcome, MiningStats};
+use crate::sequential::{cyclic_rules, rule_sequences};
 
 /// Mines cyclic association rules with the SEQUENTIAL algorithm using
 /// `num_threads` worker threads for the per-unit phase.
@@ -48,67 +49,40 @@ pub fn mine_sequential_parallel(
     };
 
     let phase1_start = Instant::now();
-    let mut apriori_config =
-        AprioriConfig::new(config.min_support).with_counting(config.counting);
-    if let Some(cap) = config.max_itemset_size {
-        apriori_config = apriori_config.with_max_size(cap);
-    }
-
     // Contiguous unit ranges, one per worker.
     let chunk = n.div_ceil(threads);
-    type UnitRules = Vec<(usize, Vec<Rule>)>;
-    let per_chunk: Vec<(UnitRules, u64, u64)> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in 0..threads {
-            let lo = w * chunk;
-            let hi = ((w + 1) * chunk).min(n);
-            if lo >= hi {
-                continue;
-            }
-            let apriori = Apriori::new(apriori_config);
-            let min_confidence = config.min_confidence;
-            handles.push(scope.spawn(move || {
-                let mut out: UnitRules = Vec::with_capacity(hi - lo);
-                let mut support_computations = 0u64;
-                let mut rules_checked = 0u64;
-                for unit in lo..hi {
-                    let (frequent, apriori_stats) =
-                        apriori.mine_with_stats(db.unit(unit));
-                    support_computations += apriori_stats.candidates_counted;
-                    let rules = generate_rules(&frequent, min_confidence);
-                    rules_checked += rules.len() as u64;
-                    out.push((unit, rules.into_iter().map(|r| r.rule).collect()));
-                }
-                (out, support_computations, rules_checked)
-            }));
-        }
+    let per_chunk = std::thread::scope(|scope| {
+        let handles = (0..threads)
+            .map(|w| w * chunk..((w + 1) * chunk).min(n))
+            .filter(|units| !units.is_empty())
+            .map(|units| {
+                scope.spawn(move || {
+                    let mut work = MiningStats::default();
+                    (rule_sequences(db, config, units, &mut work), work)
+                })
+            })
+            .collect();
         join_all(handles)
     });
 
     let mut sequences: FastHashMap<Rule, BitSeq> = FastHashMap::default();
-    for (unit_rules, support_computations, rules_checked) in per_chunk {
-        stats.support_computations += support_computations;
-        stats.candidates_generated += support_computations;
-        stats.rules_checked += rules_checked;
-        for (unit, rules) in unit_rules {
-            for rule in rules {
-                sequences.entry(rule).or_insert_with(|| BitSeq::zeros(n)).set(unit, true);
+    for (chunk_sequences, work) in per_chunk {
+        // The four counters SEQUENTIAL's phase 1 adds to.
+        stats.support_computations += work.support_computations;
+        stats.candidates_generated += work.candidates_generated;
+        stats.bitmap_builds += work.bitmap_builds;
+        stats.rules_checked += work.rules_checked;
+        for (rule, seq) in chunk_sequences {
+            let merged = sequences.entry(rule).or_insert_with(|| BitSeq::zeros(n));
+            for unit in seq.iter_ones() {
+                merged.set(unit, true);
             }
         }
     }
     stats.phase1 = phase1_start.elapsed();
 
     let phase2_start = Instant::now();
-    let mut rules: Vec<CyclicRule> = Vec::new();
-    let units = CycleSet::of_units(config.cycle_bounds, n);
-    for (rule, seq) in sequences {
-        let set = detect_cycles_with(&seq, config.cycle_bounds, &units);
-        if set.is_empty() {
-            continue;
-        }
-        rules.push(CyclicRule { rule, cycles: minimal_cycles(&set) });
-    }
-    rules.sort();
+    let rules = cyclic_rules(sequences, config, n);
     stats.phase2 = phase2_start.elapsed();
 
     Ok(MiningOutcome { rules, stats })
@@ -146,8 +120,10 @@ fn join_all<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T> {
 mod tests {
     use super::*;
     use crate::sequential::mine_sequential;
+    use car_apriori::CountStrategy;
     use car_itemset::ItemSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     fn set(ids: &[u32]) -> ItemSet {
         ItemSet::from_ids(ids.iter().copied())
@@ -178,19 +154,28 @@ mod tests {
             .unwrap()
     }
 
+    /// `stats` without its wall-clock times.
+    fn work(stats: MiningStats) -> MiningStats {
+        MiningStats { phase1: Duration::ZERO, phase2: Duration::ZERO, ..stats }
+    }
+
     #[test]
     fn parallel_matches_serial() {
         let db = db(18);
-        let cfg = config();
-        let serial = mine_sequential(&db, &cfg).unwrap();
-        for threads in [1usize, 2, 3, 7, 0] {
-            let parallel = mine_sequential_parallel(&db, &cfg, threads).unwrap();
-            assert_eq!(serial.rules, parallel.rules, "threads={threads}");
-            assert_eq!(
-                serial.stats.support_computations,
-                parallel.stats.support_computations
-            );
-            assert_eq!(serial.stats.rules_checked, parallel.stats.rules_checked);
+        for counting in [
+            CountStrategy::Auto,
+            CountStrategy::HashMap,
+            CountStrategy::HashTree,
+            CountStrategy::Vertical,
+        ] {
+            let cfg = MiningConfig { counting, ..config() };
+            let serial = mine_sequential(&db, &cfg).unwrap();
+            for threads in [1usize, 2, 3, 7, 0] {
+                let parallel = mine_sequential_parallel(&db, &cfg, threads).unwrap();
+                let case = format!("{counting:?} threads={threads}");
+                assert_eq!(serial.rules, parallel.rules, "{case}");
+                assert_eq!(work(serial.stats.clone()), work(parallel.stats), "{case}");
+            }
         }
     }
 

@@ -17,7 +17,13 @@
 //! shows — wasteful, because it mines every unit at full strength even
 //! for itemsets that can no longer be cyclic. INTERLEAVED exploits
 //! exactly that slack.
+//!
+//! Each phase is written once, here: the [`parallel`](crate::parallel)
+//! miner runs phase 1 on each worker's units and phase 2 on the merged
+//! sequences, and the [`approx`](crate::approx) miner runs phase 1 and
+//! then its own miss-tolerant detection.
 
+use std::ops::Range;
 use std::time::Instant;
 
 use car_apriori::hash::FastHashMap;
@@ -46,46 +52,15 @@ pub fn mine_sequential(
         ..Default::default()
     };
 
-    // Phase 1: mine every unit independently and record, per rule, the
-    // units in which it held.
     let phase1_start = Instant::now();
     let phase1_span = car_obs::time_span!("mine.seq.unit_mining");
-    let mut sequences: FastHashMap<Rule, BitSeq> = FastHashMap::default();
-    let mut apriori_config =
-        AprioriConfig::new(config.min_support).with_counting(config.counting);
-    if let Some(cap) = config.max_itemset_size {
-        apriori_config = apriori_config.with_max_size(cap);
-    }
-    let apriori = Apriori::new(apriori_config);
-
-    for (unit, transactions) in db.iter_units() {
-        let (frequent, apriori_stats) = apriori.mine_with_stats(transactions);
-        stats.support_computations += apriori_stats.candidates_counted;
-        stats.candidates_generated += apriori_stats.candidates_counted;
-        stats.bitmap_builds += apriori_stats.bitmap_builds;
-        let rules = generate_rules(&frequent, config.min_confidence);
-        stats.rules_checked += rules.len() as u64;
-        for r in rules {
-            sequences.entry(r.rule).or_insert_with(|| BitSeq::zeros(n)).set(unit, true);
-        }
-    }
+    let sequences = rule_sequences(db, config, 0..n, &mut stats);
     drop(phase1_span);
     stats.phase1 = phase1_start.elapsed();
 
-    // Phase 2: detect cycles per rule sequence.
     let phase2_start = Instant::now();
     let phase2_span = car_obs::time_span!("mine.seq.cycle_detect");
-    let mut rules: Vec<CyclicRule> = Vec::new();
-    let units = CycleSet::of_units(config.cycle_bounds, n);
-    for (rule, seq) in sequences {
-        let set = detect_cycles_with(&seq, config.cycle_bounds, &units);
-        if set.is_empty() {
-            continue;
-        }
-        let cycles = minimal_cycles(&set);
-        rules.push(CyclicRule { rule, cycles });
-    }
-    rules.sort();
+    let rules = cyclic_rules(sequences, config, n);
     drop(phase2_span);
     stats.phase2 = phase2_start.elapsed();
 
@@ -111,6 +86,57 @@ pub fn mine_sequential(
     );
 
     Ok(MiningOutcome { rules, stats })
+}
+
+/// Phase 1 over `units` of `db`: mines each unit with Apriori, generates
+/// the rules that hold there, and sets the unit's bit in each rule's
+/// binary sequence over all of `db`'s units. Adds the work to `stats`.
+/// The parallel miner runs it once per worker, on disjoint ranges.
+pub(crate) fn rule_sequences(
+    db: &SegmentedDb,
+    config: &MiningConfig,
+    units: Range<usize>,
+    stats: &mut MiningStats,
+) -> FastHashMap<Rule, BitSeq> {
+    let n = db.num_units();
+    let mut apriori_config =
+        AprioriConfig::new(config.min_support).with_counting(config.counting);
+    if let Some(cap) = config.max_itemset_size {
+        apriori_config = apriori_config.with_max_size(cap);
+    }
+    let apriori = Apriori::new(apriori_config);
+    let mut sequences: FastHashMap<Rule, BitSeq> = FastHashMap::default();
+    for unit in units {
+        let (frequent, apriori_stats) = apriori.mine_with_stats(db.unit(unit));
+        stats.support_computations += apriori_stats.candidates_counted;
+        stats.candidates_generated += apriori_stats.candidates_counted;
+        stats.bitmap_builds += apriori_stats.bitmap_builds;
+        let rules = generate_rules(&frequent, config.min_confidence);
+        stats.rules_checked += rules.len() as u64;
+        for r in rules {
+            sequences.entry(r.rule).or_insert_with(|| BitSeq::zeros(n)).set(unit, true);
+        }
+    }
+    sequences
+}
+
+/// Phase 2: the rules whose sequence over `n` units has a cycle, each
+/// with its minimal cycles, sorted.
+pub(crate) fn cyclic_rules(
+    sequences: FastHashMap<Rule, BitSeq>,
+    config: &MiningConfig,
+    n: usize,
+) -> Vec<CyclicRule> {
+    let units = CycleSet::of_units(config.cycle_bounds, n);
+    let mut rules: Vec<CyclicRule> = sequences
+        .into_iter()
+        .filter_map(|(rule, seq)| {
+            let set = detect_cycles_with(&seq, config.cycle_bounds, &units);
+            (!set.is_empty()).then(|| CyclicRule { rule, cycles: minimal_cycles(&set) })
+        })
+        .collect();
+    rules.sort();
+    rules
 }
 
 #[cfg(test)]

@@ -1,13 +1,12 @@
 //! Sliding-window cyclic rule mining.
 //!
-//! [`IncrementalMiner`](crate::incremental::IncrementalMiner) grows its
-//! window forever, which is right for bounded histories but wrong for
-//! long-running streams where only the recent past matters (cyclic
-//! behaviour itself drifts: last year's weekly pattern may be gone).
 //! [`SlidingWindowMiner`] keeps the most recent `window` time units:
 //! each arriving unit is mined once, units older than the window are
 //! evicted, and queries see a database of exactly the retained units,
-//! re-indexed so the oldest retained unit is unit 0.
+//! re-indexed so the oldest retained unit is unit 0. Long-running
+//! streams want a bounded window, because cyclic behaviour itself
+//! drifts (last year's weekly pattern may be gone); a history of known
+//! length gets a window that long, which never evicts.
 //!
 //! # Online state: itemsets, not rules
 //!

@@ -1,7 +1,8 @@
 //! The central correctness property of the reproduction: SEQUENTIAL and
 //! INTERLEAVED (under every ablation combination), plus the parallel
 //! variant, produce identical cyclic rules with identical minimal cycles
-//! on arbitrary segmented databases.
+//! on arbitrary segmented databases. The parallel variant also does
+//! exactly SEQUENTIAL's work.
 
 use car_core::{
     interleaved::mine_interleaved, sequential::mine_sequential, CountStrategy,
@@ -167,10 +168,29 @@ proptest! {
     }
 }
 
-#[cfg(feature = "parallel")]
 mod parallel_equivalence {
     use super::*;
     use car_core::parallel::mine_sequential_parallel;
+    use car_core::MiningStats;
+    use std::time::Duration;
+
+    /// Every engine, so that `Vertical` batches occur: the test units are
+    /// too small for `Auto` to pick it.
+    fn arb_counting() -> impl Strategy<Value = CountStrategy> {
+        (0usize..4).prop_map(|i| {
+            [
+                CountStrategy::Auto,
+                CountStrategy::HashMap,
+                CountStrategy::HashTree,
+                CountStrategy::Vertical,
+            ][i]
+        })
+    }
+
+    /// `stats` without its wall-clock times.
+    fn work(stats: MiningStats) -> MiningStats {
+        MiningStats { phase1: Duration::ZERO, phase2: Duration::ZERO, ..stats }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -180,11 +200,13 @@ mod parallel_equivalence {
             db in arb_db(),
             seed_config in arb_config(4),
             threads in 1usize..5,
+            counting in arb_counting(),
         ) {
-            let cfg = seed_config;
+            let cfg = MiningConfig { counting, ..seed_config };
             let serial = mine_sequential(&db, &cfg).unwrap();
             let parallel = mine_sequential_parallel(&db, &cfg, threads).unwrap();
             prop_assert_eq!(serial.rules, parallel.rules);
+            prop_assert_eq!(work(serial.stats), work(parallel.stats), "{:?}", counting);
         }
     }
 }

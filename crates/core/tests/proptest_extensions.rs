@@ -1,17 +1,11 @@
-//! Property tests for the extension features: incremental mining,
-//! constraint filtering, approximate cycles, and rule-timeline analysis
-//! — all pinned to the batch miners as oracles.
+//! Property tests for the extension features: approximate cycles and
+//! rule-timeline analysis — both pinned to the batch miners as oracles.
+
+use std::time::Duration;
 
 use car_core::analyze::analyze_rule;
 use car_core::approx::mine_approx;
-use car_core::constraints::{
-    filter_outcome, mine_interleaved_constrained, RuleConstraints,
-};
-use car_core::incremental::IncrementalMiner;
-use car_core::{
-    interleaved::mine_interleaved, sequential::mine_sequential, InterleavedOptions,
-    MiningConfig,
-};
+use car_core::{sequential::mine_sequential, CountStrategy, MiningConfig, MiningStats};
 use car_itemset::{ItemSet, SegmentedDb};
 use proptest::prelude::*;
 
@@ -40,67 +34,40 @@ fn arb_config(max_l: u32) -> impl Strategy<Value = MiningConfig> {
     )
 }
 
-fn arb_item_subset() -> impl Strategy<Value = ItemSet> {
-    proptest::collection::btree_set(0u32..6, 1..4).prop_map(ItemSet::from_ids)
+/// Every engine, so that `Vertical` batches occur: the test units are
+/// too small for `Auto` to pick it.
+fn arb_counting() -> impl Strategy<Value = CountStrategy> {
+    (0usize..4).prop_map(|i| {
+        [
+            CountStrategy::Auto,
+            CountStrategy::HashMap,
+            CountStrategy::HashTree,
+            CountStrategy::Vertical,
+        ][i]
+    })
+}
+
+/// `stats` without its wall-clock times.
+fn work(stats: MiningStats) -> MiningStats {
+    MiningStats { phase1: Duration::ZERO, phase2: Duration::ZERO, ..stats }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn incremental_matches_batch(db in arb_db(), cfg in arb_config(4)) {
-        let mut miner = IncrementalMiner::new(cfg);
-        miner.push_db(&db);
-        let incremental = miner.current_rules().expect("window covers l_max");
-        let batch = mine_sequential(&db, &cfg).unwrap();
-        prop_assert_eq!(incremental, batch.rules);
-    }
-
-    #[test]
-    fn constrained_mining_equals_post_filter(
+    fn approx_zero_budget_rule_set_equals_exact(
         db in arb_db(),
         cfg in arb_config(4),
-        within in proptest::option::of(arb_item_subset()),
-        contains in proptest::option::of(arb_item_subset()),
+        counting in arb_counting(),
     ) {
-        let mut constraints = RuleConstraints::any();
-        if let Some(w) = within {
-            constraints = constraints.with_consequent_within(w);
-        }
-        if let Some(c) = contains {
-            constraints = constraints.with_itemset_contains(c);
-        }
-        let full = mine_interleaved(&db, &cfg, InterleavedOptions::all()).unwrap();
-        let constrained = mine_interleaved_constrained(
-            &db, &cfg, InterleavedOptions::all(), &constraints,
-        )
-        .unwrap();
-        prop_assert_eq!(constrained.rules, filter_outcome(&full, &constraints));
-    }
-
-    #[test]
-    fn itemset_viability_never_rejects_an_accepted_rule(
-        db in arb_db(),
-        cfg in arb_config(4),
-        within in arb_item_subset(),
-    ) {
-        let constraints = RuleConstraints::any().with_antecedent_within(within);
-        let full = mine_interleaved(&db, &cfg, InterleavedOptions::all()).unwrap();
-        for rule in filter_outcome(&full, &constraints) {
-            prop_assert!(
-                constraints.itemset_viable(&rule.rule.itemset()),
-                "viability rejected accepted rule {}", rule.rule
-            );
-        }
-    }
-
-    #[test]
-    fn approx_zero_budget_rule_set_equals_exact(db in arb_db(), cfg in arb_config(4)) {
+        let cfg = MiningConfig { counting, ..cfg };
         let exact = mine_sequential(&db, &cfg).unwrap();
         let approx = mine_approx(&db, &cfg, 0).unwrap();
         let exact_rules: Vec<_> = exact.rules.iter().map(|r| r.rule.clone()).collect();
         let approx_rules: Vec<_> = approx.rules.iter().map(|r| r.rule.clone()).collect();
         prop_assert_eq!(exact_rules, approx_rules);
+        prop_assert_eq!(work(exact.stats), work(approx.stats), "{:?}", counting);
     }
 
     #[test]

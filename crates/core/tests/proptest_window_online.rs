@@ -220,39 +220,31 @@ proptest! {
     }
 
     #[test]
-    fn vertical_window_matches_the_pre_kernel_oracle_at_every_push(
+    fn window_matches_sequential_under_every_counting_engine(
         units in arb_units(),
         window_config in arb_window_config(),
     ) {
-        // The vertical tid-bitmap kernel must be invisible to the window
-        // path: a miner forced onto `Vertical` and a pre-kernel oracle
-        // forced onto `HashMap` must publish identical rule views after
-        // every single push.
+        // The window mines each unit depth-first and ignores `counting`;
+        // SEQUENTIAL over the retained units must give the same rules
+        // after every push under each level-wise counting engine.
         let (window, config) = window_config;
-        let mut vertical_cfg = config;
-        vertical_cfg.counting = CountStrategy::Vertical;
-        let mut oracle_cfg = config;
-        oracle_cfg.counting = CountStrategy::HashMap;
-        let mut vertical = SlidingWindowMiner::new(vertical_cfg, window).unwrap();
-        let mut oracle = SlidingWindowMiner::new(oracle_cfg, window).unwrap();
+        let mut miner = SlidingWindowMiner::new(config, window).unwrap();
         for (day, unit) in units.iter().enumerate() {
-            vertical.push_unit(unit);
-            oracle.push_unit(unit);
-            if vertical.len() < config.cycle_bounds.l_max() as usize {
-                prop_assert!(vertical.current_rules().is_err(), "day {}", day);
+            miner.push_unit(unit);
+            if miner.len() < config.cycle_bounds.l_max() as usize {
+                prop_assert!(miner.current_rules().is_err(), "day {}", day);
                 continue;
             }
-            prop_assert_eq!(
-                &*vertical.current_rules().unwrap(),
-                &*oracle.current_rules().unwrap(),
-                "vertical vs hashmap oracle, day {}", day
-            );
-            // And both agree with batch-mining the retained window.
-            let batch = batch_rules(&units[..=day], window, &oracle_cfg);
-            prop_assert_eq!(
-                &*vertical.current_rules().unwrap(), &batch,
-                "vertical vs batch, day {}", day
-            );
+            for counting in
+                [CountStrategy::HashMap, CountStrategy::HashTree, CountStrategy::Vertical]
+            {
+                let cfg = MiningConfig { counting, ..config };
+                prop_assert_eq!(
+                    &*miner.current_rules().unwrap(),
+                    &batch_rules(&units[..=day], window, &cfg),
+                    "{:?}, day {}", counting, day
+                );
+            }
         }
     }
 
