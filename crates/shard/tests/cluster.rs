@@ -451,6 +451,68 @@ fn router_rejects_empty_worker_list_and_bad_bodies() {
     }
 }
 
+/// A client deadline that is already spent: every query leg times out
+/// before it is sent, the router answers `504` with every shard
+/// degraded, and no breaker counts the lost legs against its worker.
+#[test]
+fn spent_client_deadline_times_out_every_leg_without_tripping_breakers() {
+    let units = pure_units(3, 8);
+    let (workers, router) = spawn_cluster(3);
+    let mut rc = Client::connect(&router.addr.to_string()).unwrap();
+    let resp =
+        rc.request("POST", "/v1/units?wait=true", Some(&batch_body(&units))).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_text());
+
+    let spent = [("x-car-deadline-ms", "0".to_string())];
+    let mut rules_trace = None;
+    for target in ["/v1/rules", "/v1/items"] {
+        let resp = rc.try_request("GET", target, &spent, None).unwrap();
+        assert_eq!(resp.status, 504, "{target}: {}", resp.body_text());
+        let doc = Json::parse(&resp.body_text()).unwrap();
+        assert_eq!(doc.get("error").and_then(Json::as_str), Some("deadline_exceeded"));
+        assert_eq!(resp.header("x-car-shards-degraded"), Some("3"), "{target}");
+        if target == "/v1/rules" {
+            rules_trace = resp.header("x-car-trace-id").map(str::to_string);
+        }
+    }
+
+    // A spent budget says nothing about the workers' health.
+    let health = rc.request("GET", "/v1/health", None).unwrap();
+    let doc = Json::parse(&health.body_text()).unwrap();
+    let breakers = doc.get("breakers").and_then(Json::as_array).unwrap();
+    assert_eq!(breakers.len(), 3);
+    for breaker in breakers {
+        assert_eq!(breaker.get("state").and_then(Json::as_str), Some("closed"));
+        assert_eq!(breaker.get("opens").and_then(Json::as_u64), Some(0));
+    }
+    let resp = rc.request("GET", "/v1/rules", None).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_text());
+
+    // The 504 is an errored trace, so it is always retained: one timed
+    // out leg per shard.
+    let rules_trace = rules_trace.expect("the 504 carries its trace id");
+    let tree = rc
+        .request("GET", &format!("/v1/debug/traces?trace_id={rules_trace}"), None)
+        .unwrap();
+    assert_eq!(tree.status, 200, "{}", tree.body_text());
+    let doc = Json::parse(&tree.body_text()).unwrap();
+    let spans = doc.get("spans").and_then(Json::as_array).unwrap();
+    let outcomes: Vec<Option<&str>> = spans
+        .iter()
+        .filter(|s| s.get("name").and_then(Json::as_str) == Some("router.leg.rules"))
+        .map(|s| s.get("attrs").and_then(|a| a.get("outcome")).and_then(Json::as_str))
+        .collect();
+    assert_eq!(outcomes, [Some("timed_out"); 3], "{}", tree.body_text());
+
+    let resp = rc.request("POST", "/v1/shutdown", None).unwrap();
+    assert_eq!(resp.status, 200);
+    router.wait();
+    for w in workers {
+        w.trigger_shutdown();
+        w.wait();
+    }
+}
+
 /// End-to-end distributed tracing: a client-chosen trace id (picked so
 /// the deterministic 1-in-N sampler retains it) flows through the
 /// router, fans out to both workers, and comes back as one assembled
