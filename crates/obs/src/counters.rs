@@ -209,7 +209,8 @@ pub static SHARD: ShardCounters = ShardCounters {
 };
 
 impl ShardCounters {
-    /// Counts one per-shard leg of a query fan-out.
+    /// Counts per-shard legs of a query (rules or items) fan-out that
+    /// reached their deadline check; ingest legs are not counted.
     pub fn add_fanout_legs(&self, n: u64) {
         self.fanout_legs.fetch_add(n, Ordering::Relaxed);
     }
@@ -242,7 +243,8 @@ impl ShardCounters {
         self.units_routed.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Counts merged rule responses served with `partial=true`.
+    /// Counts router answers (ingest, rules or items) served with
+    /// `partial=true`.
     pub fn add_partial_response(&self) {
         self.partial_responses.fetch_add(1, Ordering::Relaxed);
     }
@@ -283,7 +285,7 @@ pub struct ShardCounterSnapshot {
     pub catchup_units: u64,
     /// Units routed (split and forwarded) by the router.
     pub units_routed: u64,
-    /// Merged responses served with `partial=true`.
+    /// Router answers served with `partial=true`.
     pub partial_responses: u64,
     /// Fan-out legs lost to an exhausted deadline budget.
     pub deadline_exceeded: u64,

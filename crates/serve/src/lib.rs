@@ -71,5 +71,5 @@ pub use client::{
 pub use error::ServeError;
 pub use persist::wal::FsyncPolicy;
 pub use persist::PersistConfig;
-pub use server::{serve, FinalStats, ServerConfig, ServerHandle};
+pub use server::{accept_loop, serve, FinalStats, ServerConfig, ServerHandle, Service};
 pub use state::ShardIdentity;

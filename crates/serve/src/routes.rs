@@ -455,7 +455,16 @@ pub fn rule_to_json(
     ]))
 }
 
-fn parse_u32_param(req: &Request, name: &str) -> Result<Option<u32>, Response> {
+/// Parses the optional `u32` query parameter `name`; a malformed value
+/// is the `400` answer.
+///
+/// Public so the `car shard` router checks `length` and `offset` as a
+/// worker does.
+///
+/// # Errors
+///
+/// The `400` response naming the parameter and its raw value.
+pub fn parse_u32_param(req: &Request, name: &str) -> Result<Option<u32>, Response> {
     match req.query_param(name) {
         None => Ok(None),
         Some(raw) => raw.parse::<u32>().map(Some).map_err(|_| {

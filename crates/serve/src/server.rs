@@ -8,6 +8,10 @@
 //! [`ServerHandle::trigger_shutdown`]) stops accepting, lets in-flight
 //! requests drain (the pool join), drains the ingest queue into the
 //! miner, and returns final statistics.
+//!
+//! The loop is generic over a [`Service`], so the `car shard` router is
+//! served by the same code, with the same head deadline and admission
+//! gate, as a worker.
 
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -17,9 +21,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use car_core::MiningConfig;
+use car_obs::trace::FinishedTrace;
 
-use crate::http::{self, RequestLimits, Response, DEFAULT_MAX_BODY_BYTES};
-use crate::metrics::Route;
+use crate::http::{self, Request, RequestLimits, Response, DEFAULT_MAX_BODY_BYTES};
+use crate::metrics::{Metrics, Route};
 use crate::routes;
 use crate::state::{spawn_ingest_worker, AppState};
 use crate::sync::{log_warn, RwLockExt};
@@ -179,20 +184,10 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServeError> {
     let pool = crate::pool::ThreadPool::new(config.threads, "car-worker")
         .map_err(ServeError::Io)?;
     let accept_state = Arc::clone(&state);
-    let policy = Arc::new(ConnPolicy {
-        io_timeout: config.io_timeout,
-        limits: RequestLimits {
-            max_head_bytes: http::MAX_HEAD_BYTES,
-            max_body_bytes: config.max_body_bytes,
-            header_timeout: config.header_timeout,
-        },
-        max_inflight: config.max_inflight,
-        inflight: AtomicUsize::new(0),
-    });
-    let handle_signals = config.handle_signals;
+    let accept_config = config.clone();
     let spawn_result =
         std::thread::Builder::new().name("car-accept".into()).spawn(move || {
-            accept_loop(&listener, &accept_state, pool, &policy, handle_signals);
+            accept_loop(&listener, &accept_state, pool, &accept_config);
         });
     let accept_thread = match spawn_result {
         Ok(handle) => handle,
@@ -219,6 +214,71 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServeError> {
         ingest_thread,
         started: Instant::now(),
     })
+}
+
+/// A daemon served by [`accept_loop`]: a worker ([`AppState`]) or the
+/// `car shard` router.
+pub trait Service: Send + Sync + 'static {
+    /// The name of the trace root span each request opens.
+    const ROOT_SPAN: &'static str;
+
+    /// The request counters and latency histograms.
+    fn metrics(&self) -> &Metrics;
+
+    /// Whether shutdown has begun: the accept loop stops and keep-alive
+    /// connections are told to close.
+    fn is_shutting_down(&self) -> bool;
+
+    /// Begins shutdown (idempotent).
+    fn begin_shutdown(&self);
+
+    /// Answers one request, returning its route (for metrics).
+    fn handle(service: &Arc<Self>, request: &Request) -> (Route, Response);
+
+    /// Disposes of a request's finished trace and returns the response
+    /// to write.
+    fn finish_trace(&self, trace: FinishedTrace, response: Response) -> Response;
+
+    /// A flat-profile span timing each whole request, its write
+    /// included; `None` keeps requests out of the flat profile.
+    fn request_span(&self) -> Option<car_obs::SpanGuard> {
+        None
+    }
+}
+
+impl Service for AppState {
+    const ROOT_SPAN: &'static str = "serve.request";
+
+    fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    fn is_shutting_down(&self) -> bool {
+        AppState::is_shutting_down(self)
+    }
+
+    fn begin_shutdown(&self) {
+        AppState::begin_shutdown(self);
+    }
+
+    fn handle(state: &Arc<AppState>, request: &Request) -> (Route, Response) {
+        routes::handle(state, request)
+    }
+
+    /// A worker ships its spans back to the caller (the shard router
+    /// stamps fan-out legs) and into its own span ring.
+    fn finish_trace(&self, trace: FinishedTrace, response: Response) -> Response {
+        let spans = car_obs::trace::encode_spans(&trace.spans);
+        car_obs::trace::publish_spans(&trace.spans);
+        response.with_header(car_obs::trace::SPANS_HEADER, spans)
+    }
+
+    /// Taken before the trace arms, so it stays flat-only: the trace's
+    /// root span already covers the request, and a duplicate
+    /// `serve.request` child would be noise in every tree.
+    fn request_span(&self) -> Option<car_obs::SpanGuard> {
+        Some(car_obs::time_span!("serve.request"))
+    }
 }
 
 /// Per-connection serving policy, shared by the accept loop and every
@@ -298,18 +358,34 @@ fn shed_connection(mut stream: TcpStream) {
     }
 }
 
-fn accept_loop(
+/// Serves `service` on `listener` until it shuts down (or, with
+/// [`ServerConfig::handle_signals`], until SIGINT/SIGTERM): each
+/// connection runs on `pool` under `config`'s socket timeout, request
+/// limits, head deadline and admission gate. Returns once in-flight
+/// connections have drained.
+pub fn accept_loop<S: Service>(
     listener: &TcpListener,
-    state: &Arc<AppState>,
+    service: &Arc<S>,
     pool: crate::pool::ThreadPool,
-    policy: &Arc<ConnPolicy>,
-    handle_signals: bool,
+    config: &ServerConfig,
 ) {
+    let policy = Arc::new(ConnPolicy {
+        io_timeout: config.io_timeout,
+        limits: RequestLimits {
+            max_head_bytes: http::MAX_HEAD_BYTES,
+            max_body_bytes: config.max_body_bytes,
+            header_timeout: config.header_timeout,
+        },
+        max_inflight: config.max_inflight,
+        inflight: AtomicUsize::new(0),
+    });
     loop {
-        if state.is_shutting_down() || (handle_signals && crate::shutdown::signalled()) {
+        if service.is_shutting_down()
+            || (config.handle_signals && crate::shutdown::signalled())
+        {
             // A signal may arrive without anything having closed the
             // ingest queue yet.
-            state.begin_shutdown();
+            service.begin_shutdown();
             break;
         }
         match listener.accept() {
@@ -318,13 +394,13 @@ fn accept_loop(
                     shed_connection(stream);
                     continue;
                 }
-                let state = Arc::clone(state);
-                let policy = Arc::clone(policy);
+                let service = Arc::clone(service);
+                let policy = Arc::clone(&policy);
                 pool.execute(move || {
                     // Guard, not a trailing call: the slot must free
                     // even if a handler panics mid-connection.
                     let _slot = InflightSlot(&policy);
-                    serve_connection(stream, &state, &policy);
+                    serve_connection(stream, &service, &policy);
                 });
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -343,7 +419,11 @@ fn accept_loop(
 }
 
 /// Serves one connection until close, error, limit, or shutdown.
-fn serve_connection(stream: TcpStream, state: &Arc<AppState>, policy: &ConnPolicy) {
+fn serve_connection<S: Service>(
+    stream: TcpStream,
+    service: &Arc<S>,
+    policy: &ConnPolicy,
+) {
     if stream.set_read_timeout(Some(policy.io_timeout)).is_err()
         || stream.set_write_timeout(Some(policy.io_timeout)).is_err()
         || stream.set_nodelay(true).is_err()
@@ -355,6 +435,7 @@ fn serve_connection(stream: TcpStream, state: &Arc<AppState>, policy: &ConnPolic
     };
     let mut reader = BufReader::new(stream);
     let mut writer = BufWriter::new(write_half);
+    let metrics = service.metrics();
 
     for _ in 0..MAX_REQUESTS_PER_CONNECTION {
         let started = Instant::now();
@@ -362,7 +443,7 @@ fn serve_connection(stream: TcpStream, state: &Arc<AppState>, policy: &ConnPolic
             Ok(request) => request,
             Err(http::ParseError::ConnectionClosed) => return,
             Err(e) => {
-                state.metrics.record_parse_error();
+                metrics.record_parse_error();
                 if matches!(e, http::ParseError::HeadTimeout) {
                     car_obs::counters::RESILIENCE.add_header_timeout();
                 }
@@ -378,7 +459,7 @@ fn serve_connection(stream: TcpStream, state: &Arc<AppState>, policy: &ConnPolic
                 // timeout is excluded — no request bytes ever arrived,
                 // so there is no request to count.
                 if !matches!(e, http::ParseError::Timeout) {
-                    state.metrics.record_request(Route::Other, status, started.elapsed());
+                    metrics.record_request(Route::Other, status, started.elapsed());
                     car_obs::debug!(
                         "serve",
                         [id = car_obs::next_request_id(), status = status],
@@ -389,43 +470,37 @@ fn serve_connection(stream: TcpStream, state: &Arc<AppState>, policy: &ConnPolic
             }
         };
         let request_id = car_obs::next_request_id();
-        // The flat-profile span is created *before* the trace arms so it
-        // stays flat-only: the trace's root span already covers the
-        // request, and a duplicate "serve.request" child would be noise
-        // in every tree.
-        let request_span = car_obs::time_span!("serve.request");
+        let request_span = service.request_span();
         // Adopt the caller's trace context (the shard router stamps
-        // fan-out legs) or mint a fresh trace; hostile or malformed
-        // headers fall back to a fresh trace, never an error.
+        // fan-out legs; a client may propagate its own trace through the
+        // router) or mint a fresh trace; hostile or malformed headers
+        // fall back to a fresh trace, never an error.
         let ctx = car_obs::trace::TraceContext::from_headers(
             request.header(car_obs::trace::TRACE_ID_HEADER),
             request.header(car_obs::trace::PARENT_SPAN_HEADER),
         );
-        let trace = car_obs::trace::begin_request(ctx, "serve.request");
+        let trace = car_obs::trace::begin_request(ctx, S::ROOT_SPAN);
         let trace_hex = trace.trace_id().map_or_else(String::new, |id| id.to_hex());
-        let (route, mut response) = routes::handle(state, &request);
+        let (route, mut response) = S::handle(service, &request);
         // Handler children are closed now, so these land on the root.
         car_obs::trace::annotate("route", route.label());
         car_obs::trace::annotate("status", &response.status.to_string());
-        // Finish before writing: the response must carry the spans, so
-        // the root cannot cover its own serialization.
+        // Finish before writing: the response must carry the trace id
+        // (and a worker's spans), so the root cannot cover its own
+        // serialization.
         if let Some(finished) = trace.finish() {
             response = response
-                .with_header(car_obs::trace::TRACE_ID_HEADER, finished.trace_id.to_hex())
-                .with_header(
-                    car_obs::trace::SPANS_HEADER,
-                    car_obs::trace::encode_spans(&finished.spans),
-                );
-            car_obs::trace::publish_spans(&finished.spans);
+                .with_header(car_obs::trace::TRACE_ID_HEADER, finished.trace_id.to_hex());
+            response = service.finish_trace(finished, response);
         }
         // During shutdown, tell keep-alive clients to go away.
-        if request.wants_close() || state.is_shutting_down() {
+        if request.wants_close() || service.is_shutting_down() {
             response.close = true;
         }
         let close = response.close;
         let write_result = response.write_to(&mut writer);
         drop(request_span);
-        state.metrics.record_request(route, response.status, started.elapsed());
+        metrics.record_request(route, response.status, started.elapsed());
         car_obs::debug!(
             "serve",
             [

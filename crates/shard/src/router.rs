@@ -29,6 +29,25 @@
 //!   the same trace as Chrome `trace_event` JSON (load it in
 //!   `chrome://tracing` or Perfetto).
 //!
+//! ## One fan-out path
+//!
+//! Ingest, rules and items all reach the workers through one leg runner
+//! (`RouterState::fan_out`): one scoped thread per worker locks it,
+//! skips it unless it is `Up`, checks the remaining budget, sends with
+//! the deadline and trace headers, classifies the reply and feeds the
+//! breaker. Each route brings only its request (an ingest sub-batch, a
+//! rebuilt query target) and its reply parser. Rules and items also
+//! share one query answer: the budget, the fold of legs into views,
+//! epochs and degraded shards, the `409`/`503`/`504` answers and the
+//! response envelope; each keeps only its parameter checks, parser,
+//! merge and payload rendering.
+//!
+//! Connections are served by car-serve's own connection loop
+//! ([`car_serve::accept_loop`]), with `car serve`'s default 5 s
+//! request-head deadline (a client dribbling its head is answered
+//! `408`, so it cannot pin a router thread) and its 128-connection
+//! admission gate (`503` with `Retry-After` beyond it).
+//!
 //! ## Distributed tracing
 //!
 //! Every router request begins (or adopts, via `X-Car-Trace-Id` /
@@ -65,47 +84,54 @@
 //!
 //! ## Deadlines
 //!
-//! Every `/v1/rules` request gets a budget: the smaller of the router's
-//! configured `request_budget` and the client's `X-Car-Deadline-Ms`
-//! header. Each fan-out leg forwards the *remaining* budget as
-//! `X-Car-Deadline-Ms`, and workers abort an escalated assembly when
-//! it expires (answering `504 deadline_exceeded`), so one slow shard
-//! cannot pin the whole merge past the deadline.
+//! Every `/v1/rules` and `/v1/items` request gets a budget: the smaller
+//! of the router's configured `request_budget` and the client's
+//! `X-Car-Deadline-Ms` header. Each fan-out leg forwards the
+//! *remaining* budget as `X-Car-Deadline-Ms`, and workers abort an
+//! escalated assembly when it expires (answering `504
+//! deadline_exceeded`), so one slow shard cannot pin the whole merge
+//! past the deadline. A leg lost to the budget never counts against
+//! its worker's breaker. When every live leg is lost, the router
+//! answers `504 deadline_exceeded` itself and counts it in
+//! `car_deadline_exceeded_total`. Ingest legs carry no deadline.
 //!
 //! ## Lock order
 //!
 //! `ingest` (the routing/replay state) is acquired before any
-//! `workers[i]` mutex; a thread never holds two worker mutexes. The
-//! rules fan-out takes worker mutexes only. `/v1/health` and `/metrics`
+//! `workers[i]` mutex; a thread never holds two worker mutexes (each
+//! fan-out leg locks only its own worker). The query fan-outs take
+//! worker mutexes only. `/v1/health` and `/metrics`
 //! never take the ingest lock at all — they read lock-free gauge
 //! mirrors — so external monitors stay responsive while a fan-out or a
 //! catch-up replay holds `ingest` through slow network I/O.
 
 use std::collections::VecDeque;
-use std::io::{BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use car_itemset::ItemSet;
-use car_obs::counters::SHARD;
-use car_obs::trace::{self, SpanRecord, SpanUid, TraceId, TraceStore, TraceStorePolicy};
+use car_obs::counters::{RESILIENCE, SHARD};
+use car_obs::trace::{
+    self, FinishedTrace, SpanRecord, SpanUid, TraceId, TraceStore, TraceStorePolicy,
+};
 use car_serve::http::{self, Response, DEFAULT_MAX_BODY_BYTES};
 use car_serve::json::{object, Json};
 use car_serve::metrics::{Metrics, Route};
+use car_serve::routes::{parse_u32_param, rule_to_json};
 use car_serve::sync::{log_warn, LockExt};
-use car_serve::{RetryPolicy, RetryingClient};
+use car_serve::{ClientResponse, RetryPolicy, RetryingClient, ServerConfig, Service};
 
 use crate::breaker::{Breaker, BreakerConfig, BreakerState};
+use crate::merge::{
+    merge_item_supports, merge_rule_views, parse_items_body, parse_rules_body,
+};
 use crate::ring::{PartitionKey, ShardRing};
 
-/// How often the accept loop re-checks the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
-
-/// Requests served per connection before forcing a close.
-const MAX_REQUESTS_PER_CONNECTION: usize = 10_000;
+/// How often the prober re-checks the shutdown flag while it sleeps.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(25);
 
 /// Router startup/runtime errors.
 #[derive(Debug)]
@@ -257,6 +283,107 @@ impl Worker {
         }
         self.breaker.record_success()
     }
+
+    /// Runs one fan-out leg against this worker (see
+    /// [`RouterState::fan_out`]) and returns it with its spans: the ones
+    /// the worker sent back, then the leg span.
+    fn run_leg<I, V>(
+        &mut self,
+        span_name: &'static str,
+        deadline: Option<Instant>,
+        leg_ctx: Option<LegTraceContext>,
+        input: I,
+        request: impl Fn(&mut RetryingClient, I, &[(&str, String)]) -> Option<ClientResponse>,
+        reply: impl Fn(&ClientResponse) -> Result<V, String>,
+    ) -> (Leg<V>, Vec<SpanRecord>) {
+        let leg_uid = trace::mint_span_uid();
+        let start_us = trace::wall_now_us();
+        let started = Instant::now();
+        let breaker = self.breaker.state().label();
+        let mut spans = Vec::new();
+        let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+        let leg = if self.state() != WorkerState::Up {
+            Leg::Skipped
+        } else if remaining.is_some_and(|r| r.is_zero()) {
+            Leg::TimedOut
+        } else {
+            // Forward the remaining budget so the worker can abort an
+            // escalated assembly instead of pinning the merge past the
+            // deadline — and the trace context, so the worker's spans
+            // nest under this leg.
+            let mut headers = Vec::new();
+            if let Some(remaining) = remaining {
+                let ms = u64::try_from(remaining.as_millis()).unwrap_or(u64::MAX);
+                headers.push(("X-Car-Deadline-Ms", ms.to_string()));
+            }
+            if let Some(ctx) = leg_ctx {
+                headers.extend(ctx.headers(leg_uid));
+            }
+            let response = request(&mut self.client, input, &headers);
+            if let Some(ctx) = leg_ctx {
+                spans = ctx.worker_spans(response.as_ref());
+            }
+            self.classify(response, deadline, reply)
+        };
+        if let Some(ctx) = leg_ctx {
+            let mut attrs = vec![
+                ("shard".into(), self.shard_id.to_string()),
+                ("breaker".into(), breaker.to_string()),
+                ("outcome".into(), leg.outcome().into()),
+            ];
+            if let Leg::Ok(_, Some(epoch)) = &leg {
+                attrs.push(("epoch".into(), epoch.to_string()));
+            }
+            spans.push(ctx.leg_span(leg_uid, span_name, start_us, started, attrs));
+        }
+        (leg, spans)
+    }
+
+    /// Classifies a fan-out leg's reply, parsing a 2xx body with `reply`,
+    /// and feeds the breaker. A warming window, rejected query
+    /// parameters and a spent budget say nothing about the worker's
+    /// health, so they leave the breaker alone.
+    fn classify<V>(
+        &mut self,
+        response: Option<ClientResponse>,
+        deadline: Option<Instant>,
+        reply: impl Fn(&ClientResponse) -> Result<V, String>,
+    ) -> Leg<V> {
+        match response {
+            Some(resp) if resp.status == 200 || resp.status == 202 => {
+                match reply(&resp) {
+                    Ok(value) => {
+                        self.record_success();
+                        let epoch = resp
+                            .header("x-car-epoch")
+                            .and_then(|v| v.parse::<u64>().ok());
+                        Leg::Ok(value, epoch)
+                    }
+                    Err(msg) => {
+                        car_obs::warn!(
+                            "shard",
+                            [shard = self.shard_id],
+                            "unusable reply: {msg}"
+                        );
+                        self.record_failure();
+                        Leg::Failed
+                    }
+                }
+            }
+            Some(resp) if resp.status == 409 => Leg::Warming,
+            Some(resp) if resp.status == 400 => {
+                Leg::BadRequest(Response::json_bytes(400, resp.body))
+            }
+            Some(resp) if resp.status == 504 => Leg::TimedOut,
+            // The attempt was cut short by the budget, not necessarily by
+            // a sick worker.
+            None if deadline.is_some_and(|d| Instant::now() >= d) => Leg::TimedOut,
+            _ => {
+                self.record_failure();
+                Leg::Failed
+            }
+        }
+    }
 }
 
 /// One worker's admission + breaker view, read under its mutex.
@@ -332,56 +459,39 @@ pub struct RouterState {
     shutdown: AtomicBool,
 }
 
-/// Outcome of routing one ingest batch.
-struct RouteOutcome {
-    applied: bool,
-    units_routed: u64,
-    /// Per worker, in shard order: post-send state plus whether this
-    /// batch's send to it succeeded. The `ok` flag — not the state —
-    /// decides degradation, so the very first failed send is already a
-    /// `partial` response even while the breaker is still counting
-    /// failures toward its threshold.
-    shards: Vec<(u32, WorkerState, bool)>,
-}
-
-impl RouteOutcome {
-    fn degraded(&self) -> Vec<u32> {
-        self.shards.iter().filter(|(_, _, ok)| !ok).map(|(id, _, _)| *id).collect()
-    }
-
-    fn states(&self) -> Vec<(u32, WorkerState)> {
-        self.shards.iter().map(|&(id, s, _)| (id, s)).collect()
-    }
-}
-
-/// One fan-out leg's disposition.
-enum Leg {
-    Ok {
-        view: crate::merge::ShardView,
-        /// The worker's `x-car-epoch` (units applied when the body was
-        /// rendered), used to surface cross-shard skew.
-        epoch: Option<u64>,
-    },
-    Skipped(u32),
-    Failed(u32),
+/// One fan-out leg's disposition; `V` is what the worker's 2xx reply
+/// parsed into.
+enum Leg<V> {
+    /// The worker answered, with its `x-car-epoch` (units applied when a
+    /// query body was rendered; ingest replies carry none), used to
+    /// surface cross-shard skew.
+    Ok(V, Option<u64>),
+    /// The worker was not `Up`.
+    Skipped,
+    Failed,
     /// The leg's share of the deadline budget ran out (locally, or the
     /// worker answered `504 deadline_exceeded`). Not breaker evidence:
     /// a client-chosen tiny budget must not open breakers on healthy
     /// workers.
-    TimedOut(u32),
+    TimedOut,
+    /// The worker's window holds fewer than `l_max` units.
     Warming,
+    /// The worker rejected the query parameters. Its body is already a
+    /// JSON error document, forwarded untouched rather than re-wrapped.
     BadRequest(Response),
 }
 
-/// The leg's trace-attribute outcome label.
-fn leg_outcome(leg: &Leg) -> &'static str {
-    match leg {
-        Leg::Ok { .. } => "ok",
-        Leg::Skipped(_) => "skipped",
-        Leg::Failed(_) => "failed",
-        Leg::TimedOut(_) => "timed_out",
-        Leg::Warming => "warming",
-        Leg::BadRequest(_) => "bad_request",
+impl<V> Leg<V> {
+    /// The leg span's `outcome` attribute.
+    fn outcome(&self) -> &'static str {
+        match self {
+            Leg::Ok(..) => "ok",
+            Leg::Skipped => "skipped",
+            Leg::Failed => "failed",
+            Leg::TimedOut => "timed_out",
+            Leg::Warming => "warming",
+            Leg::BadRequest(_) => "bad_request",
+        }
     }
 }
 
@@ -459,15 +569,6 @@ fn units_to_body(units: &[Vec<ItemSet>]) -> Vec<u8> {
 }
 
 impl RouterState {
-    fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// Begins shutdown (idempotent).
-    pub fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-    }
-
     /// The router's tail-retained trace store (tests and embedders).
     pub fn traces(&self) -> &TraceStore {
         &self.traces
@@ -492,7 +593,13 @@ impl RouterState {
 
     /// Routes a batch of full units: records them for replay, then
     /// sends each live worker its aligned sub-batch in parallel.
-    fn route_units(&self, units: Vec<Vec<ItemSet>>, wait: bool) -> RouteOutcome {
+    /// Returns the units routed so far and each worker's ingest leg,
+    /// which carries whether the worker applied the batch.
+    fn route_units(
+        &self,
+        units: Vec<Vec<ItemSet>>,
+        wait: bool,
+    ) -> (u64, Vec<(u32, WorkerState, Leg<bool>)>) {
         let n = units.len();
         let count = self.ring.count() as usize;
         let mut ingest = self.ingest.lock_or_recover();
@@ -520,117 +627,76 @@ impl RouterState {
         self.replay_depth_gauge.store(ingest.replay.len() as u64, Ordering::Relaxed);
 
         let target = if wait { "/v1/units?wait=true" } else { "/v1/units" };
+        // The ingest lock stays held across the sends, so a catch-up
+        // replay cannot interleave with this batch.
+        let legs = self.fan_out(
+            "router.leg.ingest",
+            None,
+            splits,
+            |client, sub_batch, headers| {
+                let body = units_to_body(&sub_batch);
+                client.request_with("POST", target, headers, Some(&body), None)
+            },
+            |resp| {
+                batch_fully_accepted(&resp.body, n)
+                    .ok_or_else(|| format!("the worker did not accept all {n} units"))
+            },
+        );
+        (units_routed, legs)
+    }
+
+    /// The router's one fan-out path: runs a leg per worker on scoped
+    /// threads and returns, in shard order, each worker's shard id, its
+    /// state after the leg, and the leg. A leg locks its worker and
+    /// skips it unless it is `Up`, gives up once `deadline` has passed,
+    /// and otherwise sends through `request` (with the remaining budget
+    /// and the trace context as headers); [`Worker::classify`] reads the
+    /// answer with `reply`. Each leg's span, and the spans its worker
+    /// returned, are recorded on the calling thread.
+    fn fan_out<I: Send, V: Send>(
+        &self,
+        span_name: &'static str,
+        deadline: Option<Instant>,
+        inputs: impl IntoIterator<Item = I>,
+        request: impl Fn(&mut RetryingClient, I, &[(&str, String)]) -> Option<ClientResponse>
+            + Sync,
+        reply: impl Fn(&ClientResponse) -> Result<V, String> + Sync,
+    ) -> Vec<(u32, WorkerState, Leg<V>)> {
         let leg_ctx = LegTraceContext::capture();
-        // (shard_id, post-send state, send ok, batch applied, leg spans)
-        type Send = (u32, WorkerState, bool, bool, Vec<SpanRecord>);
-        let sends: Vec<Send> = std::thread::scope(|scope| {
+        let (request, reply) = (&request, &reply);
+        let legs: Vec<_> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .workers
                 .iter()
-                .zip(splits)
-                .map(|(worker, sub_batch)| {
+                .zip(inputs)
+                .map(|(worker, input)| {
                     scope.spawn(move || {
                         let mut w = worker.lock_or_recover();
-                        let leg_uid = trace::mint_span_uid();
-                        let start_us = trace::wall_now_us();
-                        let started = Instant::now();
-                        let breaker = w.breaker.state().label();
-                        if w.state() != WorkerState::Up {
-                            let spans = leg_ctx.map_or_else(Vec::new, |ctx| {
-                                vec![ctx.leg_span(
-                                    leg_uid,
-                                    "router.leg.ingest",
-                                    start_us,
-                                    started,
-                                    vec![
-                                        ("shard".into(), w.shard_id.to_string()),
-                                        ("breaker".into(), breaker.into()),
-                                        ("outcome".into(), "skipped".into()),
-                                    ],
-                                )]
-                            });
-                            return (w.shard_id, w.state(), false, false, spans);
-                        }
-                        let body = units_to_body(&sub_batch);
-                        let headers = leg_ctx
-                            .map(|ctx| ctx.headers(leg_uid).to_vec())
-                            .unwrap_or_default();
-                        let response = w.client.request_with(
-                            "POST",
-                            target,
-                            &headers,
-                            Some(&body),
-                            None,
-                        );
-                        let (ok, applied) = match &response {
-                            Some(resp) if resp.status == 200 || resp.status == 202 => {
-                                match batch_fully_accepted(&resp.body, n) {
-                                    Some(applied) => {
-                                        w.record_success();
-                                        (true, applied)
-                                    }
-                                    None => {
-                                        w.record_failure();
-                                        (false, false)
-                                    }
-                                }
-                            }
-                            _ => {
-                                w.record_failure();
-                                (false, false)
-                            }
-                        };
-                        let spans = leg_ctx.map_or_else(Vec::new, |ctx| {
-                            let mut spans = ctx.worker_spans(response.as_ref());
-                            spans.push(ctx.leg_span(
-                                leg_uid,
-                                "router.leg.ingest",
-                                start_us,
-                                started,
-                                vec![
-                                    ("shard".into(), w.shard_id.to_string()),
-                                    ("breaker".into(), breaker.into()),
-                                    (
-                                        "outcome".into(),
-                                        if ok { "ok" } else { "failed" }.into(),
-                                    ),
-                                ],
-                            ));
-                            spans
-                        });
-                        (w.shard_id, w.state(), ok, applied, spans)
+                        let (leg, spans) = w
+                            .run_leg(span_name, deadline, leg_ctx, input, request, reply);
+                        (w.shard_id, w.state(), leg, spans)
                     })
                 })
                 .collect();
             handles
                 .into_iter()
                 .enumerate()
-                .map(|(shard_id, h)| match h.join() {
-                    Ok(send) => send,
-                    Err(_) => {
-                        log_warn("shard send thread panicked");
-                        (shard_id as u32, WorkerState::Down, false, false, Vec::new())
-                    }
+                .map(|(shard_id, h)| {
+                    h.join().unwrap_or_else(|_| {
+                        log_warn("shard fan-out thread panicked");
+                        (shard_id as u32, WorkerState::Down, Leg::Failed, Vec::new())
+                    })
                 })
                 .collect()
         });
-        drop(ingest);
-        // Back on the request thread: fold every leg's spans (its own
-        // timing plus the worker spans it brought home) into the trace.
-        for (_, _, _, _, spans) in &sends {
-            for span in spans {
-                trace::record_span(span.clone());
-            }
-        }
-
-        let applied = wait
-            && sends.iter().any(|(_, _, ok, _, _)| *ok)
-            && sends.iter().all(|(_, _, ok, applied, _)| !ok || *applied);
-        RouteOutcome {
-            applied,
-            units_routed,
-            shards: sends.iter().map(|(id, s, ok, _, _)| (*id, *s, *ok)).collect(),
-        }
+        legs.into_iter()
+            .map(|(shard_id, state, leg, spans)| {
+                for span in spans {
+                    trace::record_span(span);
+                }
+                (shard_id, state, leg)
+            })
+            .collect()
     }
 
     /// Attempts to re-admit worker `i`: waits out the breaker cooldown,
@@ -749,22 +815,48 @@ fn batch_fully_accepted(body: &[u8], expected: usize) -> Option<bool> {
 // Request handlers
 // ---------------------------------------------------------------------------
 
-/// Dispatches one router request.
-pub fn handle(state: &Arc<RouterState>, req: &http::Request) -> (Route, Response) {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/v1/units") => (Route::IngestUnits, ingest(state, req)),
-        ("GET", "/v1/rules") => (Route::Rules, rules(state, req)),
-        ("GET", "/v1/items") => (Route::Items, items(state, req)),
-        ("GET", "/v1/health") => (Route::Health, health(state)),
-        ("GET", "/metrics") => (Route::Metrics, metrics(state)),
-        ("POST", "/v1/shutdown") => (Route::Shutdown, shutdown(state)),
-        ("GET", "/v1/debug/traces") => (Route::DebugTraces, debug_traces(state, req)),
-        (
-            _,
-            "/v1/units" | "/v1/rules" | "/v1/items" | "/v1/health" | "/metrics"
-            | "/v1/shutdown" | "/v1/debug/traces",
-        ) => (Route::Other, Response::error(405, "method not allowed")),
-        _ => (Route::Other, Response::error(404, "no such endpoint")),
+impl Service for RouterState {
+    const ROOT_SPAN: &'static str = "router.request";
+
+    fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    fn is_shutting_down(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+    }
+
+    fn handle(state: &Arc<RouterState>, req: &http::Request) -> (Route, Response) {
+        match (req.method.as_str(), req.path.as_str()) {
+            ("POST", "/v1/units") => (Route::IngestUnits, ingest(state, req)),
+            ("GET", "/v1/rules") => (Route::Rules, rules(state, req)),
+            ("GET", "/v1/items") => (Route::Items, items(state, req)),
+            ("GET", "/v1/health") => (Route::Health, health(state)),
+            ("GET", "/metrics") => (Route::Metrics, metrics(state)),
+            ("POST", "/v1/shutdown") => (Route::Shutdown, shutdown(state)),
+            ("GET", "/v1/debug/traces") => (Route::DebugTraces, debug_traces(state, req)),
+            (
+                _,
+                "/v1/units" | "/v1/rules" | "/v1/items" | "/v1/health" | "/metrics"
+                | "/v1/shutdown" | "/v1/debug/traces",
+            ) => (Route::Other, Response::error(405, "method not allowed")),
+            _ => (Route::Other, Response::error(404, "no such endpoint")),
+        }
+    }
+
+    /// The router assembles the tree (its legs plus the worker spans
+    /// they brought home) and offers it for tail retention; errored
+    /// traces are always kept.
+    fn finish_trace(&self, finished: FinishedTrace, response: Response) -> Response {
+        let errored = response.status >= 500;
+        let assembled =
+            trace::assemble(finished.trace_id, finished.root_uid, finished.spans);
+        self.traces.offer(assembled, errored);
+        response
     }
 }
 
@@ -810,15 +902,27 @@ fn ingest(state: &Arc<RouterState>, req: &http::Request) -> Response {
     // and replaying the same units twice. With every worker down this is
     // a 202 with applied=false and partial=true; replay catches the
     // workers up on re-admission.
-    let outcome = state.route_units(units, wait);
-    let degraded = outcome.degraded();
-    let status = if wait && outcome.applied { 200 } else { 202 };
+    let (units_routed, legs) = state.route_units(units, wait);
+    // The failed send, not the worker's state, decides degradation: the
+    // very first failed send is already a `partial` response even while
+    // the breaker is still counting failures toward its threshold.
+    let degraded: Vec<u32> = legs
+        .iter()
+        .filter(|(_, _, leg)| !matches!(leg, Leg::Ok(..)))
+        .map(|&(id, ..)| id)
+        .collect();
+    let applied = wait
+        && degraded.len() < legs.len()
+        && !legs.iter().any(|(_, _, leg)| matches!(leg, Leg::Ok(false, _)));
+    let states: Vec<(u32, WorkerState)> =
+        legs.iter().map(|&(id, s, _)| (id, s)).collect();
+    let status = if applied { 200 } else { 202 };
     let body = object([
         ("accepted", Json::from(n)),
-        ("applied", Json::from(outcome.applied)),
+        ("applied", Json::from(applied)),
         ("partial", Json::from(!degraded.is_empty())),
-        ("units_routed", Json::from(outcome.units_routed)),
-        ("shards", shard_state_json(&outcome.states())),
+        ("units_routed", Json::from(units_routed)),
+        ("shards", shard_state_json(&states)),
     ]);
     degrade(Response::json(status, &body), &degraded)
 }
@@ -853,15 +957,6 @@ fn worker_rules_target(
     target
 }
 
-fn parse_u32_param(req: &http::Request, name: &str) -> Result<Option<u32>, Response> {
-    match req.query_param(name) {
-        None => Ok(None),
-        Some(raw) => raw.parse::<u32>().map(Some).map_err(|_| {
-            Response::error(400, &format!("invalid {name} `{raw}` (need a u32)"))
-        }),
-    }
-}
-
 fn rules(state: &Arc<RouterState>, req: &http::Request) -> Response {
     let length = match parse_u32_param(req, "length") {
         Ok(v) => v,
@@ -888,6 +983,59 @@ fn rules(state: &Arc<RouterState>, req: &http::Request) -> Response {
         },
     };
     let target = worker_rules_target(length, offset, min_confidence);
+    query(
+        state,
+        req,
+        "router.leg.rules",
+        &target,
+        |text| parse_rules_body(text).map(|v| (v.units_retained, v.window, v.rules)),
+        "rules",
+        |views| {
+            let merged = merge_rule_views(views);
+            merged.iter().filter_map(|r| rule_to_json(r, length, offset)).collect()
+        },
+    )
+}
+
+/// Fans `GET /v1/items` out to all live workers and merges the
+/// per-item support totals with a plain sum — each transaction is
+/// owned by exactly one shard, so no support is counted twice.
+fn items(state: &Arc<RouterState>, req: &http::Request) -> Response {
+    query(
+        state,
+        req,
+        "router.leg.items",
+        "/v1/items",
+        |text| parse_items_body(text).map(|v| (v.units_retained, v.window, v.items)),
+        "items",
+        |views| {
+            let merged = merge_item_supports(views);
+            merged
+                .iter()
+                .map(|(id, support)| {
+                    object([("id", Json::from(*id)), ("support", Json::from(*support))])
+                })
+                .collect()
+        },
+    )
+}
+
+/// Answers a query route from every live worker. It fans `target` out
+/// under the request's deadline budget, with `parse` turning each
+/// worker's body into its `units_retained`, `window` and payload. Then
+/// it folds the legs into views, epochs and degraded shards, answers
+/// `409`, `503` or `504` when no view can be served, and otherwise
+/// renders the envelope with the payloads `merge` combines under `key`.
+/// Down or deadline-blown shards are excluded and surface as `partial`.
+fn query<P: Send>(
+    state: &RouterState,
+    req: &http::Request,
+    span_name: &'static str,
+    target: &str,
+    parse: impl Fn(&str) -> Result<(u64, u64, P), String> + Sync,
+    key: &str,
+    merge: impl FnOnce(Vec<P>) -> Vec<Json>,
+) -> Response {
     // The request's deadline budget: the router's configured bound,
     // shrunk by the client's own deadline when one is propagated in.
     let budget = req
@@ -896,175 +1044,53 @@ fn rules(state: &Arc<RouterState>, req: &http::Request) -> Response {
         .map(Duration::from_millis)
         .map_or(state.config.request_budget, |d| d.min(state.config.request_budget));
     let deadline = Instant::now() + budget;
-
-    let leg_ctx = LegTraceContext::capture();
-    let legs: Vec<Leg> = std::thread::scope(|scope| {
-        let handles: Vec<_> = state
-            .workers
-            .iter()
-            .map(|worker| {
-                let target = target.as_str();
-                scope.spawn(move || {
-                    let mut w = worker.lock_or_recover();
-                    let leg_uid = trace::mint_span_uid();
-                    let start_us = trace::wall_now_us();
-                    let started = Instant::now();
-                    let breaker = w.breaker.state().label();
-                    let mut worker_spans = Vec::new();
-                    let mut epoch_attr = None;
-                    let leg = (|w: &mut Worker| {
-                        if w.state() != WorkerState::Up {
-                            return Leg::Skipped(w.shard_id);
-                        }
-                        let remaining =
-                            deadline.saturating_duration_since(Instant::now());
-                        if remaining.is_zero() {
-                            SHARD.add_fanout_failures(1);
-                            SHARD.add_deadline_exceeded();
-                            return Leg::TimedOut(w.shard_id);
-                        }
-                        // Forward the remaining budget so the worker can
-                        // abort an escalated assembly instead of pinning
-                        // the merge past the deadline — and the trace
-                        // context, so the worker's spans nest under this
-                        // leg.
-                        let mut headers = vec![(
-                            "X-Car-Deadline-Ms",
-                            u64::try_from(remaining.as_millis())
-                                .unwrap_or(u64::MAX)
-                                .to_string(),
-                        )];
-                        if let Some(ctx) = leg_ctx {
-                            headers.extend(ctx.headers(leg_uid));
-                        }
-                        SHARD.add_fanout_legs(1);
-                        let response = w.client.request_with(
-                            "GET",
-                            target,
-                            &headers,
-                            None,
-                            Some(deadline),
-                        );
-                        if let Some(ctx) = leg_ctx {
-                            worker_spans = ctx.worker_spans(response.as_ref());
-                        }
-                        match response {
-                            Some(resp) if resp.status == 200 => {
-                                match crate::merge::parse_rules_body(&resp.body_text()) {
-                                    Ok(view) => {
-                                        w.record_success();
-                                        let epoch = resp
-                                            .header("x-car-epoch")
-                                            .and_then(|v| v.parse::<u64>().ok());
-                                        epoch_attr = epoch;
-                                        Leg::Ok { view, epoch }
-                                    }
-                                    Err(msg) => {
-                                        SHARD.add_fanout_failures(1);
-                                        car_obs::warn!(
-                                            "shard",
-                                            [shard = w.shard_id],
-                                            "unparsable rules body: {msg}"
-                                        );
-                                        Leg::Failed(w.shard_id)
-                                    }
-                                }
-                            }
-                            Some(resp) if resp.status == 409 => Leg::Warming,
-                            Some(resp) if resp.status == 400 => {
-                                // The worker's body is already a JSON error
-                                // document; forward it untouched rather than
-                                // re-wrapping (double-encoding) it.
-                                Leg::BadRequest(Response::json_bytes(400, resp.body))
-                            }
-                            Some(resp) if resp.status == 504 => {
-                                SHARD.add_fanout_failures(1);
-                                SHARD.add_deadline_exceeded();
-                                Leg::TimedOut(w.shard_id)
-                            }
-                            Some(_) => {
-                                SHARD.add_fanout_failures(1);
-                                w.record_failure();
-                                Leg::Failed(w.shard_id)
-                            }
-                            None => {
-                                SHARD.add_fanout_failures(1);
-                                if Instant::now() >= deadline {
-                                    // The attempt was cut short by the budget,
-                                    // not necessarily by a sick worker.
-                                    SHARD.add_deadline_exceeded();
-                                    Leg::TimedOut(w.shard_id)
-                                } else {
-                                    w.record_failure();
-                                    Leg::Failed(w.shard_id)
-                                }
-                            }
-                        }
-                    })(&mut w);
-                    let spans = leg_ctx.map_or_else(Vec::new, |ctx| {
-                        let mut attrs = vec![
-                            ("shard".into(), w.shard_id.to_string()),
-                            ("breaker".into(), breaker.to_string()),
-                            ("outcome".into(), leg_outcome(&leg).into()),
-                        ];
-                        if let Some(epoch) = epoch_attr {
-                            attrs.push(("epoch".into(), epoch.to_string()));
-                        }
-                        let mut spans = std::mem::take(&mut worker_spans);
-                        spans.push(ctx.leg_span(
-                            leg_uid,
-                            "router.leg.rules",
-                            start_us,
-                            started,
-                            attrs,
-                        ));
-                        spans
-                    });
-                    (leg, spans)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(shard_id, h)| match h.join() {
-                Ok((leg, spans)) => {
-                    for span in spans {
-                        trace::record_span(span);
-                    }
-                    leg
-                }
-                Err(_) => {
-                    log_warn("shard fan-out thread panicked");
-                    Leg::Failed(shard_id as u32)
-                }
-            })
-            .collect()
-    });
+    let legs = state.fan_out(
+        span_name,
+        Some(deadline),
+        std::iter::repeat(()),
+        |client, (), headers| {
+            client.request_with("GET", target, headers, None, Some(deadline))
+        },
+        |resp| parse(&resp.body_text()),
+    );
 
     let mut views = Vec::new();
     let mut epochs = Vec::new();
     let mut degraded = Vec::new();
-    let mut warming = false;
-    let mut timed_out = false;
-    for leg in legs {
+    let (mut warming, mut timed_out, mut bad_request) = (false, false, None);
+    for (shard_id, _, leg) in legs {
+        // Every leg that reached its budget check is counted, so the
+        // failures can never outnumber the legs.
+        if !matches!(leg, Leg::Skipped) {
+            SHARD.add_fanout_legs(1);
+        }
         match leg {
-            Leg::Ok { view, epoch } => {
+            Leg::Ok(view, epoch) => {
                 epochs.extend(epoch);
                 views.push(view);
             }
-            Leg::Skipped(id) | Leg::Failed(id) => degraded.push(id),
-            Leg::TimedOut(id) => {
+            Leg::Skipped => degraded.push(shard_id),
+            Leg::Failed => {
+                SHARD.add_fanout_failures(1);
+                degraded.push(shard_id);
+            }
+            Leg::TimedOut => {
+                SHARD.add_fanout_failures(1);
+                SHARD.add_deadline_exceeded();
                 timed_out = true;
-                degraded.push(id);
+                degraded.push(shard_id);
             }
             Leg::Warming => warming = true,
             // A worker rejected the parameters; every worker shares the
             // configuration, so forward its answer as ours.
-            Leg::BadRequest(resp) => return resp,
+            Leg::BadRequest(resp) => {
+                bad_request.get_or_insert(resp);
+            }
         }
     }
-    degraded.sort_unstable();
+    if let Some(resp) = bad_request {
+        return resp;
+    }
     if warming {
         return degrade(
             Response::error(409, "the window holds fewer units than l_max"),
@@ -1073,247 +1099,32 @@ fn rules(state: &Arc<RouterState>, req: &http::Request) -> Response {
     }
     if views.is_empty() {
         if timed_out {
+            RESILIENCE.add_deadline_exceeded();
             return degrade(Response::error(504, "deadline_exceeded"), &degraded);
         }
         return degrade(Response::error(503, "no live shard workers"), &degraded);
     }
 
-    let units_retained = views.iter().map(|v| v.units_retained).max().unwrap_or(0);
-    let window = views.iter().map(|v| v.window).max().unwrap_or(0);
+    let units_retained = views.iter().map(|v| v.0).max().unwrap_or(0);
+    let window = views.iter().map(|v| v.1).max().unwrap_or(0);
     // Ingest is applied asynchronously per worker, so legs can answer
     // at different epochs; surfacing the spread lets clients detect a
     // merged view that matches no single-node snapshot (epoch_min !=
     // epoch_max) and re-query if they need agreement.
     let epoch_json = |e: Option<&u64>| e.map_or(Json::Null, |&e| Json::from(e));
-    let merged = crate::merge::merge_rule_views(views.into_iter().map(|v| v.rules));
-    let rendered: Vec<Json> = merged
-        .iter()
-        .filter_map(|r| car_serve::routes::rule_to_json(r, length, offset))
-        .collect();
+    let payload = merge(views.into_iter().map(|v| v.2).collect());
     let body = object([
         ("units_retained", Json::from(units_retained)),
         ("window", Json::from(window)),
         ("epoch_min", epoch_json(epochs.iter().min())),
         ("epoch_max", epoch_json(epochs.iter().max())),
-        ("count", Json::from(rendered.len())),
+        ("count", Json::from(payload.len())),
         ("partial", Json::from(!degraded.is_empty())),
         (
             "degraded",
             Json::Array(degraded.iter().map(|&id| Json::from(u64::from(id))).collect()),
         ),
-        ("rules", Json::Array(rendered)),
-    ]);
-    degrade(Response::json(200, &body), &degraded)
-}
-
-/// One `/v1/items` fan-out leg's disposition. Unlike rules legs there
-/// is no warming or bad-request case: workers answer item supports at
-/// any window occupancy and the route takes no parameters.
-enum ItemsLeg {
-    Ok { view: crate::merge::ItemsView, epoch: Option<u64> },
-    Skipped(u32),
-    Failed(u32),
-    TimedOut(u32),
-}
-
-fn items_leg_outcome(leg: &ItemsLeg) -> &'static str {
-    match leg {
-        ItemsLeg::Ok { .. } => "ok",
-        ItemsLeg::Skipped(_) => "skipped",
-        ItemsLeg::Failed(_) => "failed",
-        ItemsLeg::TimedOut(_) => "timed_out",
-    }
-}
-
-/// Fans `GET /v1/items` out to all live workers and merges the
-/// per-item support totals with a plain sum — each transaction is
-/// owned by exactly one shard, so no support is counted twice. Down
-/// or deadline-blown shards are excluded and surface as `partial`.
-fn items(state: &Arc<RouterState>, req: &http::Request) -> Response {
-    let budget = req
-        .header("x-car-deadline-ms")
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(Duration::from_millis)
-        .map_or(state.config.request_budget, |d| d.min(state.config.request_budget));
-    let deadline = Instant::now() + budget;
-
-    let leg_ctx = LegTraceContext::capture();
-    let legs: Vec<ItemsLeg> = std::thread::scope(|scope| {
-        let handles: Vec<_> = state
-            .workers
-            .iter()
-            .map(|worker| {
-                scope.spawn(move || {
-                    let mut w = worker.lock_or_recover();
-                    let leg_uid = trace::mint_span_uid();
-                    let start_us = trace::wall_now_us();
-                    let started = Instant::now();
-                    let breaker = w.breaker.state().label();
-                    let mut worker_spans = Vec::new();
-                    let mut epoch_attr = None;
-                    let leg = (|w: &mut Worker| {
-                        if w.state() != WorkerState::Up {
-                            return ItemsLeg::Skipped(w.shard_id);
-                        }
-                        let remaining =
-                            deadline.saturating_duration_since(Instant::now());
-                        if remaining.is_zero() {
-                            SHARD.add_fanout_failures(1);
-                            SHARD.add_deadline_exceeded();
-                            return ItemsLeg::TimedOut(w.shard_id);
-                        }
-                        let mut headers = vec![(
-                            "X-Car-Deadline-Ms",
-                            u64::try_from(remaining.as_millis())
-                                .unwrap_or(u64::MAX)
-                                .to_string(),
-                        )];
-                        if let Some(ctx) = leg_ctx {
-                            headers.extend(ctx.headers(leg_uid));
-                        }
-                        SHARD.add_fanout_legs(1);
-                        let response = w.client.request_with(
-                            "GET",
-                            "/v1/items",
-                            &headers,
-                            None,
-                            Some(deadline),
-                        );
-                        if let Some(ctx) = leg_ctx {
-                            worker_spans = ctx.worker_spans(response.as_ref());
-                        }
-                        match response {
-                            Some(resp) if resp.status == 200 => {
-                                match crate::merge::parse_items_body(&resp.body_text()) {
-                                    Ok(view) => {
-                                        w.record_success();
-                                        let epoch = resp
-                                            .header("x-car-epoch")
-                                            .and_then(|v| v.parse::<u64>().ok());
-                                        epoch_attr = epoch;
-                                        ItemsLeg::Ok { view, epoch }
-                                    }
-                                    Err(msg) => {
-                                        SHARD.add_fanout_failures(1);
-                                        car_obs::warn!(
-                                            "shard",
-                                            [shard = w.shard_id],
-                                            "unparsable items body: {msg}"
-                                        );
-                                        ItemsLeg::Failed(w.shard_id)
-                                    }
-                                }
-                            }
-                            Some(resp) if resp.status == 504 => {
-                                SHARD.add_fanout_failures(1);
-                                SHARD.add_deadline_exceeded();
-                                ItemsLeg::TimedOut(w.shard_id)
-                            }
-                            Some(_) => {
-                                SHARD.add_fanout_failures(1);
-                                w.record_failure();
-                                ItemsLeg::Failed(w.shard_id)
-                            }
-                            None => {
-                                SHARD.add_fanout_failures(1);
-                                if Instant::now() >= deadline {
-                                    SHARD.add_deadline_exceeded();
-                                    ItemsLeg::TimedOut(w.shard_id)
-                                } else {
-                                    w.record_failure();
-                                    ItemsLeg::Failed(w.shard_id)
-                                }
-                            }
-                        }
-                    })(&mut w);
-                    let spans = leg_ctx.map_or_else(Vec::new, |ctx| {
-                        let mut attrs = vec![
-                            ("shard".into(), w.shard_id.to_string()),
-                            ("breaker".into(), breaker.to_string()),
-                            ("outcome".into(), items_leg_outcome(&leg).into()),
-                        ];
-                        if let Some(epoch) = epoch_attr {
-                            attrs.push(("epoch".into(), epoch.to_string()));
-                        }
-                        let mut spans = std::mem::take(&mut worker_spans);
-                        spans.push(ctx.leg_span(
-                            leg_uid,
-                            "router.leg.items",
-                            start_us,
-                            started,
-                            attrs,
-                        ));
-                        spans
-                    });
-                    (leg, spans)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(shard_id, h)| match h.join() {
-                Ok((leg, spans)) => {
-                    for span in spans {
-                        trace::record_span(span);
-                    }
-                    leg
-                }
-                Err(_) => {
-                    log_warn("shard fan-out thread panicked");
-                    ItemsLeg::Failed(shard_id as u32)
-                }
-            })
-            .collect()
-    });
-
-    let mut views = Vec::new();
-    let mut epochs = Vec::new();
-    let mut degraded = Vec::new();
-    let mut timed_out = false;
-    for leg in legs {
-        match leg {
-            ItemsLeg::Ok { view, epoch } => {
-                epochs.extend(epoch);
-                views.push(view);
-            }
-            ItemsLeg::Skipped(id) | ItemsLeg::Failed(id) => degraded.push(id),
-            ItemsLeg::TimedOut(id) => {
-                timed_out = true;
-                degraded.push(id);
-            }
-        }
-    }
-    degraded.sort_unstable();
-    if views.is_empty() {
-        if timed_out {
-            return degrade(Response::error(504, "deadline_exceeded"), &degraded);
-        }
-        return degrade(Response::error(503, "no live shard workers"), &degraded);
-    }
-
-    let units_retained = views.iter().map(|v| v.units_retained).max().unwrap_or(0);
-    let window = views.iter().map(|v| v.window).max().unwrap_or(0);
-    let epoch_json = |e: Option<&u64>| e.map_or(Json::Null, |&e| Json::from(e));
-    let merged = crate::merge::merge_item_supports(views.into_iter().map(|v| v.items));
-    let rendered: Vec<Json> = merged
-        .iter()
-        .map(|(id, support)| {
-            object([("id", Json::from(*id)), ("support", Json::from(*support))])
-        })
-        .collect();
-    let body = object([
-        ("units_retained", Json::from(units_retained)),
-        ("window", Json::from(window)),
-        ("epoch_min", epoch_json(epochs.iter().min())),
-        ("epoch_max", epoch_json(epochs.iter().max())),
-        ("count", Json::from(rendered.len())),
-        ("partial", Json::from(!degraded.is_empty())),
-        (
-            "degraded",
-            Json::Array(degraded.iter().map(|&id| Json::from(u64::from(id))).collect()),
-        ),
-        ("items", Json::Array(rendered)),
+        (key, Json::Array(payload)),
     ]);
     degrade(Response::json(200, &body), &degraded)
 }
@@ -1404,7 +1215,7 @@ fn metrics(state: &Arc<RouterState>) -> Response {
     for (name, help, value) in [
         (
             "car_shard_fanout_total",
-            "Rule-query legs fanned out to live shard workers.",
+            "Query legs (rules and items) fanned out to live shard workers.",
             snap.fanout_legs,
         ),
         (
@@ -1653,10 +1464,18 @@ pub fn run_router(config: RouterConfig) -> Result<RouterHandle, RouterError> {
 
     let pool = car_serve::pool::ThreadPool::new(state.config.threads, "car-shard-worker")
         .map_err(RouterError::Io)?;
+    // Served by car-serve's connection loop with `car serve`'s default
+    // head deadline and admission gate, and the router's own socket
+    // timeout and body cap.
+    let serving = ServerConfig {
+        io_timeout: state.config.io_timeout,
+        max_body_bytes: state.config.max_body_bytes,
+        ..ServerConfig::default()
+    };
     let accept_state = Arc::clone(&state);
     let accept_thread = std::thread::Builder::new()
         .name("car-shard-accept".into())
-        .spawn(move || accept_loop(&listener, &accept_state, pool))
+        .spawn(move || car_serve::accept_loop(&listener, &accept_state, pool, &serving))
         .map_err(RouterError::Io)?;
 
     let prober_state = Arc::clone(&state);
@@ -1683,35 +1502,12 @@ pub fn run_router(config: RouterConfig) -> Result<RouterHandle, RouterError> {
     })
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    state: &Arc<RouterState>,
-    pool: car_serve::pool::ThreadPool,
-) {
-    loop {
-        if state.is_shutting_down() {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let state = Arc::clone(state);
-                pool.execute(move || serve_connection(stream, &state));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-    pool.join();
-}
-
 fn prober_loop(state: &Arc<RouterState>) {
     while !state.is_shutting_down() {
         // Sleep in short slices so shutdown is prompt.
         let mut remaining = state.config.probe_interval;
         while !remaining.is_zero() && !state.is_shutting_down() {
-            let slice = remaining.min(ACCEPT_POLL);
+            let slice = remaining.min(SHUTDOWN_POLL);
             std::thread::sleep(slice);
             remaining = remaining.saturating_sub(slice);
         }
@@ -1719,88 +1515,6 @@ fn prober_loop(state: &Arc<RouterState>) {
             break;
         }
         state.probe_once();
-    }
-}
-
-/// Serves one router connection until close, error, limit, or shutdown.
-fn serve_connection(stream: TcpStream, state: &Arc<RouterState>) {
-    let io_timeout = state.config.io_timeout;
-    if stream.set_read_timeout(Some(io_timeout)).is_err()
-        || stream.set_write_timeout(Some(io_timeout)).is_err()
-        || stream.set_nodelay(true).is_err()
-    {
-        return;
-    }
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
-    let mut writer = BufWriter::new(write_half);
-
-    for _ in 0..MAX_REQUESTS_PER_CONNECTION {
-        let started = Instant::now();
-        let request = match http::read_request(&mut reader, state.config.max_body_bytes) {
-            Ok(request) => request,
-            Err(http::ParseError::ConnectionClosed) => return,
-            Err(e) => {
-                state.metrics.record_parse_error();
-                let (status, _) = e.status();
-                // audit:allow(a4-discard) reason="best-effort courtesy reply on a connection that already failed parsing; the connection closes either way"
-                let _ = Response::error(status, &e.to_string())
-                    .with_close()
-                    .write_to(&mut writer);
-                if !matches!(e, http::ParseError::Timeout) {
-                    state.metrics.record_request(Route::Other, status, started.elapsed());
-                }
-                return;
-            }
-        };
-        let request_id = car_obs::next_request_id();
-        // Adopt an inbound trace context (a client propagating its own
-        // trace through the router) or mint a fresh one; malformed
-        // headers start a fresh trace, never an error.
-        let ctx = trace::TraceContext::from_headers(
-            request.header(trace::TRACE_ID_HEADER),
-            request.header(trace::PARENT_SPAN_HEADER),
-        );
-        let request_trace = trace::begin_request(ctx, "router.request");
-        let trace_hex =
-            request_trace.trace_id().map_or_else(String::new, |id| id.to_hex());
-        let (route, mut response) = handle(state, &request);
-        trace::annotate("route", route.label());
-        trace::annotate("status", &response.status.to_string());
-        // Finish before writing so the response can carry the trace id;
-        // assemble the tree (router legs + worker spans) and offer it
-        // for tail retention — errored traces are always kept.
-        if let Some(finished) = request_trace.finish() {
-            response =
-                response.with_header(trace::TRACE_ID_HEADER, finished.trace_id.to_hex());
-            let errored = response.status >= 500;
-            let assembled =
-                trace::assemble(finished.trace_id, finished.root_uid, finished.spans);
-            state.traces.offer(assembled, errored);
-        }
-        if request.wants_close() || state.is_shutting_down() {
-            response.close = true;
-        }
-        let close = response.close;
-        let write_result = response.write_to(&mut writer);
-        state.metrics.record_request(route, response.status, started.elapsed());
-        car_obs::debug!(
-            "shard",
-            [
-                id = request_id,
-                trace_id = trace_hex,
-                status = response.status,
-                us = started.elapsed().as_micros()
-            ],
-            "{} {}",
-            request.method,
-            request.path
-        );
-        if close || write_result.is_err() {
-            return;
-        }
     }
 }
 
