@@ -10,6 +10,8 @@
 //!   `X-Car-Shards-Degraded` header) without losing the other shards,
 //!   and is re-admitted with exact catch-up replay once it is back.
 
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use car_core::MiningConfig;
@@ -113,6 +115,37 @@ fn batch_body(units: &[Vec<ItemSet>]) -> Vec<u8> {
 fn rules_array(body: &str) -> String {
     let doc = Json::parse(body).expect("rules body parses");
     doc.get("rules").expect("rules array").render()
+}
+
+/// The value of the unlabeled sample `name` in a `/metrics` body.
+fn sample(metrics: &str, name: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no sample {name} in {metrics}"))
+}
+
+/// Sends `addr` a request head that never ends, one byte every 250 ms,
+/// until the server answers or closes, or `give_up` passes. Returns
+/// what the server sent (empty if nothing) and when the dribble ended.
+fn dribble_head(addr: SocketAddr, give_up: Instant) -> (String, Instant) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_millis(250))).unwrap();
+    let mut answer = Vec::new();
+    let head =
+        b"GET /v1/health HTTP/1.1\r\nx-dribble: ".iter().chain([b'a'].iter().cycle());
+    for byte in head {
+        if Instant::now() >= give_up || stream.write_all(&[*byte]).is_err() {
+            break;
+        }
+        // Waiting for an answer paces the dribble.
+        match stream.read_to_end(&mut answer) {
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            }
+            _ => break,
+        }
+    }
+    (String::from_utf8_lossy(&answer).into_owned(), Instant::now())
 }
 
 #[test]
@@ -488,6 +521,15 @@ fn spent_client_deadline_times_out_every_leg_without_tripping_breakers() {
     let resp = rc.request("GET", "/v1/rules", None).unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_text());
 
+    // Every lost leg was counted as a leg before it failed, and the
+    // router counted its own 504s. The counters are process-global
+    // (shared with the other tests here), so these are bounds.
+    let metrics = rc.request("GET", "/metrics", None).unwrap().body_text();
+    let legs = sample(&metrics, "car_shard_fanout_total");
+    let failures = sample(&metrics, "car_shard_fanout_failures_total");
+    assert!(failures >= 6 && failures <= legs, "{failures} failures, {legs} legs");
+    assert!(sample(&metrics, "car_deadline_exceeded_total") >= 2);
+
     // The 504 is an errored trace, so it is always retained: one timed
     // out leg per shard.
     let rules_trace = rules_trace.expect("the 504 carries its trace id");
@@ -506,6 +548,61 @@ fn spent_client_deadline_times_out_every_leg_without_tripping_breakers() {
 
     let resp = rc.request("POST", "/v1/shutdown", None).unwrap();
     assert_eq!(resp.status, 200);
+    router.wait();
+    for w in workers {
+        w.trigger_shutdown();
+        w.wait();
+    }
+}
+
+/// A client that dribbles its request head is answered `408` at the
+/// router's head deadline instead of holding a router thread.
+#[test]
+fn dribbled_request_head_is_cut_off_with_408() {
+    let (workers, router) = spawn_cluster(1);
+    let started = Instant::now();
+    let (answer, ended) = dribble_head(router.addr, started + Duration::from_secs(8));
+    assert!(answer.starts_with("HTTP/1.1 408"), "no 408 within 8 s: {answer:?}");
+    assert!(ended - started < Duration::from_secs(8));
+
+    router.trigger_shutdown();
+    router.wait();
+    for w in workers {
+        w.trigger_shutdown();
+        w.wait();
+    }
+}
+
+/// Four dribbling clients on a four-thread router do not starve its
+/// health endpoint: each is cut off at the head deadline, and the
+/// queued health request is answered.
+#[test]
+fn dribbling_clients_do_not_starve_router_health() {
+    let (workers, router) = spawn_cluster(1);
+    assert_eq!(RouterConfig::default().threads, 4);
+    let give_up = Instant::now() + Duration::from_secs(12);
+    let dribblers: Vec<_> = (0..4)
+        .map(|_| {
+            let addr = router.addr;
+            std::thread::spawn(move || dribble_head(addr, give_up))
+        })
+        .collect();
+    std::thread::sleep(Duration::from_secs(1));
+
+    let sent = Instant::now();
+    let answered =
+        Client::connect_with_timeout(&router.addr.to_string(), Duration::from_secs(8))
+            .and_then(|mut hc| hc.request("GET", "/v1/health", None));
+    let took = sent.elapsed();
+    let status = answered.as_ref().map(|r| r.status).map_err(ToString::to_string);
+    assert_eq!(status, Ok(200), "health after {took:?}");
+    assert!(took < Duration::from_secs(8), "health took {took:?}");
+    for dribbler in dribblers {
+        let (answer, _) = dribbler.join().unwrap();
+        assert!(answer.starts_with("HTTP/1.1 408"), "{answer:?}");
+    }
+
+    router.trigger_shutdown();
     router.wait();
     for w in workers {
         w.trigger_shutdown();
