@@ -100,10 +100,10 @@
 //! `ingest` (the routing/replay state) is acquired before any
 //! `workers[i]` mutex; a thread never holds two worker mutexes (each
 //! fan-out leg locks only its own worker). The query fan-outs take
-//! worker mutexes only. `/v1/health` and `/metrics`
-//! never take the ingest lock at all — they read lock-free gauge
-//! mirrors — so external monitors stay responsive while a fan-out or a
-//! catch-up replay holds `ingest` through slow network I/O.
+//! worker mutexes only. `/v1/health` and `/metrics` never take the
+//! ingest lock at all — they read lock-free gauge mirrors — so external
+//! monitors stay responsive while a fan-out or a catch-up replay holds
+//! `ingest` through slow network I/O.
 
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -283,7 +283,546 @@ impl Worker {
         }
         self.breaker.record_success()
     }
+}
 
+/// A worker's parsed health answer, reduced to what the router needs.
+struct HealthView {
+    ready: bool,
+    /// Units the worker has accepted responsibility for: applied
+    /// (`total_pushed`) plus queued (`queue_depth`).
+    accepted: u64,
+}
+
+fn probe_health(client: &mut RetryingClient) -> Option<HealthView> {
+    // Probes run outside any request trace, so each one mints a fresh
+    // context: probe traces are never retained router-side, but the
+    // worker's request log carries a correlatable trace id.
+    let headers = [
+        (trace::TRACE_ID_HEADER, trace::mint_trace_id().to_hex()),
+        (trace::PARENT_SPAN_HEADER, trace::mint_span_uid().to_hex()),
+    ];
+    let resp = client.request_once_with("GET", "/v1/health", &headers, None)?;
+    if resp.status != 200 {
+        return None;
+    }
+    let doc = Json::parse(&resp.body_text()).ok()?;
+    let ready = doc.get("ready").and_then(Json::as_bool)?;
+    let total = doc.get("total_pushed").and_then(Json::as_u64)?;
+    let depth = doc.get("queue_depth").and_then(Json::as_u64)?;
+    Some(HealthView { ready, accepted: total.saturating_add(depth) })
+}
+
+/// Routing state shared by ingest and the prober; guarded by one mutex
+/// so catch-up replay and new ingest serialize.
+struct IngestState {
+    units_routed: u64,
+    replay: VecDeque<Vec<ItemSet>>,
+}
+
+/// Everything the router's request handlers share.
+pub struct RouterState {
+    config: RouterConfig,
+    ring: ShardRing,
+    workers: Vec<Mutex<Worker>>,
+    ingest: Mutex<IngestState>,
+    /// Lock-free mirror of `ingest.units_routed`; `route_units` holds
+    /// the ingest lock across worker sends (network I/O), so health and
+    /// metrics read this instead of waiting behind it.
+    units_routed_gauge: AtomicU64,
+    /// Lock-free mirror of `ingest.replay.len()`, same reason.
+    replay_depth_gauge: AtomicU64,
+    metrics: Metrics,
+    /// Tail-retained distributed traces, served by `/v1/debug/traces`.
+    traces: TraceStore,
+    shutdown: AtomicBool,
+}
+
+impl RouterState {
+    /// One prober pass: verify `Up` workers, try to re-admit `Down`
+    /// ones.
+    fn probe_once(&self) {
+        for (i, worker) in self.workers.iter().enumerate() {
+            let state = {
+                let w = worker.lock_or_recover();
+                w.state()
+            };
+            match state {
+                WorkerState::Up => {
+                    let mut w = worker.lock_or_recover();
+                    if w.state() != WorkerState::Up {
+                        continue;
+                    }
+                    match probe_health(&mut w.client) {
+                        Some(h) if h.ready => {
+                            w.record_success();
+                        }
+                        _ => w.record_failure(),
+                    }
+                }
+                WorkerState::Down => self.try_readmit(i),
+                WorkerState::Stale => {}
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Request handlers
+// ---------------------------------------------------------------------------
+
+impl Service for RouterState {
+    const ROOT_SPAN: &'static str = "router.request";
+
+    fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    fn is_shutting_down(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+    }
+
+    fn handle(state: &Arc<RouterState>, req: &http::Request) -> (Route, Response) {
+        match (req.method.as_str(), req.path.as_str()) {
+            ("POST", "/v1/units") => (Route::IngestUnits, ingest(state, req)),
+            ("GET", "/v1/rules") => (Route::Rules, rules(state, req)),
+            ("GET", "/v1/items") => (Route::Items, items(state, req)),
+            ("GET", "/v1/health") => (Route::Health, health(state)),
+            ("GET", "/metrics") => (Route::Metrics, metrics(state)),
+            ("POST", "/v1/shutdown") => (Route::Shutdown, shutdown(state)),
+            ("GET", "/v1/debug/traces") => (Route::DebugTraces, debug_traces(state, req)),
+            (
+                _,
+                "/v1/units" | "/v1/rules" | "/v1/items" | "/v1/health" | "/metrics"
+                | "/v1/shutdown" | "/v1/debug/traces",
+            ) => (Route::Other, Response::error(405, "method not allowed")),
+            _ => (Route::Other, Response::error(404, "no such endpoint")),
+        }
+    }
+
+    /// The router assembles the tree (its legs plus the worker spans
+    /// they brought home) and offers it for tail retention; errored
+    /// traces are always kept.
+    fn finish_trace(&self, finished: FinishedTrace, response: Response) -> Response {
+        let errored = response.status >= 500;
+        let assembled =
+            trace::assemble(finished.trace_id, finished.root_uid, finished.spans);
+        self.traces.offer(assembled, errored);
+        response
+    }
+}
+
+/// Adds the degraded marker header and counts the partial response.
+fn degrade(resp: Response, degraded: &[u32]) -> Response {
+    if degraded.is_empty() {
+        return resp;
+    }
+    SHARD.add_partial_response();
+    resp.with_header("X-Car-Shards-Degraded", degraded.len().to_string())
+}
+
+fn shard_state_json(shards: &[(u32, WorkerState)]) -> Json {
+    Json::Array(
+        shards
+            .iter()
+            .map(|&(id, s)| {
+                object([
+                    ("shard_id", Json::from(u64::from(id))),
+                    ("state", Json::from(s.label())),
+                ])
+            })
+            .collect(),
+    )
+}
+
+// ---------------------------------------------------------------------------
+// The daemon
+// ---------------------------------------------------------------------------
+
+/// Final statistics reported when the router exits.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct RouterStats {
+    /// HTTP requests served by the router.
+    pub requests: u64,
+    /// Full units routed across the cluster.
+    pub units_routed: u64,
+    /// Seconds the router ran.
+    pub uptime: Duration,
+}
+
+/// A running router.
+pub struct RouterHandle {
+    /// The actually-bound address (resolves port 0).
+    pub addr: SocketAddr,
+    state: Arc<RouterState>,
+    accept_thread: JoinHandle<()>,
+    prober_thread: JoinHandle<()>,
+    started: Instant,
+}
+
+impl RouterHandle {
+    /// The shared state (tests and embedding callers).
+    pub fn state(&self) -> &Arc<RouterState> {
+        &self.state
+    }
+
+    /// Asks the router to shut down gracefully (idempotent).
+    pub fn trigger_shutdown(&self) {
+        self.state.begin_shutdown();
+    }
+
+    /// Blocks until the router has exited; optionally shuts workers
+    /// down too (`RouterConfig::shutdown_workers`).
+    pub fn wait(self) -> RouterStats {
+        if self.accept_thread.join().is_err() {
+            log_warn("router accept thread panicked");
+        }
+        if self.prober_thread.join().is_err() {
+            log_warn("router prober thread panicked");
+        }
+        if self.state.config.shutdown_workers {
+            for worker in &self.state.workers {
+                let mut w = worker.lock_or_recover();
+                let _ = w.client.request_once("POST", "/v1/shutdown", None);
+            }
+        }
+        RouterStats {
+            requests: self.state.metrics.total_requests(),
+            // audit:allow(a6-relaxed-mirror) reason="final stats snapshot after worker shutdown; the routing threads that wrote under the ingest lock have already been joined"
+            units_routed: self.state.units_routed_gauge.load(Ordering::Relaxed),
+            uptime: self.started.elapsed(),
+        }
+    }
+}
+
+/// Boots the router: binds the listener, contacts every worker once
+/// (workers that do not answer start `Down` and are re-admitted by the
+/// prober), and spawns the accept and prober threads.
+///
+/// # Errors
+///
+/// [`RouterError::Config`] for an empty worker list,
+/// [`RouterError::Io`] when the address cannot be bound or threads
+/// cannot spawn.
+pub fn run_router(config: RouterConfig) -> Result<RouterHandle, RouterError> {
+    car_obs::init_from_env();
+    let worker_count = u32::try_from(config.workers.len())
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or_else(|| RouterError::Config("at least one worker is required".into()))?;
+    let Some(ring) = ShardRing::new(worker_count) else {
+        return Err(RouterError::Config("at least one worker is required".into()));
+    };
+
+    let workers: Vec<Mutex<Worker>> = config
+        .workers
+        .iter()
+        .enumerate()
+        .map(|(i, addr)| {
+            let mut client = RetryingClient::new(addr.clone(), config.retry);
+            let mut breaker = Breaker::new(config.breaker);
+            let baseline = match probe_health(&mut client) {
+                Some(h) if h.ready => Some(h.accepted),
+                _ => {
+                    // Never seen healthy: start Open; the prober's
+                    // Half-Open trickle admits it once it answers.
+                    breaker.open_immediately(Instant::now());
+                    SHARD.add_down_transition();
+                    None
+                }
+            };
+            Mutex::new(Worker {
+                shard_id: i as u32,
+                addr: addr.clone(),
+                client,
+                breaker,
+                stale: false,
+                baseline,
+            })
+        })
+        .collect();
+
+    let state = Arc::new(RouterState {
+        ring,
+        workers,
+        ingest: Mutex::new(IngestState {
+            units_routed: 0,
+            replay: VecDeque::with_capacity(config.replay_capacity),
+        }),
+        units_routed_gauge: AtomicU64::new(0),
+        replay_depth_gauge: AtomicU64::new(0),
+        metrics: Metrics::new(),
+        traces: TraceStore::new(TraceStorePolicy::default()),
+        shutdown: AtomicBool::new(false),
+        config,
+    });
+
+    let addrs: Vec<SocketAddr> =
+        state.config.addr.to_socket_addrs().map_err(RouterError::Io)?.collect();
+    let listener = TcpListener::bind(&addrs[..]).map_err(RouterError::Io)?;
+    listener.set_nonblocking(true).map_err(RouterError::Io)?;
+    let addr = listener.local_addr().map_err(RouterError::Io)?;
+
+    let pool = car_serve::pool::ThreadPool::new(state.config.threads, "car-shard-worker")
+        .map_err(RouterError::Io)?;
+    // Served by car-serve's connection loop with `car serve`'s default
+    // head deadline and admission gate, and the router's own socket
+    // timeout and body cap.
+    let serving = ServerConfig {
+        io_timeout: state.config.io_timeout,
+        max_body_bytes: state.config.max_body_bytes,
+        ..ServerConfig::default()
+    };
+    let accept_state = Arc::clone(&state);
+    let accept_thread = std::thread::Builder::new()
+        .name("car-shard-accept".into())
+        .spawn(move || car_serve::accept_loop(&listener, &accept_state, pool, &serving))
+        .map_err(RouterError::Io)?;
+
+    let prober_state = Arc::clone(&state);
+    let prober_thread = std::thread::Builder::new()
+        .name("car-shard-probe".into())
+        .spawn(move || prober_loop(&prober_state))
+        .map_err(|e| {
+            // Unwind the accept loop before reporting the failure.
+            state.begin_shutdown();
+            RouterError::Io(e)
+        })?;
+
+    car_obs::info!(
+        "shard",
+        [addr = addr, shards = state.ring.count()],
+        "shard router listening"
+    );
+    Ok(RouterHandle {
+        addr,
+        state,
+        accept_thread,
+        prober_thread,
+        started: Instant::now(),
+    })
+}
+
+fn prober_loop(state: &Arc<RouterState>) {
+    while !state.is_shutting_down() {
+        // Sleep in short slices so shutdown is prompt.
+        let mut remaining = state.config.probe_interval;
+        while !remaining.is_zero() && !state.is_shutting_down() {
+            let slice = remaining.min(SHUTDOWN_POLL);
+            std::thread::sleep(slice);
+            remaining = remaining.saturating_sub(slice);
+        }
+        if state.is_shutting_down() {
+            break;
+        }
+        state.probe_once();
+    }
+}
+
+fn units_to_body(units: &[Vec<ItemSet>]) -> Vec<u8> {
+    let batch: Vec<Json> = units
+        .iter()
+        .map(|unit| {
+            let txs: Vec<Json> = unit
+                .iter()
+                .map(|tx| {
+                    Json::Array(tx.iter().map(|item| Json::from(item.id())).collect())
+                })
+                .collect();
+            object([("transactions", Json::Array(txs))])
+        })
+        .collect();
+    Json::Array(batch).render().into_bytes()
+}
+
+impl RouterState {
+    /// Routes a batch of full units: records them for replay, then
+    /// sends each live worker its aligned sub-batch in parallel.
+    /// Returns the units routed so far and each worker's ingest leg,
+    /// which carries whether the worker applied the batch.
+    fn route_units(
+        &self,
+        units: Vec<Vec<ItemSet>>,
+        wait: bool,
+    ) -> (u64, Vec<(u32, WorkerState, Leg<bool>)>) {
+        let n = units.len();
+        let count = self.ring.count() as usize;
+        let mut ingest = self.ingest.lock_or_recover();
+
+        // splits[shard] = this batch's sub-units for that shard.
+        let mut splits: Vec<Vec<Vec<ItemSet>>> =
+            (0..count).map(|_| Vec::with_capacity(n)).collect();
+        for unit in &units {
+            for (sub, per_shard) in
+                self.ring.split_unit(unit, self.config.key).into_iter().zip(&mut splits)
+            {
+                per_shard.push(sub);
+            }
+        }
+        for unit in units {
+            if ingest.replay.len() >= self.config.replay_capacity {
+                ingest.replay.pop_front();
+            }
+            ingest.replay.push_back(unit);
+        }
+        ingest.units_routed = ingest.units_routed.saturating_add(n as u64);
+        SHARD.add_units_routed(n as u64);
+        let units_routed = ingest.units_routed;
+        self.units_routed_gauge.store(units_routed, Ordering::Relaxed);
+        self.replay_depth_gauge.store(ingest.replay.len() as u64, Ordering::Relaxed);
+
+        let target = if wait { "/v1/units?wait=true" } else { "/v1/units" };
+        // The ingest lock stays held across the sends, so a catch-up
+        // replay cannot interleave with this batch.
+        let legs = self.fan_out(
+            "router.leg.ingest",
+            None,
+            splits,
+            |client, sub_batch, headers| {
+                let body = units_to_body(&sub_batch);
+                client.request_with("POST", target, headers, Some(&body), None)
+            },
+            |resp| {
+                batch_fully_accepted(&resp.body, n)
+                    .ok_or_else(|| format!("the worker did not accept all {n} units"))
+            },
+        );
+        (units_routed, legs)
+    }
+
+    /// Attempts to re-admit worker `i`: waits out the breaker cooldown,
+    /// verifies the worker is healthy (the Half-Open trial), computes
+    /// exactly how many routed units it has not accepted, replays those
+    /// sub-units from the ring, and only then lets the breaker close.
+    /// Holding the ingest lock throughout keeps new units from racing
+    /// past the replay.
+    fn try_readmit(&self, i: usize) {
+        let Some(worker) = self.workers.get(i) else { return };
+        let ingest = self.ingest.lock_or_recover();
+        let mut w = worker.lock_or_recover();
+        if w.state() != WorkerState::Down {
+            return;
+        }
+        if !w.breaker.probe_ready(Instant::now()) {
+            // Still cooling down; no probe traffic at all.
+            return;
+        }
+        let Some(health) = probe_health(&mut w.client) else {
+            w.record_failure();
+            return;
+        };
+        if !health.ready {
+            w.record_failure();
+            return;
+        }
+        let baseline = *w.baseline.get_or_insert(health.accepted);
+        let caught_up = health.accepted.saturating_sub(baseline);
+        let behind = ingest.units_routed.saturating_sub(caught_up);
+        if behind > ingest.replay.len() as u64 {
+            w.stale = true;
+            car_obs::error!(
+                "shard",
+                [shard = w.shard_id, behind = behind, ring = ingest.replay.len()],
+                "worker is behind the replay ring; marking stale (cannot catch up)"
+            );
+            return;
+        }
+        if behind > 0 {
+            let skip = ingest.replay.len().saturating_sub(behind as usize);
+            let sub_units: Vec<Vec<ItemSet>> = ingest
+                .replay
+                .iter()
+                .skip(skip)
+                .filter_map(|unit| {
+                    self.ring.split_unit(unit, self.config.key).into_iter().nth(i)
+                })
+                .collect();
+            let body = units_to_body(&sub_units);
+            let ok = match w.client.request("POST", "/v1/units?wait=true", Some(&body)) {
+                Some(resp) if resp.status == 200 || resp.status == 202 => {
+                    batch_fully_accepted(&resp.body, sub_units.len()).is_some()
+                }
+                _ => false,
+            };
+            if !ok {
+                // Still flaky; reopen and restart the cooldown.
+                w.record_failure();
+                return;
+            }
+        }
+        if w.record_success() {
+            SHARD.add_readmission();
+            SHARD.add_catchup_units(behind);
+            car_obs::info!(
+                "shard",
+                [shard = w.shard_id, replayed = behind],
+                "breaker closed; worker re-admitted after catch-up"
+            );
+        }
+    }
+}
+
+/// Parses a worker's batch-ingest response and confirms every unit was
+/// accepted; returns the response's `applied` flag, or `None` when the
+/// worker rejected any unit (it must then be caught up via replay).
+fn batch_fully_accepted(body: &[u8], expected: usize) -> Option<bool> {
+    let text = std::str::from_utf8(body).ok()?;
+    let doc = Json::parse(text).ok()?;
+    let accepted = doc.get("accepted").and_then(Json::as_u64)?;
+    if accepted != expected as u64 {
+        return None;
+    }
+    Some(doc.get("applied").and_then(Json::as_bool).unwrap_or(false))
+}
+
+fn ingest(state: &Arc<RouterState>, req: &http::Request) -> Response {
+    if state.is_shutting_down() {
+        return Response::error(503, "router is shutting down");
+    }
+    let (units, _) = match car_serve::routes::parse_units_body(&req.body) {
+        Ok(parsed) => parsed,
+        Err(msg) => return Response::error(400, &msg),
+    };
+    if units.is_empty() {
+        return Response::error(400, "empty unit batch");
+    }
+    let n = units.len();
+    let wait = matches!(req.query_param("wait"), Some("true" | "1"));
+    // The batch is committed to the replay ring inside route_units, so
+    // from here the answer must be a non-retryable 2xx: a 503 would make
+    // RetryingClient re-send a batch the router already owns, buffering
+    // and replaying the same units twice. With every worker down this is
+    // a 202 with applied=false and partial=true; replay catches the
+    // workers up on re-admission.
+    let (units_routed, legs) = state.route_units(units, wait);
+    // The failed send, not the worker's state, decides degradation: the
+    // very first failed send is already a `partial` response even while
+    // the breaker is still counting failures toward its threshold.
+    let degraded: Vec<u32> = legs
+        .iter()
+        .filter(|(_, _, leg)| !matches!(leg, Leg::Ok(..)))
+        .map(|&(id, ..)| id)
+        .collect();
+    let applied = wait
+        && degraded.len() < legs.len()
+        && !legs.iter().any(|(_, _, leg)| matches!(leg, Leg::Ok(false, _)));
+    let states: Vec<(u32, WorkerState)> =
+        legs.iter().map(|&(id, s, _)| (id, s)).collect();
+    let status = if applied { 200 } else { 202 };
+    let body = object([
+        ("accepted", Json::from(n)),
+        ("applied", Json::from(applied)),
+        ("partial", Json::from(!degraded.is_empty())),
+        ("units_routed", Json::from(units_routed)),
+        ("shards", shard_state_json(&states)),
+    ]);
+    degrade(Response::json(status, &body), &degraded)
+}
+
+impl Worker {
     /// Runs one fan-out leg against this worker (see
     /// [`RouterState::fan_out`]) and returns it with its spans: the ones
     /// the worker sent back, then the leg span.
@@ -386,79 +925,6 @@ impl Worker {
     }
 }
 
-/// One worker's admission + breaker view, read under its mutex.
-struct WorkerSnapshot {
-    shard_id: u32,
-    state: WorkerState,
-    breaker: BreakerState,
-    consecutive_failures: u32,
-    opens: u64,
-}
-
-impl WorkerSnapshot {
-    /// The `car_shard_breaker_state` gauge encoding; `Stale` extends
-    /// the breaker encoding with 3 (terminally excluded).
-    fn gauge_value(&self) -> u64 {
-        if self.state == WorkerState::Stale {
-            3
-        } else {
-            self.breaker.gauge_value()
-        }
-    }
-}
-
-/// A worker's parsed health answer, reduced to what the router needs.
-struct HealthView {
-    ready: bool,
-    /// Units the worker has accepted responsibility for: applied
-    /// (`total_pushed`) plus queued (`queue_depth`).
-    accepted: u64,
-}
-
-fn probe_health(client: &mut RetryingClient) -> Option<HealthView> {
-    // Probes run outside any request trace, so each one mints a fresh
-    // context: probe traces are never retained router-side, but the
-    // worker's request log carries a correlatable trace id.
-    let headers = [
-        (trace::TRACE_ID_HEADER, trace::mint_trace_id().to_hex()),
-        (trace::PARENT_SPAN_HEADER, trace::mint_span_uid().to_hex()),
-    ];
-    let resp = client.request_once_with("GET", "/v1/health", &headers, None)?;
-    if resp.status != 200 {
-        return None;
-    }
-    let doc = Json::parse(&resp.body_text()).ok()?;
-    let ready = doc.get("ready").and_then(Json::as_bool)?;
-    let total = doc.get("total_pushed").and_then(Json::as_u64)?;
-    let depth = doc.get("queue_depth").and_then(Json::as_u64)?;
-    Some(HealthView { ready, accepted: total.saturating_add(depth) })
-}
-
-/// Routing state shared by ingest and the prober; guarded by one mutex
-/// so catch-up replay and new ingest serialize.
-struct IngestState {
-    units_routed: u64,
-    replay: VecDeque<Vec<ItemSet>>,
-}
-
-/// Everything the router's request handlers share.
-pub struct RouterState {
-    config: RouterConfig,
-    ring: ShardRing,
-    workers: Vec<Mutex<Worker>>,
-    ingest: Mutex<IngestState>,
-    /// Lock-free mirror of `ingest.units_routed`; `route_units` holds
-    /// the ingest lock across worker sends (network I/O), so health and
-    /// metrics read this instead of waiting behind it.
-    units_routed_gauge: AtomicU64,
-    /// Lock-free mirror of `ingest.replay.len()`, same reason.
-    replay_depth_gauge: AtomicU64,
-    metrics: Metrics,
-    /// Tail-retained distributed traces, served by `/v1/debug/traces`.
-    traces: TraceStore,
-    shutdown: AtomicBool,
-}
-
 /// One fan-out leg's disposition; `V` is what the worker's 2xx reply
 /// parsed into.
 enum Leg<V> {
@@ -468,6 +934,7 @@ enum Leg<V> {
     Ok(V, Option<u64>),
     /// The worker was not `Up`.
     Skipped,
+    /// The exchange failed or the 2xx reply was unusable.
     Failed,
     /// The leg's share of the deadline budget ran out (locally, or the
     /// worker answered `504 deadline_exceeded`). Not breaker evidence:
@@ -552,99 +1019,7 @@ impl LegTraceContext {
     }
 }
 
-fn units_to_body(units: &[Vec<ItemSet>]) -> Vec<u8> {
-    let batch: Vec<Json> = units
-        .iter()
-        .map(|unit| {
-            let txs: Vec<Json> = unit
-                .iter()
-                .map(|tx| {
-                    Json::Array(tx.iter().map(|item| Json::from(item.id())).collect())
-                })
-                .collect();
-            object([("transactions", Json::Array(txs))])
-        })
-        .collect();
-    Json::Array(batch).render().into_bytes()
-}
-
 impl RouterState {
-    /// The router's tail-retained trace store (tests and embedders).
-    pub fn traces(&self) -> &TraceStore {
-        &self.traces
-    }
-
-    /// Per-worker admission + breaker snapshot (brief per-worker locks).
-    fn worker_snapshots(&self) -> Vec<WorkerSnapshot> {
-        self.workers
-            .iter()
-            .map(|w| {
-                let w = w.lock_or_recover();
-                WorkerSnapshot {
-                    shard_id: w.shard_id,
-                    state: w.state(),
-                    breaker: w.breaker.state(),
-                    consecutive_failures: w.breaker.consecutive_failures(),
-                    opens: w.breaker.opens(),
-                }
-            })
-            .collect()
-    }
-
-    /// Routes a batch of full units: records them for replay, then
-    /// sends each live worker its aligned sub-batch in parallel.
-    /// Returns the units routed so far and each worker's ingest leg,
-    /// which carries whether the worker applied the batch.
-    fn route_units(
-        &self,
-        units: Vec<Vec<ItemSet>>,
-        wait: bool,
-    ) -> (u64, Vec<(u32, WorkerState, Leg<bool>)>) {
-        let n = units.len();
-        let count = self.ring.count() as usize;
-        let mut ingest = self.ingest.lock_or_recover();
-
-        // splits[shard] = this batch's sub-units for that shard.
-        let mut splits: Vec<Vec<Vec<ItemSet>>> =
-            (0..count).map(|_| Vec::with_capacity(n)).collect();
-        for unit in &units {
-            for (sub, per_shard) in
-                self.ring.split_unit(unit, self.config.key).into_iter().zip(&mut splits)
-            {
-                per_shard.push(sub);
-            }
-        }
-        for unit in units {
-            if ingest.replay.len() >= self.config.replay_capacity {
-                ingest.replay.pop_front();
-            }
-            ingest.replay.push_back(unit);
-        }
-        ingest.units_routed = ingest.units_routed.saturating_add(n as u64);
-        SHARD.add_units_routed(n as u64);
-        let units_routed = ingest.units_routed;
-        self.units_routed_gauge.store(units_routed, Ordering::Relaxed);
-        self.replay_depth_gauge.store(ingest.replay.len() as u64, Ordering::Relaxed);
-
-        let target = if wait { "/v1/units?wait=true" } else { "/v1/units" };
-        // The ingest lock stays held across the sends, so a catch-up
-        // replay cannot interleave with this batch.
-        let legs = self.fan_out(
-            "router.leg.ingest",
-            None,
-            splits,
-            |client, sub_batch, headers| {
-                let body = units_to_body(&sub_batch);
-                client.request_with("POST", target, headers, Some(&body), None)
-            },
-            |resp| {
-                batch_fully_accepted(&resp.body, n)
-                    .ok_or_else(|| format!("the worker did not accept all {n} units"))
-            },
-        );
-        (units_routed, legs)
-    }
-
     /// The router's one fan-out path: runs a leg per worker on scoped
     /// threads and returns, in shard order, each worker's shard id, its
     /// state after the leg, and the leg. A leg locks its worker and
@@ -698,233 +1073,6 @@ impl RouterState {
             })
             .collect()
     }
-
-    /// Attempts to re-admit worker `i`: waits out the breaker cooldown,
-    /// verifies the worker is healthy (the Half-Open trial), computes
-    /// exactly how many routed units it has not accepted, replays those
-    /// sub-units from the ring, and only then lets the breaker close.
-    /// Holding the ingest lock throughout keeps new units from racing
-    /// past the replay.
-    fn try_readmit(&self, i: usize) {
-        let Some(worker) = self.workers.get(i) else { return };
-        let ingest = self.ingest.lock_or_recover();
-        let mut w = worker.lock_or_recover();
-        if w.state() != WorkerState::Down {
-            return;
-        }
-        if !w.breaker.probe_ready(Instant::now()) {
-            // Still cooling down; no probe traffic at all.
-            return;
-        }
-        let Some(health) = probe_health(&mut w.client) else {
-            w.record_failure();
-            return;
-        };
-        if !health.ready {
-            w.record_failure();
-            return;
-        }
-        let baseline = *w.baseline.get_or_insert(health.accepted);
-        let caught_up = health.accepted.saturating_sub(baseline);
-        let behind = ingest.units_routed.saturating_sub(caught_up);
-        if behind > ingest.replay.len() as u64 {
-            w.stale = true;
-            car_obs::error!(
-                "shard",
-                [shard = w.shard_id, behind = behind, ring = ingest.replay.len()],
-                "worker is behind the replay ring; marking stale (cannot catch up)"
-            );
-            return;
-        }
-        if behind > 0 {
-            let skip = ingest.replay.len().saturating_sub(behind as usize);
-            let sub_units: Vec<Vec<ItemSet>> = ingest
-                .replay
-                .iter()
-                .skip(skip)
-                .filter_map(|unit| {
-                    self.ring.split_unit(unit, self.config.key).into_iter().nth(i)
-                })
-                .collect();
-            let body = units_to_body(&sub_units);
-            let ok = match w.client.request("POST", "/v1/units?wait=true", Some(&body)) {
-                Some(resp) if resp.status == 200 || resp.status == 202 => {
-                    batch_fully_accepted(&resp.body, sub_units.len()).is_some()
-                }
-                _ => false,
-            };
-            if !ok {
-                // Still flaky; reopen and restart the cooldown.
-                w.record_failure();
-                return;
-            }
-        }
-        if w.record_success() {
-            SHARD.add_readmission();
-            SHARD.add_catchup_units(behind);
-            car_obs::info!(
-                "shard",
-                [shard = w.shard_id, replayed = behind],
-                "breaker closed; worker re-admitted after catch-up"
-            );
-        }
-    }
-
-    /// One prober pass: verify `Up` workers, try to re-admit `Down`
-    /// ones.
-    fn probe_once(&self) {
-        for (i, worker) in self.workers.iter().enumerate() {
-            let state = {
-                let w = worker.lock_or_recover();
-                w.state()
-            };
-            match state {
-                WorkerState::Up => {
-                    let mut w = worker.lock_or_recover();
-                    if w.state() != WorkerState::Up {
-                        continue;
-                    }
-                    match probe_health(&mut w.client) {
-                        Some(h) if h.ready => {
-                            w.record_success();
-                        }
-                        _ => w.record_failure(),
-                    }
-                }
-                WorkerState::Down => self.try_readmit(i),
-                WorkerState::Stale => {}
-            }
-        }
-    }
-}
-
-/// Parses a worker's batch-ingest response and confirms every unit was
-/// accepted; returns the response's `applied` flag, or `None` when the
-/// worker rejected any unit (it must then be caught up via replay).
-fn batch_fully_accepted(body: &[u8], expected: usize) -> Option<bool> {
-    let text = std::str::from_utf8(body).ok()?;
-    let doc = Json::parse(text).ok()?;
-    let accepted = doc.get("accepted").and_then(Json::as_u64)?;
-    if accepted != expected as u64 {
-        return None;
-    }
-    Some(doc.get("applied").and_then(Json::as_bool).unwrap_or(false))
-}
-
-// ---------------------------------------------------------------------------
-// Request handlers
-// ---------------------------------------------------------------------------
-
-impl Service for RouterState {
-    const ROOT_SPAN: &'static str = "router.request";
-
-    fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-    }
-
-    fn handle(state: &Arc<RouterState>, req: &http::Request) -> (Route, Response) {
-        match (req.method.as_str(), req.path.as_str()) {
-            ("POST", "/v1/units") => (Route::IngestUnits, ingest(state, req)),
-            ("GET", "/v1/rules") => (Route::Rules, rules(state, req)),
-            ("GET", "/v1/items") => (Route::Items, items(state, req)),
-            ("GET", "/v1/health") => (Route::Health, health(state)),
-            ("GET", "/metrics") => (Route::Metrics, metrics(state)),
-            ("POST", "/v1/shutdown") => (Route::Shutdown, shutdown(state)),
-            ("GET", "/v1/debug/traces") => (Route::DebugTraces, debug_traces(state, req)),
-            (
-                _,
-                "/v1/units" | "/v1/rules" | "/v1/items" | "/v1/health" | "/metrics"
-                | "/v1/shutdown" | "/v1/debug/traces",
-            ) => (Route::Other, Response::error(405, "method not allowed")),
-            _ => (Route::Other, Response::error(404, "no such endpoint")),
-        }
-    }
-
-    /// The router assembles the tree (its legs plus the worker spans
-    /// they brought home) and offers it for tail retention; errored
-    /// traces are always kept.
-    fn finish_trace(&self, finished: FinishedTrace, response: Response) -> Response {
-        let errored = response.status >= 500;
-        let assembled =
-            trace::assemble(finished.trace_id, finished.root_uid, finished.spans);
-        self.traces.offer(assembled, errored);
-        response
-    }
-}
-
-/// Adds the degraded marker header and counts the partial response.
-fn degrade(resp: Response, degraded: &[u32]) -> Response {
-    if degraded.is_empty() {
-        return resp;
-    }
-    SHARD.add_partial_response();
-    resp.with_header("X-Car-Shards-Degraded", degraded.len().to_string())
-}
-
-fn shard_state_json(shards: &[(u32, WorkerState)]) -> Json {
-    Json::Array(
-        shards
-            .iter()
-            .map(|&(id, s)| {
-                object([
-                    ("shard_id", Json::from(u64::from(id))),
-                    ("state", Json::from(s.label())),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn ingest(state: &Arc<RouterState>, req: &http::Request) -> Response {
-    if state.is_shutting_down() {
-        return Response::error(503, "router is shutting down");
-    }
-    let (units, _) = match car_serve::routes::parse_units_body(&req.body) {
-        Ok(parsed) => parsed,
-        Err(msg) => return Response::error(400, &msg),
-    };
-    if units.is_empty() {
-        return Response::error(400, "empty unit batch");
-    }
-    let n = units.len();
-    let wait = matches!(req.query_param("wait"), Some("true" | "1"));
-    // The batch is committed to the replay ring inside route_units, so
-    // from here the answer must be a non-retryable 2xx: a 503 would make
-    // RetryingClient re-send a batch the router already owns, buffering
-    // and replaying the same units twice. With every worker down this is
-    // a 202 with applied=false and partial=true; replay catches the
-    // workers up on re-admission.
-    let (units_routed, legs) = state.route_units(units, wait);
-    // The failed send, not the worker's state, decides degradation: the
-    // very first failed send is already a `partial` response even while
-    // the breaker is still counting failures toward its threshold.
-    let degraded: Vec<u32> = legs
-        .iter()
-        .filter(|(_, _, leg)| !matches!(leg, Leg::Ok(..)))
-        .map(|&(id, ..)| id)
-        .collect();
-    let applied = wait
-        && degraded.len() < legs.len()
-        && !legs.iter().any(|(_, _, leg)| matches!(leg, Leg::Ok(false, _)));
-    let states: Vec<(u32, WorkerState)> =
-        legs.iter().map(|&(id, s, _)| (id, s)).collect();
-    let status = if applied { 200 } else { 202 };
-    let body = object([
-        ("accepted", Json::from(n)),
-        ("applied", Json::from(applied)),
-        ("partial", Json::from(!degraded.is_empty())),
-        ("units_routed", Json::from(units_routed)),
-        ("shards", shard_state_json(&states)),
-    ]);
-    degrade(Response::json(status, &body), &degraded)
 }
 
 /// Builds the worker fan-out target from the router-validated
@@ -1127,6 +1275,51 @@ fn query<P: Send>(
         (key, Json::Array(payload)),
     ]);
     degrade(Response::json(200, &body), &degraded)
+}
+
+/// One worker's admission + breaker view, read under its mutex.
+struct WorkerSnapshot {
+    shard_id: u32,
+    state: WorkerState,
+    breaker: BreakerState,
+    consecutive_failures: u32,
+    opens: u64,
+}
+
+impl WorkerSnapshot {
+    /// The `car_shard_breaker_state` gauge encoding; `Stale` extends
+    /// the breaker encoding with 3 (terminally excluded).
+    fn gauge_value(&self) -> u64 {
+        if self.state == WorkerState::Stale {
+            3
+        } else {
+            self.breaker.gauge_value()
+        }
+    }
+}
+
+impl RouterState {
+    /// The router's tail-retained trace store (tests and embedders).
+    pub fn traces(&self) -> &TraceStore {
+        &self.traces
+    }
+
+    /// Per-worker admission + breaker snapshot (brief per-worker locks).
+    fn worker_snapshots(&self) -> Vec<WorkerSnapshot> {
+        self.workers
+            .iter()
+            .map(|w| {
+                let w = w.lock_or_recover();
+                WorkerSnapshot {
+                    shard_id: w.shard_id,
+                    state: w.state(),
+                    breaker: w.breaker.state(),
+                    consecutive_failures: w.breaker.consecutive_failures(),
+                    opens: w.breaker.opens(),
+                }
+            })
+            .collect()
+    }
 }
 
 fn health(state: &Arc<RouterState>) -> Response {
@@ -1332,190 +1525,6 @@ fn debug_traces(state: &Arc<RouterState>, req: &http::Request) -> Response {
 fn shutdown(state: &Arc<RouterState>) -> Response {
     state.begin_shutdown();
     Response::json(200, &object([("status", Json::from("shutting_down"))])).with_close()
-}
-
-// ---------------------------------------------------------------------------
-// The daemon
-// ---------------------------------------------------------------------------
-
-/// Final statistics reported when the router exits.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct RouterStats {
-    /// HTTP requests served by the router.
-    pub requests: u64,
-    /// Full units routed across the cluster.
-    pub units_routed: u64,
-    /// Seconds the router ran.
-    pub uptime: Duration,
-}
-
-/// A running router.
-pub struct RouterHandle {
-    /// The actually-bound address (resolves port 0).
-    pub addr: SocketAddr,
-    state: Arc<RouterState>,
-    accept_thread: JoinHandle<()>,
-    prober_thread: JoinHandle<()>,
-    started: Instant,
-}
-
-impl RouterHandle {
-    /// The shared state (tests and embedding callers).
-    pub fn state(&self) -> &Arc<RouterState> {
-        &self.state
-    }
-
-    /// Asks the router to shut down gracefully (idempotent).
-    pub fn trigger_shutdown(&self) {
-        self.state.begin_shutdown();
-    }
-
-    /// Blocks until the router has exited; optionally shuts workers
-    /// down too (`RouterConfig::shutdown_workers`).
-    pub fn wait(self) -> RouterStats {
-        if self.accept_thread.join().is_err() {
-            log_warn("router accept thread panicked");
-        }
-        if self.prober_thread.join().is_err() {
-            log_warn("router prober thread panicked");
-        }
-        if self.state.config.shutdown_workers {
-            for worker in &self.state.workers {
-                let mut w = worker.lock_or_recover();
-                let _ = w.client.request_once("POST", "/v1/shutdown", None);
-            }
-        }
-        RouterStats {
-            requests: self.state.metrics.total_requests(),
-            // audit:allow(a6-relaxed-mirror) reason="final stats snapshot after worker shutdown; the routing threads that wrote under the ingest lock have already been joined"
-            units_routed: self.state.units_routed_gauge.load(Ordering::Relaxed),
-            uptime: self.started.elapsed(),
-        }
-    }
-}
-
-/// Boots the router: binds the listener, contacts every worker once
-/// (workers that do not answer start `Down` and are re-admitted by the
-/// prober), and spawns the accept and prober threads.
-///
-/// # Errors
-///
-/// [`RouterError::Config`] for an empty worker list,
-/// [`RouterError::Io`] when the address cannot be bound or threads
-/// cannot spawn.
-pub fn run_router(config: RouterConfig) -> Result<RouterHandle, RouterError> {
-    car_obs::init_from_env();
-    let worker_count = u32::try_from(config.workers.len())
-        .ok()
-        .filter(|&n| n > 0)
-        .ok_or_else(|| RouterError::Config("at least one worker is required".into()))?;
-    let Some(ring) = ShardRing::new(worker_count) else {
-        return Err(RouterError::Config("at least one worker is required".into()));
-    };
-
-    let workers: Vec<Mutex<Worker>> = config
-        .workers
-        .iter()
-        .enumerate()
-        .map(|(i, addr)| {
-            let mut client = RetryingClient::new(addr.clone(), config.retry);
-            let mut breaker = Breaker::new(config.breaker);
-            let baseline = match probe_health(&mut client) {
-                Some(h) if h.ready => Some(h.accepted),
-                _ => {
-                    // Never seen healthy: start Open; the prober's
-                    // Half-Open trickle admits it once it answers.
-                    breaker.open_immediately(Instant::now());
-                    SHARD.add_down_transition();
-                    None
-                }
-            };
-            Mutex::new(Worker {
-                shard_id: i as u32,
-                addr: addr.clone(),
-                client,
-                breaker,
-                stale: false,
-                baseline,
-            })
-        })
-        .collect();
-
-    let state = Arc::new(RouterState {
-        ring,
-        workers,
-        ingest: Mutex::new(IngestState {
-            units_routed: 0,
-            replay: VecDeque::with_capacity(config.replay_capacity),
-        }),
-        units_routed_gauge: AtomicU64::new(0),
-        replay_depth_gauge: AtomicU64::new(0),
-        metrics: Metrics::new(),
-        traces: TraceStore::new(TraceStorePolicy::default()),
-        shutdown: AtomicBool::new(false),
-        config,
-    });
-
-    let addrs: Vec<SocketAddr> =
-        state.config.addr.to_socket_addrs().map_err(RouterError::Io)?.collect();
-    let listener = TcpListener::bind(&addrs[..]).map_err(RouterError::Io)?;
-    listener.set_nonblocking(true).map_err(RouterError::Io)?;
-    let addr = listener.local_addr().map_err(RouterError::Io)?;
-
-    let pool = car_serve::pool::ThreadPool::new(state.config.threads, "car-shard-worker")
-        .map_err(RouterError::Io)?;
-    // Served by car-serve's connection loop with `car serve`'s default
-    // head deadline and admission gate, and the router's own socket
-    // timeout and body cap.
-    let serving = ServerConfig {
-        io_timeout: state.config.io_timeout,
-        max_body_bytes: state.config.max_body_bytes,
-        ..ServerConfig::default()
-    };
-    let accept_state = Arc::clone(&state);
-    let accept_thread = std::thread::Builder::new()
-        .name("car-shard-accept".into())
-        .spawn(move || car_serve::accept_loop(&listener, &accept_state, pool, &serving))
-        .map_err(RouterError::Io)?;
-
-    let prober_state = Arc::clone(&state);
-    let prober_thread = std::thread::Builder::new()
-        .name("car-shard-probe".into())
-        .spawn(move || prober_loop(&prober_state))
-        .map_err(|e| {
-            // Unwind the accept loop before reporting the failure.
-            state.begin_shutdown();
-            RouterError::Io(e)
-        })?;
-
-    car_obs::info!(
-        "shard",
-        [addr = addr, shards = state.ring.count()],
-        "shard router listening"
-    );
-    Ok(RouterHandle {
-        addr,
-        state,
-        accept_thread,
-        prober_thread,
-        started: Instant::now(),
-    })
-}
-
-fn prober_loop(state: &Arc<RouterState>) {
-    while !state.is_shutting_down() {
-        // Sleep in short slices so shutdown is prompt.
-        let mut remaining = state.config.probe_interval;
-        while !remaining.is_zero() && !state.is_shutting_down() {
-            let slice = remaining.min(SHUTDOWN_POLL);
-            std::thread::sleep(slice);
-            remaining = remaining.saturating_sub(slice);
-        }
-        if state.is_shutting_down() {
-            break;
-        }
-        state.probe_once();
-    }
 }
 
 #[cfg(test)]
