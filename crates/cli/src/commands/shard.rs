@@ -236,7 +236,8 @@ pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     )?;
     writeln!(
         out,
-        "  endpoints: POST /v1/units  GET /v1/rules  GET /v1/health  GET /metrics"
+        "  endpoints: POST /v1/units  GET /v1/rules  GET /v1/items  GET /v1/health  \
+         GET /metrics  GET /v1/debug/traces"
     )?;
     writeln!(out, "  stop with POST /v1/shutdown")?;
     out.flush()?;

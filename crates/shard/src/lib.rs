@@ -3,9 +3,14 @@
 //! A zero-dependency router ([`router::run_router`]) fronts N
 //! `car-serve` workers. Ingest is partitioned across workers by
 //! rendezvous-hashing each transaction's partition-key item
-//! ([`ring::ShardRing`]); rule queries fan out to every live worker in
-//! parallel and the per-shard views are merged — cycles re-minimalized,
-//! rules re-sorted — at the router ([`merge::merge_rule_views`]).
+//! ([`ring::ShardRing`]); rule and item queries fan out to every live
+//! worker in parallel and the per-shard views are merged — cycles
+//! re-minimalized, rules re-sorted — at the router
+//! ([`merge::merge_rule_views`]). Ingest and queries share one fan-out
+//! path (deadline, breaker, trace and degradation handling written
+//! once), and the router's connections run through car-serve's own
+//! connection loop ([`car_serve::accept_loop`]), with its request-head
+//! deadline and admission gate.
 //!
 //! Degradation is graceful: per-shard health probes with timeout and
 //! backoff exclude a down worker from fan-out (responses then carry
