@@ -97,7 +97,7 @@ pub fn mine_sequential_parallel(
 /// double-panic over) the stragglers. This way every worker has fully
 /// stopped before the caller observes the panic, and a successful join
 /// never mixes partial results into the output.
-fn join_all<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T> {
+pub(crate) fn join_all<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T> {
     let mut out = Vec::with_capacity(handles.len());
     let mut panicked = None;
     for handle in handles {

@@ -1,12 +1,12 @@
 //! Sliding-window cyclic rule mining.
 //!
 //! [`SlidingWindowMiner`] keeps the most recent `window` time units:
-//! each arriving unit is mined once, units older than the window are
-//! evicted, and queries see a database of exactly the retained units,
-//! re-indexed so the oldest retained unit is unit 0. Long-running
-//! streams want a bounded window, because cyclic behaviour itself
-//! drifts (last year's weekly pattern may be gone); a history of known
-//! length gets a window that long, which never evicts.
+//! each arriving unit is mined at most once, units older than the
+//! window are evicted, and queries see a database of exactly the
+//! retained units, re-indexed so the oldest retained unit is unit 0.
+//! Long-running streams want a bounded window, because cyclic behaviour
+//! itself drifts (last year's weekly pattern may be gone); a history of
+//! known length gets a window that long, which never evicts.
 //!
 //! # Online state: itemsets, not rules
 //!
@@ -53,18 +53,23 @@
 //! Results are identical to batch-mining the retained units
 //! (equivalence property-tested), with per-unit mining work paid once
 //! per unit: eviction never re-mines, because the rings keep the counts
-//! that confidence is computed from.
+//! that confidence is computed from. It is never paid for a unit that a
+//! batch ([`push_units`](SlidingWindowMiner::push_units), which boot
+//! recovery uses) evicts: such a unit is counted as pushed but not
+//! mined, and the batch mines the units it keeps on a helper thread
+//! ahead of the fold.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use car_apriori::hash::FastHashMap;
-use car_apriori::{apriori_gen, eclat, MinConfidence, Rule};
+use car_apriori::{apriori_gen, eclat, FrequentItemsets, MinConfidence, Rule};
 use car_cycles::{minimal_cycles, CycleMasks, CycleSet, OnlineCycles};
 use car_itemset::ItemSet;
 
 use crate::config::{ConfigError, MiningConfig};
+use crate::parallel::join_all;
 use crate::result::{CyclicRule, RuleView};
 
 /// How often (in itemsets visited) an escalated assembly re-reads the
@@ -72,6 +77,11 @@ use crate::result::{CyclicRule, RuleView};
 /// itemset would dominate the popcount that settles most of them. Must
 /// stay a power of two — the check masks rather than divides.
 const DEADLINE_CHECK_ITEMSETS: usize = 1024;
+
+/// Mined units a batch's helper thread may run ahead of the fold. A
+/// fold costs about as much as mining the unit, so a short queue keeps
+/// both threads busy while bounding the itemsets held in flight.
+const MINE_AHEAD_UNITS: usize = 4;
 
 /// A cyclic rule miner over the most recent `window` time units.
 ///
@@ -200,11 +210,81 @@ impl SlidingWindowMiner {
     /// full. Returns the number of units evicted (0 or 1).
     pub fn push_unit(&mut self, transactions: &[ItemSet]) -> usize {
         let _span = car_obs::time_span!("window.push_unit");
-        let frequent = {
-            let _span = car_obs::time_span!("window.mine");
-            eclat(transactions, self.config.min_support, self.config.max_itemset_size)
-        };
-        let _fold = car_obs::time_span!("window.fold");
+        let frequent = Self::mine(&self.config, transactions);
+        self.fold(frequent)
+    }
+
+    /// Ingests `units` in order, with the same result as pushing them
+    /// one at a time: rules at every confidence, item supports, tracked
+    /// itemsets, [`len`](Self::len), [`total_pushed`](Self::total_pushed)
+    /// and [`evictions`](Self::evictions). Returns the number of units
+    /// the batch evicted.
+    ///
+    /// A batch at least as long as the window evicts every unit retained
+    /// before it, and its own leading `len − window` units: their state
+    /// is dropped at once and those units are never mined. The units
+    /// kept are mined on one helper thread, ahead of the in-order fold
+    /// on the calling thread; a batch of fewer than two, or a failed
+    /// spawn, mines in-thread. A panic in the helper is re-raised here
+    /// once it has stopped.
+    pub fn push_units(&mut self, units: &[Vec<ItemSet>]) -> usize {
+        let before = self.len() + units.len();
+        let skip = units.len().saturating_sub(self.window);
+        if units.len() >= self.window {
+            self.unit_itemsets.clear();
+            self.online.clear();
+            self.item_totals.clear();
+            self.total_pushed += skip as u64;
+            *self.view_slot() = None;
+        }
+        let kept = units.get(skip..).unwrap_or_default();
+        let config = self.config;
+        std::thread::scope(|scope| {
+            let (mined, ready) = std::sync::mpsc::sync_channel(MINE_AHEAD_UNITS);
+            let helper = if kept.len() < 2 {
+                None
+            } else {
+                let mine_ahead = move || {
+                    for unit in kept {
+                        // A closed channel means the fold unwound.
+                        if mined.send(Self::mine(&config, unit)).is_err() {
+                            return;
+                        }
+                    }
+                };
+                let builder = std::thread::Builder::new().name("car-window-mine".into());
+                builder.spawn_scoped(scope, mine_ahead).ok()
+            };
+            match helper {
+                Some(helper) => {
+                    for frequent in ready {
+                        self.fold(frequent);
+                    }
+                    join_all(vec![helper]);
+                }
+                None => {
+                    for unit in kept {
+                        self.fold(Self::mine(&config, unit));
+                    }
+                }
+            }
+        });
+        before - self.len()
+    }
+
+    /// The first half of a push: every large itemset of the unit, with
+    /// its count. It reads only the configuration, so a batch runs it
+    /// on a helper thread.
+    fn mine(config: &MiningConfig, transactions: &[ItemSet]) -> FrequentItemsets {
+        let _span = car_obs::time_span!("window.mine");
+        eclat(transactions, config.min_support, config.max_itemset_size)
+    }
+
+    /// The second half of a push: folds a mined unit into the online
+    /// state as the newest unit, evicting the oldest once the window is
+    /// full. Returns the number of units evicted (0 or 1).
+    fn fold(&mut self, frequent: FrequentItemsets) -> usize {
+        let _span = car_obs::time_span!("window.fold");
         // Fold this unit's large itemsets into the online cycle state:
         // one bit and one count per itemset. Itemsets absent from the
         // unit need no visit — their unset bit *is* the miss (see
@@ -716,6 +796,56 @@ mod tests {
         let served = miner.current_rules().unwrap();
         assert!(served.iter().any(|r| r.rule.to_string() == "{1} => {2}"));
         assert!(served.iter().any(|r| r.rule.to_string() == "{5} => {6}"));
+    }
+
+    /// Asserts that two miners fed the same units agree on everything a
+    /// caller can observe.
+    fn assert_same_window(batched: &SlidingWindowMiner, single: &SlidingWindowMiner) {
+        assert_eq!(batched.len(), single.len());
+        assert_eq!(batched.total_pushed(), single.total_pushed());
+        assert_eq!(batched.evictions(), single.evictions());
+        assert_eq!(batched.tracked_rules(), single.tracked_rules());
+        assert_eq!(batched.retained_rule_entries(), single.retained_rule_entries());
+        assert_eq!(batched.item_supports(), single.item_supports());
+        let rules = |miner: &SlidingWindowMiner| miner.current_rules().ok();
+        assert_eq!(rules(batched), rules(single));
+    }
+
+    #[test]
+    fn zero_and_one_unit_batches_match_single_pushes() {
+        // Below two units a batch mines in-thread, with no helper.
+        let mut batched = SlidingWindowMiner::new(config(2), 4).unwrap();
+        let mut single = SlidingWindowMiner::new(config(2), 4).unwrap();
+        assert_eq!(batched.push_units(&[]), 0);
+        assert_same_window(&batched, &single);
+        for day in 0..7 {
+            let unit = unit_for(day);
+            let evicted = single.push_unit(&unit);
+            assert_eq!(batched.push_units(std::slice::from_ref(&unit)), evicted);
+            assert_eq!(batched.push_units(&[]), 0);
+            assert_same_window(&batched, &single);
+        }
+        assert_eq!(batched.evictions(), 3);
+    }
+
+    #[test]
+    fn a_batch_longer_than_the_window_matches_single_pushes() {
+        // A window of 16 holding 5 units takes a 40-unit batch: the 5
+        // retained units and the batch's first 24 are evicted unmined.
+        let mut batched = SlidingWindowMiner::new(wide_config(), 16).unwrap();
+        let mut single = SlidingWindowMiner::new(wide_config(), 16).unwrap();
+        let history: Vec<Vec<ItemSet>> = (0..50).map(cyclic_unit).collect();
+        for (start, end, evicted) in [(0, 5, 0), (5, 45, 29), (45, 48, 3), (48, 50, 2)] {
+            let batch = &history[start..end];
+            let single_evicted: usize = batch.iter().map(|u| single.push_unit(u)).sum();
+            assert_eq!(single_evicted, evicted);
+            assert_eq!(batched.push_units(batch), evicted, "batch {start}..{end}");
+            assert_same_window(&batched, &single);
+        }
+        let strict = MinConfidence::new(0.9).unwrap();
+        let escalated = |miner: &SlidingWindowMiner| miner.query_rules(Some(strict)).ok();
+        assert_eq!(escalated(&batched), escalated(&single));
+        assert!(!batched.current_rules().unwrap().is_empty());
     }
 
     #[test]

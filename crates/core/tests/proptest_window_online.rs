@@ -16,7 +16,9 @@
 //! also draws fraction support (the daemon's mode) with empty units, a
 //! `max_itemset_size` cap, and escalation to exactly 1.0. The window's
 //! item supports, kept as running per-item totals, are checked against
-//! a direct count of the retained units.
+//! a direct count of the retained units. Last, a stream cut into random
+//! batches for `push_units` must leave the window exactly as pushing
+//! its units one at a time does, after every batch.
 
 use std::collections::BTreeMap;
 
@@ -152,6 +154,74 @@ fn arb_deep_config() -> impl Strategy<Value = (usize, MiningConfig)> {
                 builder = builder.max_itemset_size(cap);
             }
             (window, builder.build().expect("valid generated config"))
+        })
+}
+
+/// A stream of 6..24 units over items 0..8, about one in five empty; a
+/// unit on a period of 1..=3 that is not empty also carries two
+/// `{0, 1, 2}` transactions, so rules keep cycles. With it, a window of
+/// 2..=8 units or (`None`) one as long as the stream, and the sizes the
+/// stream is cut into. The first batch holds 1..=3 units, so later
+/// batches push into a non-empty miner; the others hold 0..=20, so a
+/// batch can be empty, one unit, or longer than the window. The
+/// stream's remainder is a last batch.
+fn arb_batched_stream(
+) -> impl Strategy<Value = (Vec<Vec<ItemSet>>, Option<usize>, Vec<usize>)> {
+    let tx = proptest::collection::vec(0u32..8, 0..5).prop_map(ItemSet::from_ids);
+    let unit = (0u8..5, proptest::collection::vec(tx, 1..10));
+    (
+        proptest::collection::vec(unit, 6..24),
+        1usize..=3,
+        proptest::option::of(2usize..=8),
+        1usize..=3,
+        proptest::collection::vec(0usize..=20, 0..5),
+    )
+        .prop_map(|(units, period, window, first, rest)| {
+            let pattern = ItemSet::from_ids([0, 1, 2]);
+            let units = units
+                .into_iter()
+                .enumerate()
+                .map(|(day, (kind, mut txs))| match kind {
+                    0 => Vec::new(),
+                    _ if day % period == 0 => {
+                        txs.extend([pattern.clone(), pattern.clone()]);
+                        txs
+                    }
+                    _ => txs,
+                })
+                .collect();
+            let sizes = std::iter::once(first).chain(rest).collect();
+            (units, window, sizes)
+        })
+}
+
+/// Count support 1..=3 or fraction support, any confidence, lengths
+/// 1..=3 (capped at the window) and an optional `max_itemset_size` cap
+/// of 1..=3 items.
+fn arb_batch_config() -> impl Strategy<Value = impl Fn(usize) -> MiningConfig> {
+    (
+        proptest::option::of(1u64..=3),
+        0.05f64..0.6,
+        0.0f64..=1.0,
+        (1u32..=3, 0u32..=2),
+        proptest::option::of(1usize..=3),
+    )
+        .prop_map(|(count, fraction, conf, (lo, extra), cap)| {
+            move |window: usize| {
+                let hi = (lo + extra).min(window as u32);
+                let builder = MiningConfig::builder()
+                    .min_confidence(conf)
+                    .cycle_bounds(lo.min(hi), hi);
+                let builder = match count {
+                    Some(count) => builder.min_support_count(count),
+                    None => builder.min_support_fraction(fraction),
+                };
+                let builder = match cap {
+                    Some(cap) => builder.max_itemset_size(cap),
+                    None => builder,
+                };
+                builder.build().expect("valid generated config")
+            }
         })
 }
 
@@ -368,5 +438,57 @@ proptest! {
                 "uncached day {}", day
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn push_units_matches_single_pushes_after_every_batch(
+        stream in arb_batched_stream(),
+        config in arb_batch_config(),
+        bump in 0.0f64..=1.0,
+    ) {
+        let (units, window, sizes) = stream;
+        let window = window.unwrap_or(units.len());
+        let cfg = config(window);
+        let base = cfg.min_confidence.value();
+        let q = MinConfidence::new((base + (1.0 - base) * bump).min(1.0))
+            .expect("interpolant stays in 0..=1");
+        let mut batched = SlidingWindowMiner::new(cfg, window).unwrap();
+        let mut single = SlidingWindowMiner::new(cfg, window).unwrap();
+        let mut start = 0;
+        let cuts = sizes.into_iter().chain(std::iter::once(units.len()));
+        for size in cuts {
+            let end = (start + size).min(units.len());
+            let batch = &units[start..end];
+            let evicted: usize = batch.iter().map(|unit| single.push_unit(unit)).sum();
+            prop_assert_eq!(batched.push_units(batch), evicted, "batch {}..{}", start, end);
+            prop_assert_eq!(batched.len(), single.len());
+            prop_assert_eq!(batched.total_pushed(), single.total_pushed());
+            prop_assert_eq!(batched.evictions(), single.evictions());
+            prop_assert_eq!(batched.tracked_rules(), single.tracked_rules());
+            prop_assert_eq!(
+                batched.retained_rule_entries(),
+                single.retained_rule_entries()
+            );
+            prop_assert_eq!(batched.item_supports(), single.item_supports());
+            let view = |miner: &SlidingWindowMiner, q: Option<MinConfidence>| {
+                miner.query_rules(q).ok().map(|rules| rules.to_vec())
+            };
+            prop_assert_eq!(
+                batched.current_rules().ok().map(|rules| rules.to_vec()),
+                view(&single, None),
+                "batch {}..{}", start, end
+            );
+            prop_assert_eq!(
+                view(&batched, Some(q)),
+                view(&single, Some(q)),
+                "escalated to {} after batch {}..{}", q.value(), start, end
+            );
+            start = end;
+        }
+        prop_assert_eq!(batched.total_pushed(), units.len() as u64);
     }
 }
