@@ -212,6 +212,26 @@ fn sigkill_mid_ingest_loses_no_acknowledged_unit() {
         recovery.get("replayed_units").and_then(Json::as_u64),
         Some(acknowledged as u64)
     );
+    // Every recovered unit counts as pushed, and the 5 that do not fit
+    // the window as evicted, as if each had been pushed alone...
+    let evicted = (acknowledged - WINDOW) as u64;
+    assert_eq!(
+        health.get("total_pushed").and_then(Json::as_u64),
+        Some(acknowledged as u64)
+    );
+    assert_eq!(health.get("evictions").and_then(Json::as_u64), Some(evicted));
+    // ...but recovery mined only the units the window keeps.
+    let resp = client.request("GET", "/v1/debug/profile", None).unwrap();
+    let profile = Json::parse(&resp.body_text()).unwrap();
+    let mined = profile
+        .get("spans")
+        .and_then(Json::as_array)
+        .expect("spans array")
+        .iter()
+        .find(|span| span.get("name").and_then(Json::as_str) == Some("window.mine"))
+        .and_then(|span| span.get("count"))
+        .and_then(Json::as_u64);
+    assert_eq!(mined, Some(WINDOW as u64), "{profile:?}");
 
     let resp = client.request("GET", "/v1/rules", None).unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_text());

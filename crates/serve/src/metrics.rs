@@ -439,7 +439,7 @@ impl Metrics {
             ),
             (
                 "car_mine_online_holds_total",
-                "Itemset-unit hold entries folded into online cycle state at push.",
+                "Itemset-unit hold entries folded into online cycle state at push; a recovery folds only the units it retains.",
                 mine.online_holds,
             ),
             (

@@ -18,6 +18,9 @@
 //! it is in the log. The ingest worker performs boot recovery (snapshot
 //! plus WAL replay) before draining the queue; until it finishes, ingest
 //! and rule queries answer `503` and `/v1/health` reports `recovering`.
+//! Recovery pushes the recovered units as one batch into a private
+//! miner and swaps it in under one short write lock, so health and
+//! metrics keep answering while it runs.
 //!
 //! Queries take the miner read lock; the applier takes the write lock
 //! per unit. Clients that need read-your-writes (tests, benchmarks) pass
@@ -460,15 +463,21 @@ pub fn spawn_ingest_worker(state: Arc<AppState>) -> std::io::Result<JoinHandle<(
     std::thread::Builder::new().name("car-ingest".into()).spawn(move || {
         if let Some(persist) = &state.persist {
             let recovery_span = car_obs::time_span!("recovery.boot");
-            match persist.recover(&state.metrics) {
-                Ok(recovery) => {
-                    let total = {
-                        let mut miner = state.miner.write_or_recover();
-                        for unit in &recovery.units {
-                            miner.push_unit(unit);
-                        }
-                        miner.total_pushed()
-                    };
+            // The recovered window is built in a private miner and swapped
+            // in under one short write lock, so `/v1/health` and `/metrics`
+            // never wait on recovery.
+            // Braced so that car-audit, too, sees the read guard end here.
+            let window = { state.miner.read_or_recover().window() };
+            let recovered = persist.recover(&state.metrics).and_then(|recovery| {
+                let mut miner = SlidingWindowMiner::new(state.config, window)
+                    .map_err(std::io::Error::other)?;
+                miner.push_units(&recovery.units);
+                Ok((recovery, miner))
+            });
+            match recovered {
+                Ok((recovery, miner)) => {
+                    let total = miner.total_pushed();
+                    *state.miner.write_or_recover() = miner;
                     state.query_cache.advance(total);
                     car_obs::info!(
                         "recovery",

@@ -18,6 +18,7 @@ use car_datagen::{generate_cyclic, CyclicConfig};
 use car_itemset::{ItemSet, SegmentedDb};
 use car_serve::json::Json;
 use car_serve::persist::fault::{append_garbage, FaultPlan};
+use car_serve::persist::snapshot::write_snapshot;
 use car_serve::persist::wal::{encode_record_into, list_segments};
 use car_serve::{serve, Client, PersistConfig, ServerConfig, ServerHandle};
 
@@ -359,6 +360,65 @@ fn batch_ingest_applies_like_sequential_ingest_and_survives_restart() {
     let mut client = Client::connect(&handle.addr.to_string()).unwrap();
     wait_ready(&mut client);
     assert_eq!(fetch_rules(&mut client), batch_rules(&expected));
+    handle.trigger_shutdown();
+    handle.wait();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn health_answers_while_recovery_runs() {
+    // A snapshot of 16 dense units: recovering them takes a few hundred
+    // milliseconds, long enough for dozens of health probes.
+    let dir = temp_dir("health-during-recovery");
+    std::fs::create_dir_all(&dir).unwrap();
+    let data = generate_cyclic(
+        &CyclicConfig::default()
+            .with_units(16)
+            .with_transactions_per_unit(400)
+            .with_num_cyclic_patterns(4)
+            .with_cycle_length_range(2, 4),
+        7,
+    );
+    let units: Vec<Vec<ItemSet>> =
+        (0..data.db.num_units()).map(|i| data.db.unit(i).to_vec()).collect();
+    write_snapshot(&dir, units.len() as u64, &units).unwrap();
+
+    let booted = Instant::now();
+    let handle = serve(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        threads: 2,
+        window: units.len(),
+        mining: MiningConfig::builder()
+            .min_support_fraction(0.01)
+            .min_confidence(0.6)
+            .cycle_bounds(2, 4)
+            .build()
+            .unwrap(),
+        persist: Some(PersistConfig::new(&dir)),
+        ..ServerConfig::default()
+    })
+    .expect("server boots on an ephemeral port");
+    let mut client = Client::connect(&handle.addr.to_string()).unwrap();
+    let mut slowest = Duration::ZERO;
+    let mut probes = 0;
+    let to_ready = loop {
+        let sent = Instant::now();
+        let resp = client.request("GET", "/v1/health", None).expect("health");
+        let took = sent.elapsed();
+        let doc = Json::parse(&resp.body_text()).unwrap();
+        if doc.get("ready").and_then(Json::as_bool) == Some(true) {
+            break booted.elapsed();
+        }
+        slowest = slowest.max(took);
+        probes += 1;
+        assert!(booted.elapsed() < Duration::from_secs(60), "recovery never finished");
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert!(probes >= 3, "recovery ended after {probes} probes, in {to_ready:?}");
+    assert!(
+        slowest <= to_ready / 4,
+        "a health probe took {slowest:?} of the {to_ready:?} to ready"
+    );
     handle.trigger_shutdown();
     handle.wait();
     std::fs::remove_dir_all(&dir).unwrap();
