@@ -264,8 +264,8 @@ pub fn read_request_limited<R: BufRead>(
 
 /// Reads up to and including the blank line ending the head block. The
 /// head deadline clock starts once the first head byte has been read —
-/// the wait *for* that byte is the idle keep-alive wait, governed by
-/// the socket read timeout.
+/// the wait *for* that byte is the idle keep-alive wait, which the
+/// connection loop bounds.
 fn read_head<R: BufRead>(
     reader: &mut R,
     limits: &RequestLimits,

@@ -5,7 +5,12 @@
 //! the request path, and graceful shutdown for free — dropping the
 //! sender ends the channel, each worker drains what it already received
 //! and exits, and [`ThreadPool::join`] waits for that.
+//!
+//! A [`Backlog`] handle counts the jobs waiting for a free worker, so a
+//! job that is only waiting (an idle keep-alive connection) can give its
+//! worker up to one that would otherwise queue behind it.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -18,6 +23,19 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 pub struct ThreadPool {
     sender: Option<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
+    backlog: Backlog,
+}
+
+/// The number of jobs a [`ThreadPool`] has queued that no worker has
+/// taken yet. Cloning shares the count.
+#[derive(Clone, Debug, Default)]
+pub struct Backlog(Arc<AtomicUsize>);
+
+impl Backlog {
+    /// Whether some job is waiting for a free worker.
+    pub fn is_waiting(&self) -> bool {
+        self.0.load(Ordering::SeqCst) > 0
+    }
 }
 
 impl ThreadPool {
@@ -31,29 +49,38 @@ impl ThreadPool {
         let size = size.max(1);
         let (sender, receiver) = std::sync::mpsc::channel::<Job>();
         let receiver = Arc::new(Mutex::new(receiver));
+        let backlog = Backlog::default();
         let mut workers = Vec::with_capacity(size);
         for i in 0..size {
             let receiver = Arc::clone(&receiver);
+            let backlog = backlog.clone();
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("{name}-{i}"))
-                    .spawn(move || worker_loop(&receiver))?,
+                    .spawn(move || worker_loop(&receiver, &backlog))?,
             );
         }
-        Ok(ThreadPool { sender: Some(sender), workers })
+        Ok(ThreadPool { sender: Some(sender), workers, backlog })
     }
 
     /// Queues a job. Jobs run in submission order per worker, across
     /// workers in whatever order the scheduler picks.
     pub fn execute<F: FnOnce() + Send + 'static>(&self, job: F) {
         if let Some(sender) = &self.sender {
+            self.backlog.0.fetch_add(1, Ordering::SeqCst);
             // Send fails only if every worker exited, which should be
             // impossible while the pool owns their handles — so a
             // dropped job is worth a log line, not a panic.
             if sender.send(Box::new(job)).is_err() {
+                self.backlog.0.fetch_sub(1, Ordering::SeqCst);
                 log_warn("thread pool has no live workers; dropping job");
             }
         }
+    }
+
+    /// A handle on the count of queued jobs no worker has taken yet.
+    pub fn backlog(&self) -> Backlog {
+        self.backlog.clone()
     }
 
     /// Stops accepting jobs, lets queued jobs finish, and joins every
@@ -80,7 +107,7 @@ impl Drop for ThreadPool {
     }
 }
 
-fn worker_loop(receiver: &Mutex<Receiver<Job>>) {
+fn worker_loop(receiver: &Mutex<Receiver<Job>>, backlog: &Backlog) {
     loop {
         let job = {
             let guard = receiver.lock_or_recover();
@@ -89,6 +116,7 @@ fn worker_loop(receiver: &Mutex<Receiver<Job>>) {
         };
         match job {
             Ok(job) => {
+                backlog.0.fetch_sub(1, Ordering::SeqCst);
                 // A panicking connection handler must not take the
                 // worker down with it.
                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
@@ -143,6 +171,25 @@ mod tests {
         });
         pool.join();
         assert_eq!(counter.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn backlog_counts_jobs_no_worker_has_taken() {
+        let pool = ThreadPool::new(1, "backlog").unwrap();
+        let backlog = pool.backlog();
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel::<()>();
+        pool.execute(move || {
+            started_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+        });
+        started.recv().unwrap();
+        assert!(!backlog.is_waiting(), "the running job is not queued");
+        pool.execute(|| {});
+        assert!(backlog.is_waiting(), "the second job waits for the only worker");
+        release.send(()).unwrap();
+        pool.join();
+        assert!(!backlog.is_waiting());
     }
 
     #[test]

@@ -4,16 +4,19 @@
 //! polling a shutdown flag between accepts; each accepted connection is
 //! handed to the worker [`ThreadPool`](crate::pool::ThreadPool), which
 //! serves keep-alive requests until the client closes, an error occurs,
-//! or shutdown begins. Shutdown (via `POST /v1/shutdown`, SIGINT, or
-//! [`ServerHandle::trigger_shutdown`]) stops accepting, lets in-flight
-//! requests drain (the pool join), drains the ingest queue into the
-//! miner, and returns final statistics.
+//! or shutdown begins. A connection idle between requests gives its
+//! thread up, with a `408`, as soon as another connection is queued for
+//! one or shutdown begins, and otherwise after the socket timeout.
+//! Shutdown (via
+//! `POST /v1/shutdown`, SIGINT, or [`ServerHandle::trigger_shutdown`])
+//! stops accepting, lets in-flight requests drain (the pool join),
+//! drains the ingest queue into the miner, and returns final statistics.
 //!
 //! The loop is generic over a [`Service`], so the `car shard` router is
 //! served by the same code, with the same head deadline and admission
 //! gate, as a worker.
 
-use std::io::{BufReader, BufWriter};
+use std::io::{BufRead, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -25,6 +28,7 @@ use car_obs::trace::FinishedTrace;
 
 use crate::http::{self, Request, RequestLimits, Response, DEFAULT_MAX_BODY_BYTES};
 use crate::metrics::{Metrics, Route};
+use crate::pool::Backlog;
 use crate::routes;
 use crate::state::{spawn_ingest_worker, AppState};
 use crate::sync::{log_warn, RwLockExt};
@@ -36,6 +40,10 @@ const ACCEPT_POLL: Duration = Duration::from_millis(25);
 /// Requests served per connection before forcing a close (keeps a
 /// single chatty client from pinning a worker forever).
 const MAX_REQUESTS_PER_CONNECTION: usize = 10_000;
+
+/// How long an idle keep-alive connection waits for its next request
+/// between checks for a connection queued behind it.
+const IDLE_SLICE: Duration = Duration::from_millis(50);
 
 /// Everything needed to boot a daemon.
 #[derive(Clone, Debug)]
@@ -282,11 +290,14 @@ impl Service for AppState {
 }
 
 /// Per-connection serving policy, shared by the accept loop and every
-/// worker thread: socket timeouts, parse limits, and the bounded
-/// in-flight admission gate.
+/// worker thread: socket timeouts, parse limits, the bounded in-flight
+/// admission gate, and the pool's backlog.
 struct ConnPolicy {
     io_timeout: Duration,
     limits: RequestLimits,
+    /// Connections queued for a pool thread; an idle keep-alive
+    /// connection closes to free its thread while one waits.
+    backlog: Backlog,
     /// Admission limit; `0` disables shedding.
     max_inflight: usize,
     /// Connections currently being served.
@@ -376,6 +387,7 @@ pub fn accept_loop<S: Service>(
             max_body_bytes: config.max_body_bytes,
             header_timeout: config.header_timeout,
         },
+        backlog: pool.backlog(),
         max_inflight: config.max_inflight,
         inflight: AtomicUsize::new(0),
     });
@@ -437,9 +449,16 @@ fn serve_connection<S: Service>(
     let mut writer = BufWriter::new(write_half);
     let metrics = service.metrics();
 
-    for _ in 0..MAX_REQUESTS_PER_CONNECTION {
+    for served in 0..MAX_REQUESTS_PER_CONNECTION {
+        let next = if served == 0 {
+            Ok(())
+        } else {
+            await_next_request(&mut reader, &**service, policy)
+        };
         let started = Instant::now();
-        let request = match http::read_request_limited(&mut reader, &policy.limits) {
+        let read =
+            next.and_then(|()| http::read_request_limited(&mut reader, &policy.limits));
+        let request = match read {
             Ok(request) => request,
             Err(http::ParseError::ConnectionClosed) => return,
             Err(e) => {
@@ -517,6 +536,46 @@ fn serve_connection<S: Service>(
             return;
         }
     }
+}
+
+/// Waits for the first byte of a keep-alive connection's next request
+/// in [`IDLE_SLICE`] steps, so that an idle connection holds its pool
+/// thread only while no other connection is queued for one. Gives up
+/// with [`http::ParseError::Timeout`], which closes the connection with
+/// a `408`, once a connection is queued, shutdown begins, or the idle
+/// wait reaches `io_timeout`.
+fn await_next_request<S: Service>(
+    reader: &mut BufReader<TcpStream>,
+    service: &S,
+    policy: &ConnPolicy,
+) -> Result<(), http::ParseError> {
+    if !reader.buffer().is_empty() {
+        return Ok(());
+    }
+    let idle_since = Instant::now();
+    reader.get_ref().set_read_timeout(Some(IDLE_SLICE.min(policy.io_timeout)))?;
+    let waited = loop {
+        match reader.fill_buf() {
+            Ok(_) => break Ok(()),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                if policy.backlog.is_waiting()
+                    || service.is_shutting_down()
+                    || idle_since.elapsed() >= policy.io_timeout
+                {
+                    break Err(http::ParseError::Timeout);
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => break Err(e.into()),
+        }
+    };
+    reader.get_ref().set_read_timeout(Some(policy.io_timeout))?;
+    waited
 }
 
 #[cfg(test)]
@@ -719,6 +778,60 @@ mod tests {
             car_obs::counters::RESILIENCE.snapshot().header_timeouts > before,
             "header timeout counter must advance"
         );
+        handle.trigger_shutdown();
+        handle.wait();
+    }
+
+    /// Sends `/v1/health` on `stream` and reads the answer's status.
+    fn health_status(stream: &TcpStream) -> u16 {
+        let mut writer = stream.try_clone().unwrap();
+        writer.write_all(b"GET /v1/health HTTP/1.1\r\n\r\n").unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        crate::client::read_response(&mut reader).expect("response").status
+    }
+
+    #[test]
+    fn idle_keep_alive_connections_free_a_thread_for_a_queued_one() {
+        // Four keep-alive clients hold every thread of a four-thread
+        // pool, idle after one request each, well inside `io_timeout`.
+        let mut config = test_config();
+        config.threads = 4;
+        config.io_timeout = Duration::from_secs(10);
+        let handle = serve(config).unwrap();
+        let idle: Vec<TcpStream> = (0..4)
+            .map(|_| {
+                let stream = TcpStream::connect(handle.addr).unwrap();
+                assert_eq!(health_status(&stream), 200);
+                stream
+            })
+            .collect();
+        let started = Instant::now();
+        let fifth = TcpStream::connect(handle.addr).unwrap();
+        fifth.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        assert_eq!(health_status(&fifth), 200);
+        let waited = started.elapsed();
+        assert!(waited < Duration::from_secs(1), "the fifth client waited {waited:?}");
+        // The connection that gave its thread up said so with a 408.
+        let closed = idle.iter().filter(|stream| {
+            stream.set_read_timeout(Some(Duration::from_millis(100))).unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            crate::client::read_response(&mut reader).is_ok_and(|r| r.status == 408)
+        });
+        assert!(closed.count() >= 1);
+        handle.trigger_shutdown();
+        handle.wait();
+    }
+
+    #[test]
+    fn a_lone_idle_keep_alive_connection_is_kept() {
+        let handle = serve(test_config()).unwrap();
+        let stream = TcpStream::connect(handle.addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        assert_eq!(health_status(&stream), 200);
+        // Idle for several slices with nothing queued: the same socket
+        // still gets its next request answered.
+        std::thread::sleep(Duration::from_millis(300));
+        assert_eq!(health_status(&stream), 200);
         handle.trigger_shutdown();
         handle.wait();
     }
