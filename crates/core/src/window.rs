@@ -53,11 +53,11 @@
 //! Results are identical to batch-mining the retained units
 //! (equivalence property-tested), with per-unit mining work paid once
 //! per unit: eviction never re-mines, because the rings keep the counts
-//! that confidence is computed from. It is never paid for a unit that a
-//! batch ([`push_units`](SlidingWindowMiner::push_units), which boot
-//! recovery uses) evicts: such a unit is counted as pushed but not
-//! mined, and the batch mines the units it keeps on a helper thread
-//! ahead of the fold.
+//! that confidence is computed from. A batch
+//! ([`push_units`](SlidingWindowMiner::push_units), which boot recovery
+//! uses) never pays it for a unit the batch itself evicts: such a unit
+//! is counted as pushed and evicted but never mined, and the units the
+//! batch keeps are mined on a helper thread ahead of the fold.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -235,7 +235,6 @@ impl SlidingWindowMiner {
             self.online.clear();
             self.item_totals.clear();
             self.total_pushed += skip as u64;
-            *self.view_slot() = None;
         }
         let kept = units.get(skip..).unwrap_or_default();
         let config = self.config;

@@ -6,7 +6,7 @@
 //! sender ends the channel, each worker drains what it already received
 //! and exits, and [`ThreadPool::join`] waits for that.
 //!
-//! A [`Backlog`] handle counts the jobs waiting for a free worker, so a
+//! A `Backlog` handle counts the jobs waiting for a free worker, so a
 //! job that is only waiting (an idle keep-alive connection) can give its
 //! worker up to one that would otherwise queue behind it.
 
@@ -28,12 +28,12 @@ pub struct ThreadPool {
 
 /// The number of jobs a [`ThreadPool`] has queued that no worker has
 /// taken yet. Cloning shares the count.
-#[derive(Clone, Debug, Default)]
-pub struct Backlog(Arc<AtomicUsize>);
+#[derive(Clone, Default)]
+pub(crate) struct Backlog(Arc<AtomicUsize>);
 
 impl Backlog {
     /// Whether some job is waiting for a free worker.
-    pub fn is_waiting(&self) -> bool {
+    pub(crate) fn is_waiting(&self) -> bool {
         self.0.load(Ordering::SeqCst) > 0
     }
 }
@@ -79,7 +79,7 @@ impl ThreadPool {
     }
 
     /// A handle on the count of queued jobs no worker has taken yet.
-    pub fn backlog(&self) -> Backlog {
+    pub(crate) fn backlog(&self) -> Backlog {
         self.backlog.clone()
     }
 

@@ -7,10 +7,10 @@
 //! or shutdown begins. A connection idle between requests gives its
 //! thread up, with a `408`, as soon as another connection is queued for
 //! one or shutdown begins, and otherwise after the socket timeout.
-//! Shutdown (via
-//! `POST /v1/shutdown`, SIGINT, or [`ServerHandle::trigger_shutdown`])
-//! stops accepting, lets in-flight requests drain (the pool join),
-//! drains the ingest queue into the miner, and returns final statistics.
+//! Shutdown (via `POST /v1/shutdown`, SIGINT, or
+//! [`ServerHandle::trigger_shutdown`]) stops accepting, lets in-flight
+//! requests drain (the pool join), drains the ingest queue into the
+//! miner, and returns final statistics.
 //!
 //! The loop is generic over a [`Service`], so the `car shard` router is
 //! served by the same code, with the same head deadline and admission
@@ -832,6 +832,14 @@ mod tests {
         // still gets its next request answered.
         std::thread::sleep(Duration::from_millis(300));
         assert_eq!(health_status(&stream), 200);
+        // The idle wait is not part of the second request's latency.
+        let exposition = handle.state().metrics.render_prometheus(&[]);
+        let seconds: f64 = exposition
+            .lines()
+            .find_map(|l| l.strip_prefix("car_http_request_duration_seconds_sum "))
+            .and_then(|v| v.trim().parse().ok())
+            .expect("latency sum");
+        assert!(seconds < 0.25, "two health requests took {seconds} s");
         handle.trigger_shutdown();
         handle.wait();
     }
