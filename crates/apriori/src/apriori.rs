@@ -15,15 +15,15 @@ pub struct AprioriConfig {
     pub min_support: MinSupport,
     /// Optional cap on itemset size (`None` = unbounded).
     pub max_size: Option<usize>,
-    /// Support counting engine.
+    /// Support counting engine (the vertical kernel by default).
     pub counting: CountStrategy,
 }
 
 impl AprioriConfig {
     /// Configuration with the given support threshold and defaults
-    /// elsewhere (no size cap, automatic counting engine).
+    /// elsewhere (no size cap, the vertical counting kernel).
     pub fn new(min_support: MinSupport) -> Self {
-        AprioriConfig { min_support, max_size: None, counting: CountStrategy::Auto }
+        AprioriConfig { min_support, max_size: None, counting: CountStrategy::Vertical }
     }
 
     /// Caps the size of mined itemsets.
@@ -52,7 +52,7 @@ pub struct AprioriStats {
     /// Number of levels (database passes) executed.
     pub levels: u64,
     /// Vertical tid-bitmap constructions performed by the counting
-    /// kernel (one per batch the `Vertical` engine ran for).
+    /// kernel: one per level `k ≥ 2` counted with the default engine.
     pub bitmap_builds: u64,
 }
 
@@ -210,8 +210,7 @@ mod tests {
     #[test]
     fn both_engines_agree_on_han_kamber() {
         let base = AprioriConfig::new(MinSupport::count(2));
-        let a =
-            Apriori::new(base.with_counting(CountStrategy::HashMap)).mine(&han_kamber());
+        let a = Apriori::new(base).mine(&han_kamber());
         let b =
             Apriori::new(base.with_counting(CountStrategy::HashTree)).mine(&han_kamber());
         let mut av: Vec<_> = a.iter().map(|(s, c)| (s.clone(), c)).collect();

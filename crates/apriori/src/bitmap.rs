@@ -1,11 +1,10 @@
 //! Vertical tid-bitmap support counting.
 //!
-//! The horizontal engines ([`count_hashmap`], the hash tree) walk the
-//! database transaction-major and ask, per transaction, *which candidates
-//! does this contain?* — subset enumeration or tree probes, both of which
-//! hash. This module flips the layout: one `Vec<u64>` bitset per item,
-//! bit `t` set iff transaction `t` contains the item. Support of a
-//! candidate `{a, b, c}` is then
+//! The hash tree walks the database transaction-major and asks, per
+//! transaction, *which candidates does this contain?* — tree probes
+//! that hash the transaction's items. This module flips the layout: one
+//! `Vec<u64>` bitset per item, bit `t` set iff transaction `t` contains
+//! the item. Support of a candidate `{a, b, c}` is then
 //!
 //! ```text
 //! popcount(row(a) & row(b) & row(c))
@@ -14,8 +13,8 @@
 //! word by word — a chained `u64` AND plus `count_ones()`, no subset
 //! enumeration, no hashing, no per-candidate allocation (the row-slice
 //! scratch is reused across candidates). At the paper's densities this
-//! is memory-bandwidth bound and beats both horizontal engines by a
-//! wide margin (see `count.rs` module docs for the measured crossover).
+//! is memory-bandwidth bound and beats the hash tree by a wide margin
+//! (EXP-8).
 //!
 //! Rows are built only for items that actually occur in the candidate
 //! batch; item ids are mapped to dense row indices through [`ItemMap`],
@@ -28,8 +27,6 @@
 //! `car_mine_bitmap_builds_total` counter, which is how the INTERLEAVED
 //! tests prove that cycle skipping means *the bitmap for a skipped unit
 //! is never built at all*.
-//!
-//! [`count_hashmap`]: crate::count::CountStrategy::HashMap
 
 use car_itemset::refstore::{RefCounter, RefMap};
 use car_itemset::ItemSet;

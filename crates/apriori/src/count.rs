@@ -1,99 +1,42 @@
-//! Support counting engines.
+//! Support counting for the level-wise miners.
 //!
 //! Counting is the hot loop of Apriori: for every candidate `k`-itemset,
-//! how many transactions contain it? Three engines are provided and kept
+//! how many transactions contain it? Two engines are provided and kept
 //! behaviourally identical (tests and proptests cross-check them):
 //!
-//! * [`CountStrategy::HashMap`] — enumerate the `k`-subsets of each
-//!   transaction and look them up in a fast hash map. Simple and fast
-//!   while `C(|t|, k)` stays small (short transactions, low `k`).
-//! * [`CountStrategy::HashTree`] — the Apriori paper's hash tree, which
-//!   scales to long transactions and large candidate sets.
-//! * [`CountStrategy::Vertical`] — per-batch vertical tid-bitmaps (one
-//!   `Vec<u64>` bitset per candidate item): support is a chained `u64`
-//!   AND + popcount. See [`crate::bitmap`].
-//!
-//! # The measured `Auto` crossover
-//!
-//! [`CountStrategy::Auto`] picks per batch from measured crossovers on
-//! the fig8 workload (QUEST-style data, 2000 transactions, ~780
-//! candidate pairs; medians from the `fig8_counting` bench, which CI
-//! re-runs in quick mode and archives as `BENCH_fig8.json`):
-//!
-//! * At the paper's default density (avg transaction length 5), Vertical
-//!   counts the batch ~8× faster than HashMap and ~28× faster than
-//!   HashTree (1.12ms → 141µs / 4.01ms → 141µs).
-//! * At high density (avg length 20), Vertical is ~61× faster than
-//!   HashMap and ~246× faster than HashTree (15.5ms / 62.3ms → 253µs).
-//!   The horizontal engines degrade with `C(|t|, k)` subset blow-up or
-//!   tree fan-out; Vertical's cost is `O(candidates · k · ⌈n/64⌉)` and
-//!   does not depend on transaction length at all.
-//!
-//! The crossover is therefore not density-based but *size*-based:
-//! Vertical pays one bitmap build (`O(Σ|t|)` bit sets) per batch, which
-//! only fails to amortise when the batch is trivially small. The rule:
-//!
-//! * batches with `candidates · transactions <` [`VERTICAL_MIN_WORK`]
-//!   (tiny unit scans, e.g. a handful of candidates over a short unit)
-//!   keep the old horizontal split — HashMap, or HashTree once the
-//!   estimated subset-enumeration work `C(max|t|, k)` exceeds
-//!   [`HASHTREE_ENUM_FACTOR`]`· candidates`;
-//! * everything else counts vertically.
+//! * [`CountStrategy::Vertical`], the default: per-batch vertical
+//!   tid-bitmaps (one `Vec<u64>` bitset per candidate item), so support
+//!   is a chained `u64` AND + popcount. See [`crate::bitmap`]. Its cost,
+//!   `O(candidates · k · ⌈n/64⌉)`, does not depend on transaction length.
+//! * [`CountStrategy::HashTree`]: the Apriori paper's hash tree. It is
+//!   the paper-era baseline that EXP-8 and the `fig8_counting` bench
+//!   measure, and the independent engine the proptests check the
+//!   kernel against.
 
 use car_itemset::ItemSet;
 
 use crate::bitmap::count_vertical;
-use crate::hash::FastHashMap;
 use crate::hash_tree::HashTree;
 
 /// Which support-counting engine to use.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CountStrategy {
-    /// Subset enumeration + hash map lookup.
-    HashMap,
+    /// Vertical tid-bitmaps: chained AND + popcount per candidate.
+    #[default]
+    Vertical,
     /// Classic Apriori hash tree.
     HashTree,
-    /// Vertical tid-bitmaps: chained AND + popcount per candidate.
-    Vertical,
-    /// Choose automatically per counting batch (see module docs for the
-    /// measured crossover rule).
-    #[default]
-    Auto,
 }
 
-/// The engine [`count_candidates_detailed`] actually ran for a batch
-/// (resolves [`CountStrategy::Auto`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CountEngine {
-    /// Subset enumeration + hash map.
-    HashMap,
-    /// Hash tree.
-    HashTree,
-    /// Vertical tid-bitmaps.
-    Vertical,
-}
-
-/// Result of one counting batch: per-candidate counts plus what ran.
+/// Result of one counting batch.
 #[derive(Clone, Debug)]
 pub struct CountOutcome {
     /// Per-candidate support counts, parallel to the input slice.
     pub counts: Vec<u64>,
-    /// The engine that produced them.
-    pub engine: CountEngine,
     /// Vertical bitmap constructions performed (0 or 1 per batch) —
     /// threaded into `MiningStats::bitmap_builds` by the miners.
     pub bitmap_builds: u64,
 }
-
-/// Below this `candidates × transactions` product a batch is too small
-/// for the vertical build to amortise; measured on the fig8 workload
-/// (the build overhead dominates only for near-trivial batches).
-pub const VERTICAL_MIN_WORK: u64 = 4096;
-
-/// In the small-batch regime, switch from subset enumeration to the
-/// hash tree when `C(max|t|, k)` exceeds this multiple of the candidate
-/// count.
-pub const HASHTREE_ENUM_FACTOR: u64 = 4;
 
 /// Counts, for each candidate, the number of transactions containing it.
 ///
@@ -111,8 +54,8 @@ pub fn count_candidates(
     count_candidates_detailed(candidates, transactions, strategy).counts
 }
 
-/// Like [`count_candidates`], but also reports which engine ran and how
-/// many vertical bitmap builds it performed.
+/// Like [`count_candidates`], but also reports how many vertical bitmap
+/// builds the batch performed.
 ///
 /// # Panics
 ///
@@ -123,107 +66,31 @@ pub fn count_candidates_detailed(
     strategy: CountStrategy,
 ) -> CountOutcome {
     if candidates.is_empty() {
-        return CountOutcome {
-            counts: Vec::new(),
-            engine: CountEngine::HashMap,
-            bitmap_builds: 0,
-        };
+        return CountOutcome { counts: Vec::new(), bitmap_builds: 0 };
     }
     let k = candidates[0].len();
     assert!(k >= 1, "candidates must be non-empty itemsets");
     assert!(candidates.iter().all(|c| c.len() == k), "candidates must have uniform size");
 
-    let engine = match strategy {
-        CountStrategy::HashMap => CountEngine::HashMap,
-        CountStrategy::HashTree => CountEngine::HashTree,
-        CountStrategy::Vertical => CountEngine::Vertical,
-        CountStrategy::Auto => auto_engine(candidates, transactions, k),
-    };
-    match engine {
-        CountEngine::HashMap => CountOutcome {
-            counts: count_hashmap(candidates, transactions, k),
-            engine,
-            bitmap_builds: 0,
-        },
-        CountEngine::HashTree => CountOutcome {
-            counts: count_hashtree(candidates, transactions),
-            engine,
-            bitmap_builds: 0,
-        },
-        CountEngine::Vertical => CountOutcome {
+    match strategy {
+        CountStrategy::Vertical => CountOutcome {
             counts: count_vertical(candidates, transactions, k),
-            engine,
             bitmap_builds: 1,
         },
-    }
-}
-
-/// The measured-crossover rule for [`CountStrategy::Auto`]; see the
-/// module docs for the numbers behind it.
-fn auto_engine(
-    candidates: &[ItemSet],
-    transactions: &[ItemSet],
-    k: usize,
-) -> CountEngine {
-    let batch_work = (candidates.len() as u64).saturating_mul(transactions.len() as u64);
-    if batch_work >= VERTICAL_MIN_WORK {
-        return CountEngine::Vertical;
-    }
-    // Tiny batch: the horizontal engines' old split. Subset enumeration
-    // explodes with transaction length; the hash tree wins once
-    // C(|t|, k) routinely exceeds the number of candidates a
-    // transaction could realistically contain.
-    let max_len = transactions.iter().map(ItemSet::len).max().unwrap_or(0);
-    let enum_cap = HASHTREE_ENUM_FACTOR.saturating_mul(candidates.len() as u64);
-    if binomial_capped(max_len, k, enum_cap.saturating_add(64)) > enum_cap {
-        CountEngine::HashTree
-    } else {
-        CountEngine::HashMap
-    }
-}
-
-fn count_hashmap(candidates: &[ItemSet], transactions: &[ItemSet], k: usize) -> Vec<u64> {
-    let index: FastHashMap<&ItemSet, usize> =
-        candidates.iter().enumerate().map(|(i, c)| (c, i)).collect();
-    let mut counts = vec![0u64; candidates.len()];
-    for t in transactions {
-        if t.len() < k {
-            continue;
-        }
-        for sub in t.k_subsets(k) {
-            if let Some(&i) = index.get(&sub) {
-                counts[i] = counts[i].saturating_add(1);
-            }
+        CountStrategy::HashTree => {
+            let mut tree = HashTree::build(candidates.to_vec());
+            tree.count_all(transactions);
+            CountOutcome { counts: tree.into_counts().1, bitmap_builds: 0 }
         }
     }
-    counts
-}
-
-fn count_hashtree(candidates: &[ItemSet], transactions: &[ItemSet]) -> Vec<u64> {
-    let mut tree = HashTree::build(candidates.to_vec());
-    tree.count_all(transactions);
-    let (_, counts) = tree.into_counts();
-    counts
-}
-
-/// `C(n, k)` capped at `cap` to avoid overflow.
-fn binomial_capped(n: usize, k: usize, cap: u64) -> u64 {
-    if k > n {
-        return 0;
-    }
-    let mut r: u64 = 1;
-    for i in 0..k {
-        r = r.saturating_mul((n - i) as u64) / (i as u64 + 1);
-        if r >= cap {
-            return cap;
-        }
-    }
-    r
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const ENGINES: [CountStrategy; 2] =
+        [CountStrategy::Vertical, CountStrategy::HashTree];
 
     fn set(ids: &[u32]) -> ItemSet {
         ItemSet::from_ids(ids.iter().copied())
@@ -248,12 +115,7 @@ mod tests {
             set(&[1, 2, 3, 4, 5]),
         ];
         let expected = naive(&candidates, &transactions);
-        for strategy in [
-            CountStrategy::HashMap,
-            CountStrategy::HashTree,
-            CountStrategy::Vertical,
-            CountStrategy::Auto,
-        ] {
+        for strategy in ENGINES {
             assert_eq!(
                 count_candidates(&candidates, &transactions, strategy),
                 expected,
@@ -264,10 +126,8 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        assert!(count_candidates(&[], &[set(&[1])], CountStrategy::Auto).is_empty());
-        for strategy in
-            [CountStrategy::HashMap, CountStrategy::HashTree, CountStrategy::Vertical]
-        {
+        for strategy in ENGINES {
+            assert!(count_candidates(&[], &[set(&[1])], strategy).is_empty());
             assert_eq!(count_candidates(&[set(&[1])], &[], strategy), vec![0]);
         }
     }
@@ -276,9 +136,7 @@ mod tests {
     fn singleton_candidates() {
         let candidates = vec![set(&[1]), set(&[2]), set(&[9])];
         let transactions = vec![set(&[1, 2]), set(&[1]), set(&[2, 9])];
-        for strategy in
-            [CountStrategy::HashMap, CountStrategy::HashTree, CountStrategy::Vertical]
-        {
+        for strategy in ENGINES {
             assert_eq!(
                 count_candidates(&candidates, &transactions, strategy),
                 vec![2, 2, 1]
@@ -287,56 +145,34 @@ mod tests {
     }
 
     #[test]
-    fn long_transactions_trigger_auto_hashtree_and_stay_correct() {
-        // One long transaction makes subset enumeration expensive; in the
-        // small-batch regime Auto must pick the hash tree and still
-        // produce exact counts.
+    fn long_transactions_stay_correct_under_both_engines() {
+        // One long transaction: C(30, 3) subsets against ten candidates.
         let candidates: Vec<ItemSet> =
             (0..10u32).map(|i| set(&[i, i + 10, i + 20])).collect();
         let mut transactions = vec![ItemSet::from_ids(0..30u32)];
         transactions.push(set(&[0, 10, 20]));
         let expected = naive(&candidates, &transactions);
-        let outcome =
-            count_candidates_detailed(&candidates, &transactions, CountStrategy::Auto);
-        assert_eq!(outcome.counts, expected);
-        assert_eq!(outcome.engine, CountEngine::HashTree);
-        assert_eq!(outcome.bitmap_builds, 0);
-    }
-
-    #[test]
-    fn auto_goes_vertical_on_large_batches() {
-        // 100 candidates × 100 transactions exceeds VERTICAL_MIN_WORK.
-        let candidates: Vec<ItemSet> = (0..100u32).map(|i| set(&[i, i + 1])).collect();
-        let transactions: Vec<ItemSet> =
-            (0..100u32).map(|i| set(&[i, i + 1, i + 2])).collect();
-        let outcome =
-            count_candidates_detailed(&candidates, &transactions, CountStrategy::Auto);
-        assert_eq!(outcome.engine, CountEngine::Vertical);
-        assert_eq!(outcome.bitmap_builds, 1);
-        assert_eq!(outcome.counts, naive(&candidates, &transactions));
+        for strategy in ENGINES {
+            assert_eq!(
+                count_candidates(&candidates, &transactions, strategy),
+                expected,
+                "strategy {strategy:?}"
+            );
+        }
     }
 
     #[test]
     fn detailed_reports_forced_engines() {
         let candidates = vec![set(&[1])];
         let transactions = vec![set(&[1])];
-        for (strategy, engine, builds) in [
-            (CountStrategy::HashMap, CountEngine::HashMap, 0),
-            (CountStrategy::HashTree, CountEngine::HashTree, 0),
-            (CountStrategy::Vertical, CountEngine::Vertical, 1),
-        ] {
+        for (strategy, builds) in
+            [(CountStrategy::HashTree, 0), (CountStrategy::Vertical, 1)]
+        {
             let outcome = count_candidates_detailed(&candidates, &transactions, strategy);
-            assert_eq!(outcome.engine, engine);
+            assert_eq!(outcome.counts, vec![1]);
             assert_eq!(outcome.bitmap_builds, builds);
         }
-    }
-
-    #[test]
-    fn binomial_capped_behaviour() {
-        assert_eq!(binomial_capped(5, 2, 1000), 10);
-        assert_eq!(binomial_capped(5, 6, 1000), 0);
-        assert_eq!(binomial_capped(100, 50, 7), 7); // capped
-        assert_eq!(binomial_capped(4, 0, 10), 1);
+        assert_eq!(CountStrategy::default(), CountStrategy::Vertical);
     }
 
     #[test]
@@ -345,7 +181,7 @@ mod tests {
         let _ = count_candidates(
             &[set(&[1]), set(&[1, 2])],
             &[set(&[1])],
-            CountStrategy::HashMap,
+            CountStrategy::Vertical,
         );
     }
 }

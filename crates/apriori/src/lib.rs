@@ -8,15 +8,14 @@
 //! Components:
 //!
 //! * [`apriori_gen`] — level-wise candidate generation (join + prune).
-//! * Three interchangeable support-counting engines, cross-checked by
+//! * Two interchangeable support-counting engines, cross-checked by
 //!   tests and proptests:
-//!   - a subset-enumeration counter over a fast hash map
-//!     ([`CountStrategy::HashMap`]),
+//!   - a **vertical tid-bitmap** kernel ([`CountStrategy::Vertical`],
+//!     the default): support is a chained `u64` AND + popcount over
+//!     per-item bitsets (see [`bitmap`]), and
 //!   - a classic **hash tree** ([`CountStrategy::HashTree`], the structure
-//!     from the original Apriori paper), and
-//!   - a **vertical tid-bitmap** kernel ([`CountStrategy::Vertical`]):
-//!     support is a chained `u64` AND + popcount over per-item bitsets
-//!     (see [`bitmap`]), by far the fastest at realistic batch sizes.
+//!     from the original Apriori paper), kept as the paper-era baseline
+//!     and as an independent check on the kernel.
 //! * [`Apriori`] — the level-wise driver producing [`FrequentItemsets`],
 //!   which the paper's SEQUENTIAL and INTERLEAVED algorithms extend.
 //! * [`eclat`] — depth-first mining over the same tid-bitmaps: each
@@ -64,7 +63,7 @@ pub use apriori::{Apriori, AprioriConfig, AprioriStats};
 pub use bitmap::{count_vertical, ItemMap, TidBitmaps};
 pub use candidate::apriori_gen;
 pub use count::{
-    count_candidates, count_candidates_detailed, CountEngine, CountOutcome, CountStrategy,
+    count_candidates, count_candidates_detailed, CountOutcome, CountStrategy,
 };
 pub use eclat::eclat;
 pub use fpgrowth::fp_growth;

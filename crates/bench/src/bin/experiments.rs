@@ -293,8 +293,8 @@ fn exp7_work_metrics(scale: Scale) {
     println!();
 }
 
-/// EXP-8: counting-engine comparison (hash map vs hash tree) on short
-/// and long transactions.
+/// EXP-8: counting-engine comparison (the paper-era hash tree vs the
+/// vertical kernel) on short and long transactions.
 ///
 /// Measured directly on the counting primitive (as the fig8 Criterion
 /// bench does) rather than on a full mining run: long dense transactions
@@ -306,16 +306,16 @@ fn exp8_counting_engines(scale: Scale) {
 
     println!("== EXP-8: counting engines ==");
     println!(
-        "{:<10}{:<4}{:<8}{:<14}{:<14}{:<14}{:<14}",
-        "avg tx", "k", "cands", "HashMap", "HashTree", "Vertical", "Auto"
+        "{:<10}{:<4}{:<8}{:<14}{:<14}",
+        "avg tx", "k", "cands", "HashTree", "Vertical"
     );
     let n_tx = match scale {
         Scale::Small => 2_000usize,
         Scale::Base => 10_000,
     };
-    // Rows cover both regimes: many candidates (subset enumeration with a
-    // hash map wins) and few candidates over long transactions (the hash
-    // tree's bucket pruning wins by an order of magnitude).
+    // Rows cover many candidates over short transactions and few
+    // candidates over long ones, where the hash tree's cost grows with
+    // transaction length and the kernel's does not.
     for (avg_len, k, top) in
         [(5.0f64, 2usize, 48usize), (20.0, 2, 48), (20.0, 3, 48), (40.0, 3, 12)]
     {
@@ -344,12 +344,7 @@ fn exp8_counting_engines(scale: Scale) {
 
         let mut cols = Vec::new();
         let mut reference: Option<Vec<u64>> = None;
-        for strategy in [
-            CountStrategy::HashMap,
-            CountStrategy::HashTree,
-            CountStrategy::Vertical,
-            CountStrategy::Auto,
-        ] {
+        for strategy in [CountStrategy::HashTree, CountStrategy::Vertical] {
             let start = std::time::Instant::now();
             let result = count_candidates(&candidates, transactions, strategy);
             cols.push(car_bench::format_duration(start.elapsed()));
@@ -359,14 +354,12 @@ fn exp8_counting_engines(scale: Scale) {
             }
         }
         println!(
-            "{:<10}{:<4}{:<8}{:<14}{:<14}{:<14}{:<14}",
+            "{:<10}{:<4}{:<8}{:<14}{:<14}",
             avg_len,
             k,
             candidates.len(),
             cols[0],
-            cols[1],
-            cols[2],
-            cols[3]
+            cols[1]
         );
     }
     println!();

@@ -15,8 +15,10 @@ pub struct MiningConfig {
     /// Optional cap on mined itemset size.
     pub max_itemset_size: Option<usize>,
     /// Support counting engine of the level-wise miners (SEQUENTIAL,
-    /// INTERLEAVED, and the parallel and approximate miners). The
-    /// sliding window ignores it: it mines each unit depth-first over
+    /// INTERLEAVED, and the parallel and approximate miners): the
+    /// vertical kernel by default, or the paper-era hash tree that
+    /// tests and the counting benchmark compare it with. The sliding
+    /// window ignores it: it mines each unit depth-first over
     /// tid-bitmaps.
     pub counting: CountStrategy,
 }
@@ -56,7 +58,7 @@ impl Default for MiningConfig {
             min_confidence: MinConfidence::new(0.6).expect("valid constant"),
             cycle_bounds: CycleBounds::make(2, 16),
             max_itemset_size: None,
-            counting: CountStrategy::Auto,
+            counting: CountStrategy::Vertical,
         }
     }
 }
@@ -69,7 +71,6 @@ pub struct ConfigBuilder {
     min_confidence: Option<f64>,
     cycle_bounds: Option<(u32, u32)>,
     max_itemset_size: Option<usize>,
-    counting: Option<CountStrategy>,
 }
 
 impl ConfigBuilder {
@@ -105,12 +106,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Selects the support counting engine.
-    pub fn counting(mut self, strategy: CountStrategy) -> Self {
-        self.counting = Some(strategy);
-        self
-    }
-
     /// Finalises the configuration.
     pub fn build(self) -> Result<MiningConfig, ConfigError> {
         let min_support = if let Some(c) = self.min_support_count {
@@ -130,7 +125,7 @@ impl ConfigBuilder {
             min_confidence,
             cycle_bounds,
             max_itemset_size: self.max_itemset_size,
-            counting: self.counting.unwrap_or_default(),
+            counting: CountStrategy::Vertical,
         })
     }
 }
@@ -197,6 +192,7 @@ mod tests {
         assert_eq!(c.min_confidence.value(), 0.6);
         assert_eq!(c.cycle_bounds, CycleBounds::make(2, 16));
         assert_eq!(c.max_itemset_size, None);
+        assert_eq!(c.counting, CountStrategy::Vertical);
     }
 
     #[test]

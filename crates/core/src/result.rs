@@ -64,9 +64,10 @@ pub struct MiningStats {
     /// Time units skipped entirely at some level (no active candidate).
     pub skipped_unit_scans: u64,
     /// Vertical tid-bitmap constructions performed by the counting
-    /// kernel. A unit scan skipped by cycle skipping never reaches the
-    /// kernel, so its bitmap is never built — under a forced `Vertical`
-    /// strategy this equals the non-skipped unit scans exactly.
+    /// kernel: one per level-`k ≥ 2` unit scan. A unit scan retired by
+    /// cycle skipping never reaches the kernel, so its bitmap is never
+    /// built, and under the default engine this equals the unit scans
+    /// skipping did not retire. The hash tree builds none.
     pub bitmap_builds: u64,
     /// Candidate itemsets generated across all levels (after pruning).
     pub candidates_generated: u64,

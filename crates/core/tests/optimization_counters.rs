@@ -6,7 +6,6 @@
 //! [`car_core::MiningStats`] and in the process-global `car-obs`
 //! counters that `/metrics` and `car mine --stats` surface.
 
-use car_apriori::CountStrategy;
 use car_core::interleaved::mine_interleaved;
 use car_core::sequential::mine_sequential;
 use car_core::{InterleavedOptions, MiningConfig};
@@ -76,20 +75,14 @@ fn sequential_records_exact_zeros_for_the_three_optimizations() {
 
 #[test]
 fn skipped_unit_scans_build_zero_bitmaps() {
-    // Force the vertical kernel so every non-skipped unit scan at levels
-    // k >= 2 builds exactly one tid-bitmap. A unit scan skipped by cycle
-    // skipping never reaches the kernel, so with and without skipping
-    // must differ by exactly the number of skipped unit scans — the
-    // "never build the bitmap for a skipped unit" property, proven by
-    // the elimination counters rather than asserted by construction.
+    // Every non-skipped unit scan at levels k >= 2 builds exactly one
+    // tid-bitmap. A unit scan skipped by cycle skipping never reaches the
+    // kernel, so with and without skipping must differ by exactly the
+    // number of skipped unit scans — the "never build the bitmap for a
+    // skipped unit" property, proven by the elimination counters rather
+    // than asserted by construction.
     let db = cyclic_db();
-    let config = MiningConfig::builder()
-        .min_support_fraction(0.2)
-        .min_confidence(0.5)
-        .cycle_bounds(2, 6)
-        .counting(CountStrategy::Vertical)
-        .build()
-        .unwrap();
+    let config = config();
 
     let with = mine_interleaved(&db, &config, InterleavedOptions::all()).unwrap();
     let without =
@@ -112,13 +105,7 @@ fn skipped_unit_scans_build_zero_bitmaps() {
 #[test]
 fn bitmap_builds_flush_into_the_global_counter() {
     let db = cyclic_db();
-    let config = MiningConfig::builder()
-        .min_support_fraction(0.2)
-        .min_confidence(0.5)
-        .cycle_bounds(2, 6)
-        .counting(CountStrategy::Vertical)
-        .build()
-        .unwrap();
+    let config = config();
 
     let before = car_obs::counters::MINE.snapshot();
     let outcome = mine_interleaved(&db, &config, InterleavedOptions::all()).unwrap();
@@ -182,19 +169,20 @@ fn ablation_work_counters_are_pinned() {
     // The counters are deterministic, so the paper's ablation accounting
     // is pinned exactly: a change to how cycle sets are stored or
     // combined must leave every count where it was. Two configurations:
-    // bounds 2..6 under the default counting strategy, and bounds 2..16
-    // (135 cycles in 3 words) under the vertical kernel, whose bitmap
-    // builds then count unit scans.
+    // bounds 2..6, and bounds 2..16 (135 cycles in 3 words). The
+    // vertical kernel builds one bitmap per level-k unit scan, so in
+    // every row the builds equal those of the same row without skipping
+    // minus the unit scans skipping retired.
     type Row = (bool, bool, bool, [u64; 9]);
     let narrow: [Row; 8] = [
-        (false, false, false, [5300, 0, 0, 24, 222, 0, 4296, 69, 220]),
-        (true, false, false, [4244, 0, 0, 24, 178, 44, 1629, 69, 220]),
-        (false, true, false, [5300, 0, 0, 24, 222, 0, 4296, 69, 220]),
-        (true, true, false, [2456, 1788, 14, 0, 178, 44, 1629, 69, 220]),
-        (false, false, true, [5300, 0, 0, 24, 222, 0, 4296, 69, 220]),
-        (true, false, true, [4244, 0, 0, 24, 178, 44, 1629, 69, 220]),
-        (false, true, true, [1945, 3355, 7, 6, 222, 0, 4296, 69, 220]),
-        (true, true, true, [1049, 3195, 14, 0, 178, 44, 1629, 69, 220]),
+        (false, false, false, [5300, 0, 0, 72, 222, 0, 4296, 69, 220]),
+        (true, false, false, [4244, 0, 0, 72, 178, 44, 1629, 69, 220]),
+        (false, true, false, [5300, 0, 0, 72, 222, 0, 4296, 69, 220]),
+        (true, true, false, [2456, 1788, 14, 58, 178, 44, 1629, 69, 220]),
+        (false, false, true, [5300, 0, 0, 72, 222, 0, 4296, 69, 220]),
+        (true, false, true, [4244, 0, 0, 72, 178, 44, 1629, 69, 220]),
+        (false, true, true, [1945, 3355, 7, 65, 222, 0, 4296, 69, 220]),
+        (true, true, true, [1049, 3195, 14, 58, 178, 44, 1629, 69, 220]),
     ];
     let wide: [Row; 8] = [
         (false, false, false, [11324, 0, 0, 96, 473, 0, 61893, 218, 1384]),
@@ -210,7 +198,6 @@ fn ablation_work_counters_are_pinned() {
         .min_support_fraction(0.2)
         .min_confidence(0.5)
         .cycle_bounds(2, 16)
-        .counting(CountStrategy::Vertical)
         .build()
         .unwrap();
     let db = cyclic_db();
@@ -228,6 +215,16 @@ fn ablation_work_counters_are_pinned() {
             // Every combination finds the same rules.
             let first = rules.get_or_insert_with(|| outcome.rules.clone());
             assert_eq!(&outcome.rules, first, "{options:?}");
+            let unskipped = rows
+                .iter()
+                .find(|&&(p, s, e, _)| (p, s, e) == (pruning, false, elimination))
+                .map(|row| row.3)
+                .expect("every row has a row without skipping");
+            assert_eq!(
+                outcome.stats.bitmap_builds,
+                unskipped[3] - outcome.stats.skipped_unit_scans,
+                "{options:?}: builds must equal the unit scans skipping left"
+            );
         }
     }
 }

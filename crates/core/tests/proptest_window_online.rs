@@ -305,9 +305,7 @@ proptest! {
                 prop_assert!(miner.current_rules().is_err(), "day {}", day);
                 continue;
             }
-            for counting in
-                [CountStrategy::HashMap, CountStrategy::HashTree, CountStrategy::Vertical]
-            {
+            for counting in [CountStrategy::Vertical, CountStrategy::HashTree] {
                 let cfg = MiningConfig { counting, ..config };
                 prop_assert_eq!(
                     &*miner.current_rules().unwrap(),

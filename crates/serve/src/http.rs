@@ -24,9 +24,10 @@ pub const DEFAULT_MAX_BODY_BYTES: usize = 1024 * 1024;
 /// Hard limits governing one request read.
 ///
 /// The head deadline is the slow-loris defense: it starts at the first
-/// byte of a request (an *idle* keep-alive connection is governed by
-/// the socket read timeout instead, so patient-but-silent clients are
-/// fine) and bounds how long a client may dribble out the head block.
+/// byte of a request (the wait for that byte is the connection loop's
+/// idle wait, so patient-but-silent clients are fine while no other
+/// connection is queued) and bounds how long a client may dribble out
+/// the head block.
 #[derive(Clone, Copy, Debug)]
 pub struct RequestLimits {
     /// Hard limit on the request line + headers block, in bytes.
@@ -264,8 +265,8 @@ pub fn read_request_limited<R: BufRead>(
 
 /// Reads up to and including the blank line ending the head block. The
 /// head deadline clock starts once the first head byte has been read —
-/// the wait *for* that byte is the idle keep-alive wait, which the
-/// connection loop bounds.
+/// the wait *for* that byte is the idle wait, which the connection loop
+/// bounds.
 fn read_head<R: BufRead>(
     reader: &mut R,
     limits: &RequestLimits,

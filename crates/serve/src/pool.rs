@@ -7,8 +7,9 @@
 //! and exits, and [`ThreadPool::join`] waits for that.
 //!
 //! A `Backlog` handle counts the jobs waiting for a free worker, so a
-//! job that is only waiting (an idle keep-alive connection) can give its
-//! worker up to one that would otherwise queue behind it.
+//! job that is only waiting (a connection idle before or between
+//! requests) can give its worker up to one that would otherwise queue
+//! behind it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};

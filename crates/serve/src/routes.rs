@@ -28,10 +28,10 @@
 //! * `GET /v1/debug/events` — recent log events from the car-obs
 //!   capture ring (bounded; oldest first).
 //! * `GET /v1/debug/spans?trace_id=HEX` — every span this process still
-//!   holds for one trace, from the car-trace finished-span ring. The
-//!   bounded JSON side-channel behind the `X-Car-Spans` response
-//!   header: the router (or an operator) can fetch spans the header
-//!   truncated.
+//!   holds for one trace, from the car-trace finished-span ring. A
+//!   side channel for debugging, beside the `X-Car-Spans` response
+//!   header: an operator can read spans the header truncated. Nothing
+//!   in the data path fetches it.
 //! * `POST /v1/shutdown` — begin graceful shutdown.
 
 use std::sync::Arc;
@@ -605,6 +605,7 @@ fn debug_profile(state: &Arc<AppState>) -> Response {
                     ("unit_counts_skipped", Json::from(mine.unit_counts_skipped)),
                     ("cycles_eliminated", Json::from(mine.cycles_eliminated)),
                     ("support_computations", Json::from(mine.support_computations)),
+                    ("bitmap_builds", Json::from(mine.bitmap_builds)),
                     ("detect_eliminations", Json::from(mine.detect_eliminations)),
                     ("online_holds", Json::from(mine.online_holds)),
                     ("online_eliminations", Json::from(mine.online_eliminations)),
@@ -664,8 +665,9 @@ pub fn span_to_json(span: &car_obs::trace::SpanRecord) -> Json {
 }
 
 /// `GET /v1/debug/spans?trace_id=HEX`: the spans this process still
-/// retains for one trace, oldest first. The side-channel the router
-/// uses when a response's `X-Car-Spans` header had to truncate.
+/// retains for one trace, oldest first. A side channel for debugging,
+/// for instance when a response's `X-Car-Spans` header had to truncate;
+/// the router does not fetch it.
 fn debug_spans(req: &Request) -> Response {
     let Some(raw) = req.query_param("trace_id") else {
         return Response::error(400, "missing trace_id query parameter");
@@ -948,9 +950,13 @@ mod tests {
                 && s.get("count").and_then(Json::as_u64).is_some_and(|c| c >= 1)
         }));
         let mine = doc.get("mine").unwrap();
-        for key in
-            ["candidates_pruned", "unit_counts_skipped", "cycles_eliminated", "runs"]
-        {
+        for key in [
+            "candidates_pruned",
+            "unit_counts_skipped",
+            "cycles_eliminated",
+            "runs",
+            "bitmap_builds",
+        ] {
             assert!(mine.get(key).and_then(Json::as_u64).is_some(), "missing {key}");
         }
         // Wrong method is 405, like every other endpoint.

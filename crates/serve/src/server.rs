@@ -4,9 +4,10 @@
 //! polling a shutdown flag between accepts; each accepted connection is
 //! handed to the worker [`ThreadPool`](crate::pool::ThreadPool), which
 //! serves keep-alive requests until the client closes, an error occurs,
-//! or shutdown begins. A connection idle between requests gives its
-//! thread up, with a `408`, as soon as another connection is queued for
-//! one or shutdown begins, and otherwise after the socket timeout.
+//! or shutdown begins. A connection idle before or between requests
+//! gives its thread up, with a `408`, as soon as another connection is
+//! queued for one or shutdown begins, and otherwise after the socket
+//! timeout.
 //! Shutdown (via `POST /v1/shutdown`, SIGINT, or
 //! [`ServerHandle::trigger_shutdown`]) stops accepting, lets in-flight
 //! requests drain (the pool join), drains the ingest queue into the
@@ -41,8 +42,8 @@ const ACCEPT_POLL: Duration = Duration::from_millis(25);
 /// single chatty client from pinning a worker forever).
 const MAX_REQUESTS_PER_CONNECTION: usize = 10_000;
 
-/// How long an idle keep-alive connection waits for its next request
-/// between checks for a connection queued behind it.
+/// How long an idle connection waits for its next request between
+/// checks for a connection queued behind it.
 const IDLE_SLICE: Duration = Duration::from_millis(50);
 
 /// Everything needed to boot a daemon.
@@ -449,12 +450,8 @@ fn serve_connection<S: Service>(
     let mut writer = BufWriter::new(write_half);
     let metrics = service.metrics();
 
-    for served in 0..MAX_REQUESTS_PER_CONNECTION {
-        let next = if served == 0 {
-            Ok(())
-        } else {
-            await_next_request(&mut reader, &**service, policy)
-        };
+    for _ in 0..MAX_REQUESTS_PER_CONNECTION {
+        let next = await_next_request(&mut reader, &**service, policy);
         let started = Instant::now();
         let read =
             next.and_then(|()| http::read_request_limited(&mut reader, &policy.limits));
@@ -474,9 +471,9 @@ fn serve_connection<S: Service>(
                 // A parse failure is still a served request: record it
                 // under the catch-all route so it appears in the request
                 // totals and the latency histogram, not only in the
-                // dedicated parse-error counter. An idle keep-alive
-                // timeout is excluded — no request bytes ever arrived,
-                // so there is no request to count.
+                // dedicated parse-error counter. An idle timeout is
+                // excluded — no request bytes ever arrived, so there is
+                // no request to count.
                 if !matches!(e, http::ParseError::Timeout) {
                     metrics.record_request(Route::Other, status, started.elapsed());
                     car_obs::debug!(
@@ -538,12 +535,12 @@ fn serve_connection<S: Service>(
     }
 }
 
-/// Waits for the first byte of a keep-alive connection's next request
-/// in [`IDLE_SLICE`] steps, so that an idle connection holds its pool
-/// thread only while no other connection is queued for one. Gives up
-/// with [`http::ParseError::Timeout`], which closes the connection with
-/// a `408`, once a connection is queued, shutdown begins, or the idle
-/// wait reaches `io_timeout`.
+/// Waits for the first byte of a connection's next request, its first
+/// included, in [`IDLE_SLICE`] steps, so that an idle or silent
+/// connection holds its pool thread only while no other connection is
+/// queued for one. Gives up with [`http::ParseError::Timeout`], which
+/// closes the connection with a `408`, once a connection is queued,
+/// shutdown begins, or the idle wait reaches `io_timeout`.
 fn await_next_request<S: Service>(
     reader: &mut BufReader<TcpStream>,
     service: &S,
@@ -792,34 +789,42 @@ mod tests {
 
     #[test]
     fn idle_keep_alive_connections_free_a_thread_for_a_queued_one() {
-        // Four keep-alive clients hold every thread of a four-thread
-        // pool, idle after one request each, well inside `io_timeout`.
-        let mut config = test_config();
-        config.threads = 4;
-        config.io_timeout = Duration::from_secs(10);
-        let handle = serve(config).unwrap();
-        let idle: Vec<TcpStream> = (0..4)
-            .map(|_| {
-                let stream = TcpStream::connect(handle.addr).unwrap();
-                assert_eq!(health_status(&stream), 200);
-                stream
-            })
-            .collect();
-        let started = Instant::now();
-        let fifth = TcpStream::connect(handle.addr).unwrap();
-        fifth.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        assert_eq!(health_status(&fifth), 200);
-        let waited = started.elapsed();
-        assert!(waited < Duration::from_secs(1), "the fifth client waited {waited:?}");
-        // The connection that gave its thread up said so with a 408.
-        let closed = idle.iter().filter(|stream| {
-            stream.set_read_timeout(Some(Duration::from_millis(100))).unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            crate::client::read_response(&mut reader).is_ok_and(|r| r.status == 408)
-        });
-        assert!(closed.count() >= 1);
-        handle.trigger_shutdown();
-        handle.wait();
+        // Four clients hold every thread of a four-thread pool, well
+        // inside `io_timeout`: idle after one request each, or connected
+        // and silent.
+        for served_first in [true, false] {
+            let mut config = test_config();
+            config.threads = 4;
+            config.io_timeout = Duration::from_secs(10);
+            let handle = serve(config).unwrap();
+            let idle: Vec<TcpStream> = (0..4)
+                .map(|_| {
+                    let stream = TcpStream::connect(handle.addr).unwrap();
+                    if served_first {
+                        assert_eq!(health_status(&stream), 200);
+                    }
+                    stream
+                })
+                .collect();
+            let started = Instant::now();
+            let fifth = TcpStream::connect(handle.addr).unwrap();
+            fifth.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            assert_eq!(health_status(&fifth), 200);
+            let waited = started.elapsed();
+            assert!(
+                waited < Duration::from_secs(1),
+                "the fifth client waited {waited:?} (served first: {served_first})"
+            );
+            // The connection that gave its thread up said so with a 408.
+            let closed = idle.iter().filter(|stream| {
+                stream.set_read_timeout(Some(Duration::from_millis(100))).unwrap();
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                crate::client::read_response(&mut reader).is_ok_and(|r| r.status == 408)
+            });
+            assert!(closed.count() >= 1, "served first: {served_first}");
+            handle.trigger_shutdown();
+            handle.wait();
+        }
     }
 
     #[test]
@@ -827,12 +832,14 @@ mod tests {
         let handle = serve(test_config()).unwrap();
         let stream = TcpStream::connect(handle.addr).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-        assert_eq!(health_status(&stream), 200);
-        // Idle for several slices with nothing queued: the same socket
-        // still gets its next request answered.
+        // Silent, then idle, for several slices each with nothing
+        // queued: the same socket gets its first and its next request
+        // answered.
         std::thread::sleep(Duration::from_millis(300));
         assert_eq!(health_status(&stream), 200);
-        // The idle wait is not part of the second request's latency.
+        std::thread::sleep(Duration::from_millis(300));
+        assert_eq!(health_status(&stream), 200);
+        // Neither wait is part of a request's latency.
         let exposition = handle.state().metrics.render_prometheus(&[]);
         let seconds: f64 = exposition
             .lines()

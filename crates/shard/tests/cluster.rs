@@ -610,36 +610,50 @@ fn dribbling_clients_do_not_starve_router_health() {
     }
 }
 
-/// Four keep-alive clients idle after one request each on a
-/// four-thread router do not starve a fifth: an idle connection gives
-/// its thread up as soon as the new one is queued.
+/// Four clients on a four-thread router, idle after one request each or
+/// connected and silent, do not starve a fifth: an idle connection
+/// gives its thread up as soon as the new one is queued.
 #[test]
 fn idle_keep_alive_clients_do_not_starve_router_health() {
-    let (workers, router) = spawn_cluster(1);
     assert_eq!(RouterConfig::default().threads, 4);
-    let addr = router.addr.to_string();
-    let idle: Vec<Client> = (0..4)
-        .map(|_| {
-            let mut client = Client::connect(&addr).unwrap();
-            assert_eq!(client.request("GET", "/v1/health", None).unwrap().status, 200);
-            client
-        })
-        .collect();
+    // Four clients idle after one request each, or connected and silent.
+    for served_first in [true, false] {
+        let (workers, router) = spawn_cluster(1);
+        let addr = router.addr.to_string();
+        let idle: Vec<Client> = (0..4)
+            .map(|_| {
+                let mut client = Client::connect(&addr).unwrap();
+                if served_first {
+                    let status =
+                        client.request("GET", "/v1/health", None).unwrap().status;
+                    assert_eq!(status, 200);
+                }
+                client
+            })
+            .collect();
 
-    let sent = Instant::now();
-    let answered = Client::connect_with_timeout(&addr, Duration::from_secs(8))
-        .and_then(|mut hc| hc.request("GET", "/v1/health", None));
-    let took = sent.elapsed();
-    let status = answered.as_ref().map(|r| r.status).map_err(ToString::to_string);
-    assert_eq!(status, Ok(200), "health after {took:?}");
-    assert!(took < Duration::from_secs(1), "health took {took:?}");
+        let sent = Instant::now();
+        let answered = Client::connect_with_timeout(&addr, Duration::from_secs(8))
+            .and_then(|mut hc| hc.request("GET", "/v1/health", None));
+        let took = sent.elapsed();
+        let status = answered.as_ref().map(|r| r.status).map_err(ToString::to_string);
+        assert_eq!(
+            status,
+            Ok(200),
+            "health after {took:?} (served first: {served_first})"
+        );
+        assert!(
+            took < Duration::from_secs(1),
+            "health took {took:?} (served first: {served_first})"
+        );
 
-    drop(idle);
-    router.trigger_shutdown();
-    router.wait();
-    for w in workers {
-        w.trigger_shutdown();
-        w.wait();
+        drop(idle);
+        router.trigger_shutdown();
+        router.wait();
+        for w in workers {
+            w.trigger_shutdown();
+            w.wait();
+        }
     }
 }
 
