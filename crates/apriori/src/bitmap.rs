@@ -23,14 +23,14 @@
 //! and falls back to a hash map when ids are sparse enough that a flat
 //! table would waste memory.
 //!
-//! Every bitmap construction increments the process-global
-//! `car_mine_bitmap_builds_total` counter, which is how the INTERLEAVED
-//! tests prove that cycle skipping means *the bitmap for a skipped unit
-//! is never built at all*.
+//! `count_candidates_detailed` reports one build per batch it builds
+//! rows for (`CountOutcome::bitmap_builds`), and the level-wise miners
+//! add it to their per-run `MiningStats::bitmap_builds`. That is how
+//! the INTERLEAVED tests prove that cycle skipping means *the bitmap
+//! for a skipped unit is never built at all*.
 
 use car_itemset::refstore::{RefCounter, RefMap};
 use car_itemset::ItemSet;
-use car_obs::counters::MINE;
 
 use crate::hash::FastHashMap;
 
@@ -195,17 +195,11 @@ impl TidBitmaps {
     /// occur in `candidates`. Transactions shorter than `min_len`
     /// contribute no bits — they cannot contain any candidate of that
     /// size, so skipping them saves work without changing any count.
-    ///
-    /// Increments the global `car_mine_bitmap_builds_total` counter:
-    /// one build per call, so "a skipped unit builds zero bitmaps" is
-    /// observable.
     pub fn build(
         candidates: &[ItemSet],
         transactions: &[ItemSet],
         min_len: usize,
     ) -> Self {
-        MINE.add_bitmap_builds(1);
-
         // Intern the candidate items to dense row indices.
         let mut ids: Vec<u32> =
             candidates.iter().flat_map(|c| c.iter().map(|item| item.id())).collect();
@@ -374,13 +368,6 @@ mod tests {
         assert_eq!(m.get(3), Some(8));
         assert!(m.contains(3));
         assert!(!m.contains(4));
-    }
-
-    #[test]
-    fn build_increments_global_counter() {
-        let before = MINE.snapshot().bitmap_builds;
-        let _ = count_vertical(&[set(&[1])], &[set(&[1])], 1);
-        assert!(MINE.snapshot().bitmap_builds > before);
     }
 
     #[test]

@@ -125,6 +125,8 @@ fn print_outcome<W: Write>(
             writeln!(out, "#   transactions          {}", s.num_transactions)?;
             writeln!(out, "#   support computations  {}", s.support_computations)?;
             writeln!(out, "#   skipped counts        {}", s.skipped_counts)?;
+            writeln!(out, "#   skipped unit scans    {}", s.skipped_unit_scans)?;
+            writeln!(out, "#   bitmap builds         {}", s.bitmap_builds)?;
             writeln!(out, "#   candidates generated  {}", s.candidates_generated)?;
             writeln!(out, "#   pruned by cycles      {}", s.candidates_pruned_by_cycles)?;
             writeln!(out, "#   cycles eliminated     {}", s.cycles_eliminated)?;
@@ -134,13 +136,13 @@ fn print_outcome<W: Write>(
             writeln!(out, "#   phase2                {:?}", s.phase2)?;
         }
         StatsMode::Json => {
-            // One machine-readable line, mirroring the names the daemon
-            // exports as `car_mine_*` Prometheus counters.
+            // One machine-readable line carrying every `MiningStats` counter.
             writeln!(
                 out,
                 concat!(
                     "{{\"rules\":{},\"units\":{},\"transactions\":{},",
                     "\"support_computations\":{},\"skipped_counts\":{},",
+                    "\"skipped_unit_scans\":{},\"bitmap_builds\":{},",
                     "\"candidates_generated\":{},\"candidates_pruned_by_cycles\":{},",
                     "\"cycles_eliminated\":{},\"cyclic_itemsets\":{},",
                     "\"rules_checked\":{},\"phase1_us\":{},\"phase2_us\":{}}}"
@@ -150,6 +152,8 @@ fn print_outcome<W: Write>(
                 s.num_transactions,
                 s.support_computations,
                 s.skipped_counts,
+                s.skipped_unit_scans,
+                s.bitmap_builds,
                 s.candidates_generated,
                 s.candidates_pruned_by_cycles,
                 s.cycles_eliminated,
@@ -280,6 +284,8 @@ mod tests {
     fn stats_flag_prints_counters() {
         let text = run_mine(&["--stats"]).unwrap();
         assert!(text.contains("support computations"), "{text}");
+        assert!(text.contains("skipped unit scans"), "{text}");
+        assert!(text.contains("bitmap builds"), "{text}");
     }
 
     #[test]
@@ -289,6 +295,8 @@ mod tests {
             text.lines().find(|l| l.starts_with("{\"")).expect("a JSON stats line");
         assert!(json_line.contains("\"support_computations\":"), "{json_line}");
         assert!(json_line.contains("\"skipped_counts\":"), "{json_line}");
+        assert!(json_line.contains("\"skipped_unit_scans\":"), "{json_line}");
+        assert!(json_line.contains("\"bitmap_builds\":"), "{json_line}");
         assert!(json_line.contains("\"candidates_pruned_by_cycles\":"), "{json_line}");
         assert!(json_line.contains("\"cycles_eliminated\":"), "{json_line}");
         assert!(json_line.ends_with('}'), "{json_line}");

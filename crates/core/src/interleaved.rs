@@ -176,15 +176,6 @@ pub fn mine_interleaved(
     drop(phase2_span);
     stats.phase2 = phase2_start.elapsed();
 
-    // Flush this run's totals into the process-global counters exactly
-    // once; the hot loops above only touch the local `stats` struct.
-    car_obs::counters::MINE.record_run(
-        stats.candidates_generated,
-        stats.candidates_pruned_by_cycles,
-        stats.skipped_counts,
-        stats.cycles_eliminated,
-        stats.support_computations,
-    );
     car_obs::debug!(
         "mine",
         [

@@ -64,16 +64,6 @@ pub fn mine_sequential(
     drop(phase2_span);
     stats.phase2 = phase2_start.elapsed();
 
-    // SEQUENTIAL performs none of the INTERLEAVED optimizations, so the
-    // pruned / skipped / eliminated globals receive exact zeros here —
-    // the paper's baseline-vs-optimized comparison, visible in /metrics.
-    car_obs::counters::MINE.record_run(
-        stats.candidates_generated,
-        stats.candidates_pruned_by_cycles,
-        stats.skipped_counts,
-        stats.cycles_eliminated,
-        stats.support_computations,
-    );
     car_obs::debug!(
         "mine",
         [

@@ -55,30 +55,19 @@ pub fn detect_cycles_with(
     // Deliberately no span here: this runs once per candidate rule, so a
     // per-call timer would dwarf the detection itself. The stage spans
     // (`mine.seq.cycle_detect`, `mine.int.rule_gen`) time it in bulk.
-    let candidates = bounds.num_cycles() as u64;
-    let (set, eliminated) = if has_too_few_holds(seq, bounds) {
-        (CycleSet::empty(bounds), candidates)
-    } else {
-        let mut set = CycleSet::full(bounds);
-        let mut eliminated: u64 = 0;
-        for zero in seq.iter_zeros() {
-            let removed = match units.get(zero) {
-                Some(unit) => set.eliminate(unit),
-                None => set.eliminate(&CycleSet::of_unit(bounds, zero)),
-            };
-            eliminated += removed as u64;
-            if eliminated == candidates {
-                break;
-            }
+    if has_too_few_holds(seq, bounds) {
+        return CycleSet::empty(bounds);
+    }
+    let mut set = CycleSet::full(bounds);
+    let mut alive = bounds.num_cycles();
+    for zero in seq.iter_zeros() {
+        alive -= match units.get(zero) {
+            Some(unit) => set.eliminate(unit),
+            None => set.eliminate(&CycleSet::of_unit(bounds, zero)),
+        };
+        if alive == 0 {
+            break;
         }
-        (set, eliminated)
-    };
-    // Global diagnostic only; deliberately separate from the INTERLEAVED
-    // cycle-elimination optimization counter, which must stay zero when
-    // this a-posteriori detector is doing the eliminating. Either way it
-    // receives `num_cycles − |result|`.
-    if eliminated > 0 {
-        car_obs::counters::MINE.add_detect_eliminations(eliminated);
     }
     set
 }

@@ -1,19 +1,11 @@
-//! Process-global, monotonic mining counters.
+//! Process-global, monotonic counters for long-lived processes.
 //!
-//! The mining kernels already keep exact per-run statistics in
-//! `MiningStats`; these globals exist so long-lived processes (the
-//! daemon, a CLI run with `--stats`) can expose cumulative totals
-//! without holding every run's stats. Kernels accumulate locally as
-//! before and flush once per run via [`MiningCounters::record_run`] —
-//! the hot loops never touch these atomics.
-//!
-//! The three INTERLEAVED optimization counters mirror the ICDE'98
-//! techniques by name: *cycle pruning* (candidates discarded because
-//! they inherit no cycles), *cycle skipping* (unit support counts
-//! avoided), and *cycle elimination* (candidate cycles killed early by
-//! below-threshold counts). Under SEQUENTIAL all three stay zero —
-//! that algorithm does the full work and detects cycles a posteriori —
-//! which is exactly the paper's comparison, now visible in `/metrics`.
+//! Batch mining counts its work per run, in `MiningStats`, and nothing
+//! here duplicates it. What lives here is work that no single run owns:
+//! the sliding-window miner's incremental maintenance ([`MINE`]), the
+//! shard router's fan-out ([`SHARD`]), overload shedding and deadlines
+//! ([`RESILIENCE`]), and trace retention ([`TRACE`]). The daemon and the
+//! router export them on `/metrics`.
 //!
 //! All updates use relaxed ordering: each counter is an independent
 //! statistic, nothing synchronizes *through* them, and a scrape that is
@@ -21,74 +13,21 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The global mining counters; use the [`MINE`] static.
+/// The window miner's online-maintenance counters; use the [`MINE`]
+/// static.
 pub struct MiningCounters {
-    runs: AtomicU64,
-    candidates_generated: AtomicU64,
-    candidates_pruned: AtomicU64,
-    unit_counts_skipped: AtomicU64,
-    cycles_eliminated: AtomicU64,
-    support_computations: AtomicU64,
-    bitmap_builds: AtomicU64,
-    detect_eliminations: AtomicU64,
     online_holds: AtomicU64,
     online_eliminations: AtomicU64,
 }
 
-/// Process-wide totals across every mining run since start.
+/// Process-wide online-maintenance totals since start.
 pub static MINE: MiningCounters = MiningCounters {
-    runs: AtomicU64::new(0),
-    candidates_generated: AtomicU64::new(0),
-    candidates_pruned: AtomicU64::new(0),
-    unit_counts_skipped: AtomicU64::new(0),
-    cycles_eliminated: AtomicU64::new(0),
-    support_computations: AtomicU64::new(0),
-    bitmap_builds: AtomicU64::new(0),
-    detect_eliminations: AtomicU64::new(0),
     online_holds: AtomicU64::new(0),
     online_eliminations: AtomicU64::new(0),
 };
 
 impl MiningCounters {
-    /// Folds one finished run's totals into the globals. Called once
-    /// per `mine_interleaved` / `mine_sequential` invocation, after the
-    /// run completes.
-    pub fn record_run(
-        &self,
-        candidates_generated: u64,
-        candidates_pruned: u64,
-        unit_counts_skipped: u64,
-        cycles_eliminated: u64,
-        support_computations: u64,
-    ) {
-        self.runs.fetch_add(1, Ordering::Relaxed);
-        self.candidates_generated.fetch_add(candidates_generated, Ordering::Relaxed);
-        self.candidates_pruned.fetch_add(candidates_pruned, Ordering::Relaxed);
-        self.unit_counts_skipped.fetch_add(unit_counts_skipped, Ordering::Relaxed);
-        self.cycles_eliminated.fetch_add(cycles_eliminated, Ordering::Relaxed);
-        self.support_computations.fetch_add(support_computations, Ordering::Relaxed);
-    }
-
-    /// Counts vertical tid-bitmap constructions — one per counting
-    /// batch the `Vertical` engine actually built bitmaps for.
-    /// Incremented at build time (one atomic add per batch, never per
-    /// item), so "a skipped unit builds zero bitmaps" is directly
-    /// observable: under INTERLEAVED cycle skipping, skipped unit scans
-    /// never reach the kernel and this counter does not move.
-    pub fn add_bitmap_builds(&self, n: u64) {
-        self.bitmap_builds.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts candidate cycles discarded inside `detect_cycles` — the
-    /// a-posteriori detector shared by SEQUENTIAL and the window
-    /// miner's query path. Kept separate from the INTERLEAVED
-    /// `cycles_eliminated` optimization counter so the latter stays
-    /// zero under SEQUENTIAL.
-    pub fn add_detect_eliminations(&self, n: u64) {
-        self.detect_eliminations.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts `(rule, unit)` hold entries folded into online cycle
+    /// Counts `(itemset, unit)` hold entries folded into online cycle
     /// state by the sliding-window miner at push time — the work the
     /// query fast path amortises away.
     pub fn add_online_holds(&self, n: u64) {
@@ -104,18 +43,10 @@ impl MiningCounters {
         self.online_eliminations.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// A point-in-time copy of every counter (relaxed loads; fields may
-    /// be mutually inconsistent by a few in-flight events).
+    /// A point-in-time copy of both counters (relaxed loads; they may be
+    /// mutually inconsistent by a few in-flight events).
     pub fn snapshot(&self) -> MiningCounterSnapshot {
         MiningCounterSnapshot {
-            runs: self.runs.load(Ordering::Relaxed),
-            candidates_generated: self.candidates_generated.load(Ordering::Relaxed),
-            candidates_pruned: self.candidates_pruned.load(Ordering::Relaxed),
-            unit_counts_skipped: self.unit_counts_skipped.load(Ordering::Relaxed),
-            cycles_eliminated: self.cycles_eliminated.load(Ordering::Relaxed),
-            support_computations: self.support_computations.load(Ordering::Relaxed),
-            bitmap_builds: self.bitmap_builds.load(Ordering::Relaxed),
-            detect_eliminations: self.detect_eliminations.load(Ordering::Relaxed),
             online_holds: self.online_holds.load(Ordering::Relaxed),
             online_eliminations: self.online_eliminations.load(Ordering::Relaxed),
         }
@@ -125,66 +56,17 @@ impl MiningCounters {
 /// Plain-value copy of [`MiningCounters`] at one instant.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MiningCounterSnapshot {
-    /// Completed mining runs.
-    pub runs: u64,
-    /// Candidate itemsets generated across all runs and time units.
-    pub candidates_generated: u64,
-    /// Candidates discarded by cycle pruning before counting.
-    pub candidates_pruned: u64,
-    /// Per-unit support counts avoided by cycle skipping.
-    pub unit_counts_skipped: u64,
-    /// Candidate cycles killed by interleaved cycle elimination.
-    pub cycles_eliminated: u64,
-    /// Itemset-per-unit support computations actually performed.
-    pub support_computations: u64,
-    /// Vertical tid-bitmap batch constructions performed.
-    pub bitmap_builds: u64,
-    /// Cycles discarded by the a-posteriori detector (`detect_cycles`).
-    pub detect_eliminations: u64,
-    /// `(rule, unit)` hold entries folded into online cycle state.
+    /// `(itemset, unit)` hold entries folded into online cycle state.
     pub online_holds: u64,
     /// Candidate cycle classes observed dead at online view assembly.
     pub online_eliminations: u64,
-}
-
-impl MiningCounterSnapshot {
-    /// Per-field difference `self - earlier`, saturating at zero so a
-    /// stale `earlier` cannot produce wrap-around garbage.
-    pub fn delta_since(&self, earlier: &MiningCounterSnapshot) -> MiningCounterSnapshot {
-        MiningCounterSnapshot {
-            runs: self.runs.saturating_sub(earlier.runs),
-            candidates_generated: self
-                .candidates_generated
-                .saturating_sub(earlier.candidates_generated),
-            candidates_pruned: self
-                .candidates_pruned
-                .saturating_sub(earlier.candidates_pruned),
-            unit_counts_skipped: self
-                .unit_counts_skipped
-                .saturating_sub(earlier.unit_counts_skipped),
-            cycles_eliminated: self
-                .cycles_eliminated
-                .saturating_sub(earlier.cycles_eliminated),
-            support_computations: self
-                .support_computations
-                .saturating_sub(earlier.support_computations),
-            bitmap_builds: self.bitmap_builds.saturating_sub(earlier.bitmap_builds),
-            detect_eliminations: self
-                .detect_eliminations
-                .saturating_sub(earlier.detect_eliminations),
-            online_holds: self.online_holds.saturating_sub(earlier.online_holds),
-            online_eliminations: self
-                .online_eliminations
-                .saturating_sub(earlier.online_eliminations),
-        }
-    }
 }
 
 /// Process-global counters for the shard router; use the [`SHARD`]
 /// static. A standalone daemon never touches these — they exist so the
 /// `car shard` router can expose its fan-out, degradation, and catch-up
 /// activity through `/metrics` with the same relaxed-atomic discipline
-/// as the mining counters.
+/// as [`MINE`].
 pub struct ShardCounters {
     fanout_legs: AtomicU64,
     fanout_failures: AtomicU64,
@@ -418,25 +300,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_run_accumulates_into_globals() {
+    fn online_counters_accumulate_into_globals() {
         let before = MINE.snapshot();
-        MINE.record_run(100, 40, 2000, 7, 60);
-        MINE.add_bitmap_builds(9);
-        MINE.add_detect_eliminations(3);
         MINE.add_online_holds(11);
         MINE.add_online_eliminations(5);
         let after = MINE.snapshot();
-        let delta = after.delta_since(&before);
-        assert!(delta.runs >= 1);
-        assert!(delta.candidates_generated >= 100);
-        assert!(delta.candidates_pruned >= 40);
-        assert!(delta.unit_counts_skipped >= 2000);
-        assert!(delta.cycles_eliminated >= 7);
-        assert!(delta.support_computations >= 60);
-        assert!(delta.bitmap_builds >= 9);
-        assert!(delta.detect_eliminations >= 3);
-        assert!(delta.online_holds >= 11);
-        assert!(delta.online_eliminations >= 5);
+        assert!(after.online_holds >= before.online_holds + 11);
+        assert!(after.online_eliminations >= before.online_eliminations + 5);
     }
 
     #[test]
@@ -483,12 +353,5 @@ mod tests {
         assert!(after.retained_slow > before.retained_slow);
         assert!(after.retained_sampled > before.retained_sampled);
         assert!(after.discarded > before.discarded);
-    }
-
-    #[test]
-    fn delta_saturates_instead_of_wrapping() {
-        let small = MiningCounterSnapshot::default();
-        let big = MiningCounterSnapshot { runs: 5, ..MiningCounterSnapshot::default() };
-        assert_eq!(small.delta_since(&big).runs, 0);
     }
 }

@@ -13,12 +13,13 @@
 //!   that accumulate `(count, total ns, max ns)` per span name into a
 //!   lock-free flat profile; recording is plain relaxed atomics, and a
 //!   disabled span never even reads the clock.
-//! * **Mining counters** ([`counters`]) — process-global, monotonic
-//!   counters for the ICDE'98 INTERLEAVED optimizations (candidates
-//!   pruned by cycle pruning, unit-counts avoided by cycle skipping,
-//!   candidate cycles killed by cycle elimination), fed by the mining
-//!   kernels and exported by `car mine --stats` and the daemon's
-//!   `/metrics` endpoint.
+//! * **Process counters** ([`counters`]) — process-global, monotonic
+//!   counters for work no single mining run owns: the window miner's
+//!   online maintenance (holds folded, cycles found dead at view
+//!   assembly), the shard router's fan-out, overload shedding, and
+//!   trace retention, exported on the daemon's and the router's
+//!   `/metrics`. Batch mining counts its work per run instead, in
+//!   `car_core::MiningStats`, which `car mine --stats` prints.
 //! * **Distributed tracing** ([`trace`]) — per-request trace trees
 //!   propagated across processes as `X-Car-Trace-Id` /
 //!   `X-Car-Parent-Span` headers. `time_span!` call sites feed the live

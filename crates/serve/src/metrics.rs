@@ -397,46 +397,11 @@ impl Metrics {
             out.push_str(&format!("{name} {}\n", counter.load(Ordering::Relaxed)));
         }
 
-        // Process-global mining counters (car-obs): the paper's three
-        // INTERLEAVED optimizations plus the work actually performed.
+        // Process-global online-maintenance counters (car-obs): the
+        // window miner's fold and view-assembly work. Batch mining counts
+        // its work per run, in `MiningStats`, not here.
         let mine = car_obs::counters::MINE.snapshot();
         for (name, help, value) in [
-            ("car_mine_runs_total", "Completed mining runs in this process.", mine.runs),
-            (
-                "car_mine_candidates_generated_total",
-                "Candidate itemsets generated across mining runs.",
-                mine.candidates_generated,
-            ),
-            (
-                "car_mine_candidates_pruned_total",
-                "Candidates discarded by INTERLEAVED cycle pruning.",
-                mine.candidates_pruned,
-            ),
-            (
-                "car_mine_unit_counts_skipped_total",
-                "Per-unit support counts avoided by INTERLEAVED cycle skipping.",
-                mine.unit_counts_skipped,
-            ),
-            (
-                "car_mine_cycles_eliminated_total",
-                "Candidate cycles killed by INTERLEAVED cycle elimination.",
-                mine.cycles_eliminated,
-            ),
-            (
-                "car_mine_support_computations_total",
-                "Itemset-per-unit support computations performed.",
-                mine.support_computations,
-            ),
-            (
-                "car_mine_bitmap_builds_total",
-                "Vertical tid-bitmap constructions by the counting kernel.",
-                mine.bitmap_builds,
-            ),
-            (
-                "car_mine_detect_eliminations_total",
-                "Cycles discarded by the a-posteriori detector (detect_cycles).",
-                mine.detect_eliminations,
-            ),
             (
                 "car_mine_online_holds_total",
                 "Itemset-unit hold entries folded into online cycle state at push; a recovery folds only the units it retains.",
@@ -586,12 +551,12 @@ mod tests {
     fn mining_and_span_sections_render() {
         let m = Metrics::new();
         let text = m.render_prometheus(&[]);
-        // The paper's three INTERLEAVED optimization counters are always
-        // present, even before any mining run.
-        assert!(text.contains("# TYPE car_mine_candidates_pruned_total counter"));
-        assert!(text.contains("# TYPE car_mine_unit_counts_skipped_total counter"));
-        assert!(text.contains("# TYPE car_mine_cycles_eliminated_total counter"));
-        assert!(text.contains("# TYPE car_mine_runs_total counter"));
+        // The window's two online-maintenance counters are always
+        // present, even before any unit is pushed, and are the only
+        // `car_mine_*` families.
+        assert!(text.contains("# TYPE car_mine_online_holds_total counter"));
+        assert!(text.contains("# TYPE car_mine_online_eliminations_total counter"));
+        assert_eq!(text.matches("# TYPE car_mine_").count(), 2, "{text}");
         assert!(text.contains("# TYPE car_span_duration_seconds summary"));
         assert!(text.contains("# TYPE car_span_duration_max_seconds gauge"));
         // Resilience counters exist at zero so scrapes can rely on them.

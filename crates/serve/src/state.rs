@@ -6,10 +6,12 @@
 //! returns `202 Accepted` (or `503` when the queue is full — explicit
 //! backpressure instead of unbounded buffering), and a single dedicated
 //! ingest thread applies queued units to the miner in arrival order.
-//! Mining a unit is the expensive step (Apriori + rule generation), so
-//! keeping it off the request path keeps ingest latency flat; a single
-//! applier also means units are numbered and applied in exactly the
-//! order they were accepted.
+//! Applying a unit is the expensive step (a depth-first bitmap Eclat
+//! over the unit, then the fold of its large itemsets into the window's
+//! online cycle state; no rules are generated at push), so keeping it
+//! off the request path keeps ingest latency flat; a single applier
+//! also means units are numbered and applied in exactly the order they
+//! were accepted.
 //!
 //! With persistence enabled ([`PersistConfig`]), the accept path runs
 //! under the WAL mutex: sequence assignment, the WAL append, and the
@@ -96,26 +98,6 @@ impl IngestQueue {
             capacity: capacity.max(1),
             enqueued: AtomicU64::new(0),
         }
-    }
-
-    /// Enqueues a unit, returning its 1-based sequence number.
-    ///
-    /// # Errors
-    ///
-    /// [`EnqueueError::Full`] at capacity, [`EnqueueError::ShuttingDown`]
-    /// after close.
-    pub fn enqueue(&self, unit: Vec<ItemSet>) -> Result<u64, EnqueueError> {
-        let mut inner = self.inner.lock_or_recover();
-        if inner.closed {
-            return Err(EnqueueError::ShuttingDown);
-        }
-        if inner.units.len() >= self.capacity {
-            return Err(EnqueueError::Full);
-        }
-        let seq = self.enqueued.fetch_add(1, Ordering::Relaxed) + 1;
-        inner.units.push_back((seq, unit));
-        self.not_empty.notify_one();
-        Ok(seq)
     }
 
     /// Enqueues a batch under one lock acquisition, reporting a result
@@ -577,18 +559,18 @@ mod tests {
     #[test]
     fn enqueue_respects_capacity() {
         let state = test_state(2);
-        assert_eq!(state.queue.enqueue(unit(0)), Ok(1));
-        assert_eq!(state.queue.enqueue(unit(1)), Ok(2));
-        assert_eq!(state.queue.enqueue(unit(2)), Err(EnqueueError::Full));
+        assert_eq!(state.ingest_unit(unit(0)), Ok(1));
+        assert_eq!(state.ingest_unit(unit(1)), Ok(2));
+        assert_eq!(state.ingest_unit(unit(2)), Err(EnqueueError::Full));
         assert_eq!(state.queue.depth(), 2);
     }
 
     #[test]
     fn closed_queue_rejects_and_drains() {
         let state = test_state(8);
-        state.queue.enqueue(unit(0)).unwrap();
+        state.ingest_unit(unit(0)).unwrap();
         state.begin_shutdown();
-        assert_eq!(state.queue.enqueue(unit(1)), Err(EnqueueError::ShuttingDown));
+        assert_eq!(state.ingest_unit(unit(1)), Err(EnqueueError::ShuttingDown));
         // The applier still drains the accepted unit.
         let worker = spawn_ingest_worker(Arc::clone(&state)).unwrap();
         worker.join().unwrap();
@@ -601,7 +583,7 @@ mod tests {
         let worker = spawn_ingest_worker(Arc::clone(&state)).unwrap();
         let mut last = 0;
         for day in 0..10 {
-            last = state.queue.enqueue(unit(day)).unwrap();
+            last = state.ingest_unit(unit(day)).unwrap();
         }
         assert!(state.wait_applied(last, Duration::from_secs(5)));
         {
@@ -617,7 +599,7 @@ mod tests {
     #[test]
     fn wait_applied_times_out_without_worker() {
         let state = test_state(8);
-        let seq = state.queue.enqueue(unit(0)).unwrap();
+        let seq = state.ingest_unit(unit(0)).unwrap();
         assert!(!state.wait_applied(seq, Duration::from_millis(20)));
     }
 

@@ -196,7 +196,7 @@ fn metrics_exposition_is_conformant_and_counters_are_monotonic() {
 
     // The load must actually be visible: requests counted (including the
     // malformed one under the catch-all route), units ingested, and the
-    // paper's mining counter families present.
+    // window's online-maintenance counter families present.
     let served: f64 = second
         .samples
         .iter()
@@ -212,13 +212,19 @@ fn metrics_exposition_is_conformant_and_counters_are_monotonic() {
     );
     assert!(second.samples.get("car_units_ingested_total") >= Some(&12.0));
     for family in [
-        "car_mine_candidates_pruned_total",
-        "car_mine_unit_counts_skipped_total",
-        "car_mine_cycles_eliminated_total",
+        "car_mine_online_holds_total",
+        "car_mine_online_eliminations_total",
         "car_span_duration_seconds",
     ] {
         assert!(second.types.contains_key(family), "missing family {family}");
     }
+    // Each driven unit, {1,2} and {3}, folds 4 large itemsets: {1}, {2},
+    // {3} and {1,2}.
+    assert!(
+        second.samples.get("car_mine_online_holds_total") >= Some(&48.0),
+        "12 units fold at least 48 holds: {:?}",
+        second.samples.get("car_mine_online_holds_total")
+    );
 
     handle.trigger_shutdown();
     handle.wait();
