@@ -83,6 +83,15 @@ const DEADLINE_CHECK_ITEMSETS: usize = 1024;
 /// both threads busy while bounding the itemsets held in flight.
 const MINE_AHEAD_UNITS: usize = 4;
 
+/// The memoised default view and the rule count of the last one
+/// assembled, which outlives the view so a metrics scrape can report it
+/// without assembling.
+#[derive(Default)]
+struct ViewMemo {
+    current: Option<RuleView>,
+    last_rules: Option<usize>,
+}
+
 /// A cyclic rule miner over the most recent `window` time units.
 ///
 /// ```
@@ -125,10 +134,10 @@ pub struct SlidingWindowMiner {
     /// `item_supports` reads the frequent items instead of scanning
     /// every tracked itemset.
     item_totals: BTreeMap<u32, u64>,
-    /// Memoised `query_rules(None)` view; cleared by every push. A
-    /// `Mutex` (not `RwLock`) because fills are rare and reads clone an
-    /// `Arc` in nanoseconds.
-    view: Mutex<Option<RuleView>>,
+    /// Memoised `query_rules(None)` view, cleared by every push, and the
+    /// rule count of the last one assembled. A `Mutex` (not `RwLock`)
+    /// because fills are rare and reads clone an `Arc` in nanoseconds.
+    view: Mutex<ViewMemo>,
     /// Total units ever pushed (for diagnostics).
     total_pushed: u64,
 }
@@ -149,7 +158,7 @@ impl SlidingWindowMiner {
             unit_itemsets: VecDeque::with_capacity(window + 1),
             online: FastHashMap::default(),
             item_totals: BTreeMap::new(),
-            view: Mutex::new(None),
+            view: Mutex::new(ViewMemo::default()),
             total_pushed: 0,
         })
     }
@@ -208,10 +217,16 @@ impl SlidingWindowMiner {
 
     /// Ingests the next unit, evicting the oldest once the window is
     /// full. Returns the number of units evicted (0 or 1).
+    ///
+    /// This is [`push_mined`](Self::push_mined) of [`mine`](Self::mine).
+    /// A caller that can mine the unit before it may fold it, as the
+    /// daemon's ingest worker does while the unit's log append syncs,
+    /// calls the two halves itself and holds `&mut self` for the fold
+    /// alone.
     pub fn push_unit(&mut self, transactions: &[ItemSet]) -> usize {
         let _span = car_obs::time_span!("window.push_unit");
         let frequent = Self::mine(&self.config, transactions);
-        self.fold(frequent)
+        self.push_mined(frequent)
     }
 
     /// Ingests `units` in order, with the same result as pushing them
@@ -257,13 +272,13 @@ impl SlidingWindowMiner {
             match helper {
                 Some(helper) => {
                     for frequent in ready {
-                        self.fold(frequent);
+                        self.push_mined(frequent);
                     }
                     join_all(vec![helper]);
                 }
                 None => {
                     for unit in kept {
-                        self.fold(Self::mine(&config, unit));
+                        self.push_mined(Self::mine(&config, unit));
                     }
                 }
             }
@@ -272,17 +287,21 @@ impl SlidingWindowMiner {
     }
 
     /// The first half of a push: every large itemset of the unit, with
-    /// its count. It reads only the configuration, so a batch runs it
-    /// on a helper thread.
-    fn mine(config: &MiningConfig, transactions: &[ItemSet]) -> FrequentItemsets {
+    /// its count. It reads only the configuration, not the window, so a
+    /// batch runs it on a helper thread and the daemon runs it outside
+    /// the miner lock.
+    pub fn mine(config: &MiningConfig, transactions: &[ItemSet]) -> FrequentItemsets {
         let _span = car_obs::time_span!("window.mine");
         eclat(transactions, config.min_support, config.max_itemset_size)
     }
 
-    /// The second half of a push: folds a mined unit into the online
-    /// state as the newest unit, evicting the oldest once the window is
-    /// full. Returns the number of units evicted (0 or 1).
-    fn fold(&mut self, frequent: FrequentItemsets) -> usize {
+    /// The second half of a push: folds a unit mined by
+    /// [`mine`](Self::mine) into the online state as the newest unit,
+    /// evicting the oldest once the window is full. Returns the number of
+    /// units evicted (0 or 1). `frequent` must come from `mine` with this
+    /// miner's configuration: with any other the window no longer equals
+    /// batch-mining its units.
+    pub fn push_mined(&mut self, frequent: FrequentItemsets) -> usize {
         let _span = car_obs::time_span!("window.fold");
         // Fold this unit's large itemsets into the online cycle state:
         // one bit and one count per itemset. Itemsets absent from the
@@ -334,8 +353,17 @@ impl SlidingWindowMiner {
         } else {
             0
         };
-        *self.view_slot() = None;
+        self.view_slot().current = None;
         evicted
+    }
+
+    /// The rule count of the last default view assembled: the view
+    /// memoised for the current epoch when no unit has been pushed since,
+    /// else the latest before it. `None` before the first assembly. It
+    /// never assembles a view, so a metrics scrape may read it without
+    /// doing the first query's work under the miner lock.
+    pub fn last_view_rule_count(&self) -> Option<usize> {
+        self.view_slot().last_rules
     }
 
     /// The cyclic rules over the retained window, with unit 0 the oldest
@@ -411,11 +439,12 @@ impl SlidingWindowMiner {
         let _span = car_obs::time_span!("window.query_rules.fast");
         self.config.validate_for(self.len())?;
         let mut slot = self.view_slot();
-        if let Some(view) = slot.as_ref() {
+        if let Some(view) = slot.current.as_ref() {
             return Ok(Arc::clone(view));
         }
         let view: RuleView = Arc::new(self.assemble_default());
-        *slot = Some(Arc::clone(&view));
+        slot.last_rules = Some(view.len());
+        slot.current = Some(Arc::clone(&view));
         Ok(view)
     }
 
@@ -542,7 +571,7 @@ impl SlidingWindowMiner {
     /// The memoised-view slot, recovering from (impossible in practice)
     /// poisoning: the view is pure derived data, so a poisoned slot is
     /// safe to reuse or overwrite.
-    fn view_slot(&self) -> MutexGuard<'_, Option<RuleView>> {
+    fn view_slot(&self) -> MutexGuard<'_, ViewMemo> {
         self.view.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -621,6 +650,36 @@ mod tests {
         miner.push_unit(&unit_for(4));
         let third = miner.current_rules().unwrap();
         assert!(!Arc::ptr_eq(&first, &third), "push must invalidate the view");
+    }
+
+    #[test]
+    fn last_view_rule_count_never_assembles() {
+        let mut miner = SlidingWindowMiner::new(config(2), 4).unwrap();
+        for day in 0..4 {
+            miner.push_unit(&unit_for(day));
+        }
+        assert_eq!(miner.last_view_rule_count(), None, "nothing assembled yet");
+        let rules = miner.current_rules().unwrap().len();
+        assert!(rules > 0);
+        assert_eq!(miner.last_view_rule_count(), Some(rules));
+        // A push drops the view but keeps its count until the next query.
+        miner.push_unit(&unit_for(5));
+        assert_eq!(miner.last_view_rule_count(), Some(rules));
+        let after = miner.current_rules().unwrap().len();
+        assert_eq!(miner.last_view_rule_count(), Some(after));
+    }
+
+    #[test]
+    fn push_mined_of_mine_is_push_unit() {
+        let cfg = config(3);
+        let mut whole = SlidingWindowMiner::new(cfg, 6).unwrap();
+        let mut halves = SlidingWindowMiner::new(cfg, 6).unwrap();
+        for day in 0..9 {
+            let unit = unit_for(day);
+            let evicted = whole.push_unit(&unit);
+            assert_eq!(halves.push_mined(SlidingWindowMiner::mine(&cfg, &unit)), evicted);
+        }
+        assert_same_window(&halves, &whole);
     }
 
     #[test]

@@ -397,27 +397,6 @@ impl Metrics {
             out.push_str(&format!("{name} {}\n", counter.load(Ordering::Relaxed)));
         }
 
-        // Process-global online-maintenance counters (car-obs): the
-        // window miner's fold and view-assembly work. Batch mining counts
-        // its work per run, in `MiningStats`, not here.
-        let mine = car_obs::counters::MINE.snapshot();
-        for (name, help, value) in [
-            (
-                "car_mine_online_holds_total",
-                "Itemset-unit hold entries folded into online cycle state at push; a recovery folds only the units it retains.",
-                mine.online_holds,
-            ),
-            (
-                "car_mine_online_eliminations_total",
-                "Candidate cycles of tracked itemsets found dead at default-view assembly.",
-                mine.online_eliminations,
-            ),
-        ] {
-            out.push_str(&format!("# HELP {name} {help}\n"));
-            out.push_str(&format!("# TYPE {name} counter\n"));
-            out.push_str(&format!("{name} {value}\n"));
-        }
-
         // Process-global resilience counters (car-obs): overload
         // shedding and deadline enforcement. Always rendered, even at
         // zero, so dashboards and the chaos-smoke CI grep can rely on
@@ -545,30 +524,6 @@ mod tests {
         );
         assert!(text.contains("car_http_request_duration_seconds_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("car_http_request_duration_seconds_count 3"));
-    }
-
-    #[test]
-    fn mining_and_span_sections_render() {
-        let m = Metrics::new();
-        let text = m.render_prometheus(&[]);
-        // The window's two online-maintenance counters are always
-        // present, even before any unit is pushed, and are the only
-        // `car_mine_*` families.
-        assert!(text.contains("# TYPE car_mine_online_holds_total counter"));
-        assert!(text.contains("# TYPE car_mine_online_eliminations_total counter"));
-        assert_eq!(text.matches("# TYPE car_mine_").count(), 2, "{text}");
-        assert!(text.contains("# TYPE car_span_duration_seconds summary"));
-        assert!(text.contains("# TYPE car_span_duration_max_seconds gauge"));
-        // Resilience counters exist at zero so scrapes can rely on them.
-        assert!(text.contains("# TYPE car_shed_total counter"));
-        assert!(text.contains("# TYPE car_header_timeouts_total counter"));
-        assert!(text.contains("# TYPE car_deadline_exceeded_total counter"));
-        // The trace-retention family exists at zero for the same reason.
-        assert!(text.contains("# TYPE car_trace_retained_total counter"));
-        assert!(text.contains("car_trace_retained_total{reason=\"error\"}"));
-        assert!(text.contains("car_trace_retained_total{reason=\"slow\"}"));
-        assert!(text.contains("car_trace_retained_total{reason=\"sampled\"}"));
-        assert!(text.contains("# TYPE car_trace_discarded_total counter"));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! the persistence layer is built to be attacked: a [`FaultPlan`] can be
 //! handed to the daemon (via
 //! [`PersistConfig::faults`](crate::persist::PersistConfig)) to make the
-//! WAL misbehave on cue — short writes, write failures, and fsync
+//! WAL misbehave on cue — torn writes, clean write failures, and fsync
 //! failures — and the free functions corrupt files on disk the way a
 //! crash or a decaying disk would (torn tails, bit flips, garbage
 //! appends). Integration tests combine both: kill the daemon mid-ingest,
@@ -51,6 +51,8 @@ struct FaultState {
     torn_write_at: AtomicU64,
     /// Bytes to let through on the torn write.
     torn_keep_bytes: AtomicU64,
+    /// 1-based batch-write index that fails cleanly; 0 = disabled.
+    fail_write_at: AtomicU64,
     /// Batch writes attempted so far.
     writes: AtomicU64,
     /// Once set, every storage operation fails — the disk is "gone",
@@ -79,6 +81,14 @@ impl FaultPlan {
         self.state.torn_write_at.store(n.max(1), Ordering::SeqCst);
     }
 
+    /// Arms a clean write failure: the `n`-th batch write (1-based)
+    /// fails before any byte lands, and the storage stays alive, so the
+    /// rollback succeeds, the log stays open and the next append reuses
+    /// the sequence numbers — as when a write hits a full disk.
+    pub fn fail_write_at(&self, n: u64) {
+        self.state.fail_write_at.store(n.max(1), Ordering::SeqCst);
+    }
+
     /// Whether the simulated storage has gone dead.
     pub fn is_dead(&self) -> bool {
         self.state.dead.load(Ordering::SeqCst)
@@ -94,6 +104,9 @@ impl FaultPlan {
             return Err(self.dead_error());
         }
         let n = self.state.writes.fetch_add(1, Ordering::SeqCst) + 1;
+        if n == self.state.fail_write_at.load(Ordering::SeqCst) {
+            return Err(io::Error::other("injected fault: write failed"));
+        }
         let torn_at = self.state.torn_write_at.load(Ordering::SeqCst);
         if torn_at != 0 && n >= torn_at {
             self.state.dead.store(true, Ordering::SeqCst);
@@ -185,6 +198,19 @@ mod tests {
         assert!(plan.on_write(100).is_err());
         assert!(plan.on_fsync().is_err());
         assert!(plan.on_truncate().is_err());
+    }
+
+    #[test]
+    fn failed_write_leaves_storage_alive() {
+        let plan = FaultPlan::new();
+        plan.fail_write_at(2);
+        assert_eq!(plan.on_write(100).unwrap(), WriteVerdict::Pass);
+        assert!(plan.on_write(100).is_err());
+        assert!(!plan.is_dead());
+        assert!(plan.on_truncate().is_ok());
+        assert!(plan.on_fsync().is_ok());
+        // Only the n-th write fails.
+        assert_eq!(plan.on_write(100).unwrap(), WriteVerdict::Pass);
     }
 
     #[test]

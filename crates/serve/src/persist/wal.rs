@@ -28,6 +28,13 @@
 //! daemon is alive. A failed fsync (or a rollback that itself fails)
 //! marks the log **failed**: the daemon stops acknowledging units (503)
 //! instead of acknowledging writes it cannot promise are durable.
+//!
+//! An append is two halves, [`Wal::append_write`] and
+//! [`Wal::append_sync`]; [`Wal::append_batch`] runs both. The daemon
+//! calls them apart so it can queue the written units for mining while
+//! the sync runs. A write failure that rolls back cleanly leaves the log
+//! open and the sequence numbers unused; a sync failure fails the log, so
+//! a sequence number that was written and queued is never reused.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -308,6 +315,25 @@ fn create_segment(dir: &Path, first_seq: u64) -> io::Result<(PathBuf, File)> {
 // The writer
 // ---------------------------------------------------------------------
 
+/// Records that [`Wal::append_write`] wrote and [`Wal::append_sync`] has
+/// yet to sync.
+#[must_use = "written records are acknowledged only by `Wal::append_sync`"]
+#[derive(Debug)]
+pub struct WrittenAppend {
+    first: u64,
+    units: u64,
+    bytes: u64,
+    /// The live segment's length before the write, for rollback.
+    good_len: u64,
+}
+
+impl WrittenAppend {
+    /// The sequence number of the first written record.
+    pub fn first_seq(&self) -> u64 {
+        self.first
+    }
+}
+
 /// The append side of the log. One instance exists per daemon, behind a
 /// mutex that also serialises ingest ordering (WAL order == queue order).
 pub struct Wal {
@@ -382,7 +408,9 @@ impl Wal {
     }
 
     /// Appends `units` as consecutive records in one write, fsyncs per
-    /// policy, and returns the sequence number of the first unit.
+    /// policy, and returns the sequence number of the first unit:
+    /// [`append_write`](Wal::append_write) then
+    /// [`append_sync`](Wal::append_sync).
     ///
     /// On error nothing is acknowledged: the write is rolled back by
     /// truncation, or — when even that fails — the log is marked failed.
@@ -396,31 +424,75 @@ impl Wal {
         metrics: &Metrics,
     ) -> io::Result<u64> {
         let _span = car_obs::time_span!("wal.append");
+        let written = self.append_write(units)?;
+        self.append_sync(written, metrics)
+    }
+
+    /// The write half of an append: encodes `units` as consecutive
+    /// records numbered from [`next_seq`](Wal::next_seq) and writes them
+    /// in one write. A failed write is rolled back by truncation; the log
+    /// stays open when the rollback succeeds, and the next append reuses
+    /// the sequence numbers.
+    ///
+    /// The records are not acknowledged until the returned
+    /// [`WrittenAppend`] is passed to [`append_sync`](Wal::append_sync),
+    /// which must come before the next write.
+    ///
+    /// # Errors
+    ///
+    /// The log is failed, or the write failed (including injected
+    /// faults).
+    pub fn append_write(&mut self, units: &[Vec<ItemSet>]) -> io::Result<WrittenAppend> {
         if self.failed {
             return Err(io::Error::other("write-ahead log is in the failed state"));
         }
-        if units.is_empty() {
-            return Ok(self.next_seq);
-        }
         let first = self.next_seq;
+        let good_len = self.live_len;
         let mut buf = Vec::new();
         for (i, unit) in units.iter().enumerate() {
             encode_record_into(first + i as u64, unit, &mut buf);
         }
-        let good_len = self.live_len;
-        if let Err(e) = self.write_batch(&buf) {
-            self.rollback_to(good_len);
-            return Err(e);
+        if !buf.is_empty() {
+            if let Err(e) = self.write_batch(&buf) {
+                self.rollback_to(good_len);
+                return Err(e);
+            }
         }
-        if let Err(e) = self.sync_per_policy(units.len() as u64, metrics) {
+        Ok(WrittenAppend {
+            first,
+            units: units.len() as u64,
+            bytes: buf.len() as u64,
+            good_len,
+        })
+    }
+
+    /// The sync half of an append: syncs per policy, then advances
+    /// [`next_seq`](Wal::next_seq) past the written records and returns
+    /// the first one's sequence number. A failed sync rolls the records
+    /// back and fails the log for good, so their sequence numbers are
+    /// never handed out again.
+    ///
+    /// # Errors
+    ///
+    /// Propagates fsync failures (including injected ones).
+    pub fn append_sync(
+        &mut self,
+        written: WrittenAppend,
+        metrics: &Metrics,
+    ) -> io::Result<u64> {
+        let WrittenAppend { first, units, bytes, good_len } = written;
+        if units == 0 {
+            return Ok(first);
+        }
+        if let Err(e) = self.sync_per_policy(units, metrics) {
             // Durability per policy could not be promised; un-acknowledge
             // the bytes and stop accepting (fsync failures rarely heal).
             self.rollback_to(good_len);
             self.failed = true;
             return Err(e);
         }
-        metrics.record_wal_append(buf.len() as u64);
-        self.next_seq = first.saturating_add(units.len() as u64);
+        metrics.record_wal_append(bytes);
+        self.next_seq = first.saturating_add(units);
         Ok(first)
     }
 
@@ -707,6 +779,32 @@ mod tests {
         let segments = list_segments(&dir).unwrap();
         let parsed = parse_records(&std::fs::read(&segments[0].path).unwrap());
         assert!(parsed.records.is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn clean_write_failure_keeps_the_log_open_and_reuses_the_seq() {
+        let dir = temp_dir();
+        let metrics = Metrics::new();
+        let plan = FaultPlan::new();
+        let mut wal =
+            Wal::open(&dir, FsyncPolicy::Always, Some(plan.clone()), 1).unwrap();
+        assert_eq!(wal.append_batch(&[unit(&[1])], &metrics).unwrap(), 1);
+        plan.fail_write_at(2);
+        assert!(wal.append_write(&[unit(&[2])]).is_err());
+        assert!(!wal.is_failed());
+        assert_eq!(wal.next_seq(), 2);
+        let written = wal.append_write(&[unit(&[3])]).unwrap();
+        assert_eq!(written.first_seq(), 2);
+        assert_eq!(wal.append_sync(written, &metrics).unwrap(), 2);
+        assert_eq!(wal.next_seq(), 3);
+        drop(wal);
+
+        let segments = list_segments(&dir).unwrap();
+        let parsed = parse_records(&std::fs::read(&segments[0].path).unwrap());
+        assert!(parsed.corruption.is_none());
+        let records: Vec<(u64, Vec<ItemSet>)> = parsed.records;
+        assert_eq!(records, vec![(1, unit(&[1])), (2, unit(&[3]))]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -120,7 +120,11 @@ fn enqueue_error_response(state: &Arc<AppState>, e: EnqueueError) -> Response {
 }
 
 fn ingest_units(state: &Arc<AppState>, req: &Request) -> Response {
-    let (units, is_batch) = match parse_units_body(&req.body) {
+    let parsed = {
+        let _span = car_obs::time_span!("routes.unit_parse");
+        parse_units_body(&req.body)
+    };
+    let (units, is_batch) = match parsed {
         Ok(parsed) => parsed,
         Err(msg) => return Response::error(400, &msg),
     };
@@ -237,6 +241,12 @@ fn enqueue_error_label(e: EnqueueError) -> &'static str {
 /// (one unit) or a top-level array of such objects (a batch). Returns
 /// the units and whether the body was the batch form.
 ///
+/// A canonical body, the shape every client sends, is read in one pass
+/// by [`scan_units_body`], straight into item sets. Every other body goes
+/// unchanged to [`parse_units_json`], which builds the JSON tree, so every
+/// rejection and every odd but valid body (`1.0` or `-0` as an id, an
+/// extra key, an escaped key) keeps the tree's answer.
+///
 /// Public so the `car shard` router can parse an ingest body once and
 /// re-split it per shard using the same grammar the workers enforce.
 ///
@@ -244,6 +254,41 @@ fn enqueue_error_label(e: EnqueueError) -> &'static str {
 ///
 /// A human-readable message describing the first malformed element.
 pub fn parse_units_body(body: &[u8]) -> Result<(Vec<Vec<ItemSet>>, bool), String> {
+    match scan_units_body(body) {
+        Some(parsed) => Ok(parsed),
+        None => parse_units_json(body),
+    }
+}
+
+/// The one-pass half of [`parse_units_body`]: reads a canonical body,
+/// `{"transactions":[[id,...],...]}` or a top-level array of them, into
+/// units without building a JSON tree. It takes JSON whitespace between
+/// tokens, the key `"transactions"` exactly once per unit, and ids as
+/// plain digit runs up to `u32::MAX`. It never rejects: any other body
+/// is `None`, for [`parse_units_json`] to answer.
+pub fn scan_units_body(body: &[u8]) -> Option<(Vec<Vec<ItemSet>>, bool)> {
+    let mut scan = UnitScanner { bytes: body, pos: 0, ids: Vec::new() };
+    let parsed = if scan.eat(b'[') {
+        let mut units = Vec::new();
+        scan.list(|scan| {
+            units.push(scan.unit()?);
+            Some(())
+        })?;
+        (units, true)
+    } else {
+        (vec![scan.unit()?], false)
+    };
+    scan.skip_ws();
+    (scan.pos == body.len()).then_some(parsed)
+}
+
+/// The tree half of [`parse_units_body`]: parses the body as a JSON
+/// document, then reads the units out of it with [`parse_unit`].
+///
+/// # Errors
+///
+/// A human-readable message describing the first malformed element.
+pub fn parse_units_json(body: &[u8]) -> Result<(Vec<Vec<ItemSet>>, bool), String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
     let doc = Json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
     if let Some(batch) = doc.as_array() {
@@ -255,6 +300,101 @@ pub fn parse_units_body(body: &[u8]) -> Result<(Vec<Vec<ItemSet>>, bool), String
         return Ok((units, true));
     }
     Ok((vec![parse_unit(&doc)?], false))
+}
+
+/// The cursor of [`scan_units_body`]. Each step returns `None` on the
+/// first byte it does not expect.
+struct UnitScanner<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// The current transaction's ids, reused so each item set is
+    /// allocated once, at its exact size, as the tree path allocates it.
+    ids: Vec<u32>,
+}
+
+impl UnitScanner<'_> {
+    fn skip_ws(&mut self) {
+        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// Skips whitespace, then consumes `b` if it comes next.
+    fn eat(&mut self, b: u8) -> bool {
+        self.skip_ws();
+        let next = self.bytes.get(self.pos) == Some(&b);
+        if next {
+            self.pos += 1;
+        }
+        next
+    }
+
+    /// Reads the elements of a list whose `[` is consumed, through its
+    /// `]`, with `element` reading each one.
+    fn list(&mut self, mut element: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
+        if self.eat(b']') {
+            return Some(());
+        }
+        loop {
+            element(self)?;
+            if self.eat(b']') {
+                return Some(());
+            }
+            if !self.eat(b',') {
+                return None;
+            }
+        }
+    }
+
+    /// `{"transactions":[...]}`.
+    fn unit(&mut self) -> Option<Vec<ItemSet>> {
+        const KEY: &[u8] = b"\"transactions\"";
+        if !self.eat(b'{') {
+            return None;
+        }
+        self.skip_ws();
+        if !self.bytes.get(self.pos..)?.starts_with(KEY) {
+            return None;
+        }
+        self.pos += KEY.len();
+        if !(self.eat(b':') && self.eat(b'[')) {
+            return None;
+        }
+        let mut unit = Vec::new();
+        self.list(|scan| {
+            unit.push(scan.transaction()?);
+            Some(())
+        })?;
+        self.eat(b'}').then_some(unit)
+    }
+
+    /// `[id,...]`.
+    fn transaction(&mut self) -> Option<ItemSet> {
+        if !self.eat(b'[') {
+            return None;
+        }
+        self.ids.clear();
+        self.list(|scan| {
+            let id = scan.id()?;
+            scan.ids.push(id);
+            Some(())
+        })?;
+        Some(ItemSet::from_ids(self.ids.iter().copied()))
+    }
+
+    /// A digit run up to `u32::MAX`. A sign, fraction or exponent stops
+    /// the scan (only `,` or `]` may follow an id), leaving the body to
+    /// the tree, which reads `-0`, `1.0` and `1e2` as ids too.
+    fn id(&mut self) -> Option<u32> {
+        self.skip_ws();
+        let start = self.pos;
+        let mut id: u32 = 0;
+        while let Some(&digit @ b'0'..=b'9') = self.bytes.get(self.pos) {
+            id = id.checked_mul(10)?.checked_add(u32::from(digit - b'0'))?;
+            self.pos += 1;
+        }
+        (self.pos > start).then_some(id)
+    }
 }
 
 /// Parses one `{"transactions": [[id, ...], ...]}` object into a unit.
@@ -527,17 +667,18 @@ fn health(state: &Arc<AppState>) -> Response {
 fn metrics(state: &Arc<AppState>) -> Response {
     let (retained_units, evictions, hold_entries, rules_current, itemsets_tracked) = {
         let miner = state.miner.read_or_recover();
-        let rules_current = miner.current_rules().map(|r| r.len()).unwrap_or(0);
         (
             miner.len(),
             miner.evictions(),
             // Both count the window's per-itemset online state.
             miner.retained_rule_entries(),
-            rules_current,
+            // Never assembles a view: a scrape must not do a query's
+            // work under the read lock the next fold waits behind.
+            miner.last_view_rule_count().unwrap_or(0),
             miner.tracked_rules(),
         )
     };
-    let text = state.metrics.render_prometheus(&[
+    let mut text = state.metrics.render_prometheus(&[
         (
             "car_ingest_queue_depth",
             "Units waiting in the ingest queue.",
@@ -560,7 +701,7 @@ fn metrics(state: &Arc<AppState>) -> Response {
         ),
         (
             "car_rules_current",
-            "Cyclic rules over the retained window (0 while warming up).",
+            "Cyclic rules in the last default rule view a query assembled (0 before the first); a scrape never assembles one.",
             rules_current as f64,
         ),
         (
@@ -574,6 +715,23 @@ fn metrics(state: &Arc<AppState>) -> Response {
             state.query_cache.len() as f64,
         ),
     ]);
+    // The window's process-global online-maintenance counters: only a
+    // daemon's window moves them, so the router does not export them.
+    let mine = car_obs::counters::MINE.snapshot();
+    for (name, help, value) in [
+        (
+            "car_mine_online_holds_total",
+            "Itemset-unit hold entries folded into online cycle state at push; a recovery folds only the units it retains.",
+            mine.online_holds,
+        ),
+        (
+            "car_mine_online_eliminations_total",
+            "Candidate cycles of tracked itemsets found dead at default-view assembly.",
+            mine.online_eliminations,
+        ),
+    ] {
+        text.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"));
+    }
     Response::text(200, text)
 }
 
@@ -923,6 +1081,75 @@ mod tests {
         assert!(text.contains("car_ingest_queue_depth 0"));
         assert!(text.contains("car_rules_current 0"));
         assert!(text.contains("# TYPE car_http_requests_total counter"));
+    }
+
+    #[test]
+    fn mining_and_span_sections_render() {
+        let state = test_state();
+        let (_, resp) = handle(&state, &request("GET", "/metrics", &[], b""));
+        let text = String::from_utf8(resp.body).unwrap();
+        // The window's two online-maintenance counters are always
+        // present, even before any unit is pushed, and are the only
+        // `car_mine_*` families.
+        assert!(text.contains("# TYPE car_mine_online_holds_total counter"));
+        assert!(text.contains("# TYPE car_mine_online_eliminations_total counter"));
+        assert_eq!(text.matches("# TYPE car_mine_").count(), 2, "{text}");
+        assert!(text.contains("# TYPE car_span_duration_seconds summary"));
+        assert!(text.contains("# TYPE car_span_duration_max_seconds gauge"));
+        // Resilience counters exist at zero so scrapes can rely on them.
+        assert!(text.contains("# TYPE car_shed_total counter"));
+        assert!(text.contains("# TYPE car_header_timeouts_total counter"));
+        assert!(text.contains("# TYPE car_deadline_exceeded_total counter"));
+        // The trace-retention family exists at zero for the same reason.
+        assert!(text.contains("# TYPE car_trace_retained_total counter"));
+        assert!(text.contains("car_trace_retained_total{reason=\"error\"}"));
+        assert!(text.contains("car_trace_retained_total{reason=\"slow\"}"));
+        assert!(text.contains("car_trace_retained_total{reason=\"sampled\"}"));
+        assert!(text.contains("# TYPE car_trace_discarded_total counter"));
+    }
+
+    #[test]
+    fn metrics_scrape_after_a_push_leaves_the_view_unassembled() {
+        let state = test_state();
+        let worker = crate::state::spawn_ingest_worker(Arc::clone(&state)).unwrap();
+        let even = br#"{"transactions": [[1, 2], [1, 2], [1, 2], [1, 2]]}"#;
+        let odd = br#"{"transactions": [[9], [9], [9], [9]]}"#;
+        let post = |body: &[u8]| {
+            let (_, resp) =
+                handle(&state, &request("POST", "/v1/units", &[("wait", "true")], body));
+            assert_eq!(resp.status, 200);
+        };
+        let scrape = || {
+            let (_, resp) = handle(&state, &request("GET", "/metrics", &[], b""));
+            String::from_utf8(resp.body).unwrap()
+        };
+        for day in 0..4 {
+            post(if day % 2 == 0 { even } else { odd });
+        }
+        // The window is past warm-up, but no query has assembled a view.
+        assert!(scrape().contains("car_rules_current 0\n"));
+        assert_eq!(state.miner.read().unwrap().last_view_rule_count(), None);
+
+        let (_, resp) = handle(&state, &request("GET", "/v1/rules", &[], b""));
+        let doc = Json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+        let served = doc.get("count").and_then(Json::as_u64).unwrap();
+        assert!(served > 0);
+        assert!(scrape().contains(&format!("car_rules_current {served}\n")));
+
+        // After the next push the scrape reports the last view's count
+        // and still assembles nothing for the new epoch.
+        post(even);
+        assert!(scrape().contains(&format!("car_rules_current {served}\n")));
+        assert_eq!(
+            state.miner.read().unwrap().last_view_rule_count(),
+            Some(served as usize)
+        );
+        let (_, resp) = handle(&state, &request("GET", "/v1/rules", &[], b""));
+        let doc = Json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+        let fresh = doc.get("count").and_then(Json::as_u64).unwrap();
+        assert!(scrape().contains(&format!("car_rules_current {fresh}\n")));
+        state.begin_shutdown();
+        worker.join().unwrap();
     }
 
     #[test]

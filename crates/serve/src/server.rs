@@ -7,7 +7,9 @@
 //! or shutdown begins. A connection idle before or between requests
 //! gives its thread up, with a `408`, as soon as another connection is
 //! queued for one or shutdown begins, and otherwise after the socket
-//! timeout.
+//! timeout. A busy connection gives its thread up too, after its fair
+//! share of requests and only while another connection is queued,
+//! saying `connection: close` on its last response.
 //! Shutdown (via `POST /v1/shutdown`, SIGINT, or
 //! [`ServerHandle::trigger_shutdown`]) stops accepting, lets in-flight
 //! requests drain (the pool join), drains the ingest queue into the
@@ -38,9 +40,12 @@ use crate::ServeError;
 /// How often the accept loop re-checks the shutdown flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
-/// Requests served per connection before forcing a close (keeps a
-/// single chatty client from pinning a worker forever).
-const MAX_REQUESTS_PER_CONNECTION: usize = 10_000;
+/// Requests a connection serves before it gives its thread up to a
+/// connection queued for one, so that a chatty client cannot pin a
+/// worker while others wait. A lone connection is never cut off, and the
+/// response after which a connection closes says `connection: close`, so
+/// its client reconnects instead of losing its next request.
+const FAIR_SHARE_REQUESTS: usize = 10_000;
 
 /// How long an idle connection waits for its next request between
 /// checks for a connection queued behind it.
@@ -431,7 +436,8 @@ pub fn accept_loop<S: Service>(
     pool.join();
 }
 
-/// Serves one connection until close, error, limit, or shutdown.
+/// Serves one connection until close, error, shutdown, or its fair
+/// share of requests while another connection waits.
 fn serve_connection<S: Service>(
     stream: TcpStream,
     service: &Arc<S>,
@@ -450,7 +456,8 @@ fn serve_connection<S: Service>(
     let mut writer = BufWriter::new(write_half);
     let metrics = service.metrics();
 
-    for _ in 0..MAX_REQUESTS_PER_CONNECTION {
+    let mut served: usize = 0;
+    loop {
         let next = await_next_request(&mut reader, &**service, policy);
         let started = Instant::now();
         let read =
@@ -509,8 +516,13 @@ fn serve_connection<S: Service>(
                 .with_header(car_obs::trace::TRACE_ID_HEADER, finished.trace_id.to_hex());
             response = service.finish_trace(finished, response);
         }
-        // During shutdown, tell keep-alive clients to go away.
-        if request.wants_close() || service.is_shutting_down() {
+        served = served.saturating_add(1);
+        // During shutdown, tell keep-alive clients to go away, and a
+        // connection past its fair share while another waits.
+        if request.wants_close()
+            || service.is_shutting_down()
+            || (served >= FAIR_SHARE_REQUESTS && policy.backlog.is_waiting())
+        {
             response.close = true;
         }
         let close = response.close;
@@ -847,6 +859,39 @@ mod tests {
             .and_then(|v| v.trim().parse().ok())
             .expect("latency sum");
         assert!(seconds < 0.25, "two health requests took {seconds} s");
+        handle.trigger_shutdown();
+        handle.wait();
+    }
+
+    #[test]
+    fn a_connection_past_its_fair_share_closes_only_for_a_queued_one() {
+        let mut config = test_config();
+        config.threads = 1;
+        let handle = serve(config).unwrap();
+        let busy = TcpStream::connect(handle.addr).unwrap();
+        busy.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let mut writer = busy.try_clone().unwrap();
+        let mut reader = BufReader::new(busy);
+        let mut health = || {
+            writer.write_all(b"GET /v1/health HTTP/1.1\r\n\r\n").unwrap();
+            let response = crate::client::read_response(&mut reader).expect("response");
+            assert_eq!(response.status, 200);
+            response.header("connection") == Some("close")
+        };
+        // Alone, the connection keeps its thread past its share.
+        for served in 1..=FAIR_SHARE_REQUESTS + 1 {
+            assert!(!health(), "closed after {served} requests with nothing queued");
+        }
+        // Once another connection is queued for the only thread, the busy
+        // one is told to close after its next request, and the queued one
+        // is served.
+        let queued = TcpStream::connect(handle.addr).unwrap();
+        queued.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !health() {
+            assert!(Instant::now() < deadline, "the busy connection never yielded");
+        }
+        assert_eq!(health_status(&queued), 200);
         handle.trigger_shutdown();
         handle.wait();
     }

@@ -14,23 +14,32 @@
 //! were accepted.
 //!
 //! With persistence enabled ([`PersistConfig`]), the accept path runs
-//! under the WAL mutex: sequence assignment, the WAL append, and the
-//! queue push happen atomically, so WAL order, sequence order, and apply
-//! order are a single total order — a unit is never acknowledged before
-//! it is in the log. The ingest worker performs boot recovery (snapshot
-//! plus WAL replay) before draining the queue; until it finishes, ingest
-//! and rule queries answer `503` and `/v1/health` reports `recovering`.
-//! Recovery pushes the recovered units as one batch into a private
-//! miner and swaps it in under one short write lock, so health and
-//! metrics keep answering while it runs.
+//! under the WAL mutex: sequence assignment, the WAL write, the queue
+//! push and the WAL sync happen in one critical section, so WAL order,
+//! sequence order, and apply order are a single total order — a unit is
+//! never acknowledged before it is in the log. The push comes before
+//! the sync, so the worker mines the unit while the sync runs; it folds
+//! the unit only once the durable-through watermark
+//! ([`Persistence::await_durable`]) covers it, and drops a unit whose
+//! sync failed. A write failure queues nothing, and a sync failure fails
+//! the log, so a queued sequence number is never reused. The ingest
+//! worker performs boot recovery (snapshot plus WAL replay) before
+//! draining the queue; until it finishes, ingest and rule queries answer
+//! `503` and `/v1/health` reports `recovering`. Recovery pushes the
+//! recovered units as one batch into a private miner and swaps it in
+//! under one short write lock, so health and metrics keep answering
+//! while it runs.
 //!
-//! Queries take the miner read lock; the applier takes the write lock
-//! per unit. Clients that need read-your-writes (tests, benchmarks) pass
-//! `?wait=true` and block until their unit's sequence number is applied.
+//! Queries take the miner read lock; the applier mines each unit outside
+//! it and takes the write lock for the fold alone. Clients that need
+//! read-your-writes (tests, benchmarks) pass `?wait=true` and block
+//! until their unit's sequence number is applied.
 //!
-//! Lock order (outermost first): `persist.wal` → `queue.inner`;
-//! `persist.retained` and `miner` are never held together with `wal`
-//! by the same acquisition chain.
+//! Lock order (outermost first): `persist.wal` → `queue.inner`. The
+//! worker takes `persist.wal` alone, to wait out a sync.
+//! `persist.retained` and `miner` are never held together with `wal` by
+//! the same acquisition chain, and neither `wal` nor `inner` is taken
+//! under `miner`.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -141,8 +150,9 @@ impl IngestQueue {
     /// # Errors
     ///
     /// [`EnqueueError::ShuttingDown`] when the queue closed since the
-    /// room check; the units are already durable in the WAL and will be
-    /// recovered (unacknowledged) on the next boot.
+    /// room check; the units are already written to the WAL, the caller
+    /// syncs them anyway, and they are recovered (unacknowledged) on the
+    /// next boot.
     pub(crate) fn push_with_seqs(
         &self,
         first_seq: u64,
@@ -330,7 +340,9 @@ impl AppState {
     /// Accepts a batch of units, returning one result per unit in input
     /// order. With persistence, accepted units are WAL-appended (and
     /// fsynced per policy) before this returns — acknowledged means
-    /// durable. A prefix of the batch may be accepted and the rest
+    /// durable. They are queued between the write and the sync, so the
+    /// worker may mine them meanwhile; it folds none before the sync
+    /// succeeds. A prefix of the batch may be accepted and the rest
     /// rejected `Full` when the queue lacks room.
     pub fn ingest_batch(
         &self,
@@ -356,21 +368,36 @@ impl AppState {
                 accepted.truncate(k);
                 let mut results: Vec<Result<u64, EnqueueError>> = Vec::with_capacity(n);
                 if k > 0 {
-                    match wal.append_batch(&accepted, &self.metrics) {
-                        Ok(first) => match self.queue.push_with_seqs(first, accepted) {
-                            Ok(()) => {
-                                for i in 0..k {
-                                    results.push(Ok(first.saturating_add(i as u64)));
-                                }
+                    let span = car_obs::time_span!("wal.append");
+                    // The units are queued between the write and the sync,
+                    // so the worker mines them while the sync runs; it
+                    // folds them only once `durable_through` covers them.
+                    // A failed write queues nothing, and a failed sync
+                    // fails the log, so a queued sequence number is never
+                    // handed out again.
+                    let appended = wal.append_write(&accepted).and_then(|written| {
+                        let first = written.first_seq();
+                        let queued = self.queue.push_with_seqs(first, accepted);
+                        wal.append_sync(written, &self.metrics)?;
+                        let last = first.saturating_add(k as u64 - 1);
+                        persist.durable_through.store(last, Ordering::Release);
+                        Ok(queued.map(|()| first))
+                    });
+                    drop(span);
+                    match appended {
+                        Ok(Ok(first)) => {
+                            for i in 0..k {
+                                results.push(Ok(first.saturating_add(i as u64)));
                             }
-                            Err(e) => {
-                                // Durable but unacknowledged: recovered
-                                // next boot, rejected now.
-                                for _ in 0..k {
-                                    results.push(Err(e));
-                                }
+                        }
+                        Ok(Err(e)) => {
+                            // The queue closed after the room check:
+                            // durable but unacknowledged, recovered next
+                            // boot, rejected now.
+                            for _ in 0..k {
+                                results.push(Err(e));
                             }
-                        },
+                        }
                         Err(e) => {
                             log_warn(&format!("WAL append failed: {e}"));
                             self.metrics.record_wal_error();
@@ -491,9 +518,19 @@ pub fn spawn_ingest_worker(state: Arc<AppState>) -> std::io::Result<JoinHandle<(
         }
         while let Some((seq, unit)) = state.queue.dequeue() {
             let apply_span = car_obs::time_span!("serve.apply_unit");
+            // Mined outside the miner lock, and with persistence while
+            // the append that wrote the unit may still be syncing.
+            let mined = SlidingWindowMiner::mine(&state.config, &unit);
+            if let Some(persist) = &state.persist {
+                if !persist.await_durable(seq) {
+                    // Its sync failed: never acknowledged, never folded.
+                    car_obs::debug!("serve", [seq = seq], "unit dropped: not durable");
+                    continue;
+                }
+            }
             let total = {
                 let mut miner = state.miner.write_or_recover();
-                miner.push_unit(&unit);
+                miner.push_mined(mined);
                 miner.total_pushed()
             };
             // Invalidate cached rule bodies *before* waking `?wait=true`

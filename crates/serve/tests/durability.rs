@@ -19,7 +19,7 @@ use car_itemset::{ItemSet, SegmentedDb};
 use car_serve::json::Json;
 use car_serve::persist::fault::{append_garbage, FaultPlan};
 use car_serve::persist::snapshot::write_snapshot;
-use car_serve::persist::wal::{encode_record_into, list_segments};
+use car_serve::persist::wal::{encode_record_into, list_segments, parse_records};
 use car_serve::{serve, Client, PersistConfig, ServerConfig, ServerHandle};
 
 const WINDOW: usize = 8;
@@ -313,6 +313,118 @@ fn fsync_failure_refuses_acknowledgements() {
     let resp = client.request("GET", "/metrics", None).unwrap();
     assert!(resp.body_text().contains("car_wal_errors_total"), "errors are visible");
 
+    // The refused unit was queued before its sync failed, and the
+    // worker may have mined it, but only the durable unit is folded:
+    // the shutdown drains the queue first.
+    handle.trigger_shutdown();
+    let stats = handle.wait();
+    assert_eq!(stats.units_retained, 1);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A write that fails before any byte lands, on storage that stays
+/// alive, acknowledges and queues nothing: the log stays open, the next
+/// unit reuses the sequence number, and the window holds the durable
+/// units only, before and after a restart.
+#[test]
+fn clean_write_failure_reuses_the_seq_and_folds_only_durable_units() {
+    let dir = temp_dir("write-failure");
+    let config = MiningConfig::builder()
+        .min_support_fraction(0.2)
+        .min_confidence(0.6)
+        .cycle_bounds(2, 2)
+        .build()
+        .unwrap();
+    let boot = |faults: Option<FaultPlan>| {
+        let mut persist = PersistConfig::new(&dir);
+        persist.faults = faults;
+        serve(ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            threads: 3,
+            window: WINDOW,
+            queue_capacity: 32,
+            mining: config,
+            io_timeout: Duration::from_secs(5),
+            persist: Some(persist),
+            ..ServerConfig::default()
+        })
+        .expect("server boots on an ephemeral port")
+    };
+    let a = vec![ItemSet::from_ids([1u32, 2]); 4];
+    let b = vec![ItemSet::from_ids([5u32, 6]); 4];
+    let c =
+        [vec![ItemSet::from_ids([1u32, 2]); 2], vec![ItemSet::from_ids([3u32, 4]); 2]]
+            .concat();
+    let mine = |units: &[&Vec<ItemSet>]| {
+        let db =
+            SegmentedDb::from_unit_itemsets(units.iter().map(|u| u.to_vec()).collect());
+        batch_rules(&mine_sequential(&db, &config).unwrap().rules)
+    };
+    let expected = mine(&[&a, &c]);
+    assert!(!expected.is_empty(), "the units must yield cyclic rules");
+    assert_ne!(expected, mine(&[&a, &b, &c]), "folding B must change the rules");
+
+    let plan = FaultPlan::new();
+    let handle = boot(Some(plan.clone()));
+    let mut client = Client::connect(&handle.addr.to_string()).unwrap();
+    wait_ready(&mut client);
+    let seq_of = |resp: &car_serve::ClientResponse| {
+        Json::parse(&resp.body_text()).unwrap().get("unit_seq").and_then(Json::as_u64)
+    };
+
+    // The worker folds nothing while the test holds the miner lock, so
+    // it judges B only after C's append is durable: had B been queued
+    // under seq 2, C's sync would cover it too.
+    let state = handle.state().clone();
+    let guard = state.miner.write().unwrap();
+    let resp = client.request("POST", "/v1/units", Some(&unit_body(&a))).unwrap();
+    assert_eq!(resp.status, 202, "{}", resp.body_text());
+    assert_eq!(seq_of(&resp), Some(1));
+
+    // B's write is the second: it fails, and nothing of it is queued.
+    plan.fail_write_at(2);
+    let batch = Json::Array(vec![unit_json(&b)]).render().into_bytes();
+    let resp = client.request("POST", "/v1/units", Some(&batch)).unwrap();
+    assert_eq!(resp.status, 503, "{}", resp.body_text());
+    let doc = Json::parse(&resp.body_text()).unwrap();
+    let refused = doc.get("units").and_then(Json::as_array).unwrap().first().unwrap();
+    assert_eq!(refused.get("error").and_then(Json::as_str), Some("persistence_failure"));
+
+    // The log stayed open: C takes B's sequence number. Its append is
+    // durable once A's and C's fsyncs are both counted.
+    let addr = handle.addr.to_string();
+    let c_body = unit_body(&c);
+    let poster = std::thread::spawn(move || {
+        let mut client = Client::connect(&addr).unwrap();
+        client.request("POST", "/v1/units?wait=true", Some(&c_body)).unwrap()
+    });
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while state.metrics.wal_fsyncs() < 2 {
+        assert!(Instant::now() < deadline, "C's append never synced");
+        std::thread::yield_now();
+    }
+    drop(guard);
+    let resp = poster.join().unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_text());
+    assert_eq!(seq_of(&resp), Some(2));
+    assert_eq!(fetch_rules(&mut client), expected);
+
+    // The log holds A and C as seqs 1 and 2, and nothing of B.
+    let mut records = Vec::new();
+    for segment in list_segments(&dir).unwrap() {
+        let parsed = parse_records(&std::fs::read(&segment.path).unwrap());
+        assert!(parsed.corruption.is_none(), "{:?}", parsed.corruption);
+        records.extend(parsed.records);
+    }
+    assert_eq!(records, vec![(1, a.clone()), (2, c.clone())]);
+
+    handle.trigger_shutdown();
+    assert_eq!(handle.wait().units_retained, 2);
+
+    let handle = boot(None);
+    let mut client = Client::connect(&handle.addr.to_string()).unwrap();
+    wait_ready(&mut client);
+    assert_eq!(fetch_rules(&mut client), expected);
     handle.trigger_shutdown();
     handle.wait();
     std::fs::remove_dir_all(&dir).unwrap();

@@ -225,6 +225,9 @@ fn routed_rules_match_single_node_byte_for_byte() {
     // The car_shard_* counters are process-global (shared across the
     // tests in this binary), so assert presence rather than a value.
     assert!(metrics.contains("car_shard_units_routed_total"));
+    // Only a daemon's window moves the online-maintenance counters; the
+    // router runs no window and exports no `car_mine_*` family.
+    assert!(!metrics.contains("car_mine_"), "{metrics}");
 
     let resp = rc.request("POST", "/v1/shutdown", None).unwrap();
     assert_eq!(resp.status, 200);
