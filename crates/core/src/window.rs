@@ -60,6 +60,7 @@
 //! batch keeps are mined on a helper thread ahead of the fold.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -140,6 +141,11 @@ pub struct SlidingWindowMiner {
     view: Mutex<ViewMemo>,
     /// Total units ever pushed (for diagnostics).
     total_pushed: u64,
+    /// `(itemset, unit)` holds folded into the online state so far.
+    online_holds: u64,
+    /// Candidate cycles found dead at default-view assembly so far; an
+    /// atomic because assembly runs under `&self`.
+    online_eliminations: AtomicU64,
 }
 
 impl SlidingWindowMiner {
@@ -160,6 +166,8 @@ impl SlidingWindowMiner {
             item_totals: BTreeMap::new(),
             view: Mutex::new(ViewMemo::default()),
             total_pushed: 0,
+            online_holds: 0,
+            online_eliminations: AtomicU64::new(0),
         })
     }
 
@@ -201,6 +209,24 @@ impl SlidingWindowMiner {
     /// than the per-itemset state.
     pub fn tracked_rules(&self) -> usize {
         self.online.len()
+    }
+
+    /// `(itemset, unit)` hold entries folded into online cycle state by
+    /// this miner's pushes — the work the query fast path amortises
+    /// away. A batch folds, and counts, only the units it keeps.
+    pub fn online_holds(&self) -> u64 {
+        self.online_holds
+    }
+
+    /// Candidate cycles of tracked itemsets this miner found dead while
+    /// assembling default views, `num_cycles − live` per itemset. The
+    /// online path never eliminates eagerly — absent itemsets are not
+    /// visited at push time — so this is observed at view assembly:
+    /// once per window epoch through the memoised view, and again by
+    /// every [`assemble_view`](Self::assemble_view). An escalated query
+    /// never counts.
+    pub fn online_eliminations(&self) -> u64 {
+        self.online_eliminations.load(Ordering::Relaxed)
     }
 
     /// Aggregated support counts of the frequent single items across
@@ -325,7 +351,7 @@ impl SlidingWindowMiner {
             }
             held.push(itemset);
         }
-        car_obs::counters::MINE.add_online_holds(held.len() as u64);
+        self.online_holds += held.len() as u64;
         self.unit_itemsets.push_back(held);
         self.total_pushed += 1;
         let evicted = if self.unit_itemsets.len() > self.window {
@@ -464,9 +490,10 @@ impl SlidingWindowMiner {
     }
 
     /// The assembly at the mining threshold, which has no deadline to
-    /// miss. Only this view flushes its eliminations into the online
-    /// counter: whether an itemset has a live cycle does not depend on
-    /// the confidence, so an escalated view would count them again.
+    /// miss. Only this view adds its eliminations to
+    /// [`online_eliminations`](Self::online_eliminations): whether an
+    /// itemset has a live cycle does not depend on the confidence, so an
+    /// escalated view would count them again.
     fn assemble_default(&self) -> Vec<CyclicRule> {
         let Some((out, eliminated)) =
             self.assemble_counted(self.config.min_confidence, None)
@@ -474,7 +501,7 @@ impl SlidingWindowMiner {
             return Vec::new();
         };
         if eliminated > 0 {
-            car_obs::counters::MINE.add_online_eliminations(eliminated);
+            self.online_eliminations.fetch_add(eliminated, Ordering::Relaxed);
         }
         out
     }
@@ -762,6 +789,33 @@ mod tests {
         assert!(miner.online.keys().all(|s| !s.contains(one) && !s.contains(two)));
         assert_eq!(miner.online.keys().collect::<Vec<_>>(), vec![&set(&[7])]);
         assert_eq!(miner.tracked_rules(), 1);
+    }
+
+    #[test]
+    fn only_the_default_view_counts_online_eliminations() {
+        let mut miner = SlidingWindowMiner::new(config(4), 8).unwrap();
+        // {1, 2} in even units and {7} in odd ones: 3 holds, then 1.
+        for day in 0..8 {
+            miner.push_unit(&unit_for(day));
+        }
+        assert_eq!(miner.online_holds(), 4 * 3 + 4);
+        assert_eq!(miner.online_eliminations(), 0);
+        // Each of the four tracked itemsets {1}, {2}, {1, 2} and {7}
+        // keeps 3 of the 9 cycles at lengths 2..4: (2, 0), (4, 0), (4, 2)
+        // or (2, 1), (4, 1), (4, 3).
+        drop(miner.current_rules().unwrap());
+        let first = miner.online_eliminations();
+        assert_eq!(first, 4 * (9 - 3));
+        // The memoised view is not assembled again.
+        drop(miner.current_rules().unwrap());
+        assert_eq!(miner.online_eliminations(), first);
+        // An escalated query assembles at its own confidence, uncounted.
+        let strict = MinConfidence::new(0.9).unwrap();
+        drop(miner.query_rules(Some(strict)).unwrap());
+        assert_eq!(miner.online_eliminations(), first);
+        // The uncached default assembly counts the same eliminations again.
+        drop(miner.assemble_view().unwrap());
+        assert_eq!(miner.online_eliminations(), 2 * first);
     }
 
     #[test]

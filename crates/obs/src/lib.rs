@@ -13,13 +13,6 @@
 //!   that accumulate `(count, total ns, max ns)` per span name into a
 //!   lock-free flat profile; recording is plain relaxed atomics, and a
 //!   disabled span never even reads the clock.
-//! * **Process counters** ([`counters`]) — process-global, monotonic
-//!   counters for work no single mining run owns: the window miner's
-//!   online maintenance (holds folded, cycles found dead at view
-//!   assembly), the shard router's fan-out, overload shedding, and
-//!   trace retention, exported on the daemon's and the router's
-//!   `/metrics`. Batch mining counts its work per run instead, in
-//!   `car_core::MiningStats`, which `car mine --stats` prints.
 //! * **Distributed tracing** ([`trace`]) — per-request trace trees
 //!   propagated across processes as `X-Car-Trace-Id` /
 //!   `X-Car-Parent-Span` headers. `time_span!` call sites feed the live
@@ -27,6 +20,12 @@
 //!   compact `X-Car-Spans` response header, are assembled into one
 //!   rooted tree, and survive tail-based retention (errored, slow, or
 //!   1-in-N sampled).
+//!
+//! The crate keeps no work counters of its own: each counter lives in
+//! the instance that does the work (a mining run's `MiningStats`, the
+//! window miner, a server's `Metrics`, the router's state, a
+//! [`trace::TraceStore`]), so two instances in one process never add
+//! into one total.
 //!
 //! The crate has no dependencies (the workspace builds offline) and its
 //! non-test code is in car-audit's A1 panic-freedom and A3
@@ -49,7 +48,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod counters;
 pub mod logger;
 pub mod span;
 pub mod trace;

@@ -29,8 +29,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use crate::counters::TRACE;
-
 /// Request header carrying the 128-bit trace id as 32 lowercase hex.
 pub const TRACE_ID_HEADER: &str = "x-car-trace-id";
 /// Request header carrying the parent span uid as 16 lowercase hex.
@@ -816,16 +814,28 @@ pub struct StoredTrace {
 
 /// Bounded store of retained traces with tail-based retention: errored
 /// and slow traces always survive; the rest survive 1-in-N, decided by
-/// the trace id's low bits so every process samples identically.
+/// the trace id's low bits so every process samples identically. The
+/// store counts every outcome it decides, for `/metrics`.
 pub struct TraceStore {
     policy: TraceStorePolicy,
     inner: Mutex<std::collections::VecDeque<StoredTrace>>,
+    retained_error: AtomicU64,
+    retained_slow: AtomicU64,
+    retained_sampled: AtomicU64,
+    discarded: AtomicU64,
 }
 
 impl TraceStore {
     /// A store with the given policy.
     pub fn new(policy: TraceStorePolicy) -> TraceStore {
-        TraceStore { policy, inner: Mutex::new(std::collections::VecDeque::new()) }
+        TraceStore {
+            policy,
+            inner: Mutex::new(std::collections::VecDeque::new()),
+            retained_error: AtomicU64::new(0),
+            retained_slow: AtomicU64::new(0),
+            retained_sampled: AtomicU64::new(0),
+            discarded: AtomicU64::new(0),
+        }
     }
 
     fn lock(&self) -> MutexGuard<'_, std::collections::VecDeque<StoredTrace>> {
@@ -839,8 +849,8 @@ impl TraceStore {
 
     /// Offers a finished trace. `errored` marks a trace that must be
     /// kept (5xx, breaker trip, deadline abort). Returns the retention
-    /// reason, or `None` when the trace was sampled out; the global
-    /// `TRACE` counters record the outcome either way.
+    /// reason, or `None` when the trace was sampled out; the store
+    /// counts the outcome either way.
     pub fn offer(&self, trace: AssembledTrace, errored: bool) -> Option<RetainReason> {
         let reason = if errored {
             RetainReason::Error
@@ -854,20 +864,35 @@ impl TraceStore {
         {
             RetainReason::Sampled
         } else {
-            TRACE.add_discarded();
+            self.discarded.fetch_add(1, Ordering::Relaxed);
             return None;
         };
-        match reason {
-            RetainReason::Error => TRACE.add_retained_error(),
-            RetainReason::Slow => TRACE.add_retained_slow(),
-            RetainReason::Sampled => TRACE.add_retained_sampled(),
-        }
+        self.retained_counter(reason).fetch_add(1, Ordering::Relaxed);
         let mut traces = self.lock();
         traces.push_back(StoredTrace { trace, reason });
         while traces.len() > self.policy.capacity {
             traces.pop_front();
         }
         Some(reason)
+    }
+
+    /// Traces this store has retained for `reason`, including those
+    /// since evicted beyond capacity.
+    pub fn retained(&self, reason: RetainReason) -> u64 {
+        self.retained_counter(reason).load(Ordering::Relaxed)
+    }
+
+    /// Healthy traces this store's sampler let go.
+    pub fn discarded(&self) -> u64 {
+        self.discarded.load(Ordering::Relaxed)
+    }
+
+    fn retained_counter(&self, reason: RetainReason) -> &AtomicU64 {
+        match reason {
+            RetainReason::Error => &self.retained_error,
+            RetainReason::Slow => &self.retained_slow,
+            RetainReason::Sampled => &self.retained_sampled,
+        }
     }
 
     /// Summaries of every retained trace, newest first.
@@ -1285,6 +1310,10 @@ mod tests {
         assert_eq!(store.offer(make(10), true), Some(RetainReason::Error));
         assert_eq!(store.offer(make(5_000), false), Some(RetainReason::Slow));
         assert_eq!(store.offer(make(10), false), Some(RetainReason::Sampled));
+        for reason in [RetainReason::Error, RetainReason::Slow, RetainReason::Sampled] {
+            assert_eq!(store.retained(reason), 1, "{reason:?}");
+        }
+        assert_eq!(store.discarded(), 0);
         let summaries = store.summaries();
         assert_eq!(summaries.len(), 3);
         // Newest first.
@@ -1301,6 +1330,7 @@ mod tests {
             sample_every: 4,
             slow_threshold_us: u64::MAX,
         });
+        let mut sampled = 0;
         for _ in 0..64 {
             let trace_id = mint_trace_id();
             let root = mint_span_uid();
@@ -1320,7 +1350,10 @@ mod tests {
             let expected = trace_id.low64() % 4 == 0;
             let kept = store.offer(trace, false).is_some();
             assert_eq!(kept, expected, "sampling must be a pure function of the id");
+            sampled += u64::from(kept);
         }
+        assert_eq!(store.retained(RetainReason::Sampled), sampled);
+        assert_eq!(store.discarded(), 64 - sampled);
     }
 
     #[test]
@@ -1336,6 +1369,8 @@ mod tests {
             store.offer(assemble(trace_id, root, Vec::new()), false);
         }
         assert_eq!(store.summaries().len(), 2);
+        // The count keeps the evicted ones.
+        assert_eq!(store.retained(RetainReason::Sampled), 5);
     }
 
     #[test]

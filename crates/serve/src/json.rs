@@ -229,6 +229,40 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Whether `text` is one number under RFC 8259's grammar,
+/// `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`. It rules out
+/// what `f64::from_str` would also take: leading zeros (`007`), a bare
+/// point (`1.`, `.5`) and a missing integer part.
+fn is_number(text: &[u8]) -> bool {
+    let digits = |s: &[u8]| s.iter().take_while(|b| b.is_ascii_digit()).count();
+    let rest = text.strip_prefix(b"-").unwrap_or(text);
+    let int = match rest.first() {
+        Some(b'0') => 1,
+        Some(b'1'..=b'9') => digits(rest),
+        _ => return false,
+    };
+    let mut rest = rest.get(int..).unwrap_or_default();
+    if let Some(fraction) = rest.strip_prefix(b".") {
+        let n = digits(fraction);
+        if n == 0 {
+            return false;
+        }
+        rest = fraction.get(n..).unwrap_or_default();
+    }
+    if let Some(exponent) = rest.strip_prefix(b"e").or_else(|| rest.strip_prefix(b"E")) {
+        let exponent = exponent
+            .strip_prefix(b"+")
+            .or_else(|| exponent.strip_prefix(b"-"))
+            .unwrap_or(exponent);
+        let n = digits(exponent);
+        if n == 0 {
+            return false;
+        }
+        rest = exponent.get(n..).unwrap_or_default();
+    }
+    rest.is_empty()
+}
+
 struct Parser<'a> {
     text: &'a str,
     pos: usize,
@@ -295,6 +329,8 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// A number: the run of number bytes at the cursor, which must match
+    /// the grammar in full (see [`is_number`]).
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
@@ -304,12 +340,14 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(self.bytes().get(start..self.pos).unwrap_or(&[]))
-            .map_err(|_| self.err("invalid number"))?;
-        let n: f64 = text.parse().map_err(|_| JsonError {
-            offset: start,
-            message: format!("invalid number `{text}`"),
-        })?;
+        let raw = self.bytes().get(start..self.pos).unwrap_or(&[]);
+        let text = std::str::from_utf8(raw).map_err(|_| self.err("invalid number"))?;
+        let invalid =
+            || JsonError { offset: start, message: format!("invalid number `{text}`") };
+        if !is_number(raw) {
+            return Err(invalid());
+        }
+        let n: f64 = text.parse().map_err(|_| invalid())?;
         if !n.is_finite() {
             return Err(JsonError {
                 offset: start,
@@ -472,6 +510,25 @@ mod tests {
         assert_eq!(Json::parse("42").unwrap(), Json::Number(42.0));
         assert_eq!(Json::parse("-2.5e2").unwrap(), Json::Number(-250.0));
         assert_eq!(Json::parse("\"hi\"").unwrap(), Json::String("hi".into()));
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        for (good, value) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("1.5", 1.5),
+            ("1e2", 100.0),
+            ("1E+2", 100.0),
+            ("-0.5e-3", -0.0005),
+        ] {
+            assert_eq!(Json::parse(good), Ok(Json::Number(value)), "{good}");
+        }
+        for bad in ["007", "-01", "00", "1.", "1.e5", "-.5", "1e", "-"] {
+            let err = Json::parse(bad).expect_err(bad);
+            assert_eq!(err.message, format!("invalid number `{bad}`"));
+        }
     }
 
     #[test]

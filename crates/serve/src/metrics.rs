@@ -123,6 +123,9 @@ pub struct Metrics {
     wal_errors: AtomicU64,
     snapshots: AtomicU64,
     recovery_truncated: AtomicU64,
+    shed: AtomicU64,
+    header_timeouts: AtomicU64,
+    deadline_exceeded: AtomicU64,
 }
 
 impl Metrics {
@@ -216,6 +219,29 @@ impl Metrics {
         self.recovery_truncated.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Records a connection shed at the admission gate (`503
+    /// overloaded`).
+    pub fn record_shed(&self) {
+        self.shed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records a request head that did not complete within the
+    /// head-read deadline (slow-loris defense).
+    pub fn record_header_timeout(&self) {
+        self.header_timeouts.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records a request answered `504 deadline_exceeded` because its
+    /// deadline expired before it could be served.
+    pub fn record_deadline_exceeded(&self) {
+        self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Total request heads cut off by the head-read deadline.
+    pub fn header_timeouts(&self) -> u64 {
+        self.header_timeouts.load(Ordering::Relaxed)
+    }
+
     /// Total requests recorded across all routes and classes.
     pub fn total_requests(&self) -> u64 {
         self.requests
@@ -255,10 +281,16 @@ impl Metrics {
         self.recovery_truncated.load(Ordering::Relaxed)
     }
 
-    /// Renders the Prometheus exposition text. `gauges` supplies
-    /// point-in-time values owned by other subsystems (queue depth,
-    /// retained rules, ...), each as `(name, help, value)`.
-    pub fn render_prometheus(&self, gauges: &[(&str, &str, f64)]) -> String {
+    /// Renders the Prometheus exposition text. `counters` and `gauges`
+    /// supply values owned by other subsystems (the window's online
+    /// work, the router's fan-out; queue depth, retained rules, ...),
+    /// each as `(name, help, value)`; the counters are rendered with
+    /// these metrics' own.
+    pub fn render_prometheus(
+        &self,
+        counters: &[(&str, &str, u64)],
+        gauges: &[(&str, &str, f64)],
+    ) -> String {
         let mut out = String::with_capacity(2048);
 
         out.push_str("# HELP car_http_requests_total HTTP requests served, by route and status class.\n");
@@ -339,7 +371,9 @@ impl Metrics {
             ));
         }
 
-        for (name, help, counter) in [
+        // Always rendered, even at zero, so dashboards and CI greps can
+        // rely on every family existing.
+        let own = [
             (
                 "car_units_ingested_total",
                 "Time units accepted into the ingest queue.",
@@ -391,60 +425,28 @@ impl Metrics {
                 "WAL records discarded by boot recovery (torn or corrupt).",
                 &self.recovery_truncated,
             ),
-        ] {
-            out.push_str(&format!("# HELP {name} {help}\n"));
-            out.push_str(&format!("# TYPE {name} counter\n"));
-            out.push_str(&format!("{name} {}\n", counter.load(Ordering::Relaxed)));
-        }
-
-        // Process-global resilience counters (car-obs): overload
-        // shedding and deadline enforcement. Always rendered, even at
-        // zero, so dashboards and the chaos-smoke CI grep can rely on
-        // the series existing.
-        let res = car_obs::counters::RESILIENCE.snapshot();
-        for (name, help, value) in [
             (
                 "car_shed_total",
                 "Requests shed by the admission gate (503 overloaded).",
-                res.shed,
+                &self.shed,
             ),
             (
                 "car_header_timeouts_total",
                 "Connections dropped for exceeding the header-read deadline.",
-                res.header_timeouts,
+                &self.header_timeouts,
             ),
             (
                 "car_deadline_exceeded_total",
                 "Requests answered 504 because their deadline budget expired.",
-                res.deadline_exceeded,
+                &self.deadline_exceeded,
             ),
-        ] {
+        ]
+        .map(|(name, help, counter)| (name, help, counter.load(Ordering::Relaxed)));
+        for &(name, help, value) in own.iter().chain(counters) {
             out.push_str(&format!("# HELP {name} {help}\n"));
             out.push_str(&format!("# TYPE {name} counter\n"));
             out.push_str(&format!("{name} {value}\n"));
         }
-
-        // Trace tail-retention counters (car-obs). Always rendered, even
-        // at zero, so the CI grep and dashboards can rely on the family.
-        let trace = car_obs::counters::TRACE.snapshot();
-        out.push_str(
-            "# HELP car_trace_retained_total Traces retained by tail sampling, by reason.\n",
-        );
-        out.push_str("# TYPE car_trace_retained_total counter\n");
-        for (reason, value) in [
-            ("error", trace.retained_error),
-            ("slow", trace.retained_slow),
-            ("sampled", trace.retained_sampled),
-        ] {
-            out.push_str(&format!(
-                "car_trace_retained_total{{reason=\"{reason}\"}} {value}\n"
-            ));
-        }
-        out.push_str(
-            "# HELP car_trace_discarded_total Healthy traces the tail sampler let go.\n",
-        );
-        out.push_str("# TYPE car_trace_discarded_total counter\n");
-        out.push_str(&format!("car_trace_discarded_total {}\n", trace.discarded));
 
         // Span profile summaries (car-obs flat profile). Sum/count give
         // Prometheus a rate-able average; the observed maximum rides
@@ -497,7 +499,7 @@ mod tests {
         m.record_request(Route::Rules, 404, Duration::from_micros(50));
         m.record_request(Route::IngestUnits, 503, Duration::from_micros(80));
         assert_eq!(m.total_requests(), 3);
-        let text = m.render_prometheus(&[]);
+        let text = m.render_prometheus(&[], &[]);
         assert!(
             text.contains("car_http_requests_total{route=\"rules\",status=\"2xx\"} 1")
         );
@@ -515,7 +517,7 @@ mod tests {
         m.record_request(Route::Health, 200, Duration::from_micros(90));
         m.record_request(Route::Health, 200, Duration::from_micros(400));
         m.record_request(Route::Health, 200, Duration::from_secs(10));
-        let text = m.render_prometheus(&[]);
+        let text = m.render_prometheus(&[], &[]);
         assert!(
             text.contains("car_http_request_duration_seconds_bucket{le=\"0.0001\"} 1")
         );
@@ -532,7 +534,7 @@ mod tests {
         m.record_request(Route::Rules, 200, Duration::from_micros(90));
         m.record_request(Route::Rules, 200, Duration::from_micros(400));
         m.record_request(Route::Health, 200, Duration::from_micros(90));
-        let text = m.render_prometheus(&[]);
+        let text = m.render_prometheus(&[], &[]);
         assert!(text.contains("# TYPE car_request_duration_seconds histogram"));
         assert!(text.contains(
             "car_request_duration_seconds_bucket{route=\"rules\",le=\"0.0001\"} 1"
@@ -560,11 +562,10 @@ mod tests {
         assert_eq!(m.units_ingested(), 2);
         assert_eq!(m.query_cache_hits(), 2);
         assert_eq!(m.query_cache_misses(), 1);
-        let text = m.render_prometheus(&[(
-            "car_ingest_queue_depth",
-            "Units waiting in the ingest queue.",
-            3.0,
-        )]);
+        let text = m.render_prometheus(
+            &[("car_example_total", "A caller's counter.", 5)],
+            &[("car_ingest_queue_depth", "Units waiting in the ingest queue.", 3.0)],
+        );
         assert!(text.contains("car_units_ingested_total 2\n"));
         assert!(text.contains("car_transactions_ingested_total 200\n"));
         assert!(text.contains("car_ingest_rejected_total 1\n"));
@@ -572,6 +573,7 @@ mod tests {
         assert!(text.contains("car_query_cache_hits 2\n"));
         assert!(text.contains("car_query_cache_misses 1\n"));
         assert!(text.contains("# TYPE car_query_cache_hits counter\n"));
+        assert!(text.contains("# TYPE car_example_total counter\ncar_example_total 5\n"));
         assert!(text.contains("# TYPE car_ingest_queue_depth gauge\n"));
         assert!(text.contains("car_ingest_queue_depth 3\n"));
     }

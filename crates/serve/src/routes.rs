@@ -22,9 +22,13 @@
 //!   counting kernel keeps. Shard workers expose this so the router can
 //!   merge item supports across the cluster with a cheap integer sum.
 //! * `GET /v1/health` — liveness and window occupancy.
-//! * `GET /metrics` — Prometheus text exposition (not JSON).
+//! * `GET /metrics` — Prometheus text exposition (not JSON): this
+//!   daemon's own counters and gauges, the window miner's two
+//!   `car_mine_*` counters among them. Every value is read from the
+//!   instance that counts it, so two daemons in one process never
+//!   report each other's work.
 //! * `GET /v1/debug/profile` — the car-obs span profile (per-span
-//!   count / total / max nanoseconds) plus the window's two
+//!   count / total / max nanoseconds) plus the window miner's two
 //!   online-maintenance counters (`mine`) and the query-cache state.
 //! * `GET /v1/debug/events` — recent log events from the car-obs
 //!   capture ring (bounded; oldest first).
@@ -60,9 +64,9 @@ fn request_deadline(req: &Request) -> Option<Instant> {
     Some(Instant::now() + Duration::from_millis(ms))
 }
 
-/// The `504 deadline_exceeded` answer, with its resilience counter.
-fn deadline_exceeded_response() -> Response {
-    car_obs::counters::RESILIENCE.add_deadline_exceeded();
+/// The `504 deadline_exceeded` answer, counted in the daemon's metrics.
+fn deadline_exceeded_response(state: &AppState) -> Response {
+    state.metrics.record_deadline_exceeded();
     Response::error(504, "deadline_exceeded")
 }
 
@@ -384,7 +388,8 @@ impl UnitScanner<'_> {
 
     /// A digit run up to `u32::MAX`. A sign, fraction or exponent stops
     /// the scan (only `,` or `]` may follow an id), leaving the body to
-    /// the tree, which reads `-0`, `1.0` and `1e2` as ids too.
+    /// the tree, which reads `-0`, `1.0` and `1e2` as ids too. So does
+    /// a leading zero, which the tree rejects.
     fn id(&mut self) -> Option<u32> {
         self.skip_ws();
         let start = self.pos;
@@ -393,7 +398,8 @@ impl UnitScanner<'_> {
             id = id.checked_mul(10)?.checked_add(u32::from(digit - b'0'))?;
             self.pos += 1;
         }
-        (self.pos > start).then_some(id)
+        let leading_zero = self.pos > start + 1 && self.bytes.get(start) == Some(&b'0');
+        (self.pos > start && !leading_zero).then_some(id)
     }
 }
 
@@ -427,7 +433,7 @@ pub fn parse_unit(doc: &Json) -> Result<Vec<ItemSet>, String> {
 fn get_rules(state: &Arc<AppState>, req: &Request) -> Response {
     let deadline = request_deadline(req);
     if deadline.is_some_and(|d| Instant::now() >= d) {
-        return deadline_exceeded_response();
+        return deadline_exceeded_response(state);
     }
     if state.recovery.is_recovering() {
         return Response::error(
@@ -486,7 +492,7 @@ fn get_rules(state: &Arc<AppState>, req: &Request) -> Response {
     let miner = state.miner.read_or_recover();
     let rules = match miner.query_rules_within(min_confidence, deadline) {
         Ok(Some(rules)) => rules,
-        Ok(None) => return deadline_exceeded_response(),
+        Ok(None) => return deadline_exceeded_response(state),
         Err(e) => return Response::error(409, &e.to_string()),
     };
     let units_retained = miner.len();
@@ -514,7 +520,7 @@ fn get_rules(state: &Arc<AppState>, req: &Request) -> Response {
 fn get_items(state: &Arc<AppState>, req: &Request) -> Response {
     let deadline = request_deadline(req);
     if deadline.is_some_and(|d| Instant::now() >= d) {
-        return deadline_exceeded_response();
+        return deadline_exceeded_response(state);
     }
     if state.recovery.is_recovering() {
         return Response::error(
@@ -665,20 +671,33 @@ fn health(state: &Arc<AppState>) -> Response {
 }
 
 fn metrics(state: &Arc<AppState>) -> Response {
-    let (retained_units, evictions, hold_entries, rules_current, itemsets_tracked) = {
-        let miner = state.miner.read_or_recover();
+    let miner = state.miner.read_or_recover();
+    let (retained_units, evictions, hold_entries, rules_current, itemsets_tracked) = (
+        miner.len(),
+        miner.evictions(),
+        // Both count the window's per-itemset online state.
+        miner.retained_rule_entries(),
+        // Never assembles a view: a scrape must not do a query's work
+        // under the read lock the next fold waits behind.
+        miner.last_view_rule_count().unwrap_or(0),
+        miner.tracked_rules(),
+    );
+    // The window's online-maintenance counters: only a daemon runs a
+    // window, so the router exports no `car_mine_*` family.
+    let counters = [
         (
-            miner.len(),
-            miner.evictions(),
-            // Both count the window's per-itemset online state.
-            miner.retained_rule_entries(),
-            // Never assembles a view: a scrape must not do a query's
-            // work under the read lock the next fold waits behind.
-            miner.last_view_rule_count().unwrap_or(0),
-            miner.tracked_rules(),
-        )
-    };
-    let mut text = state.metrics.render_prometheus(&[
+            "car_mine_online_holds_total",
+            "Itemset-unit hold entries folded into online cycle state at push; a recovery folds only the units it retains.",
+            miner.online_holds(),
+        ),
+        (
+            "car_mine_online_eliminations_total",
+            "Candidate cycles of tracked itemsets found dead at default-view assembly.",
+            miner.online_eliminations(),
+        ),
+    ];
+    drop(miner);
+    let text = state.metrics.render_prometheus(&counters, &[
         (
             "car_ingest_queue_depth",
             "Units waiting in the ingest queue.",
@@ -715,28 +734,11 @@ fn metrics(state: &Arc<AppState>) -> Response {
             state.query_cache.len() as f64,
         ),
     ]);
-    // The window's process-global online-maintenance counters: only a
-    // daemon's window moves them, so the router does not export them.
-    let mine = car_obs::counters::MINE.snapshot();
-    for (name, help, value) in [
-        (
-            "car_mine_online_holds_total",
-            "Itemset-unit hold entries folded into online cycle state at push; a recovery folds only the units it retains.",
-            mine.online_holds,
-        ),
-        (
-            "car_mine_online_eliminations_total",
-            "Candidate cycles of tracked itemsets found dead at default-view assembly.",
-            mine.online_eliminations,
-        ),
-    ] {
-        text.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"));
-    }
     Response::text(200, text)
 }
 
-/// `GET /v1/debug/profile`: the car-obs flat span profile, the window's
-/// process-global online-maintenance counters (holds folded and cycles
+/// `GET /v1/debug/profile`: the car-obs flat span profile, the window
+/// miner's two online-maintenance counters (holds folded and cycles
 /// found dead at view assembly), and the query-cache state, as JSON.
 fn debug_profile(state: &Arc<AppState>) -> Response {
     let spans: Vec<Json> = car_obs::profile_snapshot()
@@ -750,19 +752,19 @@ fn debug_profile(state: &Arc<AppState>) -> Response {
             ])
         })
         .collect();
-    let mine = car_obs::counters::MINE.snapshot();
+    let mine = {
+        let miner = state.miner.read_or_recover();
+        object([
+            ("online_holds", Json::from(miner.online_holds())),
+            ("online_eliminations", Json::from(miner.online_eliminations())),
+        ])
+    };
     Response::json(
         200,
         &object([
             ("spans_enabled", Json::from(car_obs::spans_enabled())),
             ("spans", Json::Array(spans)),
-            (
-                "mine",
-                object([
-                    ("online_holds", Json::from(mine.online_holds)),
-                    ("online_eliminations", Json::from(mine.online_eliminations)),
-                ]),
-            ),
+            ("mine", mine),
             (
                 "query_cache",
                 object([
@@ -1100,12 +1102,9 @@ mod tests {
         assert!(text.contains("# TYPE car_shed_total counter"));
         assert!(text.contains("# TYPE car_header_timeouts_total counter"));
         assert!(text.contains("# TYPE car_deadline_exceeded_total counter"));
-        // The trace-retention family exists at zero for the same reason.
-        assert!(text.contains("# TYPE car_trace_retained_total counter"));
-        assert!(text.contains("car_trace_retained_total{reason=\"error\"}"));
-        assert!(text.contains("car_trace_retained_total{reason=\"slow\"}"));
-        assert!(text.contains("car_trace_retained_total{reason=\"sampled\"}"));
-        assert!(text.contains("# TYPE car_trace_discarded_total counter"));
+        // A daemon retains no traces (the router's store does), so it
+        // exports no trace-retention family.
+        assert!(!text.contains("car_trace_"), "{text}");
     }
 
     #[test]

@@ -236,7 +236,8 @@ pub trait Service: Send + Sync + 'static {
     /// The name of the trace root span each request opens.
     const ROOT_SPAN: &'static str;
 
-    /// The request counters and latency histograms.
+    /// The request counters and latency histograms, and the counts of
+    /// the connection loop's sheds and head timeouts.
     fn metrics(&self) -> &Metrics;
 
     /// Whether shutdown has begun: the accept loop stops and keep-alive
@@ -345,8 +346,8 @@ impl Drop for InflightSlot<'_> {
 /// Sheds a connection the admission gate rejected: a one-shot `503`
 /// with `Retry-After`, written from the accept thread (bounded by a
 /// short write timeout so a dead peer cannot stall accepts).
-fn shed_connection(mut stream: TcpStream) {
-    car_obs::counters::RESILIENCE.add_shed();
+fn shed_connection(mut stream: TcpStream, metrics: &Metrics) {
+    metrics.record_shed();
     let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
     let mut writer = BufWriter::new(&mut stream);
     // audit:allow(a4-discard) reason="same shed path: the response is advisory and the connection is dropped either way"
@@ -409,7 +410,7 @@ pub fn accept_loop<S: Service>(
         match listener.accept() {
             Ok((stream, _peer)) => {
                 if !policy.admit() {
-                    shed_connection(stream);
+                    shed_connection(stream, service.metrics());
                     continue;
                 }
                 let service = Arc::clone(service);
@@ -468,7 +469,7 @@ fn serve_connection<S: Service>(
             Err(e) => {
                 metrics.record_parse_error();
                 if matches!(e, http::ParseError::HeadTimeout) {
-                    car_obs::counters::RESILIENCE.add_header_timeout();
+                    metrics.record_header_timeout();
                 }
                 let (status, _) = e.status();
                 // audit:allow(a4-discard) reason="best-effort courtesy reply on a connection that already failed parsing; if the write also fails there is no one left to tell and the connection closes either way"
@@ -765,7 +766,6 @@ mod tests {
         let mut config = test_config();
         config.header_timeout = Some(Duration::from_millis(200));
         let handle = serve(config).unwrap();
-        let before = car_obs::counters::RESILIENCE.snapshot().header_timeouts;
         let mut stream = TcpStream::connect(handle.addr).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         // Dribble a head one fragment at a time, never finishing it.
@@ -783,10 +783,7 @@ mod tests {
             out.starts_with("HTTP/1.1 408") || out.is_empty(),
             "expected a 408 or a bare close, got: {out}"
         );
-        assert!(
-            car_obs::counters::RESILIENCE.snapshot().header_timeouts > before,
-            "header timeout counter must advance"
-        );
+        assert_eq!(handle.state().metrics.header_timeouts(), 1);
         handle.trigger_shutdown();
         handle.wait();
     }
@@ -852,7 +849,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(300));
         assert_eq!(health_status(&stream), 200);
         // Neither wait is part of a request's latency.
-        let exposition = handle.state().metrics.render_prometheus(&[]);
+        let exposition = handle.state().metrics.render_prometheus(&[], &[]);
         let seconds: f64 = exposition
             .lines()
             .find_map(|l| l.strip_prefix("car_http_request_duration_seconds_sum "))

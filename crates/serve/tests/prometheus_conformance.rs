@@ -220,10 +220,10 @@ fn metrics_exposition_is_conformant_and_counters_are_monotonic() {
     }
     // Each driven unit, {1,2} and {3}, folds 4 large itemsets: {1}, {2},
     // {3} and {1,2}.
-    assert!(
-        second.samples.get("car_mine_online_holds_total") >= Some(&48.0),
-        "12 units fold at least 48 holds: {:?}",
-        second.samples.get("car_mine_online_holds_total")
+    assert_eq!(
+        second.samples.get("car_mine_online_holds_total"),
+        Some(&48.0),
+        "12 units fold 48 holds"
     );
 
     handle.trigger_shutdown();

@@ -1,8 +1,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use car_obs::counters::SHARD;
-use car_obs::trace::{self, TraceId, TraceStore};
+use car_obs::trace::{self, RetainReason, TraceId, TraceStore};
 use car_serve::http::{self, Response};
 use car_serve::json::{object, Json};
 use car_serve::sync::LockExt;
@@ -11,13 +10,17 @@ use car_serve::Service;
 use super::{shard_state_json, RouterState, WorkerState};
 use crate::breaker::BreakerState;
 
-/// One worker's admission + breaker view, read under its mutex.
+/// One worker's admission + breaker view and lifecycle counts, read
+/// under its mutex.
 struct WorkerSnapshot {
     shard_id: u32,
     state: WorkerState,
     breaker: BreakerState,
     consecutive_failures: u32,
     opens: u64,
+    downs: u64,
+    readmissions: u64,
+    catchup_units: u64,
 }
 
 impl WorkerSnapshot {
@@ -50,6 +53,9 @@ impl RouterState {
                     breaker: w.breaker.state(),
                     consecutive_failures: w.breaker.consecutive_failures(),
                     opens: w.breaker.opens(),
+                    downs: w.downs,
+                    readmissions: w.readmissions,
+                    catchup_units: w.catchup_units,
                 }
             })
             .collect()
@@ -105,13 +111,63 @@ pub(super) fn metrics(state: &Arc<RouterState>) -> Response {
         |s: WorkerState| shards.iter().filter(|(_, w)| *w == s).count() as f64;
     // audit:allow(a6-relaxed-mirror) reason="metrics scrape reads the advisory replay-depth mirror; exact depth is only meaningful under the ingest lock and a scrape must not take it"
     let replay_buffered = state.replay_depth_gauge.load(Ordering::Relaxed) as f64;
-    let mut text = state.metrics.render_prometheus(&[
-        ("car_shard_workers_up", "Shard workers currently admitted.", {
-            count_state(WorkerState::Up)
-        }),
-        ("car_shard_workers_down", "Shard workers currently excluded.", {
-            count_state(WorkerState::Down)
-        }),
+    // audit:allow(a6-relaxed-mirror) reason="metrics scrape reads the advisory units-routed mirror; the exact count lives under the ingest lock and a scrape must not take it"
+    let units_routed = state.units_routed_gauge.load(Ordering::Relaxed);
+    let per_worker =
+        |count: fn(&WorkerSnapshot) -> u64| snapshots.iter().map(count).sum();
+    let counters = [
+        (
+            "car_shard_fanout_total",
+            "Query legs (rules and items) fanned out to live shard workers.",
+            state.fanout_legs.load(Ordering::Relaxed),
+        ),
+        (
+            "car_shard_fanout_failures_total",
+            "Fan-out legs that failed or returned an unusable body.",
+            state.fanout_failures.load(Ordering::Relaxed),
+        ),
+        (
+            "car_shard_down_total",
+            "Transitions of a worker into the down state.",
+            per_worker(|w| w.downs),
+        ),
+        (
+            "car_shard_readmissions_total",
+            "Workers re-admitted after catch-up replay.",
+            per_worker(|w| w.readmissions),
+        ),
+        (
+            "car_shard_catchup_units_total",
+            "Units replayed to re-admitted workers.",
+            per_worker(|w| w.catchup_units),
+        ),
+        (
+            "car_shard_units_routed_total",
+            "Full units routed across the cluster.",
+            units_routed,
+        ),
+        (
+            "car_shard_partial_responses_total",
+            "Responses served with one or more shards excluded.",
+            state.partial_responses.load(Ordering::Relaxed),
+        ),
+        (
+            "car_shard_deadline_exceeded_total",
+            "Fan-out legs lost to an exhausted deadline budget.",
+            state.leg_deadlines.load(Ordering::Relaxed),
+        ),
+    ];
+    let gauges = [
+        (
+            "car_shard_workers_up",
+            "Shard workers currently admitted.",
+            count_state(WorkerState::Up),
+        ),
+        (
+            "car_shard_workers_down",
+            "Shard workers currently excluded.",
+            count_state(WorkerState::Down),
+        ),
         (
             "car_shard_workers_stale",
             "Shard workers terminally behind the replay ring.",
@@ -122,7 +178,8 @@ pub(super) fn metrics(state: &Arc<RouterState>) -> Response {
             "Full units retained for catch-up replay.",
             replay_buffered,
         ),
-    ]);
+    ];
+    let mut text = state.metrics.render_prometheus(&counters, &gauges);
     // Per-shard breaker state as a labeled gauge; labeled samples are
     // rendered by hand because `render_prometheus` takes unlabeled
     // names only.
@@ -138,65 +195,25 @@ pub(super) fn metrics(state: &Arc<RouterState>) -> Response {
         text.push_str(&snapshot.gauge_value().to_string());
         text.push('\n');
     }
-    let snap = SHARD.snapshot();
-    for (name, help, value) in [
-        (
-            "car_shard_fanout_total",
-            "Query legs (rules and items) fanned out to live shard workers.",
-            snap.fanout_legs,
-        ),
-        (
-            "car_shard_fanout_failures_total",
-            "Fan-out legs that failed or returned an unusable body.",
-            snap.fanout_failures,
-        ),
-        (
-            "car_shard_down_total",
-            "Transitions of a worker into the down state.",
-            snap.down_transitions,
-        ),
-        (
-            "car_shard_readmissions_total",
-            "Workers re-admitted after catch-up replay.",
-            snap.readmissions,
-        ),
-        (
-            "car_shard_catchup_units_total",
-            "Units replayed to re-admitted workers.",
-            snap.catchup_units,
-        ),
-        (
-            "car_shard_units_routed_total",
-            "Full units routed across the cluster.",
-            snap.units_routed,
-        ),
-        (
-            "car_shard_partial_responses_total",
-            "Responses served with one or more shards excluded.",
-            snap.partial_responses,
-        ),
-        (
-            "car_shard_deadline_exceeded_total",
-            "Fan-out legs lost to an exhausted deadline budget.",
-            snap.deadline_exceeded,
-        ),
-    ] {
-        text.push_str("# HELP ");
-        text.push_str(name);
-        text.push(' ');
-        text.push_str(help);
-        text.push_str("\n# TYPE ");
-        text.push_str(name);
-        text.push_str(" counter\n");
-        text.push_str(name);
-        text.push(' ');
-        text.push_str(&value.to_string());
+    // The trace store's tail-retention outcomes, labeled by reason.
+    text.push_str(
+        "# HELP car_trace_retained_total Traces retained by tail sampling, by reason.\n\
+         # TYPE car_trace_retained_total counter\n",
+    );
+    for reason in [RetainReason::Error, RetainReason::Slow, RetainReason::Sampled] {
+        text.push_str("car_trace_retained_total{reason=\"");
+        text.push_str(reason.label());
+        text.push_str("\"} ");
+        text.push_str(&state.traces.retained(reason).to_string());
         text.push('\n');
     }
-    // Trace tail-retention counters (car_trace_retained_total and
-    // friends) come in via render_prometheus above — the router and
-    // the store share the process-global TRACE counters, so rendering
-    // them here as well would emit a duplicate family.
+    text.push_str(
+        "# HELP car_trace_discarded_total Healthy traces the tail sampler let go.\n\
+         # TYPE car_trace_discarded_total counter\n\
+         car_trace_discarded_total ",
+    );
+    text.push_str(&state.traces.discarded().to_string());
+    text.push('\n');
     Response::text(200, text)
 }
 

@@ -3,14 +3,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use car_itemset::ItemSet;
-use car_obs::counters::SHARD;
 use car_serve::http::{self, Response};
 use car_serve::json::{object, Json};
 use car_serve::sync::LockExt;
 use car_serve::Service;
 
 use super::query::Leg;
-use super::{degrade, probe_health, shard_state_json, RouterState, WorkerState};
+use super::{probe_health, shard_state_json, RouterState, WorkerState};
 
 fn units_to_body(units: &[Vec<ItemSet>]) -> Vec<u8> {
     let batch: Vec<Json> = units
@@ -59,7 +58,6 @@ impl RouterState {
             ingest.replay.push_back(unit);
         }
         ingest.units_routed = ingest.units_routed.saturating_add(n as u64);
-        SHARD.add_units_routed(n as u64);
         let units_routed = ingest.units_routed;
         self.units_routed_gauge.store(units_routed, Ordering::Relaxed);
         self.replay_depth_gauge.store(ingest.replay.len() as u64, Ordering::Relaxed);
@@ -144,8 +142,8 @@ impl RouterState {
             }
         }
         if w.record_success() {
-            SHARD.add_readmission();
-            SHARD.add_catchup_units(behind);
+            w.readmissions = w.readmissions.saturating_add(1);
+            w.catchup_units = w.catchup_units.saturating_add(behind);
             car_obs::info!(
                 "shard",
                 [shard = w.shard_id, replayed = behind],
@@ -209,5 +207,5 @@ pub(super) fn ingest(state: &Arc<RouterState>, req: &http::Request) -> Response 
         ("units_routed", Json::from(units_routed)),
         ("shards", shard_state_json(&states)),
     ]);
-    degrade(Response::json(status, &body), &degraded)
+    state.degrade(Response::json(status, &body), &degraded)
 }

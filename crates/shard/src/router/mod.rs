@@ -113,7 +113,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use car_itemset::ItemSet;
-use car_obs::counters::SHARD;
 use car_obs::trace::{self, FinishedTrace, TraceStore, TraceStorePolicy};
 use car_serve::http::{self, Response, DEFAULT_MAX_BODY_BYTES};
 use car_serve::json::{object, Json};
@@ -242,6 +241,12 @@ struct Worker {
     /// by this router are measured relative to it, so a worker with
     /// pre-existing history (recovered WAL) accounts correctly.
     baseline: Option<u64>,
+    /// Transitions of this worker into the down state.
+    downs: u64,
+    /// Times this worker was re-admitted after catch-up replay.
+    readmissions: u64,
+    /// Units replayed to this worker on re-admission.
+    catchup_units: u64,
 }
 
 impl Worker {
@@ -264,7 +269,7 @@ impl Worker {
             return;
         }
         if self.breaker.record_failure(Instant::now()) {
-            SHARD.add_down_transition();
+            self.downs = self.downs.saturating_add(1);
             car_obs::warn!(
                 "shard",
                 [
@@ -333,6 +338,15 @@ pub struct RouterState {
     units_routed_gauge: AtomicU64,
     /// Lock-free mirror of `ingest.replay.len()`, same reason.
     replay_depth_gauge: AtomicU64,
+    /// Query legs (rules and items) that reached their budget check;
+    /// ingest legs are not counted.
+    fanout_legs: AtomicU64,
+    /// Counted legs that failed or ran out of budget.
+    fanout_failures: AtomicU64,
+    /// Counted legs lost to an exhausted deadline budget.
+    leg_deadlines: AtomicU64,
+    /// Answers (ingest, rules or items) served with `partial=true`.
+    partial_responses: AtomicU64,
     metrics: Metrics,
     /// Tail-retained distributed traces, served by `/v1/debug/traces`.
     traces: TraceStore,
@@ -417,13 +431,15 @@ impl Service for RouterState {
     }
 }
 
-/// Adds the degraded marker header and counts the partial response.
-fn degrade(resp: Response, degraded: &[u32]) -> Response {
-    if degraded.is_empty() {
-        return resp;
+impl RouterState {
+    /// Adds the degraded marker header and counts the partial response.
+    fn degrade(&self, resp: Response, degraded: &[u32]) -> Response {
+        if degraded.is_empty() {
+            return resp;
+        }
+        self.partial_responses.fetch_add(1, Ordering::Relaxed);
+        resp.with_header("X-Car-Shards-Degraded", degraded.len().to_string())
     }
-    SHARD.add_partial_response();
-    resp.with_header("X-Car-Shards-Degraded", degraded.len().to_string())
 }
 
 fn shard_state_json(shards: &[(u32, WorkerState)]) -> Json {
@@ -526,13 +542,14 @@ pub fn run_router(config: RouterConfig) -> Result<RouterHandle, RouterError> {
         .map(|(i, addr)| {
             let mut client = RetryingClient::new(addr.clone(), config.retry);
             let mut breaker = Breaker::new(config.breaker);
+            let mut downs = 0;
             let baseline = match probe_health(&mut client) {
                 Some(h) if h.ready => Some(h.accepted),
                 _ => {
                     // Never seen healthy: start Open; the prober's
                     // Half-Open trickle admits it once it answers.
                     breaker.open_immediately(Instant::now());
-                    SHARD.add_down_transition();
+                    downs = 1;
                     None
                 }
             };
@@ -543,6 +560,9 @@ pub fn run_router(config: RouterConfig) -> Result<RouterHandle, RouterError> {
                 breaker,
                 stale: false,
                 baseline,
+                downs,
+                readmissions: 0,
+                catchup_units: 0,
             })
         })
         .collect();
@@ -556,6 +576,10 @@ pub fn run_router(config: RouterConfig) -> Result<RouterHandle, RouterError> {
         }),
         units_routed_gauge: AtomicU64::new(0),
         replay_depth_gauge: AtomicU64::new(0),
+        fanout_legs: AtomicU64::new(0),
+        fanout_failures: AtomicU64::new(0),
+        leg_deadlines: AtomicU64::new(0),
+        partial_responses: AtomicU64::new(0),
         metrics: Metrics::new(),
         traces: TraceStore::new(TraceStorePolicy::default()),
         shutdown: AtomicBool::new(false),

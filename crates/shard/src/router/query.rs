@@ -1,7 +1,7 @@
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use car_obs::counters::{RESILIENCE, SHARD};
 use car_obs::trace::{self, SpanRecord, SpanUid, TraceId};
 use car_serve::http::{self, Response};
 use car_serve::json::{object, Json};
@@ -9,7 +9,7 @@ use car_serve::routes::{parse_u32_param, rule_to_json};
 use car_serve::sync::{log_warn, LockExt};
 use car_serve::{ClientResponse, RetryingClient};
 
-use super::{degrade, RouterState, Worker, WorkerState};
+use super::{RouterState, Worker, WorkerState};
 use crate::merge::{
     merge_item_supports, merge_rule_views, parse_items_body, parse_rules_body,
 };
@@ -402,7 +402,7 @@ fn query<P: Send>(
         // Every leg that reached its budget check is counted, so the
         // failures can never outnumber the legs.
         if !matches!(leg, Leg::Skipped) {
-            SHARD.add_fanout_legs(1);
+            state.fanout_legs.fetch_add(1, Ordering::Relaxed);
         }
         match leg {
             Leg::Ok(view, epoch) => {
@@ -411,12 +411,12 @@ fn query<P: Send>(
             }
             Leg::Skipped => degraded.push(shard_id),
             Leg::Failed => {
-                SHARD.add_fanout_failures(1);
+                state.fanout_failures.fetch_add(1, Ordering::Relaxed);
                 degraded.push(shard_id);
             }
             Leg::TimedOut => {
-                SHARD.add_fanout_failures(1);
-                SHARD.add_deadline_exceeded();
+                state.fanout_failures.fetch_add(1, Ordering::Relaxed);
+                state.leg_deadlines.fetch_add(1, Ordering::Relaxed);
                 timed_out = true;
                 degraded.push(shard_id);
             }
@@ -432,17 +432,17 @@ fn query<P: Send>(
         return resp;
     }
     if warming {
-        return degrade(
+        return state.degrade(
             Response::error(409, "the window holds fewer units than l_max"),
             &degraded,
         );
     }
     if views.is_empty() {
         if timed_out {
-            RESILIENCE.add_deadline_exceeded();
-            return degrade(Response::error(504, "deadline_exceeded"), &degraded);
+            state.metrics.record_deadline_exceeded();
+            return state.degrade(Response::error(504, "deadline_exceeded"), &degraded);
         }
-        return degrade(Response::error(503, "no live shard workers"), &degraded);
+        return state.degrade(Response::error(503, "no live shard workers"), &degraded);
     }
 
     let units_retained = views.iter().map(|v| v.0).max().unwrap_or(0);
@@ -466,7 +466,7 @@ fn query<P: Send>(
         ),
         (key, Json::Array(payload)),
     ]);
-    degrade(Response::json(200, &body), &degraded)
+    state.degrade(Response::json(200, &body), &degraded)
 }
 
 #[cfg(test)]

@@ -221,10 +221,8 @@ fn routed_rules_match_single_node_byte_for_byte() {
     assert_eq!(doc.get("degraded_shards").and_then(Json::as_u64), Some(0));
     let metrics = rc.request("GET", "/metrics", None).unwrap().body_text();
     assert!(metrics.contains("car_shard_fanout_total"));
-    assert!(metrics.contains("car_shard_down_total"));
-    // The car_shard_* counters are process-global (shared across the
-    // tests in this binary), so assert presence rather than a value.
-    assert!(metrics.contains("car_shard_units_routed_total"));
+    assert_eq!(sample(&metrics, "car_shard_units_routed_total"), 8);
+    assert_eq!(sample(&metrics, "car_shard_down_total"), 0);
     // Only a daemon's window moves the online-maintenance counters; the
     // router runs no window and exports no `car_mine_*` family.
     assert!(!metrics.contains("car_mine_"), "{metrics}");
@@ -524,14 +522,14 @@ fn spent_client_deadline_times_out_every_leg_without_tripping_breakers() {
     let resp = rc.request("GET", "/v1/rules", None).unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_text());
 
-    // Every lost leg was counted as a leg before it failed, and the
-    // router counted its own 504s. The counters are process-global
-    // (shared with the other tests here), so these are bounds.
+    // Every lost leg was counted as a leg before it failed: 3 legs for
+    // each of the two spent queries and 3 for the served one. The router
+    // counted its own two 504s.
     let metrics = rc.request("GET", "/metrics", None).unwrap().body_text();
-    let legs = sample(&metrics, "car_shard_fanout_total");
-    let failures = sample(&metrics, "car_shard_fanout_failures_total");
-    assert!(failures >= 6 && failures <= legs, "{failures} failures, {legs} legs");
-    assert!(sample(&metrics, "car_deadline_exceeded_total") >= 2);
+    assert_eq!(sample(&metrics, "car_shard_fanout_total"), 9);
+    assert_eq!(sample(&metrics, "car_shard_fanout_failures_total"), 6);
+    assert_eq!(sample(&metrics, "car_shard_deadline_exceeded_total"), 6);
+    assert_eq!(sample(&metrics, "car_deadline_exceeded_total"), 2);
 
     // The 504 is an errored trace, so it is always retained: one timed
     // out leg per shard.
@@ -777,11 +775,8 @@ fn traced_requests_assemble_cross_shard_trees() {
     assert_eq!(events.len(), spans.len());
     assert!(events.iter().all(|e| e.get("ph").and_then(Json::as_str) == Some("X")));
 
-    // The retention counter family is exported with the retained
-    // reasons accounted for (both forced ids are in the 1-in-16
-    // sample, though the slow threshold may claim them first) —
-    // exactly once: the router shares the process-global counters
-    // with the store, so a second render is a duplicate family.
+    // The retention counter families are exported exactly once, from
+    // the router's trace store.
     let metrics = rc.request("GET", "/metrics", None).unwrap().body_text();
     for family in ["car_trace_retained_total", "car_trace_discarded_total"] {
         let type_line = format!("# TYPE {family} counter");
