@@ -13,10 +13,12 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses `argv`. An option `--name` followed by a token that does
-    /// not start with `--` consumes it as the option's value; otherwise
-    /// it is a boolean flag.
-    pub fn parse(argv: &[String]) -> Result<Self, CliError> {
+    /// Parses `argv` for a command that takes `options`. An option
+    /// `--name` followed by a token that does not start with `--`
+    /// consumes it as the option's value; otherwise it is a boolean flag.
+    /// An option not in `options` is a usage error, so a misspelt one
+    /// fails instead of leaving its default in force.
+    pub fn parse(argv: &[String], options: &[&str]) -> Result<Self, CliError> {
         let mut args = Args::default();
         let mut i = 0;
         while i < argv.len() {
@@ -26,6 +28,11 @@ impl Args {
             })?;
             if name.is_empty() {
                 return Err(CliError::Usage("empty option name `--`".into()));
+            }
+            if !options.contains(&name) {
+                return Err(CliError::Usage(format!(
+                    "unknown option `{token}`; `car help` lists each command's options"
+                )));
             }
             if i + 1 < argv.len() && !argv[i + 1].starts_with("--") {
                 args.values.insert(name.to_string(), argv[i + 1].clone());
@@ -73,8 +80,11 @@ impl Args {
 mod tests {
     use super::*;
 
+    const OPTIONS: &[&str] = &["units", "stats", "seed", "quiet", "offset"];
+
     fn parse(tokens: &[&str]) -> Args {
-        Args::parse(&tokens.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+        let argv: Vec<String> = tokens.iter().map(|s| s.to_string()).collect();
+        Args::parse(&argv, OPTIONS).unwrap()
     }
 
     #[test]
@@ -116,7 +126,7 @@ mod tests {
     #[test]
     fn rejects_positional_tokens() {
         let argv = vec!["positional".to_string()];
-        assert!(matches!(Args::parse(&argv), Err(CliError::Usage(_))));
+        assert!(matches!(Args::parse(&argv, OPTIONS), Err(CliError::Usage(_))));
     }
 
     #[test]

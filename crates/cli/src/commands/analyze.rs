@@ -10,6 +10,18 @@ use crate::args::Args;
 use crate::commands::load_db;
 use crate::error::CliError;
 
+/// The options [`run`] reads; any other is a usage error.
+pub const OPTIONS: &[&str] = &[
+    "input",
+    "antecedent",
+    "consequent",
+    "min-support",
+    "min-confidence",
+    "l-min",
+    "l-max",
+    "per-unit",
+];
+
 /// Runs the `analyze` command.
 ///
 /// `--antecedent` and `--consequent` take comma-separated item ids, e.g.
@@ -123,7 +135,7 @@ mod tests {
             "3".into(),
         ];
         tokens.extend(extra.iter().map(|s| s.to_string()));
-        let args = Args::parse(&tokens)?;
+        let args = Args::parse(&tokens, OPTIONS)?;
         let mut out = Vec::new();
         let result = run(&args, &mut out);
         std::fs::remove_file(&path).ok();

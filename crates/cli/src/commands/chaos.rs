@@ -8,6 +8,9 @@ use car_chaos::{run_proxy, ChaosConfig, ScheduleConfig};
 use crate::args::Args;
 use crate::error::CliError;
 
+/// The options [`run`] reads; any other is a usage error.
+pub const OPTIONS: &[&str] = &["listen", "upstream", "seed", "schedule"];
+
 /// Runs the `chaos` command: boots the proxy between `--listen` and
 /// `--upstream` with the seeded fault schedule and blocks until the
 /// process is killed.

@@ -10,6 +10,9 @@ use car_cycles::{
 use crate::args::Args;
 use crate::error::CliError;
 
+/// The options [`run`] reads; any other is a usage error.
+pub const OPTIONS: &[&str] = &["sequence", "l-min", "l-max", "max-misses", "spectrum"];
+
 /// Runs the `detect` command.
 pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let sequence = args.require("sequence")?;
@@ -85,8 +88,10 @@ mod tests {
     use super::*;
 
     fn run_detect(tokens: &[&str]) -> Result<String, CliError> {
-        let args =
-            Args::parse(&tokens.iter().map(|s| s.to_string()).collect::<Vec<_>>())?;
+        let args = Args::parse(
+            &tokens.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+            OPTIONS,
+        )?;
         let mut out = Vec::new();
         run(&args, &mut out)?;
         Ok(String::from_utf8(out).expect("utf8"))

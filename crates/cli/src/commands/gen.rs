@@ -9,6 +9,23 @@ use car_itemset::io as car_io;
 use crate::args::Args;
 use crate::error::CliError;
 
+/// The options [`run`] reads; any other is a usage error.
+pub const OPTIONS: &[&str] = &[
+    "units",
+    "tx-per-unit",
+    "items",
+    "patterns",
+    "cyclic",
+    "cycle-min",
+    "cycle-max",
+    "avg-tx-len",
+    "boost",
+    "seed",
+    "cyclic-len",
+    "out",
+    "show-planted",
+];
+
 /// Runs the `gen` command.
 pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let units: usize = args.parse_or("units", 32)?;
@@ -79,8 +96,10 @@ mod tests {
     use super::*;
 
     fn run_gen(tokens: &[&str]) -> Result<String, CliError> {
-        let args =
-            Args::parse(&tokens.iter().map(|s| s.to_string()).collect::<Vec<_>>())?;
+        let args = Args::parse(
+            &tokens.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+            OPTIONS,
+        )?;
         let mut out = Vec::new();
         run(&args, &mut out)?;
         Ok(String::from_utf8(out).expect("utf8 output"))

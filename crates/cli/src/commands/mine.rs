@@ -9,6 +9,26 @@ use crate::args::Args;
 use crate::commands::load_db;
 use crate::error::CliError;
 
+/// The options [`run`] reads; any other is a usage error.
+pub const OPTIONS: &[&str] = &[
+    "input",
+    "min-support",
+    "min-confidence",
+    "l-min",
+    "l-max",
+    "max-itemset-size",
+    "max-misses",
+    "algorithm",
+    "no-pruning",
+    "no-skipping",
+    "no-elimination",
+    "threads",
+    "report",
+    "top",
+    "stats",
+    "stats-format",
+];
+
 /// Runs the `mine` command.
 pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let input = args.require("input")?;
@@ -254,7 +274,7 @@ mod tests {
             "3".into(),
         ];
         tokens.extend(extra.iter().map(|s| s.to_string()));
-        let args = Args::parse(&tokens)?;
+        let args = Args::parse(&tokens, OPTIONS)?;
         let mut out = Vec::new();
         run(&args, &mut out)?;
         Ok(String::from_utf8(out).expect("utf8"))
@@ -340,7 +360,7 @@ mod tests {
 
     #[test]
     fn missing_input_rejected() {
-        let args = Args::parse(&[]).unwrap();
+        let args = Args::parse(&[], OPTIONS).unwrap();
         let mut out = Vec::new();
         assert!(matches!(run(&args, &mut out), Err(CliError::Usage(_))));
     }

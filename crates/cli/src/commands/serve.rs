@@ -9,6 +9,28 @@ use car_serve::{serve, FsyncPolicy, PersistConfig, ServerConfig, ShardIdentity};
 use crate::args::Args;
 use crate::error::CliError;
 
+/// The options [`run`] reads; any other is a usage error.
+pub const OPTIONS: &[&str] = &[
+    "host",
+    "port",
+    "threads",
+    "window",
+    "queue-capacity",
+    "io-timeout-secs",
+    "header-timeout-ms",
+    "max-inflight",
+    "min-support",
+    "min-support-count",
+    "min-confidence",
+    "l-min",
+    "l-max",
+    "shard-id",
+    "shard-count",
+    "data-dir",
+    "fsync",
+    "snapshot-every",
+];
+
 /// Runs the `serve` command: boots the daemon and blocks until it shuts
 /// down (Ctrl-C or `POST /v1/shutdown`), then prints final statistics.
 pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
@@ -173,7 +195,7 @@ mod tests {
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let result = run(&Args::parse(&tokens).unwrap(), &mut Vec::new());
+        let result = run(&Args::parse(&tokens, OPTIONS).unwrap(), &mut Vec::new());
         let Err(CliError::Usage(msg)) = result else {
             panic!("expected a usage error, got {result:?}");
         };

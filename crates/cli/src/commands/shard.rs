@@ -127,14 +127,37 @@ fn forwarded_worker_args(args: &Args) -> Vec<String> {
     // Mining parameters: support is forced to an absolute count.
     let count = args.get("min-support-count").unwrap_or("2");
     push("min-support-count", count);
-    for name in ["min-confidence", "l-min", "l-max", "window", "queue-capacity", "fsync"]
-    {
+    for name in ["min-confidence", "l-min", "l-max", "window", "queue-capacity"] {
         if let Some(value) = args.get(name) {
             push(name, value);
         }
     }
     forwarded
 }
+
+/// The options [`run`] reads; any other is a usage error.
+pub const OPTIONS: &[&str] = &[
+    "workers",
+    "shards",
+    "host",
+    "port",
+    "threads",
+    "partition-key",
+    "probe-interval-ms",
+    "replay-capacity",
+    "retry",
+    "timeout-secs",
+    "breaker-failures",
+    "breaker-cooldown-ms",
+    "request-budget-ms",
+    "min-support",
+    "min-support-count",
+    "min-confidence",
+    "l-min",
+    "l-max",
+    "window",
+    "queue-capacity",
+];
 
 /// Runs the `shard` command: boots (or attaches to) the workers, starts
 /// the router, and blocks until it shuts down (`POST /v1/shutdown`).
@@ -269,7 +292,7 @@ mod tests {
                 .iter()
                 .map(|s| s.to_string())
                 .collect();
-        let result = run(&Args::parse(&tokens).unwrap(), &mut Vec::new());
+        let result = run(&Args::parse(&tokens, OPTIONS).unwrap(), &mut Vec::new());
         let Err(CliError::Usage(msg)) = result else {
             panic!("expected a usage error, got {result:?}");
         };

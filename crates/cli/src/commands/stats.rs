@@ -6,6 +6,9 @@ use crate::args::Args;
 use crate::commands::load_db;
 use crate::error::CliError;
 
+/// The options [`run`] reads; any other is a usage error.
+pub const OPTIONS: &[&str] = &["input"];
+
 /// Runs the `stats` command.
 pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let input = args.require("input")?;
@@ -59,7 +62,7 @@ mod tests {
         let path = dir.join(format!("car-stats-test-{}.txt", std::process::id()));
         std::fs::write(&path, "0 | 1 2\n0 | 2\n2 | 3 4 5\n").unwrap();
         let tokens = vec!["--input".to_string(), path.to_string_lossy().into_owned()];
-        let args = Args::parse(&tokens).unwrap();
+        let args = Args::parse(&tokens, OPTIONS).unwrap();
         let mut out = Vec::new();
         run(&args, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
@@ -73,7 +76,7 @@ mod tests {
     #[test]
     fn missing_file_is_io_error() {
         let tokens = vec!["--input".to_string(), "/nonexistent/car".to_string()];
-        let args = Args::parse(&tokens).unwrap();
+        let args = Args::parse(&tokens, OPTIONS).unwrap();
         let mut out = Vec::new();
         assert!(matches!(run(&args, &mut out), Err(CliError::Io(_))));
     }

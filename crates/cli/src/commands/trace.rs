@@ -16,6 +16,9 @@ use car_serve::Client;
 use crate::args::Args;
 use crate::error::CliError;
 
+/// The options [`run`] reads; any other is a usage error.
+pub const OPTIONS: &[&str] = &["addr", "id", "format", "out"];
+
 /// Runs the `trace` command against a router's `/v1/debug/traces`.
 pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let addr = args

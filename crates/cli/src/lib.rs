@@ -37,22 +37,22 @@ pub fn run<W: Write>(argv: &[String], out: &mut W) -> Result<(), CliError> {
         return Err(CliError::Usage(USAGE.to_string()));
     }
     let command = argv[0].as_str();
-    if command == "audit" {
+    let rest = &argv[1..];
+    // Each command's options are checked before it does any work.
+    let args = |options| Args::parse(rest, options);
+    match command {
         // The audit engine owns its flag grammar (e.g. `--format json`);
         // pass everything after `audit` through verbatim.
-        return commands::audit::run(&argv[1..], out);
-    }
-    let args = Args::parse(&argv[1..])?;
-    match command {
-        "gen" => commands::gen::run(&args, out),
-        "analyze" => commands::analyze::run(&args, out),
-        "mine" => commands::mine::run(&args, out),
-        "detect" => commands::detect::run(&args, out),
-        "stats" => commands::stats::run(&args, out),
-        "serve" => commands::serve::run(&args, out),
-        "shard" => commands::shard::run(&args, out),
-        "chaos" => commands::chaos::run(&args, out),
-        "trace" => commands::trace::run(&args, out),
+        "audit" => commands::audit::run(rest, out),
+        "gen" => commands::gen::run(&args(commands::gen::OPTIONS)?, out),
+        "analyze" => commands::analyze::run(&args(commands::analyze::OPTIONS)?, out),
+        "mine" => commands::mine::run(&args(commands::mine::OPTIONS)?, out),
+        "detect" => commands::detect::run(&args(commands::detect::OPTIONS)?, out),
+        "stats" => commands::stats::run(&args(commands::stats::OPTIONS)?, out),
+        "serve" => commands::serve::run(&args(commands::serve::OPTIONS)?, out),
+        "shard" => commands::shard::run(&args(commands::shard::OPTIONS)?, out),
+        "chaos" => commands::chaos::run(&args(commands::chaos::OPTIONS)?, out),
+        "trace" => commands::trace::run(&args(commands::trace::OPTIONS)?, out),
         "help" | "--help" | "-h" => {
             writeln!(out, "{USAGE}")?;
             Ok(())
@@ -71,11 +71,13 @@ USAGE:
 COMMANDS:
     gen      Generate a synthetic time-segmented database with planted cycles
              --units N --tx-per-unit N [--items N] [--patterns N]
-             [--cyclic N] [--cycle-min L] [--cycle-max L] [--seed S]
-             [--out FILE] (stdout if omitted)
+             [--avg-tx-len F] [--cyclic N] [--cyclic-len N]
+             [--cycle-min L] [--cycle-max L] [--boost F] [--seed S]
+             [--out FILE] (stdout if omitted) [--show-planted]
     mine     Mine cyclic association rules from a timed transaction file
              --input FILE [--min-support F] [--min-confidence F]
-             [--l-min L] [--l-max L] [--algorithm interleaved|sequential|parallel]
+             [--l-min L] [--l-max L] [--max-itemset-size N]
+             [--algorithm interleaved|sequential|parallel [--threads N]]
              [--no-pruning] [--no-skipping] [--no-elimination]
              [--max-misses M] [--stats [--stats-format human|json]]
              [--report [--top N]]
@@ -120,6 +122,8 @@ COMMANDS:
              [--allow-stale-allows] [--baseline FILE]
              [--write-baseline FILE]
     help     Show this message
+
+Any option a command does not list is a usage error.
 
 ENVIRONMENT:
     CAR_LOG         log filter, e.g. `info` or `mine=debug,wal=info` (default warn)

@@ -20,6 +20,14 @@
 //! cycle an old miss had killed, and an itemset whose ring empties is
 //! dropped. No rule is generated at push time.
 //!
+//! Each tracked itemset is stored once, in a slot of an arena beside
+//! its ring, under a dense `u32` id; the ids of dropped itemsets are
+//! recycled. An index from the itemset's 64-bit hash to the first slot
+//! of the chain of itemsets with that hash finds an itemset's id
+//! without a second copy of it. Each retained unit keeps the ids of its
+//! large itemsets, so an eviction indexes the arena and hashes only the
+//! itemsets it drops.
+//!
 //! The fold needs every large itemset of the unit with its count, and
 //! nothing else. Apriori's levels exist so that INTERLEAVED can prune
 //! candidates by cycle between them; one unit has no cycles to prune
@@ -60,11 +68,12 @@
 //! batch keeps are mined on a helper thread ahead of the fold.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use car_apriori::hash::FastHashMap;
+use car_apriori::hash::{FastHashMap, FxHasher};
 use car_apriori::{apriori_gen, eclat, FrequentItemsets, MinConfidence, Rule};
 use car_cycles::{minimal_cycles, CycleMasks, CycleSet, OnlineCycles};
 use car_itemset::ItemSet;
@@ -83,6 +92,132 @@ const DEADLINE_CHECK_ITEMSETS: usize = 1024;
 /// fold costs about as much as mining the unit, so a short queue keeps
 /// both threads busy while bounding the itemsets held in flight.
 const MINE_AHEAD_UNITS: usize = 4;
+
+/// A tracked itemset with its online state.
+struct Slot {
+    itemset: ItemSet,
+    state: OnlineCycles,
+    /// The next slot whose itemset has the same hash.
+    next: Option<u32>,
+}
+
+/// The window's tracked itemsets, each stored once under a dense id: an
+/// arena of slots indexed by id, the ids of dropped itemsets for reuse,
+/// and an index from an itemset's hash to the first slot of the chain
+/// of itemsets with that hash. The index keys on the hash alone, so it
+/// holds no second copy of an itemset. The hash is 32 bits, which
+/// halves the index's entries; tens of thousands of itemsets share one
+/// rarely, so a chain is almost always one slot long. Callers hash an
+/// itemset once ([`ItemsetArena::hash`]) and pass the hash along.
+#[derive(Default)]
+struct ItemsetArena {
+    slots: Vec<Option<Slot>>,
+    free: Vec<u32>,
+    index: FastHashMap<u32, u32>,
+}
+
+impl ItemsetArena {
+    /// The high half of the itemset's Fx hash, the better-mixed one.
+    fn hash(itemset: &ItemSet) -> u32 {
+        (BuildHasherDefault::<FxHasher>::default().hash_one(itemset) >> 32) as u32
+    }
+
+    /// Tracked itemsets.
+    fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    fn get(&self, id: u32) -> Option<&Slot> {
+        self.slots.get(id as usize).and_then(Option::as_ref)
+    }
+
+    fn get_mut(&mut self, id: u32) -> Option<&mut Slot> {
+        self.slots.get_mut(id as usize).and_then(Option::as_mut)
+    }
+
+    /// The tracked itemsets, in id order.
+    fn iter(&self) -> impl Iterator<Item = &Slot> {
+        self.slots.iter().flatten()
+    }
+
+    /// The id of `itemset`, whose hash is `hash`, if it is tracked.
+    fn find(&self, hash: u32, itemset: &ItemSet) -> Option<u32> {
+        let mut next = self.index.get(&hash).copied();
+        while let Some(id) = next {
+            let slot = self.get(id)?;
+            if slot.itemset == *itemset {
+                return Some(id);
+            }
+            next = slot.next;
+        }
+        None
+    }
+
+    /// The online state of `itemset`, if it is tracked.
+    fn state_of(&self, itemset: &ItemSet) -> Option<&OnlineCycles> {
+        let id = self.find(Self::hash(itemset), itemset)?;
+        self.get(id).map(|slot| &slot.state)
+    }
+
+    /// Tracks `itemset`, which is not tracked yet and whose hash is
+    /// `hash`, with `state`, at the head of its hash chain. Returns its
+    /// id, a dropped itemset's if one is free, or `None` once `u32` ids
+    /// run out (2³² slots of 64 bytes: more memory than a host has).
+    fn insert(
+        &mut self,
+        hash: u32,
+        itemset: ItemSet,
+        state: OnlineCycles,
+    ) -> Option<u32> {
+        let next = self.index.get(&hash).copied();
+        let slot = Some(Slot { itemset, state, next });
+        let id = match self.free.pop() {
+            Some(id) => {
+                *self.slots.get_mut(id as usize)? = slot;
+                id
+            }
+            None => {
+                let id = u32::try_from(self.slots.len()).ok()?;
+                self.slots.push(slot);
+                id
+            }
+        };
+        self.index.insert(hash, id);
+        Some(id)
+    }
+
+    /// Stops tracking the itemset with id `id` and hash `hash`: unlinks
+    /// its slot from the hash chain and frees the id for reuse.
+    fn remove(&mut self, hash: u32, id: u32) -> Option<Slot> {
+        let next = self.get(id)?.next;
+        let head = self.index.get(&hash).copied()?;
+        if head == id {
+            match next {
+                Some(next) => self.index.insert(hash, next),
+                None => self.index.remove(&hash),
+            };
+        } else {
+            let mut prev = head;
+            loop {
+                let slot = self.get_mut(prev)?;
+                if slot.next == Some(id) {
+                    slot.next = next;
+                    break;
+                }
+                prev = slot.next?;
+            }
+        }
+        let slot = self.slots.get_mut(id as usize)?.take();
+        self.free.push(id);
+        slot
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+        self.index.clear();
+    }
+}
 
 /// The memoised default view and the rule count of the last one
 /// assembled, which outlives the view so a metrics scrape can report it
@@ -123,13 +258,13 @@ struct ViewMemo {
 pub struct SlidingWindowMiner {
     config: MiningConfig,
     window: usize,
-    /// Per retained unit (oldest first): the itemsets large there, whose
-    /// rings hold the unit until it is evicted.
-    unit_itemsets: VecDeque<Vec<ItemSet>>,
-    /// Per-itemset ring of retained holds, with the support count of
-    /// each, in absolute unit coordinates; itemsets with no retained
-    /// hold are removed.
-    online: FastHashMap<ItemSet, OnlineCycles>,
+    /// Per retained unit (oldest first): the ids of the itemsets large
+    /// there, whose rings hold the unit until it is evicted.
+    unit_itemsets: VecDeque<Vec<u32>>,
+    /// Per tracked itemset: its ring of retained holds, with the support
+    /// count of each, in absolute unit coordinates; itemsets with no
+    /// retained hold are removed.
+    tracked: ItemsetArena,
     /// Per tracked 1-itemset, by item id: its support summed over its
     /// retained holds, kept as holds arrive and leave so that
     /// `item_supports` reads the frequent items instead of scanning
@@ -162,7 +297,7 @@ impl SlidingWindowMiner {
             config,
             window,
             unit_itemsets: VecDeque::with_capacity(window + 1),
-            online: FastHashMap::default(),
+            tracked: ItemsetArena::default(),
             item_totals: BTreeMap::new(),
             view: Mutex::new(ViewMemo::default()),
             total_pushed: 0,
@@ -208,7 +343,7 @@ impl SlidingWindowMiner {
     /// unit), from which every served rule is derived. The name is older
     /// than the per-itemset state.
     pub fn tracked_rules(&self) -> usize {
-        self.online.len()
+        self.tracked.len()
     }
 
     /// `(itemset, unit)` hold entries folded into online cycle state by
@@ -273,7 +408,7 @@ impl SlidingWindowMiner {
         let skip = units.len().saturating_sub(self.window);
         if units.len() >= self.window {
             self.unit_itemsets.clear();
-            self.online.clear();
+            self.tracked.clear();
             self.item_totals.clear();
             self.total_pushed += skip as u64;
         }
@@ -297,10 +432,16 @@ impl SlidingWindowMiner {
             };
             match helper {
                 Some(helper) => {
+                    // The helper allocated the mined itemsets. The copies
+                    // of those already tracked are freed once it has
+                    // joined: freeing them here, while it still allocates,
+                    // made a 96-unit batch about 40% slower.
+                    let mut copies = Vec::new();
                     for frequent in ready {
-                        self.push_mined(frequent);
+                        self.fold(frequent, |copy| copies.push(copy));
                     }
                     join_all(vec![helper]);
+                    drop(copies);
                 }
                 None => {
                     for unit in kept {
@@ -328,6 +469,16 @@ impl SlidingWindowMiner {
     /// miner's configuration: with any other the window no longer equals
     /// batch-mining its units.
     pub fn push_mined(&mut self, frequent: FrequentItemsets) -> usize {
+        self.fold(frequent, drop)
+    }
+
+    /// [`push_mined`](Self::push_mined), handing `spare` the unit's copy
+    /// of each itemset that is already tracked.
+    fn fold(
+        &mut self,
+        frequent: FrequentItemsets,
+        mut spare: impl FnMut(ItemSet),
+    ) -> usize {
         let _span = car_obs::time_span!("window.fold");
         // Fold this unit's large itemsets into the online cycle state:
         // one bit and one count per itemset. Itemsets absent from the
@@ -337,19 +488,24 @@ impl SlidingWindowMiner {
         let abs_unit = self.total_pushed;
         let mut held = Vec::with_capacity(frequent.len());
         for (itemset, count) in frequent {
-            if let [item] = itemset.as_slice() {
+            let hash = ItemsetArena::hash(&itemset);
+            let id = match self.tracked.find(hash, &itemset) {
+                Some(id) => {
+                    spare(itemset);
+                    Some(id)
+                }
+                None => {
+                    self.tracked.insert(hash, itemset, OnlineCycles::new(self.window))
+                }
+            };
+            let Some(id) = id else { continue };
+            let Some(slot) = self.tracked.get_mut(id) else { continue };
+            slot.state.record_hold(abs_unit, count);
+            if let [item] = slot.itemset.as_slice() {
                 let total = self.item_totals.entry(item.id()).or_default();
                 *total = total.saturating_add(count);
             }
-            match self.online.get_mut(&itemset) {
-                Some(state) => state.record_hold(abs_unit, count),
-                None => {
-                    let mut state = OnlineCycles::new(self.window);
-                    state.record_hold(abs_unit, count);
-                    self.online.insert(itemset.clone(), state);
-                }
-            }
-            held.push(itemset);
+            held.push(id);
         }
         self.online_holds += held.len() as u64;
         self.unit_itemsets.push_back(held);
@@ -358,21 +514,20 @@ impl SlidingWindowMiner {
             // The evicted unit's absolute index: the retained range
             // before popping is `(abs_unit - window) ..= abs_unit`.
             let abs_evicted = abs_unit - self.window as u64;
-            if let Some(old) = self.unit_itemsets.pop_front() {
-                for itemset in &old {
-                    let Some(state) = self.online.get_mut(itemset) else { continue };
-                    let count = state.record_evict(abs_evicted).unwrap_or(0);
-                    let emptied = state.is_empty();
+            for id in self.unit_itemsets.pop_front().unwrap_or_default() {
+                let Some(slot) = self.tracked.get_mut(id) else { continue };
+                let count = slot.state.record_evict(abs_evicted).unwrap_or(0);
+                let emptied = slot.state.is_empty();
+                if let [item] = slot.itemset.as_slice() {
                     if emptied {
-                        self.online.remove(itemset);
+                        self.item_totals.remove(&item.id());
+                    } else if let Some(total) = self.item_totals.get_mut(&item.id()) {
+                        *total = total.saturating_sub(count);
                     }
-                    if let [item] = itemset.as_slice() {
-                        if emptied {
-                            self.item_totals.remove(&item.id());
-                        } else if let Some(total) = self.item_totals.get_mut(&item.id()) {
-                            *total = total.saturating_sub(count);
-                        }
-                    }
+                }
+                if emptied {
+                    let hash = ItemsetArena::hash(&slot.itemset);
+                    self.tracked.remove(hash, id);
                 }
             }
             1
@@ -525,16 +680,16 @@ impl SlidingWindowMiner {
         let candidates = bounds.num_cycles() as u64;
         let mut eliminated: u64 = 0;
         let mut out: Vec<CyclicRule> = Vec::new();
-        for (visited, (itemset, state)) in self.online.iter().enumerate() {
+        for (visited, slot) in self.tracked.iter().enumerate() {
             let check = visited & (DEADLINE_CHECK_ITEMSETS - 1) == 0;
             if check && deadline.is_some_and(|d| Instant::now() >= d) {
                 return None;
             }
-            let live = masks.live_cycles(state);
+            let live = masks.live_cycles(&slot.state);
             let survivors = live.as_ref().map_or(0, CycleSet::len) as u64;
             eliminated = eliminated.saturating_add(candidates.saturating_sub(survivors));
-            if live.is_some() && itemset.len() >= 2 {
-                self.rules_of(itemset, state, &masks, q, &mut out);
+            if live.is_some() && slot.itemset.len() >= 2 {
+                self.rules_of(&slot.itemset, &slot.state, &masks, q, &mut out);
             }
         }
         out.sort();
@@ -581,7 +736,7 @@ impl SlidingWindowMiner {
     ) -> bool {
         let antecedent = z.difference(y);
         // A subset of z is large wherever z is, so it is always tracked.
-        let Some(x_state) = self.online.get(&antecedent) else {
+        let Some(x_state) = self.tracked.state_of(&antecedent) else {
             return false;
         };
         let accepts = |z_count, x_count| q.accepts(z_count, x_count);
@@ -610,6 +765,7 @@ mod tests {
     use car_apriori::{Apriori, AprioriConfig};
     use car_cycles::BitSeq;
     use car_itemset::{Item, SegmentedDb};
+    use std::collections::BTreeSet;
 
     fn set(ids: &[u32]) -> ItemSet {
         ItemSet::from_ids(ids.iter().copied())
@@ -786,8 +942,9 @@ mod tests {
         // Once the pattern units slide out, their itemsets' state must be
         // reclaimed: {7} stays large, and nothing else is tracked.
         let (one, two) = (Item::new(1), Item::new(2));
-        assert!(miner.online.keys().all(|s| !s.contains(one) && !s.contains(two)));
-        assert_eq!(miner.online.keys().collect::<Vec<_>>(), vec![&set(&[7])]);
+        let tracked = || miner.tracked.iter().map(|slot| &slot.itemset);
+        assert!(tracked().all(|s| !s.contains(one) && !s.contains(two)));
+        assert_eq!(tracked().collect::<Vec<_>>(), vec![&set(&[7])]);
         assert_eq!(miner.tracked_rules(), 1);
     }
 
@@ -958,6 +1115,110 @@ mod tests {
         let escalated = |miner: &SlidingWindowMiner| miner.query_rules(Some(strict)).ok();
         assert_eq!(escalated(&batched), escalated(&single));
         assert!(!batched.current_rules().unwrap().is_empty());
+    }
+
+    /// A unit whose itemsets mostly live a few units: {1, 2} in even
+    /// units, and in every unit a triple that moves up by one item per
+    /// unit, so its items are large in three consecutive units, its
+    /// pairs in two and the triple in one.
+    fn drifting_unit(day: usize) -> Vec<ItemSet> {
+        let first = 100 + day as u32;
+        let mut unit = vec![set(&[first, first + 1, first + 2]); 4];
+        if day % 2 == 0 {
+            unit.extend(vec![set(&[1, 2]); 4]);
+        }
+        unit
+    }
+
+    #[test]
+    fn dropped_itemsets_free_their_ids_for_reuse() {
+        let cfg = config(4);
+        let window = 8;
+        let mut miner = SlidingWindowMiner::new(cfg, window).unwrap();
+        let history: Vec<Vec<ItemSet>> = (0..520).map(drifting_unit).collect();
+        let mined: Vec<Vec<ItemSet>> = history
+            .iter()
+            .map(|unit| {
+                SlidingWindowMiner::mine(&cfg, unit).into_iter().map(|(s, _)| s).collect()
+            })
+            .collect();
+        let mut peak = 0;
+        for (day, unit) in history.iter().enumerate() {
+            miner.push_unit(unit);
+            // A push tracks the itemsets of the `window + 1` units ending
+            // at it between its fold and its eviction.
+            let at_once = mined[day.saturating_sub(window)..=day]
+                .iter()
+                .flatten()
+                .collect::<BTreeSet<_>>()
+                .len();
+            peak = peak.max(at_once);
+            let arena = &miner.tracked;
+            assert!(arena.slots.len() <= peak, "day {day}: {} slots", arena.slots.len());
+            assert_eq!(miner.tracked_rules(), arena.iter().count(), "day {day}");
+            // The index finds every tracked itemset under its own id.
+            for (id, slot) in arena.slots.iter().enumerate() {
+                let Some(slot) = slot else { continue };
+                let hash = ItemsetArena::hash(&slot.itemset);
+                assert_eq!(arena.find(hash, &slot.itemset), Some(id as u32), "day {day}");
+            }
+            if day % 50 == 49 {
+                let retained = &history[day + 1 - miner.len()..=day];
+                let window_db = SegmentedDb::from_unit_itemsets(retained.to_vec());
+                let batch = mine_sequential(&window_db, &cfg).unwrap();
+                let served = miner.current_rules().unwrap();
+                assert_eq!(*served, batch.rules, "after day {day}");
+                assert!(served.iter().any(|r| r.rule.to_string() == "{1} => {2}"));
+            }
+        }
+        let distinct: BTreeSet<&ItemSet> = mined.iter().flatten().collect();
+        assert!(distinct.len() > 20 * peak, "{} itemsets, peak {peak}", distinct.len());
+    }
+
+    #[test]
+    fn hash_chains_find_insert_and_unlink_at_every_position() {
+        let mut arena = ItemsetArena::default();
+        let state = || OnlineCycles::new(4);
+        // Four itemsets forced onto one hash. Each insert becomes the
+        // head of the chain, so it runs d, c, b, a.
+        let [a, b, c, d] = [set(&[1]), set(&[2]), set(&[1, 2]), set(&[3])];
+        let ids: Vec<u32> = [&a, &b, &c, &d]
+            .map(|s| arena.insert(7, s.clone(), state()).unwrap())
+            .to_vec();
+        assert_eq!(ids, [0, 1, 2, 3]);
+        let e = set(&[4]);
+        assert_eq!(arena.insert(8, e.clone(), state()), Some(4));
+        for (s, &id) in [&a, &b, &c, &d].into_iter().zip(&ids) {
+            assert_eq!(arena.find(7, s), Some(id));
+        }
+        assert_eq!(arena.find(7, &e), None, "e is not on hash 7's chain");
+        assert_eq!(arena.find(8, &e), Some(4));
+        assert_eq!(arena.find(7, &set(&[9])), None);
+        assert_eq!(arena.len(), 5);
+        // Unlink the middle (b), then the head (d), then the tail (a).
+        for (gone, id) in [(&b, 1), (&d, 3), (&a, 0)] {
+            assert_eq!(arena.remove(7, id).map(|slot| slot.itemset).as_ref(), Some(gone));
+            assert_eq!(arena.find(7, gone), None);
+            assert_eq!(arena.find(7, &c), Some(2), "after unlinking {gone:?}");
+        }
+        assert_eq!(arena.len(), 2);
+        // Removing a freed id, or an id off the hash's chain, changes
+        // nothing.
+        assert!(arena.remove(7, 1).is_none());
+        assert!(arena.remove(7, 4).is_none());
+        assert!(arena.remove(9, 4).is_none());
+        assert_eq!(arena.find(8, &e), Some(4));
+        // The last id freed is reused first, and the arena does not grow.
+        let f = set(&[5]);
+        assert_eq!(arena.insert(7, f.clone(), state()), Some(0));
+        assert_eq!(arena.find(7, &f), Some(0));
+        assert_eq!(arena.find(7, &c), Some(2));
+        assert_eq!((arena.slots.len(), arena.len()), (5, 3));
+        // A chain that empties leaves the index.
+        assert!(arena.remove(7, 2).is_some() && arena.remove(7, 0).is_some());
+        assert!(!arena.index.contains_key(&7));
+        assert_eq!(arena.index.len(), 1);
+        assert_eq!(arena.iter().map(|slot| &slot.itemset).collect::<Vec<_>>(), [&e]);
     }
 
     #[test]

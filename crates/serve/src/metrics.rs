@@ -421,7 +421,7 @@ impl Metrics {
             ),
             ("car_snapshots_total", "Window snapshots written.", &self.snapshots),
             (
-                "car_recovery_truncated_records",
+                "car_recovery_truncated_records_total",
                 "WAL records discarded by boot recovery (torn or corrupt).",
                 &self.recovery_truncated,
             ),

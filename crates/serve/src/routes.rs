@@ -682,9 +682,10 @@ fn metrics(state: &Arc<AppState>) -> Response {
         miner.last_view_rule_count().unwrap_or(0),
         miner.tracked_rules(),
     );
-    // The window's online-maintenance counters: only a daemon runs a
-    // window, so the router exports no `car_mine_*` family.
+    // The window's counters: only a daemon runs a window, so the router
+    // exports no `car_window_*` or `car_mine_*` family.
     let counters = [
+        ("car_window_evictions_total", "Units evicted from the sliding window.", evictions),
         (
             "car_mine_online_holds_total",
             "Itemset-unit hold entries folded into online cycle state at push; a recovery folds only the units it retains.",
@@ -707,11 +708,6 @@ fn metrics(state: &Arc<AppState>) -> Response {
             "car_window_units_retained",
             "Time units currently retained in the sliding window.",
             retained_units as f64,
-        ),
-        (
-            "car_window_evictions_total",
-            "Units evicted from the sliding window.",
-            evictions as f64,
         ),
         (
             "car_itemset_hold_entries",

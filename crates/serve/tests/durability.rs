@@ -261,7 +261,7 @@ fn torn_wal_tail_is_truncated_counted_and_survived() {
 
     let resp = client.request("GET", "/metrics", None).unwrap();
     let text = resp.body_text();
-    assert!(text.contains("car_recovery_truncated_records 1"), "{text}");
+    assert!(text.contains("car_recovery_truncated_records_total 1"), "{text}");
 
     // A second restart sees a clean (already truncated) log.
     handle.trigger_shutdown();

@@ -3,8 +3,9 @@
 //! Scrapes a live daemon under load and checks the properties a real
 //! Prometheus server relies on: each metric family is declared exactly
 //! once, every sample belongs to a declared family and uses only the
-//! sample shapes its type allows, every value parses, and counters are
-//! monotone across consecutive scrapes.
+//! sample shapes its type allows, every value parses, counters are
+//! monotone across consecutive scrapes, and counters, and only counters,
+//! end in `_total`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
@@ -111,6 +112,30 @@ fn parse_and_check(text: &str) -> Exposition {
     Exposition { types, samples }
 }
 
+/// Counters exported without the `_total` suffix, under the names the
+/// benchmark reads; renaming them changes the benchmark too.
+const BARE_COUNTERS: [&str; 2] = ["car_query_cache_hits", "car_query_cache_misses"];
+
+/// Counters, and only counters, end in `_total`, except the
+/// [`BARE_COUNTERS`], which stay exported under their bare names.
+fn assert_total_suffix_rule(types: &BTreeMap<String, String>) {
+    for (name, kind) in types {
+        let suffixed = name.ends_with("_total") || BARE_COUNTERS.contains(&name.as_str());
+        assert_eq!(
+            kind == "counter",
+            suffixed,
+            "{kind} `{name}`: counters, and only counters, end in `_total`"
+        );
+    }
+    for name in BARE_COUNTERS {
+        assert_eq!(
+            types.get(name).map(String::as_str),
+            Some("counter"),
+            "`{name}` is no longer exported under its bare name"
+        );
+    }
+}
+
 /// Family names a sample base name could belong to: itself, then itself
 /// minus each cumulative-sample suffix.
 fn family_candidates(base: &str) -> impl Iterator<Item = String> + '_ {
@@ -176,6 +201,7 @@ fn metrics_exposition_is_conformant_and_counters_are_monotonic() {
     let second = parse_and_check(&scrape(&mut client));
 
     assert_eq!(first.types, second.types, "family declarations must be stable");
+    assert_total_suffix_rule(&second.types);
 
     // Counters (and histogram/summary cumulative samples) never move
     // backwards between scrapes.

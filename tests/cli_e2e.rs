@@ -150,6 +150,40 @@ fn help_and_errors() {
     assert!(run(&["mine"]).unwrap_err().contains("--input"));
 }
 
+/// Runs the CLI on a thread and returns its usage error, failing if the
+/// command does not return within 10 s: a `serve` that accepted every
+/// option would boot a daemon and block.
+fn usage_error(args: &[&str]) -> String {
+    let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+    let (done, result) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(car_cli::run(&argv, &mut Vec::new())));
+    match result.recv_timeout(std::time::Duration::from_secs(10)) {
+        Ok(Err(car_cli::CliError::Usage(msg))) => msg,
+        Ok(other) => panic!("{args:?}: expected a usage error, got {other:?}"),
+        Err(_) => panic!("{args:?} did not return: it ran instead of failing"),
+    }
+}
+
+#[test]
+fn unknown_options_are_usage_errors() {
+    let data = temp_path("unknown-options");
+    std::fs::write(&data, "0 | 1 2\n1 | 1 2\n").unwrap();
+    let input = data.to_string_lossy().into_owned();
+    // Misspelt options used to be ignored, leaving their defaults in force.
+    let msg = usage_error(&["mine", "--input", &input, "--min-suport", "0.5"]);
+    assert!(msg.contains("--min-suport"), "{msg}");
+    let msg = usage_error(&["detect", "--sequence", "0101", "--l-mx", "3"]);
+    assert!(msg.contains("--l-mx"), "{msg}");
+    // `serve` returns the error instead of booting a daemon.
+    let msg = usage_error(&["serve", "--port", "0", "--windw", "16"]);
+    assert!(msg.contains("--windw"), "{msg}");
+    assert!(usage_error(&["serve", "--port", "0", "--help"]).contains("--help"));
+    // Every declared option still parses: the command then runs.
+    let mined = run(&["mine", "--input", &input, "--min-support", "0.5", "--l-max", "2"]);
+    assert!(mined.is_ok(), "{mined:?}");
+    std::fs::remove_file(&data).ok();
+}
+
 #[test]
 fn serve_command_boots_ingests_and_drains() {
     use std::io::Write;
