@@ -2,9 +2,9 @@
 
 use car_itemset::{Item, ItemSet};
 
-use crate::bitmap::ItemCounter;
+use crate::bitmap::{ItemCounter, TidBitmaps};
 use crate::candidate::apriori_gen;
-use crate::count::{count_candidates_detailed, CountStrategy};
+use crate::count::{count_candidates, CountStrategy};
 use crate::frequent::FrequentItemsets;
 use crate::support::MinSupport;
 
@@ -15,7 +15,9 @@ pub struct AprioriConfig {
     pub min_support: MinSupport,
     /// Optional cap on itemset size (`None` = unbounded).
     pub max_size: Option<usize>,
-    /// Support counting engine (the vertical kernel by default).
+    /// Support counting engine: the vertical kernel by default, or the
+    /// paper-era hash tree, rebuilt at every level, that tests and the
+    /// counting benchmark compare it with.
     pub counting: CountStrategy,
 }
 
@@ -51,8 +53,9 @@ pub struct AprioriStats {
     pub candidates_counted: u64,
     /// Number of levels (database passes) executed.
     pub levels: u64,
-    /// Vertical tid-bitmap constructions performed by the counting
-    /// kernel: one per level `k ≥ 2` counted with the default engine.
+    /// Vertical tid-bitmap constructions: 1 when the default engine
+    /// counted a level `k ≥ 2` (every level is counted on that one
+    /// build), else 0.
     pub bitmap_builds: u64,
 }
 
@@ -94,7 +97,11 @@ impl Apriori {
         stats.candidates_counted = counted as u64;
         stats.levels = 1;
 
-        // Levels k >= 2.
+        // Levels k >= 2. The vertical engine counts them all on one
+        // build over the large items at `min_len` 2, as `eclat` does (a
+        // transaction shorter than `k` sets bits but holds no
+        // `k`-candidate); the hash tree is rebuilt at every level.
+        let mut bitmaps: Option<TidBitmaps> = None;
         let mut k = 1;
         while !large.is_empty() {
             k += 1;
@@ -109,24 +116,29 @@ impl Apriori {
                 stats.candidates_counted.saturating_add(candidates.len() as u64);
             stats.levels = stats.levels.saturating_add(1);
             let span = car_obs::time_span!("mine.apriori.support_count");
-            let outcome = count_candidates_detailed(
-                &candidates,
-                transactions,
-                self.config.counting,
-            );
+            let counts = match self.config.counting {
+                CountStrategy::Vertical => {
+                    let rows = bitmaps.get_or_insert_with(|| {
+                        TidBitmaps::build(&large, transactions, 2)
+                    });
+                    candidates.iter().map(|c| rows.support(c)).collect()
+                }
+                CountStrategy::HashTree => {
+                    count_candidates(&candidates, transactions, CountStrategy::HashTree)
+                }
+            };
             drop(span);
-            stats.bitmap_builds =
-                stats.bitmap_builds.saturating_add(outcome.bitmap_builds);
             large = candidates
                 .into_iter()
-                .zip(&outcome.counts)
-                .filter(|&(_, &c)| c >= threshold)
-                .map(|(s, &c)| {
+                .zip(counts)
+                .filter(|&(_, c)| c >= threshold)
+                .map(|(s, c)| {
                     result.insert(s.clone(), c);
                     s
                 })
                 .collect();
         }
+        stats.bitmap_builds = u64::from(bitmaps.is_some());
         (result, stats)
     }
 }
@@ -218,6 +230,20 @@ mod tests {
         av.sort();
         bv.sort();
         assert_eq!(av, bv);
+    }
+
+    #[test]
+    fn one_bitmap_build_counts_every_level() {
+        let base = AprioriConfig::new(MinSupport::count(2));
+        let (vertical, stats) = Apriori::new(base).mine_with_stats(&han_kamber());
+        assert_eq!((stats.levels, stats.bitmap_builds), (3, 1));
+        let hash_tree = Apriori::new(base.with_counting(CountStrategy::HashTree));
+        let (tree, tree_stats) = hash_tree.mine_with_stats(&han_kamber());
+        assert_eq!(tree_stats, AprioriStats { bitmap_builds: 0, ..stats });
+        assert_eq!(tree.len(), vertical.len());
+        // No level 2 is counted, so nothing is built.
+        let capped = Apriori::new(base.with_max_size(1)).mine_with_stats(&han_kamber());
+        assert_eq!(capped.1.bitmap_builds, 0);
     }
 
     #[test]

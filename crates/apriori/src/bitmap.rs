@@ -23,11 +23,19 @@
 //! and falls back to a hash map when ids are sparse enough that a flat
 //! table would waste memory.
 //!
-//! `count_candidates_detailed` reports one build per batch it builds
-//! rows for (`CountOutcome::bitmap_builds`), and the level-wise miners
-//! add it to their per-run `MiningStats::bitmap_builds`. That is how
-//! the INTERLEAVED tests prove that cycle skipping means *the bitmap
-//! for a skipped unit is never built at all*.
+//! This is the counting engine of every product miner: [`Apriori`],
+//! INTERLEAVED (in `car-core`) and [`eclat`] build a unit's rows once,
+//! over its large items at `min_len` 2, and count every level on them.
+//! INTERLEAVED builds a unit only when a level first counts in it, so a
+//! unit that cycle skipping always retires is never built. The miners
+//! report at most one build per unit (`bitmap_builds`).
+//! [`count_candidates`] builds rows per batch, for EXP-8, the
+//! `fig8_counting` bench and the tests that compare the kernel with the
+//! hash tree.
+//!
+//! [`Apriori`]: crate::Apriori
+//! [`eclat`]: crate::eclat
+//! [`count_candidates`]: crate::count_candidates
 
 use car_itemset::refstore::{RefCounter, RefMap};
 use car_itemset::ItemSet;
@@ -87,12 +95,6 @@ impl<V: Copy> ItemMap<V> {
             ItemMap::Flat(m) => m.get(id as usize).copied(),
             ItemMap::Hashed(m) => m.get(&id).copied(),
         }
-    }
-
-    /// Whether `id` has a mapping.
-    #[inline]
-    pub fn contains(&self, id: u32) -> bool {
-        self.get(id).is_some()
     }
 }
 
@@ -178,7 +180,7 @@ impl ItemCounter {
     }
 }
 
-/// Per-batch vertical bitmaps: one tid-bitset row per interned item.
+/// Vertical bitmaps over one unit: one tid-bitset row per interned item.
 pub struct TidBitmaps {
     /// `rows[r]` is the bitset of transactions containing item `r`,
     /// all rows `words` long.
@@ -276,24 +278,18 @@ impl TidBitmaps {
     }
 }
 
-/// Counts every candidate's support via vertical bitmaps; counts are
-/// parallel to `candidates`. `k` is the uniform candidate size (used to
-/// skip transactions too short to matter).
-pub fn count_vertical(
-    candidates: &[ItemSet],
-    transactions: &[ItemSet],
-    k: usize,
-) -> Vec<u64> {
-    let mut bitmaps = TidBitmaps::build(candidates, transactions, k);
-    candidates.iter().map(|c| bitmaps.support(c)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn set(ids: &[u32]) -> ItemSet {
         ItemSet::from_ids(ids.iter().copied())
+    }
+
+    /// Every candidate's support on one build at `min_len`.
+    fn count_vertical(c: &[ItemSet], tx: &[ItemSet], min_len: usize) -> Vec<u64> {
+        let mut bitmaps = TidBitmaps::build(c, tx, min_len);
+        c.iter().map(|candidate| bitmaps.support(candidate)).collect()
     }
 
     fn naive(candidates: &[ItemSet], transactions: &[ItemSet]) -> Vec<u64> {
@@ -366,8 +362,7 @@ mod tests {
         assert_eq!(m.insert(3, 7), None);
         assert_eq!(m.insert(3, 8), Some(7));
         assert_eq!(m.get(3), Some(8));
-        assert!(m.contains(3));
-        assert!(!m.contains(4));
+        assert_eq!(m.get(4), None);
     }
 
     #[test]

@@ -1,13 +1,17 @@
-//! Support counting for the level-wise miners.
+//! Support counting of one candidate batch.
 //!
 //! Counting is the hot loop of Apriori: for every candidate `k`-itemset,
-//! how many transactions contain it? Two engines are provided and kept
-//! behaviourally identical (tests and proptests cross-check them):
+//! how many transactions contain it? [`count_candidates`] counts a batch
+//! with either engine, and tests and proptests check that both agree:
 //!
-//! * [`CountStrategy::Vertical`], the default: per-batch vertical
-//!   tid-bitmaps (one `Vec<u64>` bitset per candidate item), so support
-//!   is a chained `u64` AND + popcount. See [`crate::bitmap`]. Its cost,
+//! * [`CountStrategy::Vertical`], the default: vertical tid-bitmaps (one
+//!   `Vec<u64>` bitset per candidate item), so support is a chained `u64`
+//!   AND + popcount. See [`crate::bitmap`]. Its cost,
 //!   `O(candidates · k · ⌈n/64⌉)`, does not depend on transaction length.
+//!   On this engine the miners do not count level by level through
+//!   here: [`Apriori`](crate::Apriori), INTERLEAVED and
+//!   [`eclat`](crate::eclat) build a unit's [`TidBitmaps`] once and count
+//!   every level on them.
 //! * [`CountStrategy::HashTree`]: the Apriori paper's hash tree. It is
 //!   the paper-era baseline that EXP-8 and the `fig8_counting` bench
 //!   measure, and the independent engine the proptests check the
@@ -15,7 +19,7 @@
 
 use car_itemset::ItemSet;
 
-use crate::bitmap::count_vertical;
+use crate::bitmap::TidBitmaps;
 use crate::hash_tree::HashTree;
 
 /// Which support-counting engine to use.
@@ -26,16 +30,6 @@ pub enum CountStrategy {
     Vertical,
     /// Classic Apriori hash tree.
     HashTree,
-}
-
-/// Result of one counting batch.
-#[derive(Clone, Debug)]
-pub struct CountOutcome {
-    /// Per-candidate support counts, parallel to the input slice.
-    pub counts: Vec<u64>,
-    /// Vertical bitmap constructions performed (0 or 1 per batch) —
-    /// threaded into `MiningStats::bitmap_builds` by the miners.
-    pub bitmap_builds: u64,
 }
 
 /// Counts, for each candidate, the number of transactions containing it.
@@ -51,36 +45,21 @@ pub fn count_candidates(
     transactions: &[ItemSet],
     strategy: CountStrategy,
 ) -> Vec<u64> {
-    count_candidates_detailed(candidates, transactions, strategy).counts
-}
-
-/// Like [`count_candidates`], but also reports how many vertical bitmap
-/// builds the batch performed.
-///
-/// # Panics
-///
-/// Panics if candidates have size 0 or mixed sizes.
-pub fn count_candidates_detailed(
-    candidates: &[ItemSet],
-    transactions: &[ItemSet],
-    strategy: CountStrategy,
-) -> CountOutcome {
-    if candidates.is_empty() {
-        return CountOutcome { counts: Vec::new(), bitmap_builds: 0 };
-    }
-    let k = candidates[0].len();
+    let Some(k) = candidates.first().map(ItemSet::len) else {
+        return Vec::new();
+    };
     assert!(k >= 1, "candidates must be non-empty itemsets");
     assert!(candidates.iter().all(|c| c.len() == k), "candidates must have uniform size");
 
     match strategy {
-        CountStrategy::Vertical => CountOutcome {
-            counts: count_vertical(candidates, transactions, k),
-            bitmap_builds: 1,
-        },
+        CountStrategy::Vertical => {
+            let mut bitmaps = TidBitmaps::build(candidates, transactions, k);
+            candidates.iter().map(|c| bitmaps.support(c)).collect()
+        }
         CountStrategy::HashTree => {
             let mut tree = HashTree::build(candidates.to_vec());
             tree.count_all(transactions);
-            CountOutcome { counts: tree.into_counts().1, bitmap_builds: 0 }
+            tree.into_counts().1
         }
     }
 }
@@ -159,20 +138,6 @@ mod tests {
                 "strategy {strategy:?}"
             );
         }
-    }
-
-    #[test]
-    fn detailed_reports_forced_engines() {
-        let candidates = vec![set(&[1])];
-        let transactions = vec![set(&[1])];
-        for (strategy, builds) in
-            [(CountStrategy::HashTree, 0), (CountStrategy::Vertical, 1)]
-        {
-            let outcome = count_candidates_detailed(&candidates, &transactions, strategy);
-            assert_eq!(outcome.counts, vec![1]);
-            assert_eq!(outcome.bitmap_builds, builds);
-        }
-        assert_eq!(CountStrategy::default(), CountStrategy::Vertical);
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //! (`SlidingWindowMiner::push_unit`): a push mines one unit and never
 //! needs Apriori's levels, which exist for the cycle pruning of the
 //! paper's INTERLEAVED algorithm. The level-wise [`Apriori`] stays the
-//! miner of SEQUENTIAL and INTERLEAVED and shares its level-1 scan with
-//! `eclat`. [`Apriori`], [`fp_growth`](crate::fp_growth) and
-//! [`naive`](crate::naive) are the oracles `eclat` is tested against.
+//! miner of SEQUENTIAL, shares its level-1 scan with `eclat`, and counts
+//! its levels on the same one build; INTERLEAVED builds each unit's rows
+//! the same way. [`Apriori`] on either engine, FP-Growth and a
+//! definition-level miner are the oracles `eclat` is tested against.
 //!
 //! [`Apriori`]: crate::Apriori
 
@@ -147,7 +148,7 @@ impl Walk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{naive, Apriori, AprioriConfig};
+    use crate::{Apriori, AprioriConfig, CountStrategy};
 
     fn set(ids: &[u32]) -> ItemSet {
         ItemSet::from_ids(ids.iter().copied())
@@ -216,7 +217,8 @@ mod tests {
             .collect();
         let ms = MinSupport::count(40);
         let e = eclat(&tx, ms, None);
-        assert_eq!(as_sorted(&e), as_sorted(&naive::frequent_itemsets(&tx, ms, None)));
+        let hash_tree = AprioriConfig::new(ms).with_counting(CountStrategy::HashTree);
+        assert_eq!(as_sorted(&e), as_sorted(&Apriori::new(hash_tree).mine(&tx)));
         assert_eq!(e.count(&set(&[7, 9, 11, big])), Some(67));
     }
 }

@@ -8,14 +8,11 @@
 //! Components:
 //!
 //! * [`apriori_gen`] — level-wise candidate generation (join + prune).
-//! * Two interchangeable support-counting engines, cross-checked by
-//!   tests and proptests:
-//!   - a **vertical tid-bitmap** kernel ([`CountStrategy::Vertical`],
-//!     the default): support is a chained `u64` AND + popcount over
-//!     per-item bitsets (see [`bitmap`]), and
-//!   - a classic **hash tree** ([`CountStrategy::HashTree`], the structure
-//!     from the original Apriori paper), kept as the paper-era baseline
-//!     and as an independent check on the kernel.
+//! * [`TidBitmaps`] — the one counting engine of the product path: one
+//!   build per unit holds a `u64` tid-bitset per large item, and a
+//!   support is a chained AND + popcount over them (see [`bitmap`]).
+//!   [`Apriori`], the paper's INTERLEAVED (in `car-core`) and [`eclat`]
+//!   each build a unit's bitmaps once and count every itemset on them.
 //! * [`Apriori`] — the level-wise driver producing [`FrequentItemsets`],
 //!   which the paper's SEQUENTIAL and INTERLEAVED algorithms extend.
 //! * [`eclat`] — depth-first mining over the same tid-bitmaps: each
@@ -25,9 +22,15 @@
 //!   confidence-based consequent pruning.
 //! * [`MinSupport`] / [`MinConfidence`] — threshold handling (absolute
 //!   counts or fractions) with explicit empty-database semantics.
-//! * [`naive`] and [`fp_growth`] — a definition-level miner and an
-//!   independent pattern-growth miner, used as oracles by tests and as
-//!   baselines by benchmarks.
+//!
+//! The classic **hash tree** ([`CountStrategy::HashTree`], the structure
+//! from the original Apriori paper) is not product code: it is the
+//! paper-era baseline of EXP-8 and the `fig8_counting` bench, and the
+//! independent engine [`Apriori`] selects through
+//! [`AprioriConfig::with_counting`] when tests check SEQUENTIAL and the
+//! kernel against it. [`count_candidates`] counts one batch with either
+//! engine. A definition-level miner and FP-Growth, the other oracles,
+//! live with the tests that use them (`tests/oracles/`).
 //!
 //! ```
 //! use car_apriori::{Apriori, AprioriConfig, MinSupport};
@@ -51,22 +54,20 @@ pub mod bitmap;
 mod candidate;
 mod count;
 mod eclat;
-mod fpgrowth;
 mod frequent;
 pub mod hash;
 mod hash_tree;
-pub mod naive;
 mod rules;
 mod support;
 
 pub use apriori::{Apriori, AprioriConfig, AprioriStats};
-pub use bitmap::{count_vertical, ItemMap, TidBitmaps};
+pub use bitmap::{ItemMap, TidBitmaps};
 pub use candidate::apriori_gen;
-pub use count::{
-    count_candidates, count_candidates_detailed, CountOutcome, CountStrategy,
-};
+/// [`count_candidates`] under the name the benchmark's level replay
+/// calls.
+pub use count::count_candidates as count_candidates_detailed;
+pub use count::{count_candidates, CountStrategy};
 pub use eclat::eclat;
-pub use fpgrowth::fp_growth;
 pub use frequent::FrequentItemsets;
 pub use hash_tree::HashTree;
 pub use rules::{generate_rules, AssociationRule, Rule};

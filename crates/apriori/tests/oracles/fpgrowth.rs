@@ -10,11 +10,9 @@
 //! that must produce identical frequent itemsets, which the property
 //! tests exploit as a three-way oracle.
 
+use car_apriori::hash::FastHashMap;
+use car_apriori::{FrequentItemsets, MinSupport};
 use car_itemset::{Item, ItemSet};
-
-use crate::frequent::FrequentItemsets;
-use crate::hash::FastHashMap;
-use crate::support::MinSupport;
 
 /// An FP-tree node (arena-allocated; `u32` indices).
 struct Node {
@@ -133,8 +131,8 @@ impl FpTree {
 /// Mines all large itemsets of `transactions` with FP-Growth.
 ///
 /// Produces exactly the same itemsets and counts as
-/// [`Apriori::mine`](crate::Apriori::mine) and [`eclat`](crate::eclat)
-/// (property-tested three ways).
+/// [`Apriori::mine`](car_apriori::Apriori::mine) and
+/// [`eclat`](car_apriori::eclat) (property-tested three ways).
 pub fn fp_growth(
     transactions: &[ItemSet],
     min_support: MinSupport,
@@ -211,7 +209,7 @@ fn mine_tree(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{eclat, Apriori, AprioriConfig};
+    use car_apriori::{eclat, Apriori, AprioriConfig};
 
     fn set(ids: &[u32]) -> ItemSet {
         ItemSet::from_ids(ids.iter().copied())

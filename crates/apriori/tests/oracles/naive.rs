@@ -1,15 +1,11 @@
-//! Deliberately simple reference implementations.
-//!
-//! These are used as oracles by the test suites and as baselines by the
-//! benchmark harness. They favour obviousness over speed: frequent
+//! Deliberately simple reference implementations, used as oracles by
+//! the property tests. They favour obviousness over speed: frequent
 //! itemsets are found by enumerating candidate subsets breadth-first with
 //! no pruning beyond the definition, and counting scans every
 //! transaction.
 
+use car_apriori::{FrequentItemsets, MinSupport};
 use car_itemset::ItemSet;
-
-use crate::frequent::FrequentItemsets;
-use crate::support::MinSupport;
 
 /// Counts the transactions containing `itemset`.
 pub fn count_itemset(itemset: &ItemSet, transactions: &[ItemSet]) -> u64 {
@@ -18,9 +14,8 @@ pub fn count_itemset(itemset: &ItemSet, transactions: &[ItemSet]) -> u64 {
 
 /// Finds all large itemsets by definition-level breadth-first search.
 ///
-/// Exponential in the worst case — intended for small test inputs and
-/// baseline measurements only. Results are identical to
-/// [`Apriori::mine`](crate::Apriori::mine).
+/// Exponential in the worst case — intended for small test inputs only.
+/// Results are identical to [`Apriori::mine`](car_apriori::Apriori::mine).
 pub fn frequent_itemsets(
     transactions: &[ItemSet],
     min_support: MinSupport,
@@ -77,7 +72,7 @@ pub fn frequent_itemsets(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Apriori, AprioriConfig};
+    use car_apriori::{Apriori, AprioriConfig};
 
     fn set(ids: &[u32]) -> ItemSet {
         ItemSet::from_ids(ids.iter().copied())

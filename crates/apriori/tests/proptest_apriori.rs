@@ -1,11 +1,14 @@
 //! Property-based tests: counting engines against a naive oracle, Apriori
 //! against the definition-level miner, and rule-generation invariants.
 
+mod oracles;
+
 use car_apriori::{
-    count_candidates, eclat, fp_growth, generate_rules, naive, Apriori, AprioriConfig,
-    CountStrategy, MinConfidence, MinSupport,
+    count_candidates, eclat, generate_rules, Apriori, AprioriConfig, CountStrategy,
+    MinConfidence, MinSupport,
 };
 use car_itemset::ItemSet;
+use oracles::{fp_growth, naive};
 use proptest::prelude::*;
 
 fn arb_transactions() -> impl Strategy<Value = Vec<ItemSet>> {

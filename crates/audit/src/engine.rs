@@ -177,8 +177,9 @@ pub fn run_audit_with(
         );
     }
 
-    // A6: atomic names, the locks guarding them, and the whole-scope
-    // write classification (which atomics mirror lock-guarded state).
+    // A6: atomic names, the locks guarding them, the whole-scope write
+    // classification (which atomics mirror lock-guarded state), and the
+    // closures and functions that load a parameter `Relaxed`.
     let mut atomic_names = BTreeSet::new();
     let mut a6_locks = BTreeSet::new();
     for rel in &a6 {
@@ -186,6 +187,7 @@ pub fn run_audit_with(
         locks::collect_lock_fields(&cache[rel].lexed.tokens, &mut a6_locks);
     }
     let mut usage = atomics::AtomicUsage::default();
+    let mut relaxed_helpers = atomics::RelaxedHelpers::new();
     for rel in &a6 {
         atomics::collect_usage(
             &cache[rel].lexed.tokens,
@@ -193,6 +195,7 @@ pub fn run_audit_with(
             &a6_locks,
             &mut usage,
         );
+        atomics::collect_relaxed_helpers(&cache[rel].lexed.tokens, &mut relaxed_helpers);
     }
 
     // ---- Per-file passes (parallel, merged in scope order) ----
@@ -233,6 +236,7 @@ pub fn run_audit_with(
                 &atomic_names,
                 &a6_locks,
                 &usage,
+                &relaxed_helpers,
                 &mut out,
             );
         }

@@ -168,6 +168,10 @@ fn a6_bad_reports_control_mirror_and_torn_with_exact_lines() {
             ("a6-relaxed-mirror", 17),
             ("a6-relaxed-control", 21),
             ("a6-torn-write", 27),
+            // The same mirror read, passed by reference to a closure and
+            // to a function that load it `Relaxed`: flagged at the call.
+            ("a6-relaxed-mirror", 32),
+            ("a6-relaxed-mirror", 40),
         ],
         "findings: {findings:#?}"
     );

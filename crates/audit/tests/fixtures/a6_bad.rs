@@ -1,6 +1,6 @@
-//! A6 fixture: a Relaxed load feeding control flow, a lock-free read
-//! of a lock-mirrored gauge, and a torn write, all unannotated. Each
-//! site must be flagged with its lint.
+//! A6 fixture: a Relaxed load feeding control flow, lock-free reads of
+//! a lock-mirrored gauge (direct, via a closure, via a helper) and a
+//! torn write, all unannotated. Each site must be flagged with its lint.
 
 struct Gauges {
     inner: Mutex<u64>,
@@ -25,4 +25,17 @@ fn spin(g: &Gauges) {
 
 fn reset(g: &Gauges) {
     g.units.store(0, Ordering::Release);
+}
+
+fn scrape(g: &Gauges) -> u64 {
+    let relaxed = |gauge: &AtomicU64| gauge.load(Ordering::Relaxed);
+    relaxed(&g.units)
+}
+
+fn load_relaxed(gauge: &AtomicU64) -> u64 {
+    gauge.load(Ordering::Relaxed)
+}
+
+fn report(g: &Gauges) -> u64 {
+    load_relaxed(&g.units)
 }

@@ -14,12 +14,12 @@ pub struct MiningConfig {
     pub cycle_bounds: CycleBounds,
     /// Optional cap on mined itemset size.
     pub max_itemset_size: Option<usize>,
-    /// Support counting engine of the level-wise miners (SEQUENTIAL,
-    /// INTERLEAVED, and the parallel and approximate miners): the
-    /// vertical kernel by default, or the paper-era hash tree that
-    /// tests and the counting benchmark compare it with. The sliding
-    /// window ignores it: it mines each unit depth-first over
-    /// tid-bitmaps.
+    /// Support counting engine of SEQUENTIAL's per-unit Apriori (and so
+    /// of the parallel and approximate miners, which run its phase 1):
+    /// the vertical kernel by default, or the paper-era hash tree that
+    /// tests select as an independent oracle. INTERLEAVED and the
+    /// sliding window ignore it: they always count on one tid-bitmap
+    /// build per unit.
     pub counting: CountStrategy,
 }
 

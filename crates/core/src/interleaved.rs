@@ -42,7 +42,7 @@ use std::time::Instant;
 
 use car_apriori::bitmap::{ItemCounter, ItemMap};
 use car_apriori::hash::FastHashMap;
-use car_apriori::{apriori_gen, count_candidates_detailed, Rule};
+use car_apriori::{apriori_gen, Rule, TidBitmaps};
 use car_cycles::{minimal_cycles, CycleSet};
 use car_itemset::{Item, ItemSet, SegmentedDb};
 
@@ -222,16 +222,8 @@ fn find_cyclic_itemsets(
     // pre-pass over the database sizes them. The counter clears in
     // O(items touched), so a single allocation serves every unit.
     let mut states: Vec<CandidateState> = Vec::new();
-    let mut max_id: u32 = 0;
-    let mut occurrences: usize = 0;
-    for i in 0..n {
-        for t in db.unit(i) {
-            for item in t.iter() {
-                max_id = max_id.max(item.id());
-                occurrences = occurrences.saturating_add(1);
-            }
-        }
-    }
+    let max_id = db.max_item_id().unwrap_or(0);
+    let occurrences: usize = db.iter_all().map(|(_, t)| t.len()).sum();
     let mut seen: ItemMap<()> = ItemMap::for_universe(max_id, occurrences);
     let mut unit_counts = ItemCounter::for_universe(max_id, occurrences);
 
@@ -251,42 +243,24 @@ fn find_cyclic_itemsets(
 
         // Register newly seen items.
         for id in unit_counts.ids_sorted() {
-            if !seen.contains(id) {
-                seen.insert(id, ());
-                let mut cycles = CycleSet::full(bounds);
-                let mut misses = Vec::new();
+            if seen.insert(id, ()).is_none() {
+                let mut state = CandidateState::new(
+                    ItemSet::single(Item::new(id)),
+                    CycleSet::full(bounds),
+                );
                 if options.cycle_elimination {
-                    stats.cycles_eliminated += cycles.eliminate(&earlier) as u64;
+                    stats.cycles_eliminated += state.cycles.eliminate(&earlier) as u64;
                 } else {
-                    misses.extend(0..i);
+                    state.misses.extend(0..i);
                 }
-                let mut state =
-                    CandidateState::new(ItemSet::single(Item::new(id)), cycles);
-                state.misses = misses;
                 states.push(state);
                 stats.candidates_generated += 1;
             }
         }
 
-        for state in &mut states {
-            let active = !options.cycle_skipping || state.cycles.intersects(unit);
-            if !active {
-                stats.skipped_counts += 1;
-                continue;
-            }
-            stats.support_computations += 1;
-            let Some(&item) = state.itemset.as_slice().first() else {
-                continue; // level-1 states always hold a single item
-            };
-            let count = unit_counts.get(item.id());
-            if count >= threshold {
-                state.supports.insert(i as u32, count);
-            } else if options.cycle_elimination {
-                stats.cycles_eliminated += state.cycles.eliminate(unit) as u64;
-            } else {
-                state.misses.push(i);
-            }
-        }
+        count_unit(&mut states, i, unit, threshold, options, stats, |itemset| {
+            itemset.iter().next().map_or(0, |item| unit_counts.get(item.id()))
+        });
         earlier.union_with(unit);
     }
     drop(level1_span);
@@ -301,6 +275,13 @@ fn find_cyclic_itemsets(
     survivors.sort_by(|a, b| a.itemset.cmp(&b.itemset));
 
     // ---- Levels k >= 2 ----------------------------------------------
+    // A unit's tid-bitmaps are built over the level-1 survivors at
+    // `min_len` 2, as `eclat` builds them, the first time a level counts
+    // in the unit, and count every later level there: a transaction
+    // shorter than `k` sets bits but cannot hold a `k`-candidate. A unit
+    // that cycle skipping retires at every level is never built.
+    let items: Vec<ItemSet> = survivors.iter().map(|s| s.itemset.clone()).collect();
+    let mut rows: Vec<Option<TidBitmaps>> = (0..n).map(|_| None).collect();
     let mut k = 1;
     while !survivors.is_empty() {
         k += 1;
@@ -364,41 +345,17 @@ fn find_cyclic_itemsets(
 
         // Scan all units for this level.
         let scan_span = car_obs::time_span!("mine.int.support_count");
-        for (i, unit) in units.iter().enumerate() {
-            let active: Vec<usize> = states
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| !options.cycle_skipping || s.cycles.intersects(unit))
-                .map(|(idx, _)| idx)
-                .collect();
-            stats.skipped_counts += (states.len() - active.len()) as u64;
-            if active.is_empty() {
-                stats.skipped_unit_scans += 1;
-                continue;
-            }
-
+        for ((i, unit), unit_rows) in units.iter().enumerate().zip(&mut rows) {
             let transactions = db.unit(i);
             let threshold = config.min_support.threshold(transactions.len());
-            let candidate_sets: Vec<ItemSet> = active
-                .iter()
-                .filter_map(|&idx| states.get(idx).map(|s| s.itemset.clone()))
-                .collect();
-            let outcome =
-                count_candidates_detailed(&candidate_sets, transactions, config.counting);
-            stats.support_computations += active.len() as u64;
-            stats.bitmap_builds += outcome.bitmap_builds;
-
-            for (&idx, &count) in active.iter().zip(&outcome.counts) {
-                let Some(state) = states.get_mut(idx) else {
-                    continue; // `active` indexes into `states` by construction
-                };
-                if count >= threshold {
-                    state.supports.insert(i as u32, count);
-                } else if options.cycle_elimination {
-                    stats.cycles_eliminated += state.cycles.eliminate(unit) as u64;
-                } else {
-                    state.misses.push(i);
-                }
+            let counted =
+                count_unit(&mut states, i, unit, threshold, options, stats, |c| {
+                    unit_rows
+                        .get_or_insert_with(|| TidBitmaps::build(&items, transactions, 2))
+                        .support(c)
+                });
+            if !counted {
+                stats.skipped_unit_scans += 1;
             }
         }
         drop(scan_span);
@@ -412,8 +369,43 @@ fn find_cyclic_itemsets(
             .collect();
         survivors.sort_by(|a, b| a.itemset.cmp(&b.itemset));
     }
+    stats.bitmap_builds = rows.iter().flatten().count() as u64;
     all_survivors.append(&mut survivors);
     all_survivors
+}
+
+/// Counts, at unit `i` with cycle set `unit`, every state that cycle
+/// skipping leaves active, `support` giving its count there. A large
+/// count is recorded; a miss kills the state's cycles through the unit,
+/// at once or, without elimination, when the level ends. Returns whether
+/// any state was counted.
+fn count_unit(
+    states: &mut [CandidateState],
+    i: usize,
+    unit: &CycleSet,
+    threshold: u64,
+    options: InterleavedOptions,
+    stats: &mut MiningStats,
+    mut support: impl FnMut(&ItemSet) -> u64,
+) -> bool {
+    let mut counted = false;
+    for state in states {
+        if options.cycle_skipping && !state.cycles.intersects(unit) {
+            stats.skipped_counts += 1;
+            continue;
+        }
+        counted = true;
+        stats.support_computations += 1;
+        let count = support(&state.itemset);
+        if count >= threshold {
+            state.supports.insert(i as u32, count);
+        } else if options.cycle_elimination {
+            stats.cycles_eliminated += state.cycles.eliminate(unit) as u64;
+        } else {
+            state.misses.push(i);
+        }
+    }
+    counted
 }
 
 /// Phase 2: derive cyclic rules from the cyclic large itemsets.
@@ -568,6 +560,10 @@ mod tests {
             without.stats.support_computations
         );
         assert!(with.stats.skipped_counts > 0);
+        // {1, 2} is large only in the even units, and cycle pruning drops
+        // every pair with 3, so no odd unit is ever built.
+        assert_eq!((with.stats.bitmap_builds, with.stats.skipped_unit_scans), (6, 6));
+        assert_eq!(without.stats.bitmap_builds, 12);
     }
 
     #[test]

@@ -63,11 +63,13 @@ pub struct MiningStats {
     pub skipped_counts: u64,
     /// Time units skipped entirely at some level (no active candidate).
     pub skipped_unit_scans: u64,
-    /// Vertical tid-bitmap constructions performed by the counting
-    /// kernel: one per level-`k ≥ 2` unit scan. A unit scan retired by
-    /// cycle skipping never reaches the kernel, so its bitmap is never
-    /// built, and under the default engine this equals the unit scans
-    /// skipping did not retire. The hash tree builds none.
+    /// Units whose vertical tid-bitmaps were built: each unit is built
+    /// at most once per run, the first time a level `k ≥ 2` counts in
+    /// it, and every later level counts on that build, so this never
+    /// exceeds `num_units`. INTERLEAVED builds the units that cycle
+    /// skipping left a candidate to count at some level; SEQUENTIAL
+    /// builds each unit that has a level 2, except on the hash tree
+    /// (`MiningConfig::counting`), which builds none.
     pub bitmap_builds: u64,
     /// Candidate itemsets generated across all levels (after pruning).
     pub candidates_generated: u64,

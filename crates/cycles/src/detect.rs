@@ -77,11 +77,6 @@ fn has_too_few_holds(seq: &BitSeq, bounds: CycleBounds) -> bool {
     seq.count_ones() < min_holds(seq.len(), bounds.l_max())
 }
 
-/// Whether the sequence has at least one cycle within `bounds`.
-pub fn has_any_cycle(seq: &BitSeq, bounds: CycleBounds) -> bool {
-    !detect_cycles(seq, bounds).is_empty()
-}
-
 /// Filters a cycle set down to its *minimal* cycles: those that are not a
 /// multiple of another cycle in the set.
 ///
@@ -136,7 +131,6 @@ mod tests {
     #[test]
     fn all_zeros_has_no_cycles() {
         assert!(detect("0000", 1, 3).is_empty());
-        assert!(!has_any_cycle(&"0000".parse().unwrap(), CycleBounds::make(1, 3)));
     }
 
     #[test]

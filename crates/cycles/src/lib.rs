@@ -65,7 +65,7 @@ pub use bitseq::BitSeq;
 pub use bounds::CycleBounds;
 pub use cycle::Cycle;
 pub use cycleset::CycleSet;
-pub use detect::{detect_cycles, detect_cycles_with, has_any_cycle, minimal_cycles};
+pub use detect::{detect_cycles, detect_cycles_with, minimal_cycles};
 pub use merge::merge_minimal_cycle_lists;
 pub use online::{CycleMasks, OnlineCycles};
 pub use spectrum::{autocorrelation, dominant_period, spectrum, PeriodStrength};

@@ -98,36 +98,51 @@ pub fn retail_like(units: usize, scale_divisor: usize) -> CyclicConfig {
 mod tests {
     use super::*;
     use crate::generate_cyclic;
+    use car_itemset::SegmentedDb;
+
+    /// Mean transaction length over every unit.
+    fn avg_transaction_len(db: &SegmentedDb) -> f64 {
+        let total: usize = db.iter_all().map(|(_, t)| t.len()).sum();
+        total as f64 / db.num_transactions().max(1) as f64
+    }
+
+    /// Distinct items over every unit.
+    fn num_distinct_items(db: &SegmentedDb) -> usize {
+        let mut items: Vec<u32> =
+            db.iter_all().flat_map(|(_, t)| t.iter().map(|i| i.id())).collect();
+        items.sort_unstable();
+        items.dedup();
+        items.len()
+    }
 
     #[test]
     fn presets_produce_the_declared_shape() {
         // Scale down hard so the test runs in milliseconds.
         let data = generate_cyclic(&t10i4_like(8, 100), 1);
         assert_eq!(data.db.num_units(), 8);
-        let flat = data.db.to_transaction_db();
-        let avg = flat.avg_transaction_len();
+        let avg = avg_transaction_len(&data.db);
         // T10 plus planted-pattern unions: between 8 and 14.
         assert!((8.0..14.0).contains(&avg), "avg tx len {avg}");
-        assert!(flat.num_distinct_items() > 100);
+        assert!(num_distinct_items(&data.db) > 100);
     }
 
     #[test]
     fn t40_is_denser_than_t10() {
         let t10 = generate_cyclic(&t10i4_like(4, 200), 2);
         let t40 = generate_cyclic(&t40i10_like(4, 200), 2);
-        let a = t10.db.to_transaction_db().avg_transaction_len();
-        let b = t40.db.to_transaction_db().avg_transaction_len();
+        let a = avg_transaction_len(&t10.db);
+        let b = avg_transaction_len(&t40.db);
         assert!(b > 2.0 * a, "T40 ({b}) should dwarf T10 ({a})");
     }
 
     #[test]
     fn retail_universe_is_sparse() {
         let retail = generate_cyclic(&retail_like(4, 200), 3);
-        let flat = retail.db.to_transaction_db();
+        let distinct = num_distinct_items(&retail.db);
         // Many distinct items relative to transaction count (440
         // transactions draw from a pool of ~200 patterns plus noise).
-        assert!(flat.num_distinct_items() > 250, "{}", flat.num_distinct_items());
-        assert!((6.0..14.0).contains(&flat.avg_transaction_len()));
+        assert!(distinct > 250, "{distinct}");
+        assert!((6.0..14.0).contains(&avg_transaction_len(&retail.db)));
     }
 
     #[test]

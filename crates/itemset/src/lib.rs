@@ -9,9 +9,6 @@
 //! * [`ItemSet`] — an immutable, sorted, duplicate-free set of items with
 //!   the set algebra needed by Apriori-style miners (subset tests, unions,
 //!   k-subset enumeration, and the classic *join* step).
-//! * [`Transaction`] — an itemset together with a transaction id and the
-//!   time unit it falls into.
-//! * [`TransactionDb`] — a flat transaction database.
 //! * [`SegmentedDb`] — a transaction database partitioned into consecutive
 //!   **time units**, the structure over which cyclic association rules are
 //!   defined (Özden, Ramaswamy, Silberschatz; ICDE 1998).
@@ -41,21 +38,17 @@
 #![warn(missing_docs)]
 
 pub mod calendar;
-mod database;
 mod error;
 pub mod io;
 mod item;
 mod itemset;
 pub mod refstore;
 mod segmented;
-mod transaction;
 mod vocabulary;
 
-pub use database::TransactionDb;
 pub use error::{Error, Result};
 pub use item::Item;
 pub use itemset::{ItemSet, KSubsets};
-pub use refstore::{IterableRefSet, RefCounter, RefMap};
+pub use refstore::{RefCounter, RefMap};
 pub use segmented::{SegmentedDb, TimeUnit};
-pub use transaction::Transaction;
 pub use vocabulary::Vocabulary;

@@ -11,14 +11,11 @@
 //!
 //! * [`RefMap`] — `Vec<Option<V>>` keyed by `usize`; O(1) get/insert,
 //!   grows to the largest key touched.
-//! * [`IterableRefSet`] — a membership bitmap plus an insertion-order
-//!   member list, so iteration and clearing cost O(members), not
-//!   O(universe).
 //! * [`RefCounter`] — dense `u64` counters with a touched-key list;
 //!   built for the per-unit level-1 scan, where the same buffer is
 //!   cleared and refilled once per time unit.
 //!
-//! All three are panic-free (audited under A1/A3): no indexing, no
+//! Both are panic-free (audited under A1/A3): no indexing, no
 //! division, saturating counter arithmetic. Keys are the caller's
 //! responsibility to keep *dense*: memory is proportional to the
 //! largest key, which is why the counting kernels guard with a
@@ -77,8 +74,8 @@ impl<V> RefMap<V> {
 
     /// Iterates `(key, &value)` over present entries in key order.
     ///
-    /// Costs O(largest key); prefer [`IterableRefSet`] /
-    /// [`RefCounter`] when iteration is hot.
+    /// Costs O(largest key); prefer [`RefCounter`] when iteration is
+    /// hot.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &V)> {
         self.slots.iter().enumerate().filter_map(|(k, v)| v.as_ref().map(|v| (k, v)))
     }
@@ -86,81 +83,6 @@ impl<V> RefMap<V> {
     /// Number of slots allocated (largest key touched + 1).
     pub fn capacity(&self) -> usize {
         self.slots.len()
-    }
-}
-
-/// A set of small dense `usize` keys with O(members) iteration and
-/// clearing.
-///
-/// Extends the flat membership bitmap with a vector of the members in
-/// insertion order — slightly slower insertion (the bitmap must be
-/// queried for duplicates), much faster iteration and reset.
-#[derive(Clone, Debug, Default)]
-pub struct IterableRefSet {
-    present: Vec<bool>,
-    members: Vec<usize>,
-}
-
-impl IterableRefSet {
-    /// An empty set.
-    pub fn new() -> Self {
-        IterableRefSet::default()
-    }
-
-    /// Inserts `key`; returns whether it was newly added.
-    pub fn insert(&mut self, key: usize) -> bool {
-        if self.present.len() <= key {
-            self.present.resize(key.saturating_add(1), false);
-        }
-        match self.present.get_mut(key) {
-            Some(slot) if !*slot => {
-                *slot = true;
-                self.members.push(key);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Whether `key` is a member.
-    #[inline]
-    pub fn contains(&self, key: usize) -> bool {
-        self.present.get(key).copied().unwrap_or(false)
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// The members in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.members.iter().copied()
-    }
-
-    /// Empties the set in O(members), keeping allocations.
-    pub fn clear(&mut self) {
-        for &m in &self.members {
-            if let Some(slot) = self.present.get_mut(m) {
-                *slot = false;
-            }
-        }
-        self.members.clear();
-    }
-}
-
-impl FromIterator<usize> for IterableRefSet {
-    fn from_iter<T: IntoIterator<Item = usize>>(iter: T) -> Self {
-        let mut set = IterableRefSet::new();
-        for k in iter {
-            set.insert(k);
-        }
-        set
     }
 }
 
@@ -262,28 +184,6 @@ mod tests {
         assert_eq!(m.get(9), Some(&8));
         assert_eq!(m.iter().collect::<Vec<_>>(), vec![(9, &8)]);
         assert!(m.capacity() >= 10);
-    }
-
-    #[test]
-    fn iterable_refset_tracks_members() {
-        let mut s = IterableRefSet::new();
-        assert!(s.insert(5));
-        assert!(s.insert(1));
-        assert!(!s.insert(5));
-        assert!(s.contains(5) && s.contains(1) && !s.contains(0));
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![5, 1]);
-        assert_eq!(s.len(), 2);
-        s.clear();
-        assert!(s.is_empty());
-        assert!(!s.contains(5));
-        assert!(s.insert(5));
-    }
-
-    #[test]
-    fn iterable_refset_from_iterator() {
-        let s: IterableRefSet = [2usize, 4, 2, 0].into_iter().collect();
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![2, 4, 0]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use std::fmt;
 
-use crate::{ItemSet, Transaction, TransactionDb};
+use crate::ItemSet;
 
 /// Index of a time unit in a [`SegmentedDb`], starting at zero.
 ///
@@ -73,19 +73,6 @@ impl SegmentedDb {
         SegmentedDb { units: vec![Vec::new(); n] }
     }
 
-    /// Segments a flat [`TransactionDb`] using the unit stamped on each
-    /// transaction. The number of units is one past the maximum stamped
-    /// unit, or `min_units` if that is larger.
-    pub fn from_transactions(db: &TransactionDb, min_units: usize) -> Self {
-        let max_unit = db.iter().map(|t| t.unit.index() + 1).max().unwrap_or(0);
-        let n = max_unit.max(min_units);
-        let mut units: Vec<Vec<ItemSet>> = vec![Vec::new(); n];
-        for t in db.iter() {
-            units[t.unit.index()].push(t.items.clone());
-        }
-        SegmentedDb { units }
-    }
-
     /// Segments raw timestamped itemsets: transaction `(time, items)` goes
     /// into unit `(time - t0) / unit_len` where `t0` is the smallest time.
     ///
@@ -154,19 +141,6 @@ impl SegmentedDb {
     pub fn max_item_id(&self) -> Option<u32> {
         self.iter_all().filter_map(|(_, t)| t.as_slice().last().map(|it| it.id())).max()
     }
-
-    /// Flattens into a [`TransactionDb`], assigning sequential ids.
-    pub fn to_transaction_db(&self) -> TransactionDb {
-        let mut db = TransactionDb::new();
-        let mut id = 0u64;
-        for (i, unit) in self.units.iter().enumerate() {
-            for items in unit {
-                db.push(Transaction::new(id, TimeUnit::new(i as u32), items.clone()));
-                id += 1;
-            }
-        }
-        db
-    }
 }
 
 impl fmt::Debug for SegmentedDb {
@@ -234,26 +208,6 @@ mod tests {
         assert_eq!(db.num_units(), 5);
         assert_eq!(db.unit(4).len(), 1);
         assert!(db.unit(2).is_empty());
-    }
-
-    #[test]
-    fn roundtrip_through_transaction_db() {
-        let db = SegmentedDb::from_unit_itemsets(vec![
-            vec![set(&[1])],
-            vec![set(&[2]), set(&[2, 3])],
-        ]);
-        let flat = db.to_transaction_db();
-        assert_eq!(flat.len(), 3);
-        let back = SegmentedDb::from_transactions(&flat, 0);
-        assert_eq!(back, db);
-    }
-
-    #[test]
-    fn from_transactions_respects_min_units() {
-        let flat = TransactionDb::new();
-        let db = SegmentedDb::from_transactions(&flat, 4);
-        assert_eq!(db.num_units(), 4);
-        assert_eq!(db.num_transactions(), 0);
     }
 
     #[test]

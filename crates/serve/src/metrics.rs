@@ -281,11 +281,68 @@ impl Metrics {
         self.recovery_truncated.load(Ordering::Relaxed)
     }
 
-    /// Renders the Prometheus exposition text. `counters` and `gauges`
-    /// supply values owned by other subsystems (the window's online
-    /// work, the router's fan-out; queue depth, retained rules, ...),
-    /// each as `(name, help, value)`; the counters are rendered with
-    /// these metrics' own.
+    /// The counters only a daemon moves: ingest, the query cache, the
+    /// WAL, snapshots and recovery, as `(name, help, value)`. The
+    /// daemon's `/metrics` passes them to [`Self::render_prometheus`];
+    /// a router, which runs none of those, does not.
+    pub fn daemon_counters(&self) -> [(&'static str, &'static str, u64); 10] {
+        [
+            (
+                "car_units_ingested_total",
+                "Time units accepted into the ingest queue.",
+                &self.units_ingested,
+            ),
+            (
+                "car_transactions_ingested_total",
+                "Transactions accepted across all ingested units.",
+                &self.transactions_ingested,
+            ),
+            (
+                "car_ingest_rejected_total",
+                "Units rejected because the ingest queue was full.",
+                &self.ingest_rejected,
+            ),
+            (
+                "car_query_cache_hits",
+                "Rules queries served from the epoch-keyed response cache.",
+                &self.query_cache_hits,
+            ),
+            (
+                "car_query_cache_misses",
+                "Rules queries assembled from miner state (cache miss).",
+                &self.query_cache_misses,
+            ),
+            (
+                "car_wal_bytes_total",
+                "Bytes appended to the write-ahead log.",
+                &self.wal_bytes,
+            ),
+            (
+                "car_wal_fsyncs_total",
+                "Write-ahead log fsyncs performed.",
+                &self.wal_fsyncs,
+            ),
+            (
+                "car_wal_errors_total",
+                "Durability-layer failures (append, fsync, snapshot).",
+                &self.wal_errors,
+            ),
+            ("car_snapshots_total", "Window snapshots written.", &self.snapshots),
+            (
+                "car_recovery_truncated_records_total",
+                "WAL records discarded by boot recovery (torn or corrupt).",
+                &self.recovery_truncated,
+            ),
+        ]
+        .map(|(name, help, counter)| (name, help, counter.load(Ordering::Relaxed)))
+    }
+
+    /// Renders the Prometheus exposition text: the HTTP request and
+    /// latency families and the counters every server moves. `counters`
+    /// and `gauges` supply values owned by the caller (the daemon's
+    /// [`Self::daemon_counters`] and window work, the router's fan-out;
+    /// queue depth, retained rules, ...), each as `(name, help, value)`;
+    /// the counters are rendered with these metrics' own.
     pub fn render_prometheus(
         &self,
         counters: &[(&str, &str, u64)],
@@ -371,59 +428,15 @@ impl Metrics {
             ));
         }
 
-        // Always rendered, even at zero, so dashboards and CI greps can
-        // rely on every family existing.
+        // Every server moves these: the daemon and the router share the
+        // connection loop, and each counts its own 504s. Always
+        // rendered, even at zero, so dashboards and CI greps can rely on
+        // every family existing.
         let own = [
-            (
-                "car_units_ingested_total",
-                "Time units accepted into the ingest queue.",
-                &self.units_ingested,
-            ),
-            (
-                "car_transactions_ingested_total",
-                "Transactions accepted across all ingested units.",
-                &self.transactions_ingested,
-            ),
-            (
-                "car_ingest_rejected_total",
-                "Units rejected because the ingest queue was full.",
-                &self.ingest_rejected,
-            ),
             (
                 "car_http_parse_errors_total",
                 "Requests rejected by the HTTP parser.",
                 &self.parse_errors,
-            ),
-            (
-                "car_query_cache_hits",
-                "Rules queries served from the epoch-keyed response cache.",
-                &self.query_cache_hits,
-            ),
-            (
-                "car_query_cache_misses",
-                "Rules queries assembled from miner state (cache miss).",
-                &self.query_cache_misses,
-            ),
-            (
-                "car_wal_bytes_total",
-                "Bytes appended to the write-ahead log.",
-                &self.wal_bytes,
-            ),
-            (
-                "car_wal_fsyncs_total",
-                "Write-ahead log fsyncs performed.",
-                &self.wal_fsyncs,
-            ),
-            (
-                "car_wal_errors_total",
-                "Durability-layer failures (append, fsync, snapshot).",
-                &self.wal_errors,
-            ),
-            ("car_snapshots_total", "Window snapshots written.", &self.snapshots),
-            (
-                "car_recovery_truncated_records_total",
-                "WAL records discarded by boot recovery (torn or corrupt).",
-                &self.recovery_truncated,
             ),
             (
                 "car_shed_total",
@@ -562,8 +575,15 @@ mod tests {
         assert_eq!(m.units_ingested(), 2);
         assert_eq!(m.query_cache_hits(), 2);
         assert_eq!(m.query_cache_misses(), 1);
+        // A router renders none of the daemon's families.
+        let bare = m.render_prometheus(&[], &[]);
+        for (name, _, _) in m.daemon_counters() {
+            assert!(!bare.contains(name), "{name}");
+        }
+        let mut counters = m.daemon_counters().to_vec();
+        counters.push(("car_example_total", "A caller's counter.", 5));
         let text = m.render_prometheus(
-            &[("car_example_total", "A caller's counter.", 5)],
+            &counters,
             &[("car_ingest_queue_depth", "Units waiting in the ingest queue.", 3.0)],
         );
         assert!(text.contains("car_units_ingested_total 2\n"));

@@ -682,9 +682,10 @@ fn metrics(state: &Arc<AppState>) -> Response {
         miner.last_view_rule_count().unwrap_or(0),
         miner.tracked_rules(),
     );
-    // The window's counters: only a daemon runs a window, so the router
-    // exports no `car_window_*` or `car_mine_*` family.
-    let counters = [
+    // The daemon's own counters and its window's: only a daemon ingests,
+    // logs and runs a window, so the router exports none of these.
+    let mut counters = state.metrics.daemon_counters().to_vec();
+    counters.extend([
         ("car_window_evictions_total", "Units evicted from the sliding window.", evictions),
         (
             "car_mine_online_holds_total",
@@ -696,7 +697,7 @@ fn metrics(state: &Arc<AppState>) -> Response {
             "Candidate cycles of tracked itemsets found dead at default-view assembly.",
             miner.online_eliminations(),
         ),
-    ];
+    ]);
     drop(miner);
     let text = state.metrics.render_prometheus(&counters, &[
         (

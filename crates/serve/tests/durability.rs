@@ -7,7 +7,8 @@
 //! from a snapshot, a WAL replay, or both, and even when the WAL tail
 //! was torn by a crash.
 
-use std::collections::BTreeSet;
+mod common;
+
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -21,17 +22,9 @@ use car_serve::persist::fault::{append_garbage, FaultPlan};
 use car_serve::persist::snapshot::write_snapshot;
 use car_serve::persist::wal::{encode_record_into, list_segments, parse_records};
 use car_serve::{serve, Client, PersistConfig, ServerConfig, ServerHandle};
-
-const WINDOW: usize = 8;
-
-fn mining_config(min_confidence: f64) -> MiningConfig {
-    MiningConfig::builder()
-        .min_support_fraction(0.2)
-        .min_confidence(min_confidence)
-        .cycle_bounds(2, 4)
-        .build()
-        .unwrap()
-}
+use common::{
+    batch_rules, mining_config, served_rules, unit_body, unit_json, RuleSet, WINDOW,
+};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -75,59 +68,7 @@ fn wait_ready(client: &mut Client) -> Json {
     }
 }
 
-fn unit_json(unit: &[ItemSet]) -> Json {
-    let transactions = Json::Array(
-        unit.iter()
-            .map(|tx| Json::Array(tx.iter().map(|item| Json::from(item.id())).collect()))
-            .collect(),
-    );
-    Json::Object(vec![("transactions".to_string(), transactions)])
-}
-
-fn unit_body(unit: &[ItemSet]) -> Vec<u8> {
-    unit_json(unit).render().into_bytes()
-}
-
-fn served_rules(doc: &Json) -> BTreeSet<(String, Vec<(u64, u64)>)> {
-    doc.get("rules")
-        .and_then(Json::as_array)
-        .expect("rules array")
-        .iter()
-        .map(|r| {
-            let name = r.get("rule").and_then(Json::as_str).unwrap().to_string();
-            let cycles = r
-                .get("cycles")
-                .and_then(Json::as_array)
-                .unwrap()
-                .iter()
-                .map(|c| {
-                    (
-                        c.get("length").and_then(Json::as_u64).unwrap(),
-                        c.get("offset").and_then(Json::as_u64).unwrap(),
-                    )
-                })
-                .collect();
-            (name, cycles)
-        })
-        .collect()
-}
-
-fn batch_rules(rules: &[CyclicRule]) -> BTreeSet<(String, Vec<(u64, u64)>)> {
-    rules
-        .iter()
-        .map(|r| {
-            (
-                r.rule.to_string(),
-                r.cycles
-                    .iter()
-                    .map(|c| (u64::from(c.length()), u64::from(c.offset())))
-                    .collect(),
-            )
-        })
-        .collect()
-}
-
-fn fetch_rules(client: &mut Client) -> BTreeSet<(String, Vec<(u64, u64)>)> {
+fn fetch_rules(client: &mut Client) -> RuleSet {
     let resp = client.request("GET", "/v1/rules", None).unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_text());
     served_rules(&Json::parse(&resp.body_text()).unwrap())

@@ -6,26 +6,17 @@
 //! that batch-mining the retained window produces — the daemon is a
 //! faithful online view of the paper's SEQUENTIAL algorithm.
 
+mod common;
+
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 use car_core::sequential::mine_sequential;
-use car_core::{CyclicRule, MiningConfig};
 use car_datagen::{generate_cyclic, CyclicConfig};
 use car_itemset::{ItemSet, SegmentedDb};
 use car_serve::json::Json;
 use car_serve::{serve, Client, ServerConfig};
-
-const WINDOW: usize = 8;
-
-fn mining_config(min_confidence: f64) -> MiningConfig {
-    MiningConfig::builder()
-        .min_support_fraction(0.2)
-        .min_confidence(min_confidence)
-        .cycle_bounds(2, 4)
-        .build()
-        .unwrap()
-}
+use common::{batch_rules, mining_config, served_rules, unit_body, WINDOW};
 
 fn test_server(queue_capacity: usize) -> car_serve::ServerHandle {
     serve(ServerConfig {
@@ -38,57 +29,6 @@ fn test_server(queue_capacity: usize) -> car_serve::ServerHandle {
         ..ServerConfig::default()
     })
     .expect("server boots on an ephemeral port")
-}
-
-/// Renders one time unit as the ingest wire format.
-fn unit_body(unit: &[ItemSet]) -> Vec<u8> {
-    let transactions = Json::Array(
-        unit.iter()
-            .map(|tx| Json::Array(tx.iter().map(|item| Json::from(item.id())).collect()))
-            .collect(),
-    );
-    Json::Object(vec![("transactions".to_string(), transactions)]).render().into_bytes()
-}
-
-/// Canonicalises a rules payload (server JSON) for comparison.
-fn served_rules(doc: &Json) -> BTreeSet<(String, Vec<(u64, u64)>)> {
-    doc.get("rules")
-        .and_then(Json::as_array)
-        .expect("rules array")
-        .iter()
-        .map(|r| {
-            let name = r.get("rule").and_then(Json::as_str).unwrap().to_string();
-            let cycles = r
-                .get("cycles")
-                .and_then(Json::as_array)
-                .unwrap()
-                .iter()
-                .map(|c| {
-                    (
-                        c.get("length").and_then(Json::as_u64).unwrap(),
-                        c.get("offset").and_then(Json::as_u64).unwrap(),
-                    )
-                })
-                .collect();
-            (name, cycles)
-        })
-        .collect()
-}
-
-/// Canonicalises batch-mined rules the same way.
-fn batch_rules(rules: &[CyclicRule]) -> BTreeSet<(String, Vec<(u64, u64)>)> {
-    rules
-        .iter()
-        .map(|r| {
-            (
-                r.rule.to_string(),
-                r.cycles
-                    .iter()
-                    .map(|c| (u64::from(c.length()), u64::from(c.offset())))
-                    .collect(),
-            )
-        })
-        .collect()
 }
 
 #[test]

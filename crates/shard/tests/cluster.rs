@@ -125,23 +125,35 @@ fn sample(metrics: &str, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("no sample {name} in {metrics}"))
 }
 
-/// Asserts that in a `/metrics` body counters, and only counters, end in
-/// `_total`, except the two query-cache counters, which stay exported
-/// under the bare names the benchmark reads.
-fn assert_total_suffix_rule(metrics: &str) {
-    let bare = ["car_query_cache_hits", "car_query_cache_misses"];
-    let mut bare_seen = 0;
+/// Asserts that in a router's `/metrics` body counters, and only
+/// counters, end in `_total`, and that it has none of the families only a
+/// daemon moves (ingest, the query cache, the WAL, snapshots, recovery).
+fn assert_router_families(metrics: &str) {
     for declaration in metrics.lines().filter_map(|line| line.strip_prefix("# TYPE ")) {
         let (name, kind) = declaration.split_once(' ').expect("TYPE names a kind");
-        let is_bare = bare.contains(&name);
-        bare_seen += usize::from(is_bare);
         assert_eq!(
             kind == "counter",
-            name.ends_with("_total") || is_bare,
+            name.ends_with("_total"),
             "{kind} `{name}`: counters, and only counters, end in `_total`"
         );
     }
-    assert_eq!(bare_seen, bare.len(), "{bare:?} must stay exported: {metrics}");
+    for daemon_only in [
+        "car_units_ingested_total",
+        "car_transactions_ingested_total",
+        "car_ingest_rejected_total",
+        "car_query_cache_hits",
+        "car_query_cache_misses",
+        "car_wal_bytes_total",
+        "car_wal_fsyncs_total",
+        "car_wal_errors_total",
+        "car_snapshots_total",
+        "car_recovery_truncated_records_total",
+    ] {
+        assert!(
+            !metrics.contains(daemon_only),
+            "router exports {daemon_only}: {metrics}"
+        );
+    }
 }
 
 /// Sends `addr` a request head that never ends, one byte every 250 ms,
@@ -240,7 +252,7 @@ fn routed_rules_match_single_node_byte_for_byte() {
     assert_eq!(doc.get("degraded_shards").and_then(Json::as_u64), Some(0));
     let metrics = rc.request("GET", "/metrics", None).unwrap().body_text();
     assert!(metrics.contains("car_shard_fanout_total"));
-    assert_total_suffix_rule(&metrics);
+    assert_router_families(&metrics);
     assert_eq!(sample(&metrics, "car_shard_units_routed_total"), 8);
     assert_eq!(sample(&metrics, "car_shard_down_total"), 0);
     // Only a daemon's window moves the online-maintenance counters; the
