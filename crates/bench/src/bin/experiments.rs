@@ -1,6 +1,8 @@
 //! Regenerates the evaluation of the ICDE'98 cyclic association rules
 //! paper: every figure/table of DESIGN.md's experiment index (EXP-1 …
-//! EXP-8) as a printed series.
+//! EXP-9) as a markdown table. Every point is timed `RUNS` (5) times and
+//! printed as `median [q1, q3]`, and every experiment asserts that its
+//! algorithms, ablations or engines return the same answers.
 //!
 //! ```text
 //! experiments                 # run everything at base scale
@@ -11,7 +13,7 @@
 #![allow(clippy::field_reassign_with_default)]
 
 use car_bench::{
-    measure, measure_named, print_series, scenario, ScenarioParams, SeriesRow,
+    measure, print_series, scenario, time_runs, ScenarioParams, SeriesRow, Timing, RUNS,
 };
 use car_core::{Algorithm, CountStrategy, InterleavedOptions};
 
@@ -94,10 +96,9 @@ fn base_params(scale: Scale) -> ScenarioParams {
 /// Measures SEQUENTIAL and INTERLEAVED on one scenario.
 fn seq_vs_int(label: &str, params: ScenarioParams) -> SeriesRow {
     let s = scenario(label, params);
-    let seq = measure(&s.db, &s.config, Algorithm::Sequential);
-    let int = measure(&s.db, &s.config, Algorithm::interleaved());
-    assert_eq!(seq.rules, int.rules, "algorithms disagreed on {label}");
-    SeriesRow { x: label.to_string(), measurements: vec![seq, int] }
+    let [sequential, interleaved] =
+        measure(&s.db, &s.config, [Algorithm::Sequential, Algorithm::interleaved()]);
+    SeriesRow { x: label.to_string(), sequential, interleaved }
 }
 
 /// EXP-1: runtime vs number of time units.
@@ -209,44 +210,22 @@ fn exp5_num_items(scale: Scale) {
 /// EXP-6: contribution of each INTERLEAVED optimization.
 fn exp6_ablation(scale: Scale) {
     let s = scenario("ablation", base_params(scale));
-    let configs = [
-        ("INTERLEAVED (all)", Algorithm::Interleaved(InterleavedOptions::all())),
-        (
-            "  without pruning",
-            Algorithm::Interleaved(InterleavedOptions::all().without_pruning()),
-        ),
-        (
-            "  without skipping",
-            Algorithm::Interleaved(InterleavedOptions::all().without_skipping()),
-        ),
-        (
-            "  without elimination",
-            Algorithm::Interleaved(InterleavedOptions::all().without_elimination()),
-        ),
-        ("  none (all off)", Algorithm::Interleaved(InterleavedOptions::none())),
+    let all = InterleavedOptions::all();
+    let variants = [
+        ("INTERLEAVED (all)", Algorithm::Interleaved(all)),
+        ("− cycle pruning", Algorithm::Interleaved(all.without_pruning())),
+        ("− cycle skipping", Algorithm::Interleaved(all.without_skipping())),
+        ("− cycle elimination", Algorithm::Interleaved(all.without_elimination())),
+        ("none (all off)", Algorithm::Interleaved(InterleavedOptions::none())),
         ("SEQUENTIAL", Algorithm::Sequential),
     ];
+    let measured = measure(&s.db, &s.config, variants.map(|(_, algorithm)| algorithm));
     println!("== EXP-6: optimization ablation (base workload) ==");
-    println!(
-        "{:<24}{:<12}{:<20}{:<16}{:<8}",
-        "variant", "runtime", "support counts", "skipped", "rules"
-    );
-    let mut expected_rules = None;
-    for (label, algorithm) in configs {
-        let m = measure_named(label, &s.db, &s.config, algorithm);
-        println!(
-            "{:<24}{:<12}{:<20}{:<16}{:<8}",
-            m.label,
-            car_bench::format_duration(m.runtime),
-            m.stats.support_computations,
-            m.stats.skipped_counts,
-            m.rules,
-        );
-        if let Some(expected) = expected_rules {
-            assert_eq!(m.rules, expected, "ablation changed results");
-        } else {
-            expected_rules = Some(m.rules);
-        }
+    println!("| variant | runtime | support computations | skipped counts | rules |");
+    println!("|---|---|---|---|---|");
+    for ((label, _), m) in variants.iter().zip(&measured) {
+        let (support, skipped) = (m.stats.support_computations, m.stats.skipped_counts);
+        println!("| {label} | {} | {support} | {skipped} | {} |", m.runtime, m.rules);
     }
     println!();
 }
@@ -254,42 +233,30 @@ fn exp6_ablation(scale: Scale) {
 /// EXP-7: work metrics of INTERLEAVED vs SEQUENTIAL.
 fn exp7_work_metrics(scale: Scale) {
     let s = scenario("metrics", base_params(scale));
-    let int = measure(&s.db, &s.config, Algorithm::interleaved());
-    let seq = measure(&s.db, &s.config, Algorithm::Sequential);
+    let [int, seq] =
+        measure(&s.db, &s.config, [Algorithm::interleaved(), Algorithm::Sequential]);
+    let (i, q) = (&int.stats, &seq.stats);
     println!("== EXP-7: work metrics (base workload) ==");
-    println!("{:<28}{:<16}{:<16}", "metric", "INTERLEAVED", "SEQUENTIAL");
+    println!("| metric | INTERLEAVED | SEQUENTIAL |");
+    println!("|---|---|---|");
     let rows: [(&str, u64, u64); 6] = [
-        (
-            "support computations",
-            int.stats.support_computations,
-            seq.stats.support_computations,
-        ),
-        ("skipped counts", int.stats.skipped_counts, seq.stats.skipped_counts),
-        (
-            "unit scans skipped",
-            int.stats.skipped_unit_scans,
-            seq.stats.skipped_unit_scans,
-        ),
+        ("support computations", i.support_computations, q.support_computations),
+        ("skipped counts", i.skipped_counts, q.skipped_counts),
+        ("unit scans skipped", i.skipped_unit_scans, q.skipped_unit_scans),
         (
             "candidates pruned (cycles)",
-            int.stats.candidates_pruned_by_cycles,
-            seq.stats.candidates_pruned_by_cycles,
+            i.candidates_pruned_by_cycles,
+            q.candidates_pruned_by_cycles,
         ),
-        ("cycles eliminated", int.stats.cycles_eliminated, seq.stats.cycles_eliminated),
-        ("rules checked", int.stats.rules_checked, seq.stats.rules_checked),
+        ("cycles eliminated", i.cycles_eliminated, q.cycles_eliminated),
+        ("rules checked", i.rules_checked, q.rules_checked),
     ];
     for (label, i, q) in rows {
-        println!("{label:<28}{i:<16}{q:<16}");
+        println!("| {label} | {i} | {q} |");
     }
-    println!(
-        "{:<28}{:<16}{:<16}",
-        "runtime",
-        car_bench::format_duration(int.runtime),
-        car_bench::format_duration(seq.runtime)
-    );
-    println!("cyclic itemsets (interleaved phase 1): {}", int.stats.cyclic_itemsets);
+    println!("| runtime | {} | {} |", int.runtime, seq.runtime);
+    println!("cyclic itemsets (interleaved phase 1): {}", i.cyclic_itemsets);
     println!("cyclic rules: {}", int.rules);
-    assert_eq!(int.rules, seq.rules);
     println!();
 }
 
@@ -305,10 +272,8 @@ fn exp8_counting_engines(scale: Scale) {
     use car_itemset::ItemSet;
 
     println!("== EXP-8: counting engines ==");
-    println!(
-        "{:<10}{:<4}{:<8}{:<14}{:<14}",
-        "avg tx", "k", "cands", "HashTree", "Vertical"
-    );
+    println!("| avg tx | k | candidates | HashTree | Vertical |");
+    println!("|---|---|---|---|---|");
     let n_tx = match scale {
         Scale::Small => 2_000usize,
         Scale::Base => 10_000,
@@ -342,33 +307,20 @@ fn exp8_counting_engines(scale: Scale) {
         let mut candidates: Vec<ItemSet> = universe.k_subsets(k).collect();
         candidates.sort_unstable();
 
-        let mut cols = Vec::new();
-        let mut reference: Option<Vec<u64>> = None;
-        for strategy in [CountStrategy::HashTree, CountStrategy::Vertical] {
-            let start = std::time::Instant::now();
-            let result = count_candidates(&candidates, transactions, strategy);
-            cols.push(car_bench::format_duration(start.elapsed()));
-            match &reference {
-                None => reference = Some(result),
-                Some(expected) => assert_eq!(expected, &result, "engines disagreed"),
-            }
-        }
-        println!(
-            "{:<10}{:<4}{:<8}{:<14}{:<14}",
-            avg_len,
-            k,
-            candidates.len(),
-            cols[0],
-            cols[1]
-        );
+        let engines = [CountStrategy::HashTree, CountStrategy::Vertical];
+        let [(hash_tree, expected), (vertical, counts)] =
+            time_runs(|i| count_candidates(&candidates, transactions, engines[i]));
+        assert_eq!(expected, counts, "engines disagreed");
+        println!("| {avg_len} | {k} | {} | {hash_tree} | {vertical} |", candidates.len());
     }
     println!();
 }
 
 /// EXP-9 (extension): maintaining results as units arrive — a sliding
 /// window as long as the stream, which mines each unit once, vs
-/// re-mining the whole growing prefix after every unit. After every
-/// unit the two must give the same rules.
+/// re-mining the whole growing prefix after every unit. The stream is
+/// replayed `RUNS` times, each strategy's time summed per replay, and
+/// after every unit the two must give the same rules.
 fn exp9_incremental(scale: Scale) {
     use car_core::sequential::mine_sequential;
     use car_core::window::SlidingWindowMiner;
@@ -385,42 +337,41 @@ fn exp9_incremental(scale: Scale) {
     let n = s.db.num_units();
     let l_max = s.config.cycle_bounds.l_max() as usize;
 
-    let mut miner = SlidingWindowMiner::new(s.config, n).expect("window covers l_max");
-    let (mut window_time, mut batch_time) = (Duration::ZERO, Duration::ZERO);
+    let (mut window_runs, mut batch_runs) = (Vec::new(), Vec::new());
     let mut rules = 0;
-    for end in 1..=n {
-        // Window: ingest the arriving unit once, then query.
-        let start = Instant::now();
-        miner.push_unit(s.db.unit(end - 1));
-        let view = (end >= l_max).then(|| miner.current_rules().expect("l_max units in"));
-        window_time += start.elapsed();
-        let Some(view) = view else { continue };
+    for _ in 0..RUNS {
+        let mut miner =
+            SlidingWindowMiner::new(s.config, n).expect("window covers l_max");
+        let (mut window_time, mut batch_time) = (Duration::ZERO, Duration::ZERO);
+        for end in 1..=n {
+            // Window: ingest the arriving unit once, then query.
+            let start = Instant::now();
+            miner.push_unit(s.db.unit(end - 1));
+            let view =
+                (end >= l_max).then(|| miner.current_rules().expect("l_max units in"));
+            window_time += start.elapsed();
+            let Some(view) = view else { continue };
 
-        // Batch: re-mine the whole prefix.
-        let start = Instant::now();
-        let prefix = SegmentedDb::from_unit_itemsets(
-            (0..end).map(|u| s.db.unit(u).to_vec()).collect(),
-        );
-        let batch = mine_sequential(&prefix, &s.config).expect("window validated");
-        batch_time += start.elapsed();
-        assert_eq!(*view, batch.rules, "window must match re-mining {end} units");
-        rules = view.len();
+            // Batch: re-mine the whole prefix.
+            let start = Instant::now();
+            let prefix = SegmentedDb::from_unit_itemsets(
+                (0..end).map(|u| s.db.unit(u).to_vec()).collect(),
+            );
+            let batch = mine_sequential(&prefix, &s.config).expect("window validated");
+            batch_time += start.elapsed();
+            assert_eq!(*view, batch.rules, "window must match re-mining {end} units");
+            rules = view.len();
+        }
+        window_runs.push(window_time);
+        batch_runs.push(batch_time);
     }
+    let (window, batch) = (Timing::of(&window_runs), Timing::of(&batch_runs));
 
     println!("== EXP-9: maintaining results as units arrive ==");
-    println!("{:<28}{:<12}{:<10}", "strategy", "total time", "rules");
-    println!(
-        "{:<28}{:<12}{:<10}",
-        format!("sliding window ({n} units)"),
-        car_bench::format_duration(window_time),
-        rules
-    );
-    println!(
-        "{:<28}{:<12}{:<10}",
-        "re-mine prefix each unit",
-        car_bench::format_duration(batch_time),
-        rules
-    );
-    println!("speedup: {:.2}x", batch_time.as_secs_f64() / window_time.as_secs_f64());
+    println!("| strategy | total time | rules |");
+    println!("|---|---|---|");
+    println!("| sliding window ({n} units) | {window} | {rules} |");
+    println!("| re-mine prefix each unit | {batch} | {rules} |");
+    println!("speedup (ratio of medians): {:.2}×", batch.ratio(&window));
     println!();
 }

@@ -1,69 +1,48 @@
-//! Fixed-width table output for experiment series.
-
-use std::time::Duration;
+//! Markdown tables for experiment series.
 
 use crate::Measurement;
 
-/// One row of a sweep table: the x-axis value plus the measurements of
-/// each algorithm at that point.
+/// One point of a SEQUENTIAL versus INTERLEAVED sweep.
 pub struct SeriesRow {
-    /// The swept parameter's value at this row.
+    /// The swept parameter's value at this point.
     pub x: String,
-    /// Measurements, one per algorithm column.
-    pub measurements: Vec<Measurement>,
+    /// SEQUENTIAL's measurement.
+    pub sequential: Measurement,
+    /// INTERLEAVED's measurement.
+    pub interleaved: Measurement,
 }
 
-/// Formats a duration in the human scale benchmarking output wants.
-pub fn format_duration(d: Duration) -> String {
-    let secs = d.as_secs_f64();
-    if secs >= 1.0 {
-        format!("{secs:.2}s")
-    } else if secs >= 1e-3 {
-        format!("{:.1}ms", secs * 1e3)
-    } else {
-        format!("{:.0}µs", secs * 1e6)
-    }
-}
-
-/// Prints a sweep table:
+/// Renders a sweep as a markdown table under an `== title ==` line:
 ///
 /// ```text
 /// == EXP-1: runtime vs number of time units ==
-/// units      SEQUENTIAL   INTERLEAVED  speedup  rules
-/// 16         1.23s        0.41s        3.0x     210
+/// | units | SEQUENTIAL | INTERLEAVED | speedup | rules | SEQ support computations | SEQ rules checked | INT support computations | INT skipped counts |
+/// |---|---|---|---|---|---|---|---|---|
+/// | 16 | 1.23s [1.20s, 1.25s] | 410.0ms [405.1ms, 412.9ms] | 3.00× | 210 | ... |
 /// ```
 ///
-/// The speedup column divides the first column's runtime by the last's.
-/// Returns the formatted text (also printed to stdout by the binary).
+/// Runtimes are `median [q1, q3]`, the speedup is the ratio of the
+/// medians, and the counters are the ones that explain the gap:
+/// SEQUENTIAL's support computations and rule checks, INTERLEAVED's
+/// support computations and the counts its cycles let it skip.
 pub fn print_series(title: &str, x_label: &str, rows: &[SeriesRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("== {title} ==\n"));
-    if rows.is_empty() {
-        out.push_str("(no data)\n");
-        return out;
-    }
-    // Header.
-    out.push_str(&format!("{x_label:<12}"));
-    for m in &rows[0].measurements {
-        out.push_str(&format!("{:<16}", m.label));
-    }
-    if rows[0].measurements.len() >= 2 {
-        out.push_str(&format!("{:<9}", "speedup"));
-    }
-    out.push_str("rules\n");
-    // Rows.
-    for row in rows {
-        out.push_str(&format!("{:<12}", row.x));
-        for m in &row.measurements {
-            out.push_str(&format!("{:<16}", format_duration(m.runtime)));
-        }
-        if row.measurements.len() >= 2 {
-            let first = row.measurements[0].runtime.as_secs_f64();
-            let last = row.measurements[row.measurements.len() - 1].runtime.as_secs_f64();
-            let speedup = if last > 0.0 { first / last } else { f64::INFINITY };
-            out.push_str(&format!("{:<9}", format!("{speedup:.2}x")));
-        }
-        out.push_str(&format!("{}\n", row.measurements[0].rules));
+    let mut out = format!(
+        "== {title} ==\n| {x_label} | SEQUENTIAL | INTERLEAVED | speedup | rules \
+         | SEQ support computations | SEQ rules checked | INT support computations \
+         | INT skipped counts |\n|---|---|---|---|---|---|---|---|---|\n"
+    );
+    for SeriesRow { x, sequential: seq, interleaved: int } in rows {
+        out.push_str(&format!(
+            "| {x} | {} | {} | {:.2}× | {} | {} | {} | {} | {} |\n",
+            seq.runtime,
+            int.runtime,
+            seq.runtime.ratio(&int.runtime),
+            seq.rules,
+            seq.stats.support_computations,
+            seq.stats.rules_checked,
+            int.stats.support_computations,
+            int.stats.skipped_counts,
+        ));
     }
     out
 }
@@ -71,47 +50,38 @@ pub fn print_series(title: &str, x_label: &str, rows: &[SeriesRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Timing;
     use car_core::MiningStats;
+    use std::time::Duration;
 
-    fn m(label: &str, ms: u64, rules: usize) -> Measurement {
+    fn m(ms: u64, rules: usize, support_computations: u64) -> Measurement {
+        let ms = Duration::from_millis(ms);
         Measurement {
-            label: label.into(),
-            runtime: Duration::from_millis(ms),
+            runtime: Timing::of(&[ms, ms, ms + ms]),
             rules,
-            stats: MiningStats::default(),
+            stats: MiningStats { support_computations, ..MiningStats::default() },
         }
     }
 
     #[test]
-    fn formats_durations() {
-        assert_eq!(format_duration(Duration::from_secs(2)), "2.00s");
-        assert_eq!(format_duration(Duration::from_millis(12)), "12.0ms");
-        assert_eq!(format_duration(Duration::from_micros(7)), "7µs");
-    }
-
-    #[test]
-    fn renders_table_with_speedup() {
+    fn renders_table_with_speedup_and_counters() {
         let rows = vec![
             SeriesRow {
                 x: "16".into(),
-                measurements: vec![m("SEQ", 100, 5), m("INT", 25, 5)],
+                sequential: m(100, 5, 70),
+                interleaved: m(25, 5, 9),
             },
             SeriesRow {
                 x: "32".into(),
-                measurements: vec![m("SEQ", 300, 9), m("INT", 60, 9)],
+                sequential: m(300, 9, 80),
+                interleaved: m(60, 9, 8),
             },
         ];
         let text = print_series("EXP-1: test", "units", &rows);
-        assert!(text.contains("== EXP-1: test =="));
-        assert!(text.contains("SEQ"));
-        assert!(text.contains("4.00x"), "{text}");
-        assert!(text.contains("5.00x"), "{text}");
-        assert!(text.lines().count() == 4);
-    }
-
-    #[test]
-    fn empty_rows() {
-        let text = print_series("t", "x", &[]);
-        assert!(text.contains("(no data)"));
+        assert!(text.starts_with("== EXP-1: test ==\n| units | SEQUENTIAL |"), "{text}");
+        assert!(text.contains("| 16 | 100.0ms [100.0ms, 150.0ms] | 25.0ms"), "{text}");
+        assert!(text.contains("| 4.00× | 5 | 70 | 0 | 9 | 0 |"), "{text}");
+        assert!(text.contains("| 5.00× | 9 | 80 | 0 | 8 | 0 |"), "{text}");
+        assert_eq!(text.lines().count(), 5);
     }
 }

@@ -56,6 +56,15 @@ pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     // fraction of per-shard transaction volume does not), so a worker of
     // a cluster must run with --min-support-count (checked below).
     if let Some(raw) = args.get("min-support-count") {
+        // The builder keeps the last threshold it was given, so the pair
+        // would silently mine at the count.
+        if args.get("min-support").is_some() {
+            return Err(CliError::Usage(
+                "--min-support and --min-support-count are two support thresholds; \
+                 give one"
+                    .into(),
+            ));
+        }
         let count: u64 = raw.parse().map_err(|_| {
             CliError::Usage(format!("invalid value `{raw}` for --min-support-count"))
         })?;
@@ -200,5 +209,29 @@ mod tests {
             panic!("expected a usage error, got {result:?}");
         };
         assert!(msg.contains("--shard-count 2 needs --min-support-count"), "{msg}");
+    }
+
+    #[test]
+    fn two_support_thresholds_are_refused() {
+        // The bad --fsync is parsed after the check, so a regression
+        // fails on that usage error instead of booting a daemon.
+        let tokens: Vec<String> = [
+            "--min-support",
+            "0.05",
+            "--min-support-count",
+            "2",
+            "--data-dir",
+            "unused",
+            "--fsync",
+            "bogus",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let result = run(&Args::parse(&tokens, OPTIONS).unwrap(), &mut Vec::new());
+        let Err(CliError::Usage(msg)) = result else {
+            panic!("expected a usage error, got {result:?}");
+        };
+        assert!(msg.contains("--min-support and --min-support-count"), "{msg}");
     }
 }

@@ -92,7 +92,7 @@ COMMANDS:
              --input FILE
     serve    Run the online rule-serving HTTP daemon
              [--host H] [--port P] [--threads N] [--window N]
-             [--queue-capacity N] [--min-support F] [--min-support-count N]
+             [--queue-capacity N] [--min-support F | --min-support-count N]
              [--min-confidence F] [--l-min L] [--l-max L]
              [--io-timeout-secs S] [--header-timeout-ms MS] [--max-inflight N]
              [--data-dir DIR]

@@ -297,8 +297,10 @@ pub fn backoff_delay(attempt: u32, jitter_state: &mut u64) -> Duration {
 ///
 /// Retries on transport errors (dropping and re-establishing the
 /// connection) and on `503` responses (daemon recovering, shedding
-/// load, or restarting — the connection is kept). Any other response,
-/// including 4xx, is returned as-is: those are answers, not failures.
+/// load, or restarting). Any other response, including 4xx, is returned
+/// as-is: those are answers, not failures. The connection is kept
+/// between requests unless an exchange fails or its answer ends it
+/// (`connection: close`, or a `408`).
 pub struct RetryingClient {
     addr: String,
     policy: RetryPolicy,
@@ -437,23 +439,23 @@ impl RetryingClient {
                     continue;
                 }
             }
-            let Some(conn) = self.conn.as_mut() else { continue };
-            match conn.try_request(method, target, headers, body) {
+            let Some(result) = self.exchange(method, target, headers, body) else {
+                continue;
+            };
+            match result {
                 Ok(resp) if resp.status == 408 => {
                     // A 408 on a reused keep-alive connection is almost
                     // always the server's parting shot after an *idle*
                     // timeout, buffered before it closed — it answers
                     // the wait, not the request just written. Either
                     // way a 408 promises the request was never
-                    // executed, so drop the poisoned connection and
-                    // retry on a fresh one (safe for any method).
-                    self.conn = None;
+                    // executed, so retry on a fresh connection (safe
+                    // for any method).
                     last_response = Some(resp);
                 }
                 Ok(resp) if resp.status == 503 => {
                     // Retryable daemon answer (recovering / backpressure
-                    // / shutting down); keep the connection, back off,
-                    // retry.
+                    // / shutting down); back off, retry.
                     last_response = Some(resp);
                 }
                 Ok(resp) => {
@@ -461,10 +463,9 @@ impl RetryingClient {
                     return Some(resp);
                 }
                 Err(e) => {
-                    // Connection reset (daemon died?): drop it and retry
-                    // with a fresh connection after backoff — unless the
-                    // request may have been executed.
-                    self.conn = None;
+                    // Connection reset (daemon died?): retry with a fresh
+                    // connection after backoff — unless the request may
+                    // have been executed.
                     self.last_failure = Some(FailureClass::of(&e.error, false));
                     if e.written && !Self::idempotent(method) {
                         return None;
@@ -506,22 +507,33 @@ impl RetryingClient {
             self.conn =
                 Client::connect_with_timeout(&self.addr, self.policy.timeout).ok();
         }
-        let conn = self.conn.as_mut()?;
-        match conn.try_request(method, target, headers, body) {
-            Ok(resp) => {
-                if resp.status == 408 {
-                    // Stale keep-alive artifact (see `request_with`):
-                    // the server closed after answering its idle wait.
-                    // Reconnect on the next call.
-                    self.conn = None;
-                }
-                Some(resp)
-            }
-            Err(_) => {
-                self.conn = None;
-                None
-            }
+        self.exchange(method, target, headers, body)?.ok()
+    }
+
+    /// One exchange on the open connection, `None` when there is none.
+    /// The connection is dropped after a failed exchange and after an
+    /// answer that ends it: one saying `connection: close`, or a `408`
+    /// (see `request_with`). The server closes such a connection, so the
+    /// next request must reconnect: written into the closed socket, it
+    /// would fail after its bytes left, and a POST could not be retried.
+    fn exchange(
+        &mut self,
+        method: &str,
+        target: &str,
+        headers: &[(&str, String)],
+        body: Option<&[u8]>,
+    ) -> Option<Result<ClientResponse, SendError>> {
+        let result = self.conn.as_mut()?.try_request(method, target, headers, body);
+        let ends_connection = result.as_ref().map_or(true, |resp| {
+            resp.status == 408
+                || resp
+                    .header("connection")
+                    .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+        });
+        if ends_connection {
+            self.conn = None;
         }
+        Some(result)
     }
 }
 
@@ -589,6 +601,45 @@ mod tests {
         let resp = client.request("GET", "/v1/health", None).expect("answered");
         assert_eq!(resp.status, 200, "the stale 408 must not be the answer");
         assert_eq!(resp.body_text(), "ok");
+        server.join().unwrap();
+    }
+
+    /// A server that answers `connection: close` (on shutdown, on the
+    /// admission gate's 503, past a connection's fair share) closes the
+    /// socket after that answer. The next request must go out on a fresh
+    /// connection: a POST written into the closed one fails after its
+    /// bytes left and cannot be retried.
+    #[test]
+    fn connection_close_answer_sends_the_next_request_on_a_new_connection() {
+        use std::io::{Read, Write};
+        use std::net::TcpListener;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let answers: [&[u8]; 2] = [
+                b"HTTP/1.1 202 Accepted\r\nconnection: close\r\ncontent-length: 5\r\n\r\nfirst",
+                b"HTTP/1.1 202 Accepted\r\ncontent-length: 6\r\n\r\nsecond",
+            ];
+            for answer in answers {
+                let (mut conn, _) = listener.accept().unwrap();
+                let mut scratch = [0u8; 1024];
+                let _ = conn.read(&mut scratch).unwrap();
+                conn.write_all(answer).unwrap();
+            }
+        });
+
+        let policy = RetryPolicy { max_retries: 2, timeout: Duration::from_secs(5) };
+        let mut client = RetryingClient::with_seed(&addr, policy, 1);
+        let first = client.request("POST", "/v1/units", Some(b"{}")).expect("answered");
+        assert_eq!(first.body_text(), "first");
+        let second = client.request("POST", "/v1/units", Some(b"{}"));
+        assert_eq!(
+            second.map(|resp| resp.body_text()).as_deref(),
+            Some("second"),
+            "last failure: {:?}",
+            client.last_failure()
+        );
         server.join().unwrap();
     }
 }

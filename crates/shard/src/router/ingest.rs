@@ -29,7 +29,8 @@ fn units_to_body(units: &[Vec<ItemSet>]) -> Vec<u8> {
 
 impl RouterState {
     /// Routes a batch of full units: records them for replay, then
-    /// sends each live worker its aligned sub-batch in parallel.
+    /// sends each live worker its aligned sub-batch in parallel, and
+    /// excludes each worker whose leg failed (`Worker::exclude`).
     /// Returns the units routed so far and each worker's ingest leg,
     /// which carries whether the worker applied the batch.
     fn route_units(
@@ -78,6 +79,19 @@ impl RouterState {
                     .ok_or_else(|| format!("the worker did not accept all {n} units"))
             },
         );
+        let legs = legs
+            .into_iter()
+            .map(|(shard_id, state, leg)| {
+                match (&leg, self.workers.get(shard_id as usize)) {
+                    (Leg::Ok(..) | Leg::Skipped, _) | (_, None) => (shard_id, state, leg),
+                    (_, Some(worker)) => {
+                        let mut w = worker.lock_or_recover();
+                        w.exclude();
+                        (shard_id, w.state(), leg)
+                    }
+                }
+            })
+            .collect();
         (units_routed, legs)
     }
 
@@ -186,9 +200,8 @@ pub(super) fn ingest(state: &Arc<RouterState>, req: &http::Request) -> Response 
     // a 202 with applied=false and partial=true; replay catches the
     // workers up on re-admission.
     let (units_routed, legs) = state.route_units(units, wait);
-    // The failed send, not the worker's state, decides degradation: the
-    // very first failed send is already a `partial` response even while
-    // the breaker is still counting failures toward its threshold.
+    // A failed send degrades the answer, and its worker is already
+    // excluded from the next ones until re-admission.
     let degraded: Vec<u32> = legs
         .iter()
         .filter(|(_, _, leg)| !matches!(leg, Leg::Ok(..)))

@@ -68,9 +68,11 @@
 //! ([`crate::breaker`]): a worker is `Up` while its breaker is Closed,
 //! `Down` while it is Open or Half-Open, and `Stale` when it fell
 //! further behind than the replay ring remembers (terminal until the
-//! operator resets it). Failed exchanges — data-path sends, fan-out
-//! legs, health probes — feed the breaker; at the consecutive-failure
-//! threshold it opens and the worker is excluded. After the cooldown
+//! operator resets it). Failed query legs and health probes feed the
+//! breaker; at the consecutive-failure threshold it opens and the
+//! worker is excluded. A failed ingest leg opens it at once: the worker
+//! may have missed units of the batch, and answering from it would
+//! shift its cycles against the other shards'. After the cooldown
 //! the breaker admits a Half-Open probe trickle: the prober re-checks
 //! the worker, computes exactly how many units it missed from its
 //! accepted-unit count (`total_pushed + queue_depth`, baselined at
@@ -280,6 +282,22 @@ impl Worker {
                 "circuit breaker opened; worker excluded"
             );
         }
+    }
+
+    /// Opens the breaker at once, whatever its failure count: a worker
+    /// that failed an ingest leg may lack units the other shards hold,
+    /// and only re-admission's catch-up replay lines it up again.
+    fn exclude(&mut self) {
+        if self.state() != WorkerState::Up {
+            return;
+        }
+        self.breaker.open_immediately(Instant::now());
+        self.downs = self.downs.saturating_add(1);
+        car_obs::warn!(
+            "shard",
+            [shard = self.shard_id, addr = self.addr.as_str()],
+            "ingest leg failed; worker excluded until caught up"
+        );
     }
 
     /// Feeds a successful exchange to the breaker; returns `true` when

@@ -29,8 +29,8 @@ fn mining_config() -> MiningConfig {
         .unwrap()
 }
 
-fn spawn_worker(addr: &str, shard: Option<ShardIdentity>) -> ServerHandle {
-    serve(ServerConfig {
+fn worker_config(addr: &str, shard: Option<ShardIdentity>) -> ServerConfig {
+    ServerConfig {
         addr: addr.to_string(),
         threads: 2,
         window: 16,
@@ -39,8 +39,21 @@ fn spawn_worker(addr: &str, shard: Option<ShardIdentity>) -> ServerHandle {
         io_timeout: Duration::from_secs(5),
         shard,
         ..ServerConfig::default()
+    }
+}
+
+fn spawn_worker(addr: &str, shard: Option<ShardIdentity>) -> ServerHandle {
+    serve(worker_config(addr, shard)).expect("worker boots")
+}
+
+fn spawn_router(workers: &[ServerHandle]) -> RouterHandle {
+    run_router(RouterConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: workers.iter().map(|w| w.addr.to_string()).collect(),
+        probe_interval: Duration::from_millis(100),
+        ..RouterConfig::default()
     })
-    .expect("worker boots")
+    .expect("router boots")
 }
 
 fn spawn_cluster(count: u32) -> (Vec<ServerHandle>, RouterHandle) {
@@ -52,13 +65,7 @@ fn spawn_cluster(count: u32) -> (Vec<ServerHandle>, RouterHandle) {
             )
         })
         .collect();
-    let router = run_router(RouterConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: workers.iter().map(|w| w.addr.to_string()).collect(),
-        probe_interval: Duration::from_millis(100),
-        ..RouterConfig::default()
-    })
-    .expect("router boots");
+    let router = spawn_router(&workers);
     (workers, router)
 }
 
@@ -415,6 +422,88 @@ fn dead_worker_degrades_then_catchup_readmits() {
     assert_eq!(resp.status, 200);
     router.wait();
     for w in workers.into_iter().chain([revived, oracle]) {
+        w.trigger_shutdown();
+        w.wait();
+    }
+}
+
+/// A worker that misses part of an ingest batch (its queue holds two of
+/// the batch's three units) is behind the other shards for good unless
+/// it is caught up. It leaves at once rather than after three failed
+/// legs: every answer is `partial` until the prober's catch-up replay
+/// re-admits it, and from then on the cluster answers as a single node.
+#[test]
+fn failed_ingest_leg_excludes_the_worker_until_catchup() {
+    let units = pure_units(2, 10);
+    let shard = |shard_id| Some(ShardIdentity { shard_id, shard_count: 2 });
+    let short_queue =
+        ServerConfig { queue_capacity: 2, ..worker_config("127.0.0.1:0", shard(1)) };
+    let workers = vec![
+        spawn_worker("127.0.0.1:0", shard(0)),
+        serve(short_queue).expect("worker boots"),
+    ];
+    let router = spawn_router(&workers);
+    let mut rc = Client::connect(&router.addr.to_string()).unwrap();
+    let metric = |rc: &mut Client, name: &str| {
+        sample(&rc.request("GET", "/metrics", None).unwrap().body_text(), name)
+    };
+    let partial =
+        |body: &str| Json::parse(body).unwrap().get("partial").and_then(Json::as_bool);
+
+    let resp = rc
+        .request("POST", "/v1/units?wait=true", Some(&batch_body(&units[..3])))
+        .unwrap();
+    assert_eq!(partial(&resp.body_text()), Some(true), "{}", resp.body_text());
+    // Until worker 1 is re-admitted, no answer may count on it.
+    let resp = rc
+        .request("POST", "/v1/units?wait=true", Some(&batch_body(&units[3..4])))
+        .unwrap();
+    let body = resp.body_text();
+    assert!(
+        partial(&body) == Some(true)
+            || metric(&mut rc, "car_shard_readmissions_total") > 0,
+        "{body}"
+    );
+    let resp = rc.request("GET", "/v1/rules", None).unwrap();
+    let body = resp.body_text();
+    assert_eq!(resp.status, 200, "{body}");
+    assert!(
+        partial(&body) == Some(true)
+            || metric(&mut rc, "car_shard_readmissions_total") > 0,
+        "{body}"
+    );
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while metric(&mut rc, "car_shard_readmissions_total") == 0 {
+        assert!(Instant::now() < deadline, "worker 1 was never re-admitted");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    for unit in units[4..].chunks(1) {
+        let resp =
+            rc.request("POST", "/v1/units?wait=true", Some(&batch_body(unit))).unwrap();
+        assert_eq!(partial(&resp.body_text()), Some(false), "{}", resp.body_text());
+    }
+
+    let oracle = spawn_worker("127.0.0.1:0", None);
+    let mut oc = Client::connect(&oracle.addr.to_string()).unwrap();
+    let resp =
+        oc.request("POST", "/v1/units?wait=true", Some(&batch_body(&units))).unwrap();
+    assert_eq!(resp.status, 202, "{}", resp.body_text());
+    let routed = rc.request("GET", "/v1/rules", None).unwrap();
+    let single = oc.request("GET", "/v1/rules", None).unwrap();
+    assert_eq!((routed.status, single.status), (200, 200));
+    let routed_body = routed.body_text();
+    assert_eq!(partial(&routed_body), Some(false), "{routed_body}");
+    let doc = Json::parse(&routed_body).unwrap();
+    assert_eq!(doc.get("epoch_min").and_then(Json::as_u64), Some(10));
+    assert_eq!(rules_array(&routed_body), rules_array(&single.body_text()));
+    assert_eq!(metric(&mut rc, "car_shard_down_total"), 1);
+    assert!(metric(&mut rc, "car_shard_catchup_units_total") >= 1);
+
+    let resp = rc.request("POST", "/v1/shutdown", None).unwrap();
+    assert_eq!(resp.status, 200);
+    router.wait();
+    for w in workers.into_iter().chain([oracle]) {
         w.trigger_shutdown();
         w.wait();
     }

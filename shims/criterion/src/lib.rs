@@ -4,7 +4,7 @@
 //! `criterion` can never be fetched. This crate implements the API subset
 //! the bench suite uses — [`Criterion::benchmark_group`],
 //! [`BenchmarkGroup::bench_function`] / [`bench_with_input`],
-//! [`Bencher::iter`] / [`iter_batched`], [`BenchmarkId`], [`black_box`],
+//! [`Bencher::iter`], [`BenchmarkId`], [`black_box`],
 //! and the [`criterion_group!`] / [`criterion_main!`] macros — as a
 //! plain-text wall-clock harness: per benchmark it warms up, runs the
 //! configured number of samples, and prints min/median/mean per
@@ -140,18 +140,6 @@ impl From<String> for BenchmarkId {
     }
 }
 
-/// How [`Bencher::iter_batched`] amortises setup cost. The shim runs one
-/// routine call per setup regardless of the variant.
-#[derive(Clone, Copy, Debug)]
-pub enum BatchSize {
-    /// Small per-iteration inputs.
-    SmallInput,
-    /// Large per-iteration inputs.
-    LargeInput,
-    /// One setup per iteration.
-    PerIteration,
-}
-
 /// A group of related benchmarks sharing measurement settings.
 #[derive(Debug)]
 pub struct BenchmarkGroup<'a> {
@@ -253,33 +241,6 @@ impl Bencher {
         }
     }
 
-    /// Times `routine` on fresh values from `setup`, excluding setup time.
-    pub fn iter_batched<I, O, S, R>(
-        &mut self,
-        mut setup: S,
-        mut routine: R,
-        _size: BatchSize,
-    ) where
-        S: FnMut() -> I,
-        R: FnMut(I) -> O,
-    {
-        let warm_start = Instant::now();
-        while warm_start.elapsed() < self.warm_up_time {
-            let input = setup();
-            black_box(routine(input));
-        }
-        let budget = Instant::now();
-        for _ in 0..self.sample_size {
-            let input = setup();
-            let start = Instant::now();
-            black_box(routine(input));
-            self.samples.push(start.elapsed());
-            if budget.elapsed() > self.measurement_time {
-                break;
-            }
-        }
-    }
-
     fn report(&self, group: &str, label: &str) {
         if self.samples.is_empty() {
             println!("{group}/{label:<40} (no samples)");
@@ -342,9 +303,6 @@ mod tests {
         });
         group.bench_with_input(BenchmarkId::new("with_input", 7), &7u32, |b, &x| {
             b.iter(|| black_box(x * 2))
-        });
-        group.bench_function("batched", |b| {
-            b.iter_batched(|| vec![1u8; 16], |v| v.len(), BatchSize::LargeInput)
         });
         group.finish();
         assert!(runs > 0);
