@@ -93,7 +93,15 @@ impl Apriori {
         }
 
         // Level 1: every item that occurs is a counted candidate.
-        let (counted, mut large) = large_items(transactions, threshold, &mut result);
+        let (counted, singles) = large_items(transactions, threshold);
+        let mut large: Vec<ItemSet> = singles
+            .into_iter()
+            .map(|(item, count)| {
+                let s = ItemSet::single(item);
+                result.insert(s.clone(), count);
+                s
+            })
+            .collect();
         stats.candidates_counted = counted as u64;
         stats.levels = 1;
 
@@ -146,13 +154,12 @@ impl Apriori {
 /// The level-1 scan both [`Apriori`] and [`eclat`](crate::eclat) start
 /// from: direct item counting through a flat refstore when the id space
 /// is dense (the vocabulary-interned common case), after one cheap
-/// pre-pass that sizes the store. Records the large items in `result`
-/// and returns them, sorted, with the number of distinct items counted.
+/// pre-pass that sizes the store. Returns the large items with their
+/// counts, sorted, and the number of distinct items counted.
 pub(crate) fn large_items(
     transactions: &[ItemSet],
     threshold: u64,
-    result: &mut FrequentItemsets,
-) -> (usize, Vec<ItemSet>) {
+) -> (usize, Vec<(Item, u64)>) {
     let mut max_id: u32 = 0;
     let mut occurrences: usize = 0;
     for t in transactions {
@@ -167,15 +174,12 @@ pub(crate) fn large_items(
             item_counts.add(item.id(), 1);
         }
     }
-    let mut large: Vec<ItemSet> = Vec::new();
-    for id in item_counts.ids_sorted() {
-        let count = item_counts.get(id);
-        if count >= threshold {
-            let s = ItemSet::single(Item::new(id));
-            result.insert(s.clone(), count);
-            large.push(s);
-        }
-    }
+    let large = item_counts
+        .ids_sorted()
+        .into_iter()
+        .map(|id| (Item::new(id), item_counts.get(id)))
+        .filter(|&(_, count)| count >= threshold)
+        .collect();
     (item_counts.len(), large)
 }
 

@@ -9,10 +9,11 @@
 //!
 //! Here the tid-sets are the `u64` bitsets of the vertical kernel: the
 //! item rows come from one [`TidBitmaps`] build over the unit's large
-//! items, and each extension is one word-wise AND plus popcount. Only a
-//! large extension becomes an [`ItemSet`]; the bitsets of a class live
-//! back to back in one buffer that is reused across classes, so the walk
-//! allocates only the large itemsets.
+//! items, and each extension is one word-wise AND plus popcount. The
+//! bitsets of a class live back to back in one buffer that is reused
+//! across classes, and the large itemsets are written into one
+//! [`FlatItemsets`] buffer, their items back to back, so the walk builds
+//! no [`ItemSet`] and no hash map.
 //!
 //! This is the per-unit miner of the live window
 //! (`SlidingWindowMiner::push_unit`): a push mines one unit and never
@@ -29,8 +30,48 @@ use car_itemset::{Item, ItemSet};
 
 use crate::apriori::large_items;
 use crate::bitmap::TidBitmaps;
-use crate::frequent::FrequentItemsets;
 use crate::support::MinSupport;
+
+/// The large itemsets of one database, stored flat: their items back to
+/// back in one buffer, with each itemset's end offset and count. The
+/// order is [`eclat`]'s: the large items ascending, then the larger
+/// itemsets depth-first. Each itemset's items are in increasing order.
+#[derive(Debug, Default)]
+pub struct FlatItemsets {
+    items: Vec<Item>,
+    /// Per itemset: the end of its items in `items`, and its count.
+    ends: Vec<(usize, u64)>,
+}
+
+impl FlatItemsets {
+    /// Number of itemsets.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether no itemset is large.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Every itemset, as its items, with its count.
+    pub fn iter(&self) -> impl Iterator<Item = (&[Item], u64)> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&(end, count)| {
+            let items = self.items.get(start..end).unwrap_or_default();
+            start = end;
+            (items, count)
+        })
+    }
+
+    /// Appends the itemset `prefix ∪ {last}`, whose items are in
+    /// increasing order, with its count.
+    fn push(&mut self, prefix: &[Item], last: Item, count: u64) {
+        self.items.extend_from_slice(prefix);
+        self.items.push(last);
+        self.ends.push((self.items.len(), count));
+    }
+}
 
 /// Mines all large itemsets of `transactions`, depth-first over
 /// tid-bitmaps, up to `max_size` items (`None` = unbounded).
@@ -43,24 +84,29 @@ pub fn eclat(
     transactions: &[ItemSet],
     min_support: MinSupport,
     max_size: Option<usize>,
-) -> FrequentItemsets {
+) -> FlatItemsets {
     let threshold = min_support.threshold(transactions.len());
-    let mut result = FrequentItemsets::new(transactions.len());
+    let mut result = FlatItemsets::default();
     let max_size = max_size.unwrap_or(usize::MAX);
     if max_size == 0 {
         return result;
     }
-    let (_, singles) = large_items(transactions, threshold, &mut result);
+    let (_, singles) = large_items(transactions, threshold);
+    for &(item, count) in &singles {
+        result.push(&[], item, count);
+    }
     if max_size < 2 || singles.len() < 2 {
         return result;
     }
 
     // The root class: the large items under the empty prefix, each with
     // its row. A transaction of one item holds no pair, so it sets no bit.
-    let bitmaps = TidBitmaps::build(&singles, transactions, 2);
+    // The rows are built over one itemset of every large item.
+    let large = ItemSet::from_sorted_vec(singles.iter().map(|&(item, _)| item).collect());
+    let bitmaps = TidBitmaps::build(std::slice::from_ref(&large), transactions, 2);
     let mut root = Class::default();
     let mut words = 0;
-    for item in singles.iter().flat_map(ItemSet::iter) {
+    for item in large.iter() {
         let Some(row) = bitmaps.row(item.id()) else { continue };
         if words == 0 {
             // Every row is one bit per transaction, so all have this
@@ -109,7 +155,7 @@ impl Walk {
     /// `size`-itemsets, and recurses into each member's child class:
     /// member `i` joined with each later sibling `j`, by ANDing their
     /// bitsets.
-    fn extend(&mut self, class: &Class, size: usize, result: &mut FrequentItemsets) {
+    fn extend(&mut self, class: &Class, size: usize, result: &mut FlatItemsets) {
         if size >= self.max_size {
             return;
         }
@@ -130,10 +176,7 @@ impl Walk {
                     child.bits.truncate(start);
                     continue;
                 }
-                let mut itemset = Vec::with_capacity(self.prefix.len().saturating_add(1));
-                itemset.extend_from_slice(&self.prefix);
-                itemset.push(sibling);
-                result.insert(ItemSet::from_sorted_vec(itemset), support);
+                result.push(&self.prefix, sibling, support);
                 child.items.push(sibling);
             }
             if child.items.len() >= 2 {
@@ -168,8 +211,15 @@ mod tests {
         ]
     }
 
-    fn as_sorted(f: &FrequentItemsets) -> Vec<(ItemSet, u64)> {
+    fn as_sorted(f: &crate::FrequentItemsets) -> Vec<(ItemSet, u64)> {
         let mut v: Vec<_> = f.iter().map(|(s, c)| (s.clone(), c)).collect();
+        v.sort();
+        v
+    }
+
+    fn flat_sorted(f: &FlatItemsets) -> Vec<(ItemSet, u64)> {
+        let mut v: Vec<_> =
+            f.iter().map(|(s, c)| (ItemSet::from_sorted_vec(s.to_vec()), c)).collect();
         v.sort();
         v
     }
@@ -181,15 +231,41 @@ mod tests {
             let ms = MinSupport::count(min);
             let a = Apriori::new(AprioriConfig::new(ms)).mine(&tx);
             let e = eclat(&tx, ms, None);
-            assert_eq!(as_sorted(&a), as_sorted(&e), "minsup {min}");
+            assert_eq!(as_sorted(&a), flat_sorted(&e), "minsup {min}");
         }
+    }
+
+    #[test]
+    fn lists_the_large_items_then_walks_depth_first() {
+        let e = eclat(&han_kamber(), MinSupport::count(2), None);
+        let ids = |items: &[Item]| items.iter().map(|i| i.id()).collect::<Vec<_>>();
+        let listed: Vec<(Vec<u32>, u64)> = e.iter().map(|(s, c)| (ids(s), c)).collect();
+        let expected: Vec<(&[u32], u64)> = vec![
+            (&[1], 6),
+            (&[2], 7),
+            (&[3], 6),
+            (&[4], 2),
+            (&[5], 2),
+            (&[1, 2], 4),
+            (&[1, 3], 4),
+            (&[1, 5], 2),
+            (&[1, 2, 3], 2),
+            (&[1, 2, 5], 2),
+            (&[2, 3], 4),
+            (&[2, 4], 2),
+            (&[2, 5], 2),
+        ];
+        let expected: Vec<(Vec<u32>, u64)> =
+            expected.into_iter().map(|(s, c)| (s.to_vec(), c)).collect();
+        assert_eq!(listed, expected);
+        assert_eq!(e.len(), 13);
     }
 
     #[test]
     fn respects_max_size() {
         let tx = vec![set(&[1, 2, 3, 4]); 3];
         let e = eclat(&tx, MinSupport::count(1), Some(2));
-        assert_eq!(e.max_level(), 2);
+        assert_eq!(e.iter().map(|(s, _)| s.len()).max(), Some(2));
         assert_eq!(e.len(), 4 + 6);
         let unlimited = eclat(&tx, MinSupport::count(1), None);
         assert_eq!(unlimited.len(), 15); // 2^4 - 1
@@ -218,7 +294,11 @@ mod tests {
         let ms = MinSupport::count(40);
         let e = eclat(&tx, ms, None);
         let hash_tree = AprioriConfig::new(ms).with_counting(CountStrategy::HashTree);
-        assert_eq!(as_sorted(&e), as_sorted(&Apriori::new(hash_tree).mine(&tx)));
-        assert_eq!(e.count(&set(&[7, 9, 11, big])), Some(67));
+        assert_eq!(flat_sorted(&e), as_sorted(&Apriori::new(hash_tree).mine(&tx)));
+        let all = set(&[7, 9, 11, big]);
+        assert_eq!(
+            e.iter().find(|&(s, _)| s == all.as_slice()).map(|(_, c)| c),
+            Some(67)
+        );
     }
 }

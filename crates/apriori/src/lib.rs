@@ -17,7 +17,8 @@
 //!   which the paper's SEQUENTIAL and INTERLEAVED algorithms extend.
 //! * [`eclat`] — depth-first mining over the same tid-bitmaps: each
 //!   extension of a prefix class is one AND plus popcount, with no
-//!   candidate generation. It is the live window's per-unit miner.
+//!   candidate generation, and the large itemsets go into one
+//!   [`FlatItemsets`] buffer. It is the live window's per-unit miner.
 //! * [`generate_rules`] — `ap-genrules` association rule generation with
 //!   confidence-based consequent pruning.
 //! * [`MinSupport`] / [`MinConfidence`] — threshold handling (absolute
@@ -67,7 +68,7 @@ pub use candidate::apriori_gen;
 /// calls.
 pub use count::count_candidates as count_candidates_detailed;
 pub use count::{count_candidates, CountStrategy};
-pub use eclat::eclat;
+pub use eclat::{eclat, FlatItemsets};
 pub use frequent::FrequentItemsets;
 pub use hash_tree::HashTree;
 pub use rules::{generate_rules, AssociationRule, Rule};

@@ -244,7 +244,12 @@ mod tests {
             let e = eclat(&tx, ms, None);
             let f = fp_growth(&tx, ms, None);
             assert_eq!(as_sorted(&a), as_sorted(&f), "apriori vs fp, minsup {min}");
-            assert_eq!(as_sorted(&e), as_sorted(&f), "eclat vs fp, minsup {min}");
+            let mut e: Vec<(ItemSet, u64)> = e
+                .iter()
+                .map(|(s, c)| (ItemSet::from_sorted_vec(s.to_vec()), c))
+                .collect();
+            e.sort();
+            assert_eq!(e, as_sorted(&f), "eclat vs fp, minsup {min}");
         }
     }
 

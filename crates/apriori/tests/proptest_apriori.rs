@@ -135,7 +135,10 @@ proptest! {
             v.sort();
             v
         };
-        prop_assert_eq!(sorted(&a), sorted(&e), "apriori vs eclat");
+        let mut e: Vec<(ItemSet, u64)> =
+            e.iter().map(|(s, c)| (ItemSet::from_sorted_vec(s.to_vec()), c)).collect();
+        e.sort();
+        prop_assert_eq!(sorted(&a), e, "apriori vs eclat");
         prop_assert_eq!(sorted(&a), sorted(&f), "apriori vs fp-growth");
     }
 

@@ -11,7 +11,7 @@
 //! The pass is name-driven (no type information): a `+=` / `*=` /
 //! binary `+` / `*` statement is flagged only when an identifier on its
 //! left-hand side looks like a counter — its name contains one of
-//! [`COUNTER_MARKERS`] (case-insensitive). Loop indices (`i += 1`,
+//! `COUNTER_MARKERS` (case-insensitive). Loop indices (`i += 1`,
 //! `j += 1`) never match and stay idiomatic.
 
 use crate::findings::{lints, Finding};

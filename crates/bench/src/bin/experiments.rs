@@ -15,7 +15,8 @@
 use car_bench::{
     measure, print_series, scenario, time_runs, ScenarioParams, SeriesRow, Timing, RUNS,
 };
-use car_core::{Algorithm, CountStrategy, InterleavedOptions};
+use car_core::{Algorithm, CountStrategy, CycleBounds, InterleavedOptions, MiningConfig};
+use car_itemset::SegmentedDb;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Scale {
@@ -96,8 +97,13 @@ fn base_params(scale: Scale) -> ScenarioParams {
 /// Measures SEQUENTIAL and INTERLEAVED on one scenario.
 fn seq_vs_int(label: &str, params: ScenarioParams) -> SeriesRow {
     let s = scenario(label, params);
+    compare(label, &s.db, &s.config)
+}
+
+/// Measures SEQUENTIAL and INTERLEAVED on `db` at `config`.
+fn compare(label: &str, db: &SegmentedDb, config: &MiningConfig) -> SeriesRow {
     let [sequential, interleaved] =
-        measure(&s.db, &s.config, [Algorithm::Sequential, Algorithm::interleaved()]);
+        measure(db, config, [Algorithm::Sequential, Algorithm::interleaved()]);
     SeriesRow { x: label.to_string(), sequential, interleaved }
 }
 
@@ -168,21 +174,29 @@ fn exp3_trans_per_unit(scale: Scale) {
     println!();
 }
 
-/// EXP-4: runtime vs maximum cycle length.
+/// EXP-4: runtime vs maximum cycle length, on one database for the
+/// whole sweep: only the mining bound varies.
 fn exp4_cycle_length(scale: Scale) {
     let lmaxes: &[u32] = match scale {
         Scale::Small => &[2, 4, 8],
         Scale::Base => &[4, 8, 16, 24, 32],
     };
+    // Four times the longest swept cycle, so even those cycles remain
+    // falsifiable rather than trivially satisfied. The planted cycles
+    // keep the base range.
+    let mut p = base_params(scale);
+    let longest = lmaxes.iter().copied().max().unwrap_or(p.l_max);
+    p.units = p.units.max(4 * longest as usize);
+    let s = scenario("exp4", p);
     let rows: Vec<SeriesRow> = lmaxes
         .iter()
         .map(|&l| {
-            let mut p = base_params(scale);
-            p.l_max = l;
-            // Keep the window several cycles long so long cycles remain
-            // falsifiable rather than trivially satisfied.
-            p.units = p.units.max(4 * l as usize);
-            seq_vs_int(&l.to_string(), p)
+            let bounds = CycleBounds::new(p.l_min, l).expect("l_min <= l_max");
+            compare(
+                &l.to_string(),
+                &s.db,
+                &MiningConfig { cycle_bounds: bounds, ..s.config },
+            )
         })
         .collect();
     print!("{}", print_series("EXP-4: runtime vs maximum cycle length", "l_max", &rows));

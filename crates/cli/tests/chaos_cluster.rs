@@ -7,92 +7,26 @@
 //! requires byte-exact convergence with a no-fault single-node oracle —
 //! the replay ring must deliver every sub-unit the partition swallowed.
 
-use std::collections::BTreeSet;
-use std::io::{BufRead, BufReader};
-use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use car_chaos::{
     run_proxy, ChaosConfig, ChaosHandle, Direction, FaultSchedule, PartitionWindow,
     ScheduleConfig,
 };
-use car_core::window::SlidingWindowMiner;
-use car_core::{CyclicRule, MiningConfig};
-use car_itemset::ItemSet;
 use car_serve::json::Json;
 use car_serve::Client;
-use car_shard::ShardRing;
 
-const SHARDS: u32 = 3;
-const WINDOW: usize = 16;
+mod common;
+use common::{
+    batch_body, canonical, oracle_rules, pure_units, router_health, served, spawn_banner,
+    spawn_worker, wait_degraded_shards, Daemon, SHARDS,
+};
+
 const CHAOS_SEED: u64 = 11;
 // The partition must outlive two probe timeouts (2 × `--timeout-secs`)
 // so the breaker provably opens while the link is still down, with
 // headroom for a loaded machine.
 const PARTITION: Duration = Duration::from_secs(6);
-
-/// Kills the child on drop so a failing assertion never leaks a daemon.
-struct Daemon {
-    child: Child,
-    addr: String,
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// Spawns a `car` subcommand and waits for `banner` on stdout.
-fn spawn_banner(args: &[&str], banner: &str) -> Daemon {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_car"))
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("car binary spawns");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut lines = BufReader::new(stdout).lines();
-    let addr = loop {
-        let line = lines
-            .next()
-            .unwrap_or_else(|| panic!("process exited before `{banner}`"))
-            .expect("readable stdout");
-        if let Some(rest) = line.strip_prefix(banner) {
-            break rest.trim().to_string();
-        }
-    };
-    std::thread::spawn(move || for _ in lines {});
-    Daemon { child, addr }
-}
-
-fn spawn_worker(shard_id: u32) -> Daemon {
-    let id = shard_id.to_string();
-    let count = SHARDS.to_string();
-    spawn_banner(
-        &[
-            "serve",
-            "--port",
-            "0",
-            "--shard-id",
-            &id,
-            "--shard-count",
-            &count,
-            "--window",
-            "16",
-            "--min-support-count",
-            "2",
-            "--min-confidence",
-            "0.5",
-            "--l-min",
-            "2",
-            "--l-max",
-            "4",
-        ],
-        "car-serve listening on http://",
-    )
-}
 
 /// Every proxy delays each connection 1-3ms (the always-on fault the
 /// cluster must shrug off); the schedule in front of the victim shard
@@ -118,112 +52,6 @@ fn spawn_proxy(upstream: &str, partition: bool) -> ChaosHandle {
         arm_on_start: false,
     })
     .expect("chaos proxy boots")
-}
-
-fn mining_config() -> MiningConfig {
-    MiningConfig::builder()
-        .min_support_count(2)
-        .min_confidence(0.5)
-        .cycle_bounds(2, 4)
-        .build()
-        .unwrap()
-}
-
-/// Partition-pure units with one planted alternating rule per shard.
-fn pure_units(n: usize) -> Vec<Vec<ItemSet>> {
-    let ring = ShardRing::new(SHARDS).unwrap();
-    let mut pools: Vec<Vec<u32>> = vec![Vec::new(); SHARDS as usize];
-    for item in 0..64u32 {
-        pools[ring.owner_of_key(u64::from(item)) as usize].push(item);
-    }
-    (0..n)
-        .map(|t| {
-            let mut unit = Vec::new();
-            for (shard, pool) in pools.iter().enumerate() {
-                let (a, b) = (pool[0], pool[1]);
-                if (t + shard) % 2 == 0 {
-                    for _ in 0..3 {
-                        unit.push(ItemSet::from_ids([a, b]));
-                    }
-                } else {
-                    for _ in 0..3 {
-                        unit.push(ItemSet::from_ids([a]));
-                    }
-                }
-            }
-            unit
-        })
-        .collect()
-}
-
-fn batch_body(units: &[Vec<ItemSet>]) -> Vec<u8> {
-    let batch: Vec<Json> = units
-        .iter()
-        .map(|unit| {
-            let txs: Vec<Json> = unit
-                .iter()
-                .map(|tx| {
-                    Json::Array(tx.iter().map(|item| Json::from(item.id())).collect())
-                })
-                .collect();
-            Json::Object(vec![("transactions".to_string(), Json::Array(txs))])
-        })
-        .collect();
-    Json::Array(batch).render().into_bytes()
-}
-
-/// Mines `units` in-process with no faults anywhere: the oracle the
-/// healed cluster must match exactly.
-fn oracle_rules(units: &[Vec<ItemSet>]) -> Vec<CyclicRule> {
-    let mut miner = SlidingWindowMiner::new(mining_config(), WINDOW).unwrap();
-    for unit in units {
-        miner.push_unit(unit);
-    }
-    miner.query_rules(None).expect("enough units").as_ref().clone()
-}
-
-fn canonical(rules: &[CyclicRule]) -> BTreeSet<(String, Vec<(u64, u64)>)> {
-    rules
-        .iter()
-        .map(|r| {
-            (
-                r.rule.to_string(),
-                r.cycles
-                    .iter()
-                    .map(|c| (u64::from(c.length()), u64::from(c.offset())))
-                    .collect(),
-            )
-        })
-        .collect()
-}
-
-fn served(doc: &Json) -> BTreeSet<(String, Vec<(u64, u64)>)> {
-    doc.get("rules")
-        .and_then(Json::as_array)
-        .expect("rules array")
-        .iter()
-        .map(|r| {
-            let name = r.get("rule").and_then(Json::as_str).unwrap().to_string();
-            let cycles = r
-                .get("cycles")
-                .and_then(Json::as_array)
-                .unwrap()
-                .iter()
-                .map(|c| {
-                    (
-                        c.get("length").and_then(Json::as_u64).unwrap(),
-                        c.get("offset").and_then(Json::as_u64).unwrap(),
-                    )
-                })
-                .collect();
-            (name, cycles)
-        })
-        .collect()
-}
-
-fn router_health(client: &mut Client) -> Json {
-    let resp = client.request("GET", "/v1/health", None).expect("router health");
-    Json::parse(&resp.body_text()).expect("health json")
 }
 
 fn breaker_state(doc: &Json, shard: u64) -> Option<String> {
@@ -252,23 +80,11 @@ fn wait_breaker_state(client: &mut Client, shard: u64, want: &str, what: &str) {
     }
 }
 
-fn wait_degraded_shards(client: &mut Client, want: u64, what: &str) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let doc = router_health(client);
-        if doc.get("degraded_shards").and_then(Json::as_u64) == Some(want) {
-            return;
-        }
-        assert!(Instant::now() < deadline, "{what}: health never reached {want}");
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}
-
 #[test]
 fn partitioned_shard_opens_breaker_then_cluster_converges_exactly() {
-    let units = pure_units(10);
+    let units = pure_units(SHARDS, 10);
 
-    let workers: Vec<Daemon> = (0..SHARDS).map(spawn_worker).collect();
+    let workers: Vec<Daemon> = (0..SHARDS).map(|i| spawn_worker(i, 0, &[])).collect();
     let mut proxies: Vec<ChaosHandle> =
         workers.iter().enumerate().map(|(i, w)| spawn_proxy(&w.addr, i == 1)).collect();
     let proxy_addrs: Vec<String> = proxies.iter().map(|p| p.addr().to_string()).collect();
@@ -337,7 +153,7 @@ fn partitioned_shard_opens_breaker_then_cluster_converges_exactly() {
     // Half-Open, the catch-up replay delivers every missed sub-unit,
     // and only then does the breaker close and the shard re-admit.
     wait_breaker_state(&mut rc, 1, "closed", "after heal");
-    wait_degraded_shards(&mut rc, 0, "after heal");
+    wait_degraded_shards(&mut rc, 0, Duration::from_secs(30), "after heal");
     let doc = router_health(&mut rc);
     let opens = doc
         .get("breakers")

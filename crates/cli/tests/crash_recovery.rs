@@ -7,38 +7,26 @@
 //! is fsynced into the WAL, so no crash — not even `kill -9` with no
 //! chance to flush — may lose an acknowledged unit.
 
-use std::collections::BTreeSet;
-use std::io::{BufRead, BufReader};
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use car_core::sequential::mine_sequential;
-use car_core::{CyclicRule, MiningConfig};
+use car_core::MiningConfig;
 use car_datagen::{generate_cyclic, CyclicConfig};
 use car_itemset::{ItemSet, SegmentedDb};
 use car_serve::json::Json;
 use car_serve::Client;
 
+mod common;
+use common::{canonical, mining_config, served, spawn_banner, temp_dir, Daemon};
+
 const WINDOW: usize = 8;
 
-/// Kills the child on drop so a failing assertion never leaks a daemon.
-struct Daemon {
-    child: Child,
-    addr: String,
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// Spawns `car serve` on an ephemeral port and waits for its banner.
+/// Spawns `car serve` on an ephemeral port over `data_dir` and waits for
+/// its banner.
 fn spawn_daemon(data_dir: &std::path::Path) -> Daemon {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_car"))
-        .args([
+    let dir = data_dir.to_str().expect("utf-8 temp path");
+    spawn_banner(
+        &[
             "serve",
             "--port",
             "0",
@@ -53,46 +41,10 @@ fn spawn_daemon(data_dir: &std::path::Path) -> Daemon {
             "--l-max",
             "4",
             "--data-dir",
-        ])
-        .arg(data_dir)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("car binary spawns");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut lines = BufReader::new(stdout).lines();
-    let addr = loop {
-        let line = lines
-            .next()
-            .expect("daemon exited before announcing its address")
-            .expect("readable stdout");
-        if let Some(rest) = line.strip_prefix("car-serve listening on http://") {
-            break rest.trim().to_string();
-        }
-    };
-    // Drain the rest of the banner in the background so the daemon
-    // never blocks on a full pipe.
-    std::thread::spawn(move || for _ in lines {});
-    Daemon { child, addr }
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "car-crash-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn mining_config() -> MiningConfig {
-    MiningConfig::builder()
-        .min_support_fraction(0.2)
-        .min_confidence(0.6)
-        .cycle_bounds(2, 4)
-        .build()
-        .unwrap()
+            dir,
+        ],
+        "car-serve listening on http://",
+    )
 }
 
 fn unit_body(unit: &[ItemSet]) -> Vec<u8> {
@@ -117,48 +69,9 @@ fn wait_ready(client: &mut Client) {
     }
 }
 
-fn canonical(rules: &[CyclicRule]) -> BTreeSet<(String, Vec<(u64, u64)>)> {
-    rules
-        .iter()
-        .map(|r| {
-            (
-                r.rule.to_string(),
-                r.cycles
-                    .iter()
-                    .map(|c| (u64::from(c.length()), u64::from(c.offset())))
-                    .collect(),
-            )
-        })
-        .collect()
-}
-
-fn served(doc: &Json) -> BTreeSet<(String, Vec<(u64, u64)>)> {
-    doc.get("rules")
-        .and_then(Json::as_array)
-        .expect("rules array")
-        .iter()
-        .map(|r| {
-            let name = r.get("rule").and_then(Json::as_str).unwrap().to_string();
-            let cycles = r
-                .get("cycles")
-                .and_then(Json::as_array)
-                .unwrap()
-                .iter()
-                .map(|c| {
-                    (
-                        c.get("length").and_then(Json::as_u64).unwrap(),
-                        c.get("offset").and_then(Json::as_u64).unwrap(),
-                    )
-                })
-                .collect();
-            (name, cycles)
-        })
-        .collect()
-}
-
 #[test]
 fn sigkill_mid_ingest_loses_no_acknowledged_unit() {
-    let dir = temp_dir("sigkill");
+    let dir = temp_dir("crash-sigkill");
     let data = generate_cyclic(
         &CyclicConfig::default()
             .with_units(13)
@@ -240,7 +153,8 @@ fn sigkill_mid_ingest_loses_no_acknowledged_unit() {
     let retained: Vec<Vec<ItemSet>> =
         (acknowledged - WINDOW..acknowledged).map(|i| data.db.unit(i).to_vec()).collect();
     let window_db = SegmentedDb::from_unit_itemsets(retained);
-    let expected = mine_sequential(&window_db, &mining_config()).unwrap().rules;
+    let config = mining_config(MiningConfig::builder().min_support_fraction(0.2), 0.6);
+    let expected = mine_sequential(&window_db, &config).unwrap().rules;
     assert!(!expected.is_empty(), "test data should produce cyclic rules");
     assert_eq!(
         got,

@@ -4,89 +4,24 @@
 //! WAL replay on the worker plus catch-up replay and re-admission at
 //! the router.
 
-use std::collections::BTreeSet;
-use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use car_core::window::SlidingWindowMiner;
-use car_core::{CyclicRule, MiningConfig};
 use car_itemset::ItemSet;
 use car_serve::json::Json;
 use car_serve::Client;
 use car_shard::{PartitionKey, ShardRing};
 
-const SHARDS: u32 = 3;
-const WINDOW: usize = 16;
+mod common;
+use common::{
+    batch_body, canonical, oracle_rules, pure_units, served, spawn_banner, temp_dir,
+    wait_degraded_shards, Daemon, SHARDS,
+};
 
-/// Kills the child on drop so a failing assertion never leaks a daemon.
-struct Daemon {
-    child: Child,
-    addr: String,
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// Spawns a `car` subcommand and waits for `banner` on stdout.
-fn spawn_banner(args: &[&str], banner: &str) -> Daemon {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_car"))
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("car binary spawns");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut lines = BufReader::new(stdout).lines();
-    let addr = loop {
-        let line = lines
-            .next()
-            .unwrap_or_else(|| panic!("process exited before `{banner}`"))
-            .expect("readable stdout");
-        if let Some(rest) = line.strip_prefix(banner) {
-            break rest.trim().to_string();
-        }
-    };
-    // Drain the rest of the output in the background so the process
-    // never blocks on a full pipe.
-    std::thread::spawn(move || for _ in lines {});
-    Daemon { child, addr }
-}
-
+/// A durable worker: shard `shard_id` on `port` over `data_dir`.
 fn spawn_worker(shard_id: u32, port: u16, data_dir: &std::path::Path) -> Daemon {
-    let port = port.to_string();
-    let id = shard_id.to_string();
-    let count = SHARDS.to_string();
     let dir = data_dir.to_str().expect("utf-8 temp path");
-    spawn_banner(
-        &[
-            "serve",
-            "--port",
-            &port,
-            "--shard-id",
-            &id,
-            "--shard-count",
-            &count,
-            "--window",
-            "16",
-            "--min-support-count",
-            "2",
-            "--min-confidence",
-            "0.5",
-            "--l-min",
-            "2",
-            "--l-max",
-            "4",
-            "--data-dir",
-            dir,
-        ],
-        "car-serve listening on http://",
-    )
+    common::spawn_worker(shard_id, port, &["--data-dir", dir])
 }
 
 fn spawn_router(worker_addrs: &[String]) -> Daemon {
@@ -97,134 +32,11 @@ fn spawn_router(worker_addrs: &[String]) -> Daemon {
     )
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "car-shard-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn mining_config() -> MiningConfig {
-    MiningConfig::builder()
-        .min_support_count(2)
-        .min_confidence(0.5)
-        .cycle_bounds(2, 4)
-        .build()
-        .unwrap()
-}
-
-/// Partition-pure units with one planted alternating rule per shard
-/// (same construction as the in-process cluster tests).
-fn pure_units(n: usize) -> Vec<Vec<ItemSet>> {
-    let ring = ShardRing::new(SHARDS).unwrap();
-    let mut pools: Vec<Vec<u32>> = vec![Vec::new(); SHARDS as usize];
-    for item in 0..64u32 {
-        pools[ring.owner_of_key(u64::from(item)) as usize].push(item);
-    }
-    (0..n)
-        .map(|t| {
-            let mut unit = Vec::new();
-            for (shard, pool) in pools.iter().enumerate() {
-                let (a, b) = (pool[0], pool[1]);
-                if (t + shard) % 2 == 0 {
-                    for _ in 0..3 {
-                        unit.push(ItemSet::from_ids([a, b]));
-                    }
-                } else {
-                    for _ in 0..3 {
-                        unit.push(ItemSet::from_ids([a]));
-                    }
-                }
-            }
-            unit
-        })
-        .collect()
-}
-
-fn batch_body(units: &[Vec<ItemSet>]) -> Vec<u8> {
-    let batch: Vec<Json> = units
-        .iter()
-        .map(|unit| {
-            let txs: Vec<Json> = unit
-                .iter()
-                .map(|tx| {
-                    Json::Array(tx.iter().map(|item| Json::from(item.id())).collect())
-                })
-                .collect();
-            Json::Object(vec![("transactions".to_string(), Json::Array(txs))])
-        })
-        .collect();
-    Json::Array(batch).render().into_bytes()
-}
-
-/// Mines `units` in-process: the oracle for what the cluster must serve.
-fn oracle_rules(units: &[Vec<ItemSet>]) -> Vec<CyclicRule> {
-    let mut miner = SlidingWindowMiner::new(mining_config(), WINDOW).unwrap();
-    for unit in units {
-        miner.push_unit(unit);
-    }
-    miner.query_rules(None).expect("enough units").as_ref().clone()
-}
-
-fn canonical(rules: &[CyclicRule]) -> BTreeSet<(String, Vec<(u64, u64)>)> {
-    rules
-        .iter()
-        .map(|r| {
-            (
-                r.rule.to_string(),
-                r.cycles
-                    .iter()
-                    .map(|c| (u64::from(c.length()), u64::from(c.offset())))
-                    .collect(),
-            )
-        })
-        .collect()
-}
-
-fn served(doc: &Json) -> BTreeSet<(String, Vec<(u64, u64)>)> {
-    doc.get("rules")
-        .and_then(Json::as_array)
-        .expect("rules array")
-        .iter()
-        .map(|r| {
-            let name = r.get("rule").and_then(Json::as_str).unwrap().to_string();
-            let cycles = r
-                .get("cycles")
-                .and_then(Json::as_array)
-                .unwrap()
-                .iter()
-                .map(|c| {
-                    (
-                        c.get("length").and_then(Json::as_u64).unwrap(),
-                        c.get("offset").and_then(Json::as_u64).unwrap(),
-                    )
-                })
-                .collect();
-            (name, cycles)
-        })
-        .collect()
-}
-
-fn wait_degraded_shards(client: &mut Client, want: u64, what: &str) {
-    let deadline = Instant::now() + Duration::from_secs(15);
-    loop {
-        let resp = client.request("GET", "/v1/health", None).expect("router health");
-        let doc = Json::parse(&resp.body_text()).unwrap();
-        if doc.get("degraded_shards").and_then(Json::as_u64) == Some(want) {
-            return;
-        }
-        assert!(Instant::now() < deadline, "{what}: health never reached {want}");
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}
-
 #[test]
 fn sigkill_one_worker_degrades_then_cluster_fully_recovers() {
-    let units = pure_units(10);
-    let dirs: Vec<PathBuf> = (0..SHARDS).map(|i| temp_dir(&format!("w{i}"))).collect();
+    let units = pure_units(SHARDS, 10);
+    let dirs: Vec<PathBuf> =
+        (0..SHARDS).map(|i| temp_dir(&format!("shard-w{i}"))).collect();
 
     let mut workers: Vec<Daemon> =
         (0..SHARDS).map(|i| spawn_worker(i, 0, &dirs[i as usize])).collect();
@@ -264,7 +76,7 @@ fn sigkill_one_worker_degrades_then_cluster_fully_recovers() {
     let doc = Json::parse(&resp.body_text()).unwrap();
     assert_eq!(doc.get("partial").and_then(Json::as_bool), Some(true));
     assert_eq!(resp.header("x-car-shards-degraded"), Some("1"));
-    wait_degraded_shards(&mut rc, 1, "after SIGKILL");
+    wait_degraded_shards(&mut rc, 1, Duration::from_secs(15), "after SIGKILL");
 
     // Degraded queries serve exactly the surviving shards' rules: the
     // oracle mines the same eight units minus shard 1's transactions.
@@ -291,7 +103,7 @@ fn sigkill_one_worker_degrades_then_cluster_fully_recovers() {
     // restores its acknowledged sub-units; the router replays the two
     // it missed and re-admits it.
     workers[1] = spawn_worker(1, victim_port, &dirs[1]);
-    wait_degraded_shards(&mut rc, 0, "after restart");
+    wait_degraded_shards(&mut rc, 0, Duration::from_secs(15), "after restart");
 
     // Phase 4: two final units, then exactness against a single node
     // that saw all ten.
@@ -339,7 +151,7 @@ fn spawn_mode_boots_its_own_workers_and_shuts_them_down() {
     );
     let mut rc = Client::connect(&router.addr).unwrap();
 
-    let units = pure_units(4);
+    let units = pure_units(SHARDS, 4);
     let resp = rc
         .request("POST", "/v1/units?wait=true", Some(&batch_body(&units)))
         .expect("ingest");

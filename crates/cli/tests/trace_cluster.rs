@@ -13,17 +13,15 @@
 //! The traced fan-out then reconnects every leg; shard 1's reconnect
 //! goes through the proxy and eats the full pre-forward delay.
 
-use std::io::{BufRead, BufReader};
-use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use car_chaos::{run_proxy, ChaosConfig, ChaosHandle, ScheduleConfig};
-use car_itemset::ItemSet;
 use car_serve::json::Json;
 use car_serve::Client;
-use car_shard::ShardRing;
 
-const SHARDS: u32 = 3;
+mod common;
+use common::{batch_body, pure_units, spawn_banner, spawn_worker, Daemon, SHARDS};
+
 const DELAYED_SHARD: usize = 1;
 /// Pre-forward delay on every connection through the chaos proxy.
 const DELAY_MS: u64 = 400;
@@ -33,72 +31,6 @@ const WORKER_IO_TIMEOUT_SECS: u64 = 2;
 /// Client-chosen trace id whose low 64 bits are divisible by the tail
 /// sampler's 1-in-16 modulus, so retention never depends on timing.
 const TRACE_ID: &str = "000000000000000000000000000000c0";
-
-/// Kills the child on drop so a failing assertion never leaks a daemon.
-struct Daemon {
-    child: Child,
-    addr: String,
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// Spawns a `car` subcommand and waits for `banner` on stdout.
-fn spawn_banner(args: &[&str], banner: &str) -> Daemon {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_car"))
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("car binary spawns");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut lines = BufReader::new(stdout).lines();
-    let addr = loop {
-        let line = lines
-            .next()
-            .unwrap_or_else(|| panic!("process exited before `{banner}`"))
-            .expect("readable stdout");
-        if let Some(rest) = line.strip_prefix(banner) {
-            break rest.trim().to_string();
-        }
-    };
-    std::thread::spawn(move || for _ in lines {});
-    Daemon { child, addr }
-}
-
-fn spawn_worker(shard_id: u32) -> Daemon {
-    let id = shard_id.to_string();
-    let count = SHARDS.to_string();
-    let io_timeout = WORKER_IO_TIMEOUT_SECS.to_string();
-    spawn_banner(
-        &[
-            "serve",
-            "--port",
-            "0",
-            "--shard-id",
-            &id,
-            "--shard-count",
-            &count,
-            "--window",
-            "16",
-            "--min-support-count",
-            "2",
-            "--min-confidence",
-            "0.5",
-            "--l-min",
-            "2",
-            "--l-max",
-            "4",
-            "--io-timeout-secs",
-            &io_timeout,
-        ],
-        "car-serve listening on http://",
-    )
-}
 
 /// A delay-only chaos proxy: every accepted connection sleeps
 /// `DELAY_MS` before the first byte is forwarded.
@@ -114,50 +46,6 @@ fn spawn_delay_proxy(upstream: &str) -> ChaosHandle {
         arm_on_start: false,
     })
     .expect("chaos proxy boots")
-}
-
-/// Units where every shard owns a planted alternating rule, so all
-/// three workers are `ready` and answer `/v1/rules` with data.
-fn planted_units(n: usize) -> Vec<Vec<ItemSet>> {
-    let ring = ShardRing::new(SHARDS).unwrap();
-    let mut pools: Vec<Vec<u32>> = vec![Vec::new(); SHARDS as usize];
-    for item in 0..64u32 {
-        pools[ring.owner_of_key(u64::from(item)) as usize].push(item);
-    }
-    (0..n)
-        .map(|t| {
-            let mut unit = Vec::new();
-            for (shard, pool) in pools.iter().enumerate() {
-                let (a, b) = (pool[0], pool[1]);
-                if (t + shard) % 2 == 0 {
-                    for _ in 0..3 {
-                        unit.push(ItemSet::from_ids([a, b]));
-                    }
-                } else {
-                    for _ in 0..3 {
-                        unit.push(ItemSet::from_ids([a]));
-                    }
-                }
-            }
-            unit
-        })
-        .collect()
-}
-
-fn batch_body(units: &[Vec<ItemSet>]) -> Vec<u8> {
-    let batch: Vec<Json> = units
-        .iter()
-        .map(|unit| {
-            let txs: Vec<Json> = unit
-                .iter()
-                .map(|tx| {
-                    Json::Array(tx.iter().map(|item| Json::from(item.id())).collect())
-                })
-                .collect();
-            Json::Object(vec![("transactions".to_string(), Json::Array(txs))])
-        })
-        .collect();
-    Json::Array(batch).render().into_bytes()
 }
 
 /// One span, pulled out of the assembled-trace JSON.
@@ -198,8 +86,13 @@ fn parse_spans(doc: &Json) -> Vec<Span> {
 
 #[test]
 fn chaos_delayed_shard_shows_up_as_the_longest_leg() {
-    let units = planted_units(8);
-    let workers: Vec<Daemon> = (0..SHARDS).map(spawn_worker).collect();
+    // Every shard owns a planted alternating rule, so all three workers
+    // are `ready` and answer `/v1/rules` with data.
+    let units = pure_units(SHARDS, 8);
+    let io_timeout = WORKER_IO_TIMEOUT_SECS.to_string();
+    let workers: Vec<Daemon> = (0..SHARDS)
+        .map(|i| spawn_worker(i, 0, &["--io-timeout-secs", &io_timeout]))
+        .collect();
 
     // Ingest directly into every worker (each filters to its own
     // shard), so all three are `ready` before the router's baseline

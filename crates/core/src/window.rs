@@ -11,22 +11,24 @@
 //! # Online state: itemsets, not rules
 //!
 //! A push mines the unit with [`eclat`], depth-first over the unit's
-//! tid-bitmaps, and folds every large itemset into that itemset's
-//! [`OnlineCycles`] ring: the itemset's binary sequence over the
-//! retained units, one bit per unit at position `abs_unit mod C` with
-//! `C ≥ window + 1`, plus its support count at each hold. An itemset
-//! absent from the unit is not visited — its unset bit *is* the miss.
-//! Eviction clears the evicted unit's holds, which is what revives a
-//! cycle an old miss had killed, and an itemset whose ring empties is
+//! tid-bitmaps, into one flat buffer, and folds every large itemset into
+//! that itemset's [`OnlineCycles`] ring: the itemset's binary sequence
+//! over the retained units, one bit per unit at position `abs_unit mod
+//! C` with `C ≥ window + 1`, plus its support count at each hold. An
+//! itemset absent from the unit is not visited — its unset bit *is* the
+//! miss. Eviction clears the evicted unit's holds, which is what revives
+//! a cycle an old miss had killed, and an itemset whose ring empties is
 //! dropped. No rule is generated at push time.
 //!
 //! Each tracked itemset is stored once, in a slot of an arena beside
 //! its ring, under a dense `u32` id; the ids of dropped itemsets are
 //! recycled. An index from the itemset's 64-bit hash to the first slot
 //! of the chain of itemsets with that hash finds an itemset's id
-//! without a second copy of it. Each retained unit keeps the ids of its
-//! large itemsets, so an eviction indexes the arena and hashes only the
-//! itemsets it drops.
+//! without a second copy of it, so the fold looks a mined slice up
+//! where it lies and copies it into an [`ItemSet`] only when it starts
+//! tracking it. Each retained unit keeps the ids of its large itemsets,
+//! so an eviction indexes the arena and hashes only the itemsets it
+//! drops.
 //!
 //! The fold needs every large itemset of the unit with its count, and
 //! nothing else. Apriori's levels exist so that INTERLEAVED can prune
@@ -65,7 +67,7 @@
 //! ([`push_units`](SlidingWindowMiner::push_units), which boot recovery
 //! uses) never pays it for a unit the batch itself evicts: such a unit
 //! is counted as pushed and evicted but never mined, and the units the
-//! batch keeps are mined on a helper thread ahead of the fold.
+//! batch keeps are pushed in order on the calling thread.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::hash::{BuildHasher, BuildHasherDefault};
@@ -74,12 +76,11 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use car_apriori::hash::{FastHashMap, FxHasher};
-use car_apriori::{apriori_gen, eclat, FrequentItemsets, MinConfidence, Rule};
+use car_apriori::{apriori_gen, eclat, FlatItemsets, MinConfidence, Rule};
 use car_cycles::{minimal_cycles, CycleMasks, CycleSet, OnlineCycles};
-use car_itemset::ItemSet;
+use car_itemset::{Item, ItemSet};
 
 use crate::config::{ConfigError, MiningConfig};
-use crate::parallel::join_all;
 use crate::result::{CyclicRule, RuleView};
 
 /// How often (in itemsets visited) an escalated assembly re-reads the
@@ -87,11 +88,6 @@ use crate::result::{CyclicRule, RuleView};
 /// itemset would dominate the popcount that settles most of them. Must
 /// stay a power of two — the check masks rather than divides.
 const DEADLINE_CHECK_ITEMSETS: usize = 1024;
-
-/// Mined units a batch's helper thread may run ahead of the fold. A
-/// fold costs about as much as mining the unit, so a short queue keeps
-/// both threads busy while bounding the itemsets held in flight.
-const MINE_AHEAD_UNITS: usize = 4;
 
 /// A tracked itemset with its online state.
 struct Slot {
@@ -108,7 +104,8 @@ struct Slot {
 /// holds no second copy of an itemset. The hash is 32 bits, which
 /// halves the index's entries; tens of thousands of itemsets share one
 /// rarely, so a chain is almost always one slot long. Callers hash an
-/// itemset once ([`ItemsetArena::hash`]) and pass the hash along.
+/// itemset's items once ([`ItemsetArena::hash`]) and pass the hash
+/// along.
 #[derive(Default)]
 struct ItemsetArena {
     slots: Vec<Option<Slot>>,
@@ -117,9 +114,11 @@ struct ItemsetArena {
 }
 
 impl ItemsetArena {
-    /// The high half of the itemset's Fx hash, the better-mixed one.
-    fn hash(itemset: &ItemSet) -> u32 {
-        (BuildHasherDefault::<FxHasher>::default().hash_one(itemset) >> 32) as u32
+    /// The high half of the Fx hash of an itemset's items, the
+    /// better-mixed one. An [`ItemSet`] hashes as its item slice, so a
+    /// mined slice and the tracked itemset share this hash.
+    fn hash(items: &[Item]) -> u32 {
+        (BuildHasherDefault::<FxHasher>::default().hash_one(items) >> 32) as u32
     }
 
     /// Tracked itemsets.
@@ -140,12 +139,13 @@ impl ItemsetArena {
         self.slots.iter().flatten()
     }
 
-    /// The id of `itemset`, whose hash is `hash`, if it is tracked.
-    fn find(&self, hash: u32, itemset: &ItemSet) -> Option<u32> {
+    /// The id of the itemset of `items`, whose hash is `hash`, if it is
+    /// tracked.
+    fn find(&self, hash: u32, items: &[Item]) -> Option<u32> {
         let mut next = self.index.get(&hash).copied();
         while let Some(id) = next {
             let slot = self.get(id)?;
-            if slot.itemset == *itemset {
+            if slot.itemset.as_slice() == items {
                 return Some(id);
             }
             next = slot.next;
@@ -386,8 +386,8 @@ impl SlidingWindowMiner {
     /// alone.
     pub fn push_unit(&mut self, transactions: &[ItemSet]) -> usize {
         let _span = car_obs::time_span!("window.push_unit");
-        let frequent = Self::mine(&self.config, transactions);
-        self.push_mined(frequent)
+        let mined = Self::mine(&self.config, transactions);
+        self.push_mined(mined)
     }
 
     /// Ingests `units` in order, with the same result as pushing them
@@ -399,10 +399,7 @@ impl SlidingWindowMiner {
     /// A batch at least as long as the window evicts every unit retained
     /// before it, and its own leading `len − window` units: their state
     /// is dropped at once and those units are never mined. The units
-    /// kept are mined on one helper thread, ahead of the in-order fold
-    /// on the calling thread; a batch of fewer than two, or a failed
-    /// spawn, mines in-thread. A panic in the helper is re-raised here
-    /// once it has stopped.
+    /// kept are pushed in order on the calling thread.
     pub fn push_units(&mut self, units: &[Vec<ItemSet>]) -> usize {
         let before = self.len() + units.len();
         let skip = units.len().saturating_sub(self.window);
@@ -412,52 +409,16 @@ impl SlidingWindowMiner {
             self.item_totals.clear();
             self.total_pushed += skip as u64;
         }
-        let kept = units.get(skip..).unwrap_or_default();
-        let config = self.config;
-        std::thread::scope(|scope| {
-            let (mined, ready) = std::sync::mpsc::sync_channel(MINE_AHEAD_UNITS);
-            let helper = if kept.len() < 2 {
-                None
-            } else {
-                let mine_ahead = move || {
-                    for unit in kept {
-                        // A closed channel means the fold unwound.
-                        if mined.send(Self::mine(&config, unit)).is_err() {
-                            return;
-                        }
-                    }
-                };
-                let builder = std::thread::Builder::new().name("car-window-mine".into());
-                builder.spawn_scoped(scope, mine_ahead).ok()
-            };
-            match helper {
-                Some(helper) => {
-                    // The helper allocated the mined itemsets. The copies
-                    // of those already tracked are freed once it has
-                    // joined: freeing them here, while it still allocates,
-                    // made a 96-unit batch about 40% slower.
-                    let mut copies = Vec::new();
-                    for frequent in ready {
-                        self.fold(frequent, |copy| copies.push(copy));
-                    }
-                    join_all(vec![helper]);
-                    drop(copies);
-                }
-                None => {
-                    for unit in kept {
-                        self.push_mined(Self::mine(&config, unit));
-                    }
-                }
-            }
-        });
+        for unit in units.get(skip..).unwrap_or_default() {
+            self.push_mined(Self::mine(&self.config, unit));
+        }
         before - self.len()
     }
 
     /// The first half of a push: every large itemset of the unit, with
-    /// its count. It reads only the configuration, not the window, so a
-    /// batch runs it on a helper thread and the daemon runs it outside
-    /// the miner lock.
-    pub fn mine(config: &MiningConfig, transactions: &[ItemSet]) -> FrequentItemsets {
+    /// its count, in one flat buffer. It reads only the configuration,
+    /// not the window, so the daemon runs it outside the miner lock.
+    pub fn mine(config: &MiningConfig, transactions: &[ItemSet]) -> FlatItemsets {
         let _span = car_obs::time_span!("window.mine");
         eclat(transactions, config.min_support, config.max_itemset_size)
     }
@@ -465,39 +426,25 @@ impl SlidingWindowMiner {
     /// The second half of a push: folds a unit mined by
     /// [`mine`](Self::mine) into the online state as the newest unit,
     /// evicting the oldest once the window is full. Returns the number of
-    /// units evicted (0 or 1). `frequent` must come from `mine` with this
+    /// units evicted (0 or 1). `mined` must come from `mine` with this
     /// miner's configuration: with any other the window no longer equals
     /// batch-mining its units.
-    pub fn push_mined(&mut self, frequent: FrequentItemsets) -> usize {
-        self.fold(frequent, drop)
-    }
-
-    /// [`push_mined`](Self::push_mined), handing `spare` the unit's copy
-    /// of each itemset that is already tracked.
-    fn fold(
-        &mut self,
-        frequent: FrequentItemsets,
-        mut spare: impl FnMut(ItemSet),
-    ) -> usize {
+    pub fn push_mined(&mut self, mined: FlatItemsets) -> usize {
         let _span = car_obs::time_span!("window.fold");
         // Fold this unit's large itemsets into the online cycle state:
         // one bit and one count per itemset. Itemsets absent from the
         // unit need no visit — their unset bit *is* the miss (see
         // `OnlineCycles`). The new unit is recorded before the oldest is
-        // evicted, which is why rings hold `window + 1` positions.
+        // evicted, which is why rings hold `window + 1` positions. Only
+        // an itemset not tracked yet is copied out of the buffer.
         let abs_unit = self.total_pushed;
-        let mut held = Vec::with_capacity(frequent.len());
-        for (itemset, count) in frequent {
-            let hash = ItemsetArena::hash(&itemset);
-            let id = match self.tracked.find(hash, &itemset) {
-                Some(id) => {
-                    spare(itemset);
-                    Some(id)
-                }
-                None => {
-                    self.tracked.insert(hash, itemset, OnlineCycles::new(self.window))
-                }
-            };
+        let mut held = Vec::with_capacity(mined.len());
+        for (items, count) in mined.iter() {
+            let hash = ItemsetArena::hash(items);
+            let id = self.tracked.find(hash, items).or_else(|| {
+                let itemset = ItemSet::from_sorted_vec(items.to_vec());
+                self.tracked.insert(hash, itemset, OnlineCycles::new(self.window))
+            });
             let Some(id) = id else { continue };
             let Some(slot) = self.tracked.get_mut(id) else { continue };
             slot.state.record_hold(abs_unit, count);
@@ -1043,9 +990,9 @@ mod tests {
             assert_eq!(rules, batch.rules, "after day {day}");
             let mut sequences: FastHashMap<ItemSet, BitSeq> = FastHashMap::default();
             for (u, unit) in retained.iter().enumerate() {
-                for (itemset, _) in apriori.mine(unit) {
+                for (itemset, _) in apriori.mine(unit).iter() {
                     sequences
-                        .entry(itemset)
+                        .entry(itemset.clone())
                         .or_insert_with(|| BitSeq::zeros(n))
                         .set(u, true);
                 }
@@ -1082,7 +1029,6 @@ mod tests {
 
     #[test]
     fn zero_and_one_unit_batches_match_single_pushes() {
-        // Below two units a batch mines in-thread, with no helper.
         let mut batched = SlidingWindowMiner::new(config(2), 4).unwrap();
         let mut single = SlidingWindowMiner::new(config(2), 4).unwrap();
         assert_eq!(batched.push_units(&[]), 0);
@@ -1139,7 +1085,8 @@ mod tests {
         let mined: Vec<Vec<ItemSet>> = history
             .iter()
             .map(|unit| {
-                SlidingWindowMiner::mine(&cfg, unit).into_iter().map(|(s, _)| s).collect()
+                let mined = SlidingWindowMiner::mine(&cfg, unit);
+                mined.iter().map(|(s, _)| ItemSet::from_sorted_vec(s.to_vec())).collect()
             })
             .collect();
         let mut peak = 0;

@@ -9,11 +9,11 @@
 //!   or JSON lines on stderr, filtered at runtime through the `CAR_LOG`
 //!   environment variable (`CAR_LOG=mine=debug,wal=info`). A bounded
 //!   ring buffer can capture recent events for a debug endpoint.
-//! * **Span timing** ([`span`], the [`time_span!`] macro) — RAII guards
+//! * **Span timing** ([`span`](mod@span), the [`time_span!`] macro) — RAII guards
 //!   that accumulate `(count, total ns, max ns)` per span name into a
 //!   lock-free flat profile; recording is plain relaxed atomics, and a
 //!   disabled span never even reads the clock.
-//! * **Distributed tracing** ([`trace`]) — per-request trace trees
+//! * **Distributed tracing** ([`trace`](mod@trace)) — per-request trace trees
 //!   propagated across processes as `X-Car-Trace-Id` /
 //!   `X-Car-Parent-Span` headers. `time_span!` call sites feed the live
 //!   trace as named child spans; finished spans travel back in a

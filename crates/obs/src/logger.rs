@@ -272,8 +272,9 @@ fn push_logfmt_value(out: &mut String, value: &str) {
     out.push('"');
 }
 
-/// Appends `value` as a JSON string literal.
-fn push_json_string(out: &mut String, value: &str) {
+/// Appends `value` as a JSON string literal: the one escaper of the
+/// logger's JSON format and the Chrome trace export.
+pub(crate) fn push_json_string(out: &mut String, value: &str) {
     out.push('"');
     for c in value.chars() {
         match c {

@@ -1,6 +1,6 @@
 //! RAII span timing backed by a lock-free flat profile.
 //!
-//! A *span* is a named region of code. Entering it (via [`time_span!`]
+//! A *span* is a named region of code. Entering it (via [`time_span!`](crate::time_span!)
 //! or [`span`]) returns a guard; when the guard drops, the elapsed
 //! wall-clock time is folded into a fixed-size table of
 //! `(count, total ns, max ns)` slots keyed by span id. Recording is
@@ -9,7 +9,7 @@
 //! daemon's request path.
 //!
 //! The name registry *is* behind a mutex, but it is only touched the
-//! first time each call site runs ([`time_span!`] caches the id in a
+//! first time each call site runs ([`time_span!`](crate::time_span!) caches the id in a
 //! `OnceLock`) and when a snapshot is taken.
 //!
 //! Spans are globally disabled by default: [`span`] checks one relaxed
@@ -30,7 +30,7 @@ pub const MAX_SPANS: usize = 64;
 const OVERFLOW: u32 = u32::MAX;
 
 /// Identifies a registered span. Obtained from [`register_span`] and
-/// cheap to copy; [`time_span!`] manages one per call site.
+/// cheap to copy; [`time_span!`](crate::time_span!) manages one per call site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanId(u32);
 
@@ -68,7 +68,7 @@ pub fn spans_enabled() -> bool {
 
 /// Registers `name` in the profile (idempotent — the same name returns
 /// the same id). Cold path: takes the registry mutex. Prefer
-/// [`time_span!`], which calls this once per call site.
+/// [`time_span!`](crate::time_span!), which calls this once per call site.
 pub fn register_span(name: &'static str) -> SpanId {
     let mut names = names_lock();
     if let Some(pos) = names.iter().position(|n| *n == name) {
@@ -99,7 +99,7 @@ pub fn span(id: SpanId) -> SpanGuard {
 /// active — see [`crate::trace::begin_request`]). Either sink may be
 /// armed independently; with both disarmed the guard is inert and the
 /// clock is never read, so the cost is one relaxed atomic load plus one
-/// thread-local flag read. This is what [`time_span!`] expands to.
+/// thread-local flag read. This is what [`time_span!`](crate::time_span!) expands to.
 #[must_use = "the span ends when the guard drops; binding to _ ends it immediately"]
 pub fn span_site(id: SpanId, name: &'static str) -> SpanGuard {
     // audit:allow(a6-relaxed-control) reason="span capture is sampling-tolerant: a stale enabled flag loses or adds one span around the toggle, and the slot counters are monotonic atomics"

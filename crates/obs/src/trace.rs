@@ -29,6 +29,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
+use crate::logger::push_json_string;
+
 /// Request header carrying the 128-bit trace id as 32 lowercase hex.
 pub const TRACE_ID_HEADER: &str = "x-car-trace-id";
 /// Request header carrying the parent span uid as 16 lowercase hex.
@@ -932,22 +934,6 @@ pub struct TraceSummary {
 // Chrome trace_event export.
 // ---------------------------------------------------------------------
 
-fn json_escape(raw: &str, out: &mut String) {
-    for ch in raw.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Renders an assembled trace as Chrome `trace_event` JSON — complete
 /// `X`-phase events loadable in `about:tracing` or Perfetto. Spans map
 /// to one event each; the uid, parent, and attributes ride in `args`.
@@ -957,9 +943,9 @@ pub fn chrome_trace_json(trace: &AssembledTrace) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str("{\"name\":\"");
-        json_escape(&span.name, &mut out);
-        out.push_str("\",\"cat\":\"car\",\"ph\":\"X\",\"ts\":");
+        out.push_str("{\"name\":");
+        push_json_string(&mut out, &span.name);
+        out.push_str(",\"cat\":\"car\",\"ph\":\"X\",\"ts\":");
         out.push_str(&span.start_us.to_string());
         out.push_str(",\"dur\":");
         out.push_str(&span.dur_us.to_string());
@@ -972,26 +958,24 @@ pub fn chrome_trace_json(trace: &AssembledTrace) -> String {
             .unwrap_or(0);
         out.push_str(",\"pid\":1,\"tid\":");
         out.push_str(&tid.to_string());
-        out.push_str(",\"args\":{\"uid\":\"");
-        json_escape(&span.uid.to_hex(), &mut out);
-        out.push_str("\",\"parent\":\"");
+        out.push_str(",\"args\":{\"uid\":");
+        push_json_string(&mut out, &span.uid.to_hex());
+        out.push_str(",\"parent\":");
         match span.parent {
-            Some(parent) => json_escape(&parent.to_hex(), &mut out),
-            None => out.push('-'),
+            Some(parent) => push_json_string(&mut out, &parent.to_hex()),
+            None => out.push_str("\"-\""),
         }
-        out.push('"');
         for (key, value) in &span.attrs {
-            out.push_str(",\"");
-            json_escape(key, &mut out);
-            out.push_str("\":\"");
-            json_escape(value, &mut out);
-            out.push('"');
+            out.push(',');
+            push_json_string(&mut out, key);
+            out.push(':');
+            push_json_string(&mut out, value);
         }
         out.push_str("}}");
     }
-    out.push_str("],\"otherData\":{\"trace_id\":\"");
-    json_escape(&trace.trace_id.to_hex(), &mut out);
-    out.push_str("\"}}");
+    out.push_str("],\"otherData\":{\"trace_id\":");
+    push_json_string(&mut out, &trace.trace_id.to_hex());
+    out.push_str("}}");
     out
 }
 

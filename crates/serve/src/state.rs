@@ -20,7 +20,7 @@
 //! never acknowledged before it is in the log. The push comes before
 //! the sync, so the worker mines the unit while the sync runs; it folds
 //! the unit only once the durable-through watermark
-//! ([`Persistence::await_durable`]) covers it, and drops a unit whose
+//! (`Persistence::await_durable`) covers it, and drops a unit whose
 //! sync failed. A write failure queues nothing, and a sync failure fails
 //! the log, so a queued sequence number is never reused. The ingest
 //! worker performs boot recovery (snapshot plus WAL replay) before

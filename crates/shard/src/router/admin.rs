@@ -138,7 +138,7 @@ pub(super) fn metrics(state: &Arc<RouterState>) -> Response {
         ),
         (
             "car_shard_catchup_units_total",
-            "Units replayed to re-admitted workers.",
+            "Units accepted from catch-up replays.",
             per_worker(|w| w.catchup_units),
         ),
         (

@@ -143,13 +143,17 @@ impl RouterState {
                 })
                 .collect();
             let body = units_to_body(&sub_units);
-            let ok = match w.client.request("POST", "/v1/units?wait=true", Some(&body)) {
-                Some(resp) if resp.status == 200 || resp.status == 202 => {
-                    batch_fully_accepted(&resp.body, sub_units.len()).is_some()
-                }
-                _ => false,
-            };
-            if !ok {
+            let accepted =
+                match w.client.request("POST", "/v1/units?wait=true", Some(&body)) {
+                    Some(resp) if resp.status == 200 || resp.status == 202 => {
+                        batch_answer(&resp.body).map_or(0, |(accepted, _)| accepted)
+                    }
+                    _ => 0,
+                };
+            // A replay taken in part still delivered its leading units,
+            // and the next round replays only the rest.
+            w.catchup_units = w.catchup_units.saturating_add(accepted);
+            if accepted != sub_units.len() as u64 {
                 // Still flaky; reopen and restart the cooldown.
                 w.record_failure();
                 return;
@@ -157,7 +161,6 @@ impl RouterState {
         }
         if w.record_success() {
             w.readmissions = w.readmissions.saturating_add(1);
-            w.catchup_units = w.catchup_units.saturating_add(behind);
             car_obs::info!(
                 "shard",
                 [shard = w.shard_id, replayed = behind],
@@ -167,17 +170,21 @@ impl RouterState {
     }
 }
 
-/// Parses a worker's batch-ingest response and confirms every unit was
-/// accepted; returns the response's `applied` flag, or `None` when the
-/// worker rejected any unit (it must then be caught up via replay).
-fn batch_fully_accepted(body: &[u8], expected: usize) -> Option<bool> {
+/// Parses a worker's batch-ingest response: the units it accepted and
+/// its `applied` flag.
+fn batch_answer(body: &[u8]) -> Option<(u64, bool)> {
     let text = std::str::from_utf8(body).ok()?;
     let doc = Json::parse(text).ok()?;
     let accepted = doc.get("accepted").and_then(Json::as_u64)?;
-    if accepted != expected as u64 {
-        return None;
-    }
-    Some(doc.get("applied").and_then(Json::as_bool).unwrap_or(false))
+    Some((accepted, doc.get("applied").and_then(Json::as_bool).unwrap_or(false)))
+}
+
+/// Confirms that a worker's batch-ingest response accepted every unit;
+/// returns its `applied` flag, or `None` when the worker rejected any
+/// unit (it must then be caught up via replay).
+fn batch_fully_accepted(body: &[u8], expected: usize) -> Option<bool> {
+    let (accepted, applied) = batch_answer(body)?;
+    (accepted == expected as u64).then_some(applied)
 }
 
 pub(super) fn ingest(state: &Arc<RouterState>, req: &http::Request) -> Response {

@@ -247,7 +247,8 @@ struct Worker {
     downs: u64,
     /// Times this worker was re-admitted after catch-up replay.
     readmissions: u64,
-    /// Units replayed to this worker on re-admission.
+    /// Units this worker accepted from catch-up replays, including
+    /// replays it took only in part.
     catchup_units: u64,
 }
 

@@ -18,7 +18,9 @@ use car_core::MiningConfig;
 use car_itemset::ItemSet;
 use car_serve::json::Json;
 use car_serve::{serve, Client, ServerConfig, ServerHandle, ShardIdentity};
-use car_shard::{run_router, PartitionKey, RouterConfig, RouterHandle, ShardRing};
+use car_shard::{
+    run_router, BreakerConfig, PartitionKey, RouterConfig, RouterHandle, ShardRing,
+};
 
 fn mining_config() -> MiningConfig {
     MiningConfig::builder()
@@ -504,6 +506,77 @@ fn failed_ingest_leg_excludes_the_worker_until_catchup() {
     assert_eq!(resp.status, 200);
     router.wait();
     for w in workers.into_iter().chain([oracle]) {
+        w.trigger_shutdown();
+        w.wait();
+    }
+}
+
+/// A catch-up replay longer than the worker's queue is taken in part.
+/// Worker 1 takes two of a 3-unit batch and misses three single units
+/// while it is out; the first round replays the four it lacks and it
+/// takes two, the breaker reopens, and a second round replays the last
+/// two. The counter counts every unit a replay delivered, four, not
+/// only the two of the round that re-admitted it.
+#[test]
+fn catchup_counts_the_units_of_a_partial_replay() {
+    let units = pure_units(2, 6);
+    let shard = |shard_id| Some(ShardIdentity { shard_id, shard_count: 2 });
+    let short_queue =
+        ServerConfig { queue_capacity: 2, ..worker_config("127.0.0.1:0", shard(1)) };
+    let workers = vec![
+        spawn_worker("127.0.0.1:0", shard(0)),
+        serve(short_queue).expect("worker boots"),
+    ];
+    // A cooldown long enough that the single units are all routed
+    // before the first catch-up round.
+    let router = run_router(RouterConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: workers.iter().map(|w| w.addr.to_string()).collect(),
+        probe_interval: Duration::from_millis(100),
+        breaker: BreakerConfig { cooldown: Duration::from_secs(1), ..Default::default() },
+        ..RouterConfig::default()
+    })
+    .expect("router boots");
+    let mut rc = Client::connect(&router.addr.to_string()).unwrap();
+    let metric = |rc: &mut Client, name: &str| {
+        sample(&rc.request("GET", "/metrics", None).unwrap().body_text(), name)
+    };
+    let partial =
+        |body: &str| Json::parse(body).unwrap().get("partial").and_then(Json::as_bool);
+
+    for batch in [&units[..3], &units[3..4], &units[4..5], &units[5..]] {
+        let resp =
+            rc.request("POST", "/v1/units?wait=true", Some(&batch_body(batch))).unwrap();
+        assert_eq!(partial(&resp.body_text()), Some(true), "{}", resp.body_text());
+    }
+    let deadline = Instant::now() + Duration::from_secs(15);
+    while metric(&mut rc, "car_shard_readmissions_total") == 0 {
+        assert!(Instant::now() < deadline, "worker 1 was never re-admitted");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    assert_eq!(metric(&mut rc, "car_shard_catchup_units_total"), 4);
+    let health = rc.request("GET", "/v1/health", None).unwrap().body_text();
+    let doc = Json::parse(&health).unwrap();
+    let opens = doc
+        .get("breakers")
+        .and_then(Json::as_array)
+        .and_then(|breakers| breakers.get(1))
+        .and_then(|breaker| breaker.get("opens"))
+        .and_then(Json::as_u64);
+    assert_eq!(opens, Some(2), "{health}");
+    let mut wc = Client::connect(&workers[1].addr.to_string()).unwrap();
+    let worker_health = wc.request("GET", "/v1/health", None).unwrap().body_text();
+    let doc = Json::parse(&worker_health).unwrap();
+    assert_eq!(
+        doc.get("total_pushed").and_then(Json::as_u64),
+        Some(6),
+        "{worker_health}"
+    );
+
+    let resp = rc.request("POST", "/v1/shutdown", None).unwrap();
+    assert_eq!(resp.status, 200);
+    router.wait();
+    for w in workers {
         w.trigger_shutdown();
         w.wait();
     }

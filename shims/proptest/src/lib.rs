@@ -257,7 +257,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Clone, Debug)]
     pub struct VecStrategy<S, R> {
         element: S,
