@@ -1,6 +1,6 @@
 use std::fmt;
 
-use car_itemset::ItemSet;
+use car_itemset::{Item, ItemSet};
 
 use crate::hash::FastHashMap;
 
@@ -38,11 +38,11 @@ impl FrequentItemsets {
         self.num_transactions
     }
 
-    /// The count of an itemset, if it is large.
-    pub fn count(&self, itemset: &ItemSet) -> Option<u64> {
-        self.levels
-            .get(itemset.len().checked_sub(1)?)
-            .and_then(|m| m.get(itemset).copied())
+    /// The count of an itemset, if it is large. The itemset is given as
+    /// its sorted items, so a slice built in a scratch buffer is looked
+    /// up without allocating an [`ItemSet`]; an `&ItemSet` derefs to one.
+    pub fn count(&self, items: &[Item]) -> Option<u64> {
+        self.levels.get(items.len().checked_sub(1)?).and_then(|m| m.get(items).copied())
     }
 
     /// The support fraction of an itemset, if it is large (count divided

@@ -7,7 +7,10 @@
 //!
 //! Components:
 //!
-//! * [`apriori_gen`] — level-wise candidate generation (join + prune).
+//! * [`apriori_gen`] — level-wise candidate generation (join + prune),
+//!   which builds each joined candidate in a scratch buffer and looks up
+//!   its subsets in place ([`find_subset_without`]), allocating only the
+//!   candidates that survive.
 //! * [`TidBitmaps`] — the one counting engine of the product path: one
 //!   build per unit holds a `u64` tid-bitset per large item, and a
 //!   support is a chained AND + popcount over them (see [`bitmap`]).
@@ -19,8 +22,12 @@
 //!   extension of a prefix class is one AND plus popcount, with no
 //!   candidate generation, and the large itemsets go into one
 //!   [`FlatItemsets`] buffer. It is the live window's per-unit miner.
-//! * [`generate_rules`] — `ap-genrules` association rule generation with
-//!   confidence-based consequent pruning.
+//! * [`for_each_rule`] — the one `ap-genrules` walk, with
+//!   confidence-based consequent pruning: consequents are `u64` position
+//!   masks over the itemset, and each antecedent's count is looked up by
+//!   slice, so no rule allocates. [`generate_rules`] collects it into
+//!   sorted [`AssociationRule`]s; SEQUENTIAL (in `car-core`) stores its
+//!   masks.
 //! * [`MinSupport`] / [`MinConfidence`] — threshold handling (absolute
 //!   counts or fractions) with explicit empty-database semantics.
 //!
@@ -63,7 +70,7 @@ mod support;
 
 pub use apriori::{Apriori, AprioriConfig, AprioriStats};
 pub use bitmap::{ItemMap, TidBitmaps};
-pub use candidate::apriori_gen;
+pub use candidate::{apriori_gen, find_subset_without};
 /// [`count_candidates`] under the name the benchmark's level replay
 /// calls.
 pub use count::count_candidates as count_candidates_detailed;
@@ -71,5 +78,5 @@ pub use count::{count_candidates, CountStrategy};
 pub use eclat::{eclat, FlatItemsets};
 pub use frequent::FrequentItemsets;
 pub use hash_tree::HashTree;
-pub use rules::{generate_rules, AssociationRule, Rule};
+pub use rules::{for_each_rule, generate_rules, AssociationRule, Rule, RuleMask};
 pub use support::{MinConfidence, MinSupport};

@@ -2,9 +2,8 @@
 
 use std::fmt;
 
-use car_itemset::ItemSet;
+use car_itemset::{Item, ItemSet};
 
-use crate::candidate::apriori_gen;
 use crate::frequent::FrequentItemsets;
 use crate::support::MinConfidence;
 
@@ -35,6 +34,21 @@ impl Rule {
     pub fn itemset(&self) -> ItemSet {
         self.antecedent.union(&self.consequent)
     }
+
+    /// The rule of itemset `z` whose antecedent is the items at the
+    /// positions set in `antecedent` (bit `i` stands for `z[i]`) and
+    /// whose consequent is the rest of `z`, as [`for_each_rule`] reports
+    /// them. `z` has at most 64 items, as every itemset the walk visits.
+    pub fn from_mask(z: &[Item], antecedent: u64) -> Rule {
+        let side = |mask| ItemSet::from_sorted_vec(items_at(z, mask).collect());
+        Rule { antecedent: side(antecedent), consequent: side(!antecedent) }
+    }
+}
+
+/// The items of `z` at the positions set in `mask`, in order.
+fn items_at(z: &[Item], mask: u64) -> impl Iterator<Item = Item> + '_ {
+    let selected = move |i: usize| mask.checked_shr(i as u32).is_some_and(|m| m & 1 == 1);
+    z.iter().enumerate().filter(move |&(i, _)| selected(i)).map(|(_, &item)| item)
 }
 
 impl fmt::Debug for Rule {
@@ -94,87 +108,149 @@ impl AssociationRule {
     }
 }
 
+/// One rule of a frequent itemset `Z`, as [`for_each_rule`] finds it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RuleMask {
+    /// The antecedent's positions in `Z`: bit `i` set means `Z[i]` is in
+    /// the antecedent, and the consequent is the rest of `Z`.
+    pub antecedent: u64,
+    /// Transactions containing the antecedent.
+    pub antecedent_count: u64,
+}
+
 /// Generates every association rule meeting `min_confidence` from the
 /// frequent itemsets, using the `ap-genrules` strategy: consequents grow
 /// level-wise and a failing consequent prunes all its supersets
 /// (confidence is anti-monotone in the consequent).
 ///
 /// The result is sorted by `(antecedent, consequent)` for determinism.
+/// It collects [`for_each_rule`]'s walk into rules with their counts.
 pub fn generate_rules(
     frequent: &FrequentItemsets,
     min_confidence: MinConfidence,
 ) -> Vec<AssociationRule> {
     let mut out = Vec::new();
-    for (itemset, count) in frequent.iter() {
-        if itemset.len() < 2 {
-            continue;
+    for_each_rule(frequent, min_confidence, |z, z_count, rules| {
+        for mask in rules {
+            let rule = Rule::from_mask(z, mask.antecedent);
+            let consequent_count = frequent
+                .count(&rule.consequent)
+                .expect("subsets of a frequent itemset are frequent");
+            out.push(AssociationRule {
+                rule,
+                rule_count: z_count,
+                antecedent_count: mask.antecedent_count,
+                consequent_count,
+                num_transactions: frequent.num_transactions(),
+            });
         }
-        rules_from_itemset(frequent, itemset, count, min_confidence, &mut out);
-    }
+    });
     out.sort_by(|a, b| a.rule.cmp(&b.rule));
     out
 }
 
-/// Generates the rules derivable from one frequent itemset `z`.
-fn rules_from_itemset(
+/// The `ap-genrules` walk: for every frequent itemset `Z` of at least two
+/// items that yields a rule meeting `min_confidence`, calls `emit(Z,
+/// count of Z, rules)` once with all of `Z`'s rules, in no particular
+/// order.
+///
+/// Consequents are `u64` masks of positions in `Z` and grow level-wise:
+/// a consequent one item larger is tried only when every consequent one
+/// item smaller inside it passed. Each antecedent is built in a scratch
+/// buffer and its count looked up by slice, so the walk allocates
+/// nothing per rule. An antecedent missing from `frequent` (impossible
+/// for an [`Apriori`](crate::Apriori) result) fails its rule.
+pub fn for_each_rule(
     frequent: &FrequentItemsets,
-    z: &ItemSet,
-    z_count: u64,
     min_confidence: MinConfidence,
-    out: &mut Vec<AssociationRule>,
+    mut emit: impl FnMut(&ItemSet, u64, &[RuleMask]),
 ) {
-    // Consequents of size 1 first.
-    let mut consequents: Vec<ItemSet> = Vec::new();
-    for item in z.iter() {
-        let y = ItemSet::single(item);
-        if let Some(rule) = try_rule(frequent, z, z_count, &y, min_confidence) {
-            out.push(rule);
-            consequents.push(y);
+    let mut walk = RuleWalk::default();
+    for (z, z_count) in frequent.iter() {
+        // A mask has 64 positions. A frequent itemset of more items would
+        // need all 2^64 of its subsets frequent and stored, so it cannot
+        // occur; such an itemset is skipped rather than walked.
+        if z.len() < 2 || z.len() > 64 {
+            continue;
         }
-    }
-    // Grow consequents level-wise; stop before the consequent swallows z.
-    while !consequents.is_empty() && consequents[0].len() + 1 < z.len() {
-        consequents.sort_unstable();
-        let next = apriori_gen(&consequents);
-        consequents = next
-            .into_iter()
-            .filter(|y| {
-                if let Some(rule) = try_rule(frequent, z, z_count, y, min_confidence) {
-                    out.push(rule);
-                    true
-                } else {
-                    false
-                }
-            })
-            .collect();
+        walk.rules_of(frequent, z, z_count, min_confidence);
+        if !walk.rules.is_empty() {
+            emit(z, z_count, &walk.rules);
+        }
     }
 }
 
-fn try_rule(
-    frequent: &FrequentItemsets,
-    z: &ItemSet,
-    z_count: u64,
-    consequent: &ItemSet,
-    min_confidence: MinConfidence,
-) -> Option<AssociationRule> {
-    let antecedent = z.difference(consequent);
-    if antecedent.is_empty() {
-        return None;
+/// Scratch buffers of [`for_each_rule`], reused across itemsets.
+#[derive(Default)]
+struct RuleWalk {
+    /// The rules of the current itemset.
+    rules: Vec<RuleMask>,
+    /// The consequents of the current size that passed, sorted.
+    passed: Vec<u64>,
+    /// The consequents one item larger to try next.
+    next: Vec<u64>,
+    /// The antecedent being looked up.
+    antecedent: Vec<Item>,
+}
+
+impl RuleWalk {
+    /// Fills `self.rules` with the rules of `z`, which has 2 to 64 items.
+    fn rules_of(
+        &mut self,
+        frequent: &FrequentItemsets,
+        z: &[Item],
+        z_count: u64,
+        min_confidence: MinConfidence,
+    ) {
+        let all = u64::MAX >> (64 - z.len());
+        self.rules.clear();
+        self.next.clear();
+        self.next.extend((0..z.len()).map(|i| 1u64 << i));
+        let mut size = 1;
+        while !self.next.is_empty() {
+            self.passed.clear();
+            for &consequent in &self.next {
+                let antecedent = all & !consequent;
+                self.antecedent.clear();
+                self.antecedent.extend(items_at(z, antecedent));
+                let Some(antecedent_count) = frequent.count(&self.antecedent) else {
+                    continue;
+                };
+                if min_confidence.accepts(z_count, antecedent_count) {
+                    self.rules.push(RuleMask { antecedent, antecedent_count });
+                    self.passed.push(consequent);
+                }
+            }
+            // Stop before the consequent swallows z.
+            size += 1;
+            if size == z.len() {
+                break;
+            }
+            self.passed.sort_unstable();
+            self.grow(z.len());
+        }
     }
-    let antecedent_count =
-        frequent.count(&antecedent).expect("subsets of a frequent itemset are frequent");
-    if !min_confidence.accepts(z_count, antecedent_count) {
-        return None;
+
+    /// Sets `self.next` to the consequents one item larger than those in
+    /// `self.passed` whose every subset one item smaller passed. Each
+    /// passed consequent is extended by each position above its highest,
+    /// so every candidate is built once, from its subset without its
+    /// highest position.
+    fn grow(&mut self, len: usize) {
+        self.next.clear();
+        for &consequent in &self.passed {
+            let above = 64 - consequent.leading_zeros() as usize;
+            for position in above..len {
+                let candidate = consequent | 1 << position;
+                let passed = |q: usize| {
+                    self.passed.binary_search(&(candidate & !(1 << q))).is_ok()
+                };
+                if (0..above).filter(|&q| consequent >> q & 1 == 1).all(passed) {
+                    self.next.push(candidate);
+                }
+            }
+        }
     }
-    let consequent_count =
-        frequent.count(consequent).expect("subsets of a frequent itemset are frequent");
-    Some(AssociationRule {
-        rule: Rule { antecedent, consequent: consequent.clone() },
-        rule_count: z_count,
-        antecedent_count,
-        consequent_count,
-        num_transactions: frequent.num_transactions(),
-    })
 }
 
 #[cfg(test)]
@@ -286,6 +362,26 @@ mod tests {
             assert_eq!(r.consequent_count, true_cons, "{}", r.rule);
             assert_eq!(r.num_transactions, tx.len());
         }
+    }
+
+    #[test]
+    fn walk_reaches_every_consequent_size() {
+        // {1,2,3,4,5} in every transaction: every split is a rule with
+        // confidence 1, consequents of 1 to 4 items included.
+        let tx = vec![set(&[1, 2, 3, 4, 5]); 3];
+        let f = mine(&tx, 1);
+        let z = set(&[1, 2, 3, 4, 5]);
+        let mut masks = Vec::new();
+        for_each_rule(&f, MinConfidence::new(1.0).unwrap(), |itemset, count, rules| {
+            assert_eq!(count, 3);
+            if *itemset == z {
+                masks.extend(rules.iter().map(|r| r.antecedent));
+            }
+        });
+        masks.sort_unstable();
+        assert_eq!(masks, (1..31).collect::<Vec<u64>>());
+        let rule = Rule::from_mask(&z, 0b10110);
+        assert_eq!(rule, Rule::new(set(&[2, 3, 5]), set(&[1, 4])).unwrap());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use std::time::Instant;
 
 use car_apriori::Rule;
-use car_cycles::{detect_approx_cycles, ApproxCycle};
+use car_cycles::{detect_approx_cycles, ApproxCycle, BitSeq};
 use car_itemset::SegmentedDb;
 
 use crate::config::{ConfigError, MiningConfig};
@@ -70,12 +70,13 @@ pub fn mine_approx(
 
     let phase2_start = Instant::now();
     let mut rules: Vec<ApproxCyclicRule> = Vec::new();
-    for (rule, seq) in sequences {
+    for (z, antecedent, words) in sequences.iter() {
+        let seq = BitSeq::from_words(n, words);
         let cycles = detect_approx_cycles(&seq, config.cycle_bounds, max_misses);
         if cycles.is_empty() {
             continue;
         }
-        rules.push(ApproxCyclicRule { rule, cycles });
+        rules.push(ApproxCyclicRule { rule: Rule::from_mask(z, antecedent), cycles });
     }
     rules.sort_by(|a, b| a.rule.cmp(&b.rule));
     stats.phase2 = phase2_start.elapsed();

@@ -42,7 +42,7 @@ use std::time::Instant;
 
 use car_apriori::bitmap::{ItemCounter, ItemMap};
 use car_apriori::hash::FastHashMap;
-use car_apriori::{apriori_gen, Rule, TidBitmaps};
+use car_apriori::{apriori_gen, find_subset_without, Rule, TidBitmaps};
 use car_cycles::{minimal_cycles, CycleSet};
 use car_itemset::{Item, ItemSet, SegmentedDb};
 
@@ -300,18 +300,20 @@ fn find_cyclic_itemsets(
                 .filter_map(|candidate| {
                     let cycles = if options.cycle_pruning {
                         let mut acc: Option<CycleSet> = None;
-                        for sub in candidate.immediate_subsets() {
+                        for skip in 0..candidate.len() {
                             // apriori_gen guarantees every immediate
                             // subset is large; a miss means the candidate
                             // cannot be large either, so drop it.
                             // `survivors` is sorted by itemset, so the
                             // subset's cycles are a binary search away —
-                            // no per-level hash map.
-                            let sub_cycles = survivors
-                                .binary_search_by(|s| s.itemset.cmp(&sub))
-                                .ok()
-                                .and_then(|idx| survivors.get(idx))
-                                .map(|s| &s.cycles)?;
+                            // no per-level hash map, and no subset built.
+                            let sub_cycles = find_subset_without(
+                                &survivors,
+                                |s| s.itemset.as_slice(),
+                                &candidate,
+                                skip,
+                            )
+                            .map(|s| &s.cycles)?;
                             match &mut acc {
                                 None => acc = Some(sub_cycles.clone()),
                                 Some(a) => a.intersect_with(sub_cycles),

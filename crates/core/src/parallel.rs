@@ -4,20 +4,18 @@
 //! independently, which parallelises embarrassingly: the units are split
 //! into contiguous chunks, each worker thread runs SEQUENTIAL's phase 1
 //! on its chunk, and the per-rule binary sequences are merged
-//! afterwards. Phase 2 (cycle detection) is cheap and stays
-//! single-threaded. Rules and work counters are identical to
-//! [`mine_sequential`](crate::sequential::mine_sequential).
+//! afterwards: each worker's itemsets are re-interned and its sequence
+//! words OR-ed into the first worker's. Phase 2 (cycle detection) is
+//! cheap and stays single-threaded. Rules and work counters are
+//! identical to [`mine_sequential`](crate::sequential::mine_sequential).
 
 use std::time::Instant;
 
-use car_apriori::hash::FastHashMap;
-use car_apriori::Rule;
-use car_cycles::BitSeq;
 use car_itemset::SegmentedDb;
 
 use crate::config::{ConfigError, MiningConfig};
 use crate::result::{MiningOutcome, MiningStats};
-use crate::sequential::{cyclic_rules, rule_sequences};
+use crate::sequential::{cyclic_rules, rule_sequences, RuleSequences};
 
 /// Mines cyclic association rules with the SEQUENTIAL algorithm using
 /// `num_threads` worker threads for the per-unit phase.
@@ -65,24 +63,23 @@ pub fn mine_sequential_parallel(
         join_all(handles)
     });
 
-    let mut sequences: FastHashMap<Rule, BitSeq> = FastHashMap::default();
+    let mut sequences: Option<RuleSequences> = None;
     for (chunk_sequences, work) in per_chunk {
         // The four counters SEQUENTIAL's phase 1 adds to.
         stats.support_computations += work.support_computations;
         stats.candidates_generated += work.candidates_generated;
         stats.bitmap_builds += work.bitmap_builds;
         stats.rules_checked += work.rules_checked;
-        for (rule, seq) in chunk_sequences {
-            let merged = sequences.entry(rule).or_insert_with(|| BitSeq::zeros(n));
-            for unit in seq.iter_ones() {
-                merged.set(unit, true);
-            }
+        match &mut sequences {
+            Some(merged) => merged.merge(chunk_sequences),
+            None => sequences = Some(chunk_sequences),
         }
     }
+    let sequences = sequences.unwrap_or_else(|| RuleSequences::new(n));
     stats.phase1 = phase1_start.elapsed();
 
     let phase2_start = Instant::now();
-    let rules = cyclic_rules(sequences, config, n);
+    let rules = cyclic_rules(&sequences, config);
     stats.phase2 = phase2_start.elapsed();
 
     Ok(MiningOutcome { rules, stats })

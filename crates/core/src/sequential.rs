@@ -4,14 +4,23 @@
 //! back to back:
 //!
 //! 1. **Per-unit rule mining.** For every time unit, run Apriori on that
-//!    unit's transactions and generate the association rules that hold
-//!    there (support and confidence computed within the unit).
+//!    unit's transactions and walk the association rules that hold
+//!    there (support and confidence computed within the unit) with
+//!    [`for_each_rule`], the `ap-genrules` walk that
+//!    [`generate_rules`](car_apriori::generate_rules) also collects.
 //! 2. **Cycle detection.** Each distinct rule induces a binary sequence
 //!    over the units (1 where it held); detect that sequence's cycles by
 //!    candidate elimination and report the minimal ones. The cycle sets
 //!    of the units are built once and shared by every sequence, and a
 //!    sequence with fewer holds than any cycle covers is settled by its
 //!    popcount.
+//!
+//! Phase 1 allocates nothing per rule. A rule `X ⇒ Y` is the pair (id of
+//! `Z = X ∪ Y`, mask of `X`'s positions in `Z`): each itemset `Z` is
+//! interned once, and each rule's sequence is a row of `⌈n / 64⌉` words
+//! in one flat vector (`RuleSequences`). Phase 2 settles most rules by
+//! the popcount of their words, and builds a [`BitSeq`] and a [`Rule`]
+//! only for the few that could be cyclic.
 //!
 //! This is the natural baseline: correct, simple, and — as the paper
 //! shows — wasteful, because it mines every unit at full strength even
@@ -27,9 +36,9 @@ use std::ops::Range;
 use std::time::Instant;
 
 use car_apriori::hash::FastHashMap;
-use car_apriori::{generate_rules, Apriori, AprioriConfig, Rule};
+use car_apriori::{for_each_rule, Apriori, AprioriConfig, Rule};
 use car_cycles::{detect_cycles_with, minimal_cycles, BitSeq, CycleSet};
-use car_itemset::SegmentedDb;
+use car_itemset::{ItemSet, SegmentedDb};
 
 use crate::config::{ConfigError, MiningConfig};
 use crate::result::{CyclicRule, MiningOutcome, MiningStats};
@@ -60,7 +69,7 @@ pub fn mine_sequential(
 
     let phase2_start = Instant::now();
     let phase2_span = car_obs::time_span!("mine.seq.cycle_detect");
-    let rules = cyclic_rules(sequences, config, n);
+    let rules = cyclic_rules(&sequences, config);
     drop(phase2_span);
     stats.phase2 = phase2_start.elapsed();
 
@@ -78,7 +87,7 @@ pub fn mine_sequential(
     Ok(MiningOutcome { rules, stats })
 }
 
-/// Phase 1 over `units` of `db`: mines each unit with Apriori, generates
+/// Phase 1 over `units` of `db`: mines each unit with Apriori, walks
 /// the rules that hold there, and sets the unit's bit in each rule's
 /// binary sequence over all of `db`'s units. Adds the work to `stats`.
 /// The parallel miner runs it once per worker, on disjoint ranges.
@@ -87,42 +96,156 @@ pub(crate) fn rule_sequences(
     config: &MiningConfig,
     units: Range<usize>,
     stats: &mut MiningStats,
-) -> FastHashMap<Rule, BitSeq> {
-    let n = db.num_units();
+) -> RuleSequences {
     let mut apriori_config =
         AprioriConfig::new(config.min_support).with_counting(config.counting);
     if let Some(cap) = config.max_itemset_size {
         apriori_config = apriori_config.with_max_size(cap);
     }
     let apriori = Apriori::new(apriori_config);
-    let mut sequences: FastHashMap<Rule, BitSeq> = FastHashMap::default();
+    let mut sequences = RuleSequences::new(db.num_units());
     for unit in units {
         let (frequent, apriori_stats) = apriori.mine_with_stats(db.unit(unit));
         stats.support_computations += apriori_stats.candidates_counted;
         stats.candidates_generated += apriori_stats.candidates_counted;
         stats.bitmap_builds += apriori_stats.bitmap_builds;
-        let rules = generate_rules(&frequent, config.min_confidence);
-        stats.rules_checked += rules.len() as u64;
-        for r in rules {
-            sequences.entry(r.rule).or_insert_with(|| BitSeq::zeros(n)).set(unit, true);
-        }
+        for_each_rule(&frequent, config.min_confidence, |z, _, rules| {
+            stats.rules_checked += rules.len() as u64;
+            let id = sequences.intern(z);
+            for rule in rules {
+                sequences.set(id, rule.antecedent, unit);
+            }
+        });
     }
     sequences
 }
 
-/// Phase 2: the rules whose sequence over `n` units has a cycle, each
-/// with its minimal cycles, sorted.
+/// Phase 1's result: every rule that held in a mined unit, with its
+/// binary sequence over the database's `n` units.
+///
+/// A rule `X ⇒ Y` is the pair (id of `Z = X ∪ Y`, antecedent mask), where
+/// bit `i` of the mask says whether `Z[i]` is in `X` (the masks of
+/// [`for_each_rule`]). Each itemset `Z` is stored once, and each rule's
+/// sequence is a row of `⌈n / 64⌉` words in one flat vector, so a rule
+/// costs no allocation of its own.
+pub(crate) struct RuleSequences {
+    num_units: usize,
+    /// Words per row.
+    row_words: usize,
+    /// The interned itemsets, by id.
+    itemsets: Vec<ItemSet>,
+    ids: FastHashMap<ItemSet, u32>,
+    /// The row of each rule. The key is a tuple, not one `u64` with the
+    /// id in its high bits: FxHash's multiply carries no high bits down,
+    /// so the bucket index (the hash's low bits) would depend on the
+    /// mask alone.
+    rows: FastHashMap<(u32, u64), usize>,
+    /// `row_words` words per row, in row order.
+    words: Vec<u64>,
+}
+
+impl RuleSequences {
+    /// No rules yet, over `num_units` units.
+    pub(crate) fn new(num_units: usize) -> Self {
+        RuleSequences {
+            num_units,
+            row_words: num_units.div_ceil(64),
+            itemsets: Vec::new(),
+            ids: FastHashMap::default(),
+            rows: FastHashMap::default(),
+            words: Vec::new(),
+        }
+    }
+
+    /// The id of `z`, interned the first time it is seen.
+    fn intern(&mut self, z: &ItemSet) -> u32 {
+        if let Some(&id) = self.ids.get(z) {
+            return id;
+        }
+        // Fewer than 2^32 itemsets fit in memory.
+        let id = self.itemsets.len() as u32;
+        self.itemsets.push(z.clone());
+        self.ids.insert(z.clone(), id);
+        id
+    }
+
+    /// The words of rule `(id, antecedent)`'s sequence, a row of zeros
+    /// the first time the rule is seen.
+    fn row_mut(&mut self, id: u32, antecedent: u64) -> &mut [u64] {
+        let next = self.rows.len();
+        let row = *self.rows.entry((id, antecedent)).or_insert(next);
+        if row == next {
+            self.words.resize(self.words.len() + self.row_words, 0);
+        }
+        let start = row * self.row_words;
+        self.words.get_mut(start..start + self.row_words).unwrap_or_default()
+    }
+
+    /// The words of row `row`.
+    fn row(&self, row: usize) -> &[u64] {
+        let start = row * self.row_words;
+        self.words.get(start..start + self.row_words).unwrap_or_default()
+    }
+
+    /// Records that rule `(id, antecedent)` held in `unit`.
+    fn set(&mut self, id: u32, antecedent: u64, unit: usize) {
+        // `>> 6` and `& 63` are `/ 64` and `% 64` without the division lint.
+        if let Some(word) = self.row_mut(id, antecedent).get_mut(unit >> 6) {
+            *word |= 1 << (unit & 63);
+        }
+    }
+
+    /// Adds the rules of `other`, mined over other units of the same
+    /// database: its itemsets are re-interned and its rows OR-ed in.
+    pub(crate) fn merge(&mut self, other: RuleSequences) {
+        let ids: Vec<u32> = other.itemsets.iter().map(|z| self.intern(z)).collect();
+        for (&(id, antecedent), &row) in &other.rows {
+            let Some(&id) = ids.get(id as usize) else { continue };
+            for (word, &bits) in
+                self.row_mut(id, antecedent).iter_mut().zip(other.row(row))
+            {
+                *word |= bits;
+            }
+        }
+    }
+
+    /// Each rule, as its itemset and antecedent mask, with the words of
+    /// its sequence (for [`BitSeq::from_words`]), in no particular order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&ItemSet, u64, &[u64])> {
+        self.rows.iter().filter_map(|(&(id, antecedent), &row)| {
+            Some((self.itemsets.get(id as usize)?, antecedent, self.row(row)))
+        })
+    }
+}
+
+/// Phase 2: the rules whose sequence has a cycle, each with its minimal
+/// cycles, sorted.
+///
+/// Every cycle covers at least [`CycleBounds::min_holds`] of the `n`
+/// units, so a rule with fewer holds has none: the popcount of its words
+/// settles most rules, and only the rest get a [`BitSeq`], a detection
+/// and a [`Rule`].
+///
+/// [`CycleBounds::min_holds`]: car_cycles::CycleBounds::min_holds
 pub(crate) fn cyclic_rules(
-    sequences: FastHashMap<Rule, BitSeq>,
+    sequences: &RuleSequences,
     config: &MiningConfig,
-    n: usize,
 ) -> Vec<CyclicRule> {
-    let units = CycleSet::of_units(config.cycle_bounds, n);
+    let n = sequences.num_units;
+    let bounds = config.cycle_bounds;
+    let fewest = bounds.min_holds(n);
+    let units = CycleSet::of_units(bounds, n);
     let mut rules: Vec<CyclicRule> = sequences
-        .into_iter()
-        .filter_map(|(rule, seq)| {
-            let set = detect_cycles_with(&seq, config.cycle_bounds, &units);
-            (!set.is_empty()).then(|| CyclicRule { rule, cycles: minimal_cycles(&set) })
+        .iter()
+        .filter(|(_, _, words)| {
+            words.iter().map(|w| w.count_ones() as usize).sum::<usize>() >= fewest
+        })
+        .filter_map(|(z, antecedent, words)| {
+            let set = detect_cycles_with(&BitSeq::from_words(n, words), bounds, &units);
+            (!set.is_empty()).then(|| CyclicRule {
+                rule: Rule::from_mask(z, antecedent),
+                cycles: minimal_cycles(&set),
+            })
         })
         .collect();
     rules.sort();

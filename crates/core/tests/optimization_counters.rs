@@ -6,6 +6,7 @@
 //! [`car_core::MiningStats`], the counts `car mine --stats` prints.
 
 use car_core::interleaved::mine_interleaved;
+use car_core::parallel::mine_sequential_parallel;
 use car_core::sequential::mine_sequential;
 use car_core::{InterleavedOptions, MiningConfig};
 use car_datagen::{generate_cyclic, CyclicConfig};
@@ -169,6 +170,41 @@ fn ablation_work_counters_are_pinned() {
             } else {
                 assert_eq!(outcome.stats.bitmap_builds, units, "{options:?}");
             }
+        }
+    }
+}
+
+#[test]
+fn sequential_work_counters_are_pinned() {
+    // SEQUENTIAL counts every candidate of every unit and checks every
+    // rule that holds in a unit, so its counters do not depend on the
+    // cycle bounds; only the rules do. The database reaches 5-item
+    // itemsets and 4-item consequents, so rule generation grows
+    // consequents past the first level. The parallel miner splits the
+    // units among its workers and must count the same work.
+    let wide_config = MiningConfig::builder()
+        .min_support_fraction(0.2)
+        .min_confidence(0.5)
+        .cycle_bounds(2, 16)
+        .build()
+        .unwrap();
+    let db = cyclic_db();
+    for (config, rules) in [(config(), 152), (wide_config, 834)] {
+        let serial = mine_sequential(&db, &config).unwrap();
+        let runs = [
+            ("serial", serial.clone()),
+            ("2 threads", mine_sequential_parallel(&db, &config, 2).unwrap()),
+            ("3 threads", mine_sequential_parallel(&db, &config, 3).unwrap()),
+        ];
+        for (name, outcome) in runs {
+            let s = &outcome.stats;
+            let case = format!("{name} at {:?}", config.cycle_bounds);
+            assert_eq!(s.support_computations, 2920, "{case}");
+            assert_eq!(s.candidates_generated, 2920, "{case}");
+            assert_eq!(s.bitmap_builds, 24, "{case}");
+            assert_eq!(s.rules_checked, 2500, "{case}");
+            assert_eq!(outcome.rules.len(), rules, "{case}");
+            assert_eq!(outcome.rules, serial.rules, "{case}");
         }
     }
 }

@@ -42,6 +42,18 @@ impl BitSeq {
         s
     }
 
+    /// A sequence of `len` bits from its packed words: bit `i` is bit
+    /// `i % 64` of `words[i / 64]`. Missing words read as zeros; words
+    /// and bits past `len` are dropped.
+    pub fn from_words(len: usize, words: &[u64]) -> Self {
+        let mut s = BitSeq::zeros(len);
+        for (word, &bits) in s.words.iter_mut().zip(words) {
+            *word = bits;
+        }
+        s.clear_tail();
+        s
+    }
+
     /// Sequence length in bits.
     #[inline]
     pub fn len(&self) -> usize {
@@ -230,6 +242,18 @@ mod tests {
         assert_eq!(s.iter_ones().collect::<Vec<_>>(), vec![1, 2, 4]);
         assert_eq!(s.iter_zeros().collect::<Vec<_>>(), vec![0, 3]);
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![false, true, true, false, true]);
+    }
+
+    #[test]
+    fn from_words_matches_setting_bits() {
+        let words = [0b1011, u64::MAX];
+        let seq = BitSeq::from_words(70, &words);
+        let ones: Vec<usize> = [0, 1, 3].into_iter().chain(64..70).collect();
+        assert_eq!(seq, BitSeq::from_bits((0..70).map(|i| ones.contains(&i))));
+        assert_eq!(seq.count_ones(), 9);
+        // Missing words are zeros.
+        assert_eq!(BitSeq::from_words(130, &words).count_ones(), 67);
+        assert_eq!(BitSeq::from_words(3, &[]), BitSeq::zeros(3));
     }
 
     #[test]

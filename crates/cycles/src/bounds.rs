@@ -76,13 +76,20 @@ impl CycleBounds {
     pub fn all_cycles(self) -> impl Iterator<Item = Cycle> {
         self.lengths().flat_map(|l| (0..l).map(move |o| Cycle::make(l, o)))
     }
+
+    /// `⌊n / l_max⌋`: the fewest of the units `0..n` that any cycle
+    /// within the bounds covers, so a sequence of `n` units with fewer
+    /// ones has no cycle, which a popcount settles.
+    #[inline]
+    pub fn min_holds(self, n: usize) -> usize {
+        min_holds(n, self.l_max)
+    }
 }
 
 /// `⌊n / length⌋`: the fewest of the units `0..n` that lie on any one
 /// cycle of `length`, so the fewest ones a sequence of `n` units needs to
 /// have a cycle of that length. With `length = l_max` it bounds every
-/// length within the bounds: a sequence with fewer ones has no cycle at
-/// all, which a popcount settles without eliminating anything.
+/// length within the bounds ([`CycleBounds::min_holds`]).
 pub(crate) fn min_holds(n: usize, length: u32) -> usize {
     n.checked_div(length as usize).unwrap_or(0)
 }
@@ -138,6 +145,7 @@ mod tests {
                 let smallest =
                     (0..l).map(|o| Cycle::make(l, o).num_units(n)).min().unwrap_or(0);
                 assert_eq!(min_holds(n, l), smallest, "n {n} length {l}");
+                assert_eq!(CycleBounds::make(1, l).min_holds(n), smallest);
             }
         }
     }

@@ -1,7 +1,6 @@
 //! Exact cycle detection over binary sequences and minimal-cycle
 //! filtering.
 
-use crate::bounds::min_holds;
 use crate::{BitSeq, Cycle, CycleBounds, CycleSet};
 
 /// Detects every cycle (within `bounds`) of a binary sequence.
@@ -74,7 +73,7 @@ pub fn detect_cycles_with(
 
 /// Whether `seq` has too few ones for any cycle within `bounds`.
 fn has_too_few_holds(seq: &BitSeq, bounds: CycleBounds) -> bool {
-    seq.count_ones() < min_holds(seq.len(), bounds.l_max())
+    seq.count_ones() < bounds.min_holds(seq.len())
 }
 
 /// Filters a cycle set down to its *minimal* cycles: those that are not a

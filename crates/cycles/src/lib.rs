@@ -27,8 +27,9 @@
 //! * [`detect_cycles`] — exact cycle detection for a binary sequence,
 //!   implemented as elimination from the full candidate set (exactly the
 //!   procedure the SEQUENTIAL algorithm uses on rule sequences). A
-//!   sequence with fewer ones than `⌊n / l_max⌋`, the fewest units any
-//!   cycle covers, is settled by its popcount;
+//!   sequence with fewer ones than `⌊n / l_max⌋`
+//!   ([`CycleBounds::min_holds`]), the fewest units any cycle covers, is
+//!   settled by its popcount;
 //!   [`detect_cycles_with`] shares the per-unit sets across sequences.
 //! * [`minimal_cycles`] — filtering of cycles that are multiples of other
 //!   detected cycles (only *minimal* cycles are reported to users).

@@ -1,3 +1,4 @@
+use std::borrow::Borrow;
 use std::fmt;
 use std::ops::Deref;
 
@@ -291,6 +292,16 @@ impl Deref for ItemSet {
     }
 }
 
+/// An itemset borrows as its item slice. The derived `Hash`, `Eq` and
+/// `Ord` are the slice's, so maps and sorted lists of itemsets can be
+/// searched with a slice built in a scratch buffer, without allocating
+/// an `ItemSet` per lookup.
+impl Borrow<[Item]> for ItemSet {
+    fn borrow(&self) -> &[Item] {
+        &self.items
+    }
+}
+
 impl<'a> IntoIterator for &'a ItemSet {
     type Item = Item;
     type IntoIter = std::iter::Copied<std::slice::Iter<'a, Item>>;
@@ -441,6 +452,19 @@ mod tests {
         assert_eq!(b.difference(&a), set(&[2, 4]));
         assert_eq!(a.union(&ItemSet::empty()), a);
         assert_eq!(a.intersection(&ItemSet::empty()), ItemSet::empty());
+    }
+
+    #[test]
+    fn borrows_as_its_item_slice() {
+        let scratch = [Item::new(1), Item::new(2)];
+        let counts: std::collections::HashMap<ItemSet, u64> =
+            [(set(&[1, 2]), 7), (set(&[1]), 9)].into_iter().collect();
+        assert_eq!(counts.get(scratch.as_slice()), Some(&7));
+        assert_eq!(counts.get(&scratch[..1]), Some(&9));
+        assert_eq!(counts.get(&scratch[1..]), None);
+        let ordered: std::collections::BTreeSet<ItemSet> =
+            [set(&[2]), set(&[1, 2]), set(&[1])].into_iter().collect();
+        assert!(ordered.contains(scratch.as_slice()));
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! * [`Item`] — a compact, copyable item identifier.
 //! * [`ItemSet`] — an immutable, sorted, duplicate-free set of items with
 //!   the set algebra needed by Apriori-style miners (subset tests, unions,
-//!   k-subset enumeration, and the classic *join* step).
+//!   k-subset enumeration, and the classic *join* step). It borrows as
+//!   its item slice, so maps and sorted lists of itemsets can be searched
+//!   with a slice.
 //! * [`SegmentedDb`] — a transaction database partitioned into consecutive
 //!   **time units**, the structure over which cyclic association rules are
 //!   defined (Özden, Ramaswamy, Silberschatz; ICDE 1998).

@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 use car_itemset::ItemSet;
 
 use crate::persist::crc::crc32;
-use crate::persist::wal::{decode_unit, encode_unit_into};
+use crate::persist::wal::{decode_unit, encode_unit_into, encoded_unit_len};
 use crate::sync::log_warn;
 
 /// Magic bytes identifying a version-1 snapshot.
@@ -55,18 +55,26 @@ pub fn snapshot_path(dir: &Path) -> PathBuf {
     dir.join(SNAPSHOT_FILE)
 }
 
+/// Bytes in front of the payload: the magic, `crc` and `len`.
+const HEADER_LEN: usize = MAGIC.len() + 4 + 8;
+
 fn encode(last_seq: u64, units: &[Vec<ItemSet>]) -> Vec<u8> {
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&last_seq.to_le_bytes());
-    payload.extend_from_slice(&(units.len() as u32).to_le_bytes());
-    for unit in units {
-        encode_unit_into(unit, &mut payload);
-    }
-    let mut out = Vec::with_capacity(MAGIC.len() + 12 + payload.len());
+    // The unit encoding is fixed-width, so one buffer is sized exactly
+    // up front: the header is reserved, the payload encoded after it,
+    // and the payload's CRC and length patched into the header last.
+    let payload_len = 12 + units.iter().map(|u| encoded_unit_len(u)).sum::<usize>();
+    let mut out = Vec::with_capacity(HEADER_LEN + payload_len);
     out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
+    out.resize(HEADER_LEN, 0);
+    out.extend_from_slice(&last_seq.to_le_bytes());
+    out.extend_from_slice(&(units.len() as u32).to_le_bytes());
+    for unit in units {
+        encode_unit_into(unit, &mut out);
+    }
+    let (header, payload) = out.split_at_mut(HEADER_LEN);
+    let (crc, len) = header.split_at_mut(MAGIC.len()).1.split_at_mut(4);
+    crc.copy_from_slice(&crc32(payload).to_le_bytes());
+    len.copy_from_slice(&(payload.len() as u64).to_le_bytes());
     out
 }
 
@@ -173,6 +181,32 @@ mod tests {
             vec![ItemSet::from_ids([4])],
             vec![],
         ]
+    }
+
+    #[test]
+    fn encoding_is_pinned() {
+        // A fixed two-unit snapshot, byte for byte: the header (magic,
+        // payload CRC, payload length 48) and the payload (last_seq,
+        // unit count, then each unit's transactions).
+        let units = vec![
+            vec![ItemSet::from_ids([1, 2]), ItemSet::from_ids([3])],
+            vec![ItemSet::from_ids([70_000])],
+        ];
+        let bytes = encode(0x0102_0304_0506_0708, &units);
+        let expected: [u8; 68] = [
+            67, 65, 82, 83, 78, 65, 80, 49, 31, 118, 51, 106, 48, 0, 0, 0, 0, 0, 0,
+            0, //
+            8, 7, 6, 5, 4, 3, 2, 1, 2, 0, 0, 0, //
+            2, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0,
+            0, //
+            1, 0, 0, 0, 1, 0, 0, 0, 112, 17, 1, 0,
+        ];
+        assert_eq!(bytes, expected);
+        assert_eq!(bytes.capacity(), bytes.len(), "the buffer is sized exactly");
+        assert_eq!(
+            decode(&bytes),
+            Some(Snapshot { last_seq: 0x0102_0304_0506_0708, units })
+        );
     }
 
     #[test]

@@ -158,10 +158,15 @@ pub(crate) fn decode_unit(bytes: &[u8], pos: &mut usize) -> Option<Vec<ItemSet>>
     Some(unit)
 }
 
+/// The bytes [`encode_unit_into`] writes for `unit`: every field is a
+/// `u32`, so the size is known before encoding.
+pub(crate) fn encoded_unit_len(unit: &[ItemSet]) -> usize {
+    4 + unit.iter().map(|t| 4 + 4 * t.len()).sum::<usize>()
+}
+
 /// Encodes the record payload for `(seq, unit)`.
 pub fn encode_payload(seq: u64, unit: &[ItemSet]) -> Vec<u8> {
-    let mut out =
-        Vec::with_capacity(12 + unit.iter().map(|t| 4 + 4 * t.len()).sum::<usize>());
+    let mut out = Vec::with_capacity(8 + encoded_unit_len(unit));
     push_u64(&mut out, seq);
     encode_unit_into(unit, &mut out);
     out
