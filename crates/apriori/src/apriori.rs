@@ -3,7 +3,7 @@
 use car_itemset::{Item, ItemSet};
 
 use crate::bitmap::{ItemCounter, TidBitmaps};
-use crate::candidate::apriori_gen;
+use crate::candidate::join_level;
 use crate::count::{count_candidates, CountStrategy};
 use crate::frequent::FrequentItemsets;
 use crate::support::MinSupport;
@@ -92,59 +92,77 @@ impl Apriori {
             return (result, stats);
         }
 
-        // Level 1: every item that occurs is a counted candidate.
+        // Level 1: every item that occurs is a counted candidate. Each
+        // level is one flat sorted buffer of `k` items per itemset.
         let (counted, singles) = large_items(transactions, threshold);
-        let mut large: Vec<ItemSet> = singles
-            .into_iter()
-            .map(|(item, count)| {
-                let s = ItemSet::single(item);
-                result.insert(s.clone(), count);
-                s
-            })
-            .collect();
+        let mut level: Vec<Item> = Vec::with_capacity(singles.len());
+        for &(item, count) in &singles {
+            result.insert(ItemSet::single(item), count);
+            level.push(item);
+        }
         stats.candidates_counted = counted as u64;
         stats.levels = 1;
 
-        // Levels k >= 2. The vertical engine counts them all on one
-        // build over the large items at `min_len` 2, as `eclat` does (a
-        // transaction shorter than `k` sets bits but holds no
-        // `k`-candidate); the hash tree is rebuilt at every level.
+        // Levels k >= 2, each joined, pruned and counted in one pass.
+        // The vertical engine counts them all on one build over the
+        // large items at `min_len` 2, as `eclat` does (a transaction
+        // shorter than `k` sets bits but holds no `k`-candidate), and
+        // counts each candidate as it is joined; the hash tree counts
+        // each level's candidates as one batch, on a tree rebuilt at
+        // every level. A level of fewer than two itemsets joins nothing.
         let mut bitmaps: Option<TidBitmaps> = None;
-        let mut k = 1;
-        while !large.is_empty() {
-            k += 1;
-            if self.config.max_size.is_some_and(|cap| k > cap) {
+        let mut next: Vec<Item> = Vec::new();
+        let mut k: usize = 1;
+        while level.len() >= k.saturating_mul(2) {
+            if self.config.max_size.is_some_and(|cap| k >= cap) {
                 break;
             }
-            let candidates = apriori_gen(&large);
-            if candidates.is_empty() {
+            let span = car_obs::time_span!("mine.apriori.level");
+            next.clear();
+            let mut candidates: u64 = 0;
+            match self.config.counting {
+                CountStrategy::Vertical => {
+                    let rows = bitmaps.get_or_insert_with(|| {
+                        let large = ItemSet::from_sorted_vec(level.clone());
+                        TidBitmaps::build(std::slice::from_ref(&large), transactions, 2)
+                    });
+                    join_level(&level, k, |candidate, _| {
+                        candidates = candidates.saturating_add(1);
+                        let count = rows.support(candidate);
+                        if count >= threshold {
+                            next.extend_from_slice(candidate);
+                            result.insert(
+                                ItemSet::from_sorted_vec(candidate.to_vec()),
+                                count,
+                            );
+                        }
+                    });
+                }
+                CountStrategy::HashTree => {
+                    let mut batch = Vec::new();
+                    join_level(&level, k, |candidate, _| {
+                        batch.push(ItemSet::from_sorted_vec(candidate.to_vec()));
+                    });
+                    candidates = batch.len() as u64;
+                    let counts =
+                        count_candidates(&batch, transactions, CountStrategy::HashTree);
+                    for (candidate, count) in batch.into_iter().zip(counts) {
+                        if count >= threshold {
+                            next.extend_from_slice(&candidate);
+                            result.insert(candidate, count);
+                        }
+                    }
+                }
+            }
+            drop(span);
+            if candidates == 0 {
                 break;
             }
             stats.candidates_counted =
-                stats.candidates_counted.saturating_add(candidates.len() as u64);
+                stats.candidates_counted.saturating_add(candidates);
             stats.levels = stats.levels.saturating_add(1);
-            let span = car_obs::time_span!("mine.apriori.support_count");
-            let counts = match self.config.counting {
-                CountStrategy::Vertical => {
-                    let rows = bitmaps.get_or_insert_with(|| {
-                        TidBitmaps::build(&large, transactions, 2)
-                    });
-                    candidates.iter().map(|c| rows.support(c)).collect()
-                }
-                CountStrategy::HashTree => {
-                    count_candidates(&candidates, transactions, CountStrategy::HashTree)
-                }
-            };
-            drop(span);
-            large = candidates
-                .into_iter()
-                .zip(counts)
-                .filter(|&(_, c)| c >= threshold)
-                .map(|(s, c)| {
-                    result.insert(s.clone(), c);
-                    s
-                })
-                .collect();
+            std::mem::swap(&mut level, &mut next);
+            k += 1;
         }
         stats.bitmap_builds = u64::from(bitmaps.is_some());
         (result, stats)

@@ -1,19 +1,156 @@
-//! Level-wise candidate generation (the `apriori-gen` procedure).
+//! Level-wise candidate generation (the `apriori-gen` procedure) over
+//! flat levels.
 
 use car_itemset::{Item, ItemSet};
 
-/// Generates the candidate `(k+1)`-itemsets from the large `k`-itemsets.
-///
-/// Implements both steps of `apriori-gen` (Agrawal & Srikant, 1994):
+/// Joins and prunes one flat level of large `k`-itemsets: the
+/// `apriori-gen` procedure (Agrawal & Srikant, 1994).
 ///
 /// 1. **Join**: two large `k`-itemsets sharing their first `k−1` items
 ///    produce a `(k+1)`-candidate.
 /// 2. **Prune**: a candidate survives only if *every* `k`-subset is large
 ///    (property: all subsets of a frequent itemset are frequent).
 ///
-/// Each joined candidate is built in one reused scratch buffer and its
-/// subsets are looked up in place ([`find_subset_without`]), so only the
-/// candidates that survive are allocated.
+/// `level` holds the itemsets back to back, `k` items each, sorted and
+/// duplicate-free; `k = 0` joins nothing. For every candidate that
+/// survives, in sorted order, `emit(candidate, subsets)` is called with
+/// the candidate's `k + 1` items, built in one reused buffer, and
+/// `subsets[j]`, the position in `level` of the candidate without its
+/// item `j`. The last two positions are the join parents.
+///
+/// The subsets without item `j < k − 1` of every candidate of one first
+/// parent `a` share their first `k − 1` items, `a` without `a[j]`, so
+/// they lie in one join group of the level each. Those `k − 1` groups
+/// are located once per first parent, by a galloping search from where
+/// the previous first parent's groups lay, and walked in step with the
+/// partner's last item, so the prune costs no search per candidate.
+///
+/// # Panics
+///
+/// Panics in debug builds if `level` is not a sorted sequence of
+/// `k`-itemsets.
+pub fn join_level(level: &[Item], k: usize, mut emit: impl FnMut(&[Item], &[usize])) {
+    if k == 0 {
+        return;
+    }
+    debug_assert!(level.len() % k == 0, "level must hold k items per itemset");
+    debug_assert!(
+        level.chunks_exact(k).zip(level.chunks_exact(k).skip(1)).all(|(a, b)| a < b),
+        "level must be sorted and duplicate-free"
+    );
+    let n = level.len() / k;
+    let at = |i: usize| &level[i * k..i * k + k];
+    let head = |i: usize| &level[i * k..i * k + k - 1];
+
+    let mut candidate: Vec<Item> = Vec::with_capacity(k + 1);
+    let mut subsets = vec![0; k + 1];
+    // `groups[j]`: the cursor and end of the join group holding the
+    // subsets without item `j`, for `j < k − 1`, and `floors[j]` a
+    // position at or before it.
+    let mut groups = vec![(0, 0); k - 1];
+    let mut floors = vec![0; k - 1];
+    let mut prefix: Vec<Item> = Vec::with_capacity(k);
+
+    // Sorted input makes each join group, the itemsets sharing their
+    // first k − 1 items, a contiguous run.
+    let mut start = 0;
+    while start < n {
+        let end = (start + 1..n).find(|&i| head(i) != head(start)).unwrap_or(n);
+        floors.fill(end);
+        for a in start..end - 1 {
+            let first = at(a);
+            if !locate_groups(level, k, first, &mut prefix, &mut groups, &mut floors) {
+                continue;
+            }
+            'partners: for b in a + 1..end {
+                let last = at(b)[k - 1];
+                for (j, (cursor, group_end)) in groups.iter_mut().enumerate() {
+                    while *cursor < *group_end && at(*cursor)[k - 1] < last {
+                        *cursor += 1;
+                    }
+                    if *cursor == *group_end {
+                        // Later partners have larger last items.
+                        break 'partners;
+                    }
+                    if at(*cursor)[k - 1] != last {
+                        continue 'partners;
+                    }
+                    subsets[j] = *cursor;
+                }
+                subsets[k - 1] = b;
+                subsets[k] = a;
+                candidate.clear();
+                candidate.extend_from_slice(first);
+                candidate.push(last);
+                emit(&candidate, &subsets);
+            }
+        }
+        start = end;
+    }
+}
+
+/// Points `groups[j]` at the join group of `level` whose itemsets start
+/// with `first` without `first[j]`, for every `j < k − 1`, and returns
+/// whether all of them are non-empty.
+///
+/// Each group is searched from `floors[j]`, which is left at its start.
+/// These prefixes fall as `j` grows and all exceed `first`'s own, so
+/// each group also lies after the one searched before it; and the next
+/// first parent of the same join group differs from `first` in its last
+/// item only, a larger one, so its groups lie at or after these.
+fn locate_groups(
+    level: &[Item],
+    k: usize,
+    first: &[Item],
+    prefix: &mut Vec<Item>,
+    groups: &mut [(usize, usize)],
+    floors: &mut [usize],
+) -> bool {
+    let n = level.len() / k;
+    let head = |i: usize| &level[i * k..i * k + k - 1];
+    let mut lo = 0;
+    for (j, (group, floor)) in groups.iter_mut().zip(floors.iter_mut()).enumerate().rev()
+    {
+        prefix.clear();
+        prefix.extend_from_slice(&first[..j]);
+        prefix.extend_from_slice(&first[j + 1..]);
+        let prefix = prefix.as_slice();
+        let start = partition_point(lo.max(*floor), n, |i| head(i) < prefix);
+        let end = partition_point(start, n, |i| head(i) == prefix);
+        *floor = start;
+        if start == end {
+            return false;
+        }
+        *group = (start, end);
+        lo = end;
+    }
+    true
+}
+
+/// The first position in `from..n` where `pred` fails, for a `pred` that
+/// holds on a prefix of the range. It gallops from `from`, probing ever
+/// farther until `pred` fails, and then searches the last gap, so the
+/// cost grows with the distance from `from`, not with `n`.
+fn partition_point(from: usize, n: usize, pred: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi, mut step) = (from, from, 1usize);
+    while hi < n && pred(hi) {
+        lo = hi + 1;
+        hi = lo.saturating_add(step).min(n);
+        step = step.saturating_mul(2);
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// Generates the candidate `(k+1)`-itemsets from the large `k`-itemsets:
+/// [`join_level`] over a flat copy of `large`, each candidate allocated.
 ///
 /// `large` must be sorted and duplicate-free with uniform length `k ≥ 1`;
 /// the output is sorted, duplicate-free, of length `k + 1`.
@@ -22,75 +159,16 @@ use car_itemset::{Item, ItemSet};
 ///
 /// Panics in debug builds if `large` is unsorted or mixes lengths.
 pub fn apriori_gen(large: &[ItemSet]) -> Vec<ItemSet> {
-    debug_assert!(large.windows(2).all(|w| w[0] < w[1]), "input must be sorted");
-    debug_assert!(
-        large.windows(2).all(|w| w[0].len() == w[1].len()),
-        "input must have uniform length"
-    );
-    let Some(first) = large.first() else {
+    let Some(k) = large.first().map(ItemSet::len) else {
         return Vec::new();
     };
-
+    debug_assert!(large.iter().all(|s| s.len() == k), "input must have uniform length");
+    let level: Vec<Item> = large.iter().flat_map(|s| s.iter()).collect();
     let mut out = Vec::new();
-    let k = first.len();
-    let mut candidate: Vec<Item> = Vec::with_capacity(k + 1);
-
-    // Sorted input groups itemsets by their (k-1)-prefix, so joinable
-    // pairs are contiguous: join each itemset with the following ones
-    // while prefixes agree.
-    for (i, a) in large.iter().enumerate() {
-        for b in &large[i + 1..] {
-            if a[..k - 1] != b[..k - 1] {
-                break;
-            }
-            // `b`'s last item is greater than `a`'s, as `large` is sorted.
-            candidate.clear();
-            candidate.extend_from_slice(a);
-            candidate.push(b[k - 1]);
-            if prune_ok(&candidate, large) {
-                out.push(ItemSet::from_sorted_vec(candidate.clone()));
-            }
-        }
-    }
-    out
-}
-
-/// Prune step: every immediate subset must be large. Dropping either of
-/// the last two items gives a join parent, large by construction, so
-/// only the first `k − 1` positions are tested.
-///
-/// `large` is sorted (the caller's precondition), so membership is a
-/// binary search — no hash set needs to be built per level.
-fn prune_ok(candidate: &[Item], large: &[ItemSet]) -> bool {
-    (0..candidate.len().saturating_sub(2)).all(|skip| {
-        find_subset_without(large, ItemSet::as_slice, candidate, skip).is_some()
-    })
-}
-
-/// The entry of `sorted` whose items are `items` without the item at
-/// position `skip`, or `None` when there is none.
-///
-/// A binary search whose comparator steps over that position, so the
-/// subset is never built. `key` reads an entry's items, and `sorted`
-/// must be sorted by them. The prune steps of [`apriori_gen`] and of
-/// INTERLEAVED's cycle pruning look up each immediate subset this way.
-///
-/// # Panics
-///
-/// Panics if `skip >= items.len()`.
-pub fn find_subset_without<'a, T>(
-    sorted: &'a [T],
-    key: impl Fn(&T) -> &[Item],
-    items: &[Item],
-    skip: usize,
-) -> Option<&'a T> {
-    let (head, tail) = (&items[..skip], &items[skip + 1..]);
-    let found = sorted.binary_search_by(|entry| {
-        let entry = key(entry);
-        let (entry_head, entry_tail) = entry.split_at(skip.min(entry.len()));
-        entry_head.cmp(head).then_with(|| entry_tail.cmp(tail))
+    join_level(&level, k, |candidate, _| {
+        out.push(ItemSet::from_sorted_vec(candidate.to_vec()));
     });
-    found.ok().and_then(|i| sorted.get(i))
+    out
 }
 
 #[cfg(test)]
@@ -147,31 +225,11 @@ mod tests {
     }
 
     #[test]
-    fn find_subset_without_steps_over_one_position() {
-        let sorted = vec![set(&[1, 2]), set(&[1, 3]), set(&[2, 3]), set(&[2, 4])];
-        let items: Vec<Item> = set(&[1, 2, 3]).to_vec();
-        let find = |skip| find_subset_without(&sorted, ItemSet::as_slice, &items, skip);
-        assert_eq!(find(0), Some(&set(&[2, 3])));
-        assert_eq!(find(1), Some(&set(&[1, 3])));
-        assert_eq!(find(2), Some(&set(&[1, 2])));
-        let items: Vec<Item> = set(&[1, 3, 4]).to_vec();
-        let find = |skip| find_subset_without(&sorted, ItemSet::as_slice, &items, skip);
-        assert_eq!(find(0), None);
-        assert_eq!(find(2), Some(&set(&[1, 3])));
-        // Entries of another length compare as the slice they are.
-        let mixed = vec![set(&[1]), set(&[1, 2]), set(&[1, 2, 3])];
-        let items: Vec<Item> = set(&[1, 2, 9]).to_vec();
-        assert_eq!(
-            find_subset_without(&mixed, ItemSet::as_slice, &items, 2),
-            Some(&set(&[1, 2]))
-        );
-        assert_eq!(find_subset_without(&mixed, ItemSet::as_slice, &items, 1), None);
-    }
-
-    #[test]
     fn matches_join_and_prune_by_definition() {
         // Every (k+1)-itemset over 1..=7 whose k-subsets are all in
-        // `large`, for a `large` that keeps every other k-itemset.
+        // `large`, for a `large` that keeps every other k-itemset, and
+        // each reported subset position names the candidate without
+        // that item.
         let universe = set(&[1, 2, 3, 4, 5, 6, 7]);
         for k in 1..=4 {
             let large: Vec<ItemSet> = universe.k_subsets(k).step_by(2).collect();
@@ -182,6 +240,18 @@ mod tests {
                 })
                 .collect();
             assert_eq!(apriori_gen(&large), want, "k={k}");
+
+            let level: Vec<Item> = large.iter().flat_map(|s| s.iter()).collect();
+            let mut joined = Vec::new();
+            join_level(&level, k, |candidate, subsets| {
+                let candidate = ItemSet::from_sorted_vec(candidate.to_vec());
+                assert_eq!(subsets.len(), k + 1);
+                for (j, &position) in subsets.iter().enumerate() {
+                    assert_eq!(large[position], candidate.without_index(j), "k={k}");
+                }
+                joined.push(candidate);
+            });
+            assert_eq!(joined, want, "k={k}");
         }
     }
 

@@ -7,17 +7,22 @@
 //!
 //! Components:
 //!
-//! * [`apriori_gen`] — level-wise candidate generation (join + prune),
-//!   which builds each joined candidate in a scratch buffer and looks up
-//!   its subsets in place ([`find_subset_without`]), allocating only the
-//!   candidates that survive.
+//! * [`join_level`] — level-wise candidate generation (join + prune) over
+//!   a flat level, one sorted buffer of `k` items per itemset. It builds
+//!   each candidate in a scratch buffer, finds the join groups holding a
+//!   first parent's subsets once and walks them in step with the
+//!   partners, and reports each candidate's subset positions.
+//!   [`apriori_gen`] is a thin allocating wrapper over it.
 //! * [`TidBitmaps`] — the one counting engine of the product path: one
 //!   build per unit holds a `u64` tid-bitset per large item, and a
-//!   support is a chained AND + popcount over them (see [`bitmap`]).
+//!   support is a chained AND + popcount over them (see [`bitmap`]),
+//!   with the ANDs of the last candidate's prefixes kept for the next.
 //!   [`Apriori`], the paper's INTERLEAVED (in `car-core`) and [`eclat`]
 //!   each build a unit's bitmaps once and count every itemset on them.
 //! * [`Apriori`] — the level-wise driver producing [`FrequentItemsets`],
-//!   which the paper's SEQUENTIAL and INTERLEAVED algorithms extend.
+//!   which the paper's SEQUENTIAL and INTERLEAVED algorithms extend. It
+//!   counts each candidate as [`join_level`] joins it and allocates an
+//!   [`ItemSet`](car_itemset::ItemSet) only for each large itemset.
 //! * [`eclat`] — depth-first mining over the same tid-bitmaps: each
 //!   extension of a prefix class is one AND plus popcount, with no
 //!   candidate generation, and the large itemsets go into one
@@ -70,7 +75,7 @@ mod support;
 
 pub use apriori::{Apriori, AprioriConfig, AprioriStats};
 pub use bitmap::{ItemMap, TidBitmaps};
-pub use candidate::{apriori_gen, find_subset_without};
+pub use candidate::{apriori_gen, join_level};
 /// [`count_candidates`] under the name the benchmark's level replay
 /// calls.
 pub use count::count_candidates as count_candidates_detailed;

@@ -5,7 +5,7 @@ mod oracles;
 
 use car_apriori::{
     count_candidates, eclat, generate_rules, Apriori, AprioriConfig, CountStrategy,
-    MinConfidence, MinSupport,
+    MinConfidence, MinSupport, TidBitmaps,
 };
 use car_itemset::ItemSet;
 use oracles::{fp_growth, naive};
@@ -79,11 +79,69 @@ fn arb_sparse_candidates(k: usize) -> impl Strategy<Value = Vec<ItemSet>> {
     .prop_map(|s| s.into_iter().collect())
 }
 
+/// An item no generated transaction or candidate holds: above the dense
+/// ids and below the sparse ones.
+const UNSEEN: u32 = 100;
+
+/// Sort keys that shuffle up to 20 candidates.
+fn arb_shuffle() -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec(any::<u64>(), 20)
+}
+
+/// Counts `cands`, sorted candidates of one length, on one vertical build
+/// at `min_len` 1 in orders a stale prefix row would miscount, and checks
+/// every count against the naive oracle: the candidates reversed,
+/// shuffled by `keys`, mixed with all their prefixes (every length from
+/// 1 up), and with a candidate holding [`UNSEEN`] between each two that
+/// share a prefix. The counts run one after another on the same build,
+/// so each order starts from the row the last one left.
+fn kernel_matches_naive_in_any_order(
+    cands: &[ItemSet],
+    tx: &[ItemSet],
+    keys: &[u64],
+) -> Result<(), TestCaseError> {
+    let mut shuffled: Vec<(u64, ItemSet)> =
+        keys.iter().copied().zip(cands.to_vec()).collect();
+    shuffled.sort();
+    let mut mixed: Vec<ItemSet> = cands
+        .iter()
+        .flat_map(|c| {
+            (1..=c.len()).map(|len| ItemSet::from_sorted_vec(c[..len].to_vec()))
+        })
+        .collect();
+    mixed.sort();
+    mixed.dedup();
+    let mut unseen = Vec::new();
+    for (i, c) in cands.iter().enumerate() {
+        unseen.push(c.clone());
+        let Some(next) = cands.get(i + 1) else { continue };
+        let prefix = &c[..c.len() - 1];
+        if !prefix.is_empty() && next.starts_with(prefix) {
+            let ids = prefix.iter().map(|item| item.id()).chain([UNSEEN]);
+            unseen.push(ItemSet::from_ids(ids));
+        }
+    }
+    let orders = [
+        ("reversed", cands.iter().rev().cloned().collect()),
+        ("shuffled", shuffled.into_iter().map(|(_, c)| c).collect()),
+        ("mixed lengths", mixed.clone()),
+        ("unseen item", unseen),
+    ];
+    let mut bitmaps = TidBitmaps::build(&mixed, tx, 1);
+    for (name, order) in orders {
+        let got: Vec<u64> = order.iter().map(|c| bitmaps.support(c)).collect();
+        let want: Vec<u64> = order.iter().map(|c| naive::count_itemset(c, tx)).collect();
+        prop_assert_eq!(got, want, "{} order {:?}", name, order);
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn counting_engines_match_naive(
         tx in arb_transactions(),
         cands in (1usize..4).prop_flat_map(arb_candidates),
+        keys in arb_shuffle(),
     ) {
         let expected: Vec<u64> = cands
             .iter()
@@ -96,6 +154,7 @@ proptest! {
                 "strategy {:?}", strategy
             );
         }
+        kernel_matches_naive_in_any_order(&cands, &tx, &keys)?;
     }
 
     #[test]
@@ -162,6 +221,7 @@ proptest! {
     fn vertical_kernel_matches_naive_on_sparse_ids(
         tx in arb_sparse_transactions(),
         cands in (1usize..3).prop_flat_map(arb_sparse_candidates),
+        keys in arb_shuffle(),
     ) {
         let expected: Vec<u64> = cands
             .iter()
@@ -171,6 +231,7 @@ proptest! {
             count_candidates(&cands, &tx, CountStrategy::Vertical),
             expected
         );
+        kernel_matches_naive_in_any_order(&cands, &tx, &keys)?;
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //!   of its subsets are large, `cycles(Z) ⊆ cycles(X)` for every
 //!   `X ⊂ Z`. A new `k`-candidate therefore starts from the intersection
 //!   of its `(k−1)`-subsets' cycle sets instead of the full set, and is
-//!   discarded outright when that intersection is empty.
+//!   discarded outright when that intersection is empty. The survivors
+//!   of level `k − 1` are joined as one flat level ([`join_level`]),
+//!   which reports where each subset sits among them, so no subset is
+//!   searched for.
 //! * **Cycle skipping** — the support of a candidate is only counted in
 //!   time units lying on one of its remaining candidate cycles; other
 //!   units cannot influence any cycle it could still have.
@@ -42,7 +45,7 @@ use std::time::Instant;
 
 use car_apriori::bitmap::{ItemCounter, ItemMap};
 use car_apriori::hash::FastHashMap;
-use car_apriori::{apriori_gen, find_subset_without, Rule, TidBitmaps};
+use car_apriori::{join_level, Rule, TidBitmaps};
 use car_cycles::{minimal_cycles, CycleSet};
 use car_itemset::{Item, ItemSet, SegmentedDb};
 
@@ -280,7 +283,10 @@ fn find_cyclic_itemsets(
     // in the unit, and count every later level there: a transaction
     // shorter than `k` sets bits but cannot hold a `k`-candidate. A unit
     // that cycle skipping retires at every level is never built.
-    let items: Vec<ItemSet> = survivors.iter().map(|s| s.itemset.clone()).collect();
+    let items = ItemSet::from_sorted_vec(
+        survivors.iter().flat_map(|s| s.itemset.iter()).collect(),
+    );
+    let mut level: Vec<Item> = Vec::new();
     let mut rows: Vec<Option<TidBitmaps>> = (0..n).map(|_| None).collect();
     let mut k = 1;
     while !survivors.is_empty() {
@@ -288,56 +294,36 @@ fn find_cyclic_itemsets(
         let at_cap = config.max_itemset_size.is_some_and(|cap| k > cap);
 
         // Candidate generation for the next level happens before the
-        // previous survivors move into the accumulator.
-        let next_states: Vec<CandidateState> = if at_cap {
-            Vec::new()
-        } else {
+        // previous survivors move into the accumulator. The survivors are
+        // sorted, and joined as one flat level of their itemsets.
+        let mut next_states: Vec<CandidateState> = Vec::new();
+        if !at_cap {
             let _span = car_obs::time_span!("mine.int.candidate_gen");
-            let large_sets: Vec<ItemSet> =
-                survivors.iter().map(|s| s.itemset.clone()).collect();
-            apriori_gen(&large_sets)
-                .into_iter()
-                .filter_map(|candidate| {
-                    let cycles = if options.cycle_pruning {
-                        let mut acc: Option<CycleSet> = None;
-                        for skip in 0..candidate.len() {
-                            // apriori_gen guarantees every immediate
-                            // subset is large; a miss means the candidate
-                            // cannot be large either, so drop it.
-                            // `survivors` is sorted by itemset, so the
-                            // subset's cycles are a binary search away —
-                            // no per-level hash map, and no subset built.
-                            let sub_cycles = find_subset_without(
-                                &survivors,
-                                |s| s.itemset.as_slice(),
-                                &candidate,
-                                skip,
-                            )
-                            .map(|s| &s.cycles)?;
-                            match &mut acc {
-                                None => acc = Some(sub_cycles.clone()),
-                                Some(a) => a.intersect_with(sub_cycles),
-                            }
-                            if acc.as_ref().is_some_and(CycleSet::is_empty) {
-                                break;
-                            }
+            level.clear();
+            level.extend(survivors.iter().flat_map(|s| s.itemset.iter()));
+            join_level(&level, k - 1, |candidate, subsets| {
+                // Every immediate subset of a candidate is a survivor, at
+                // the position the join reports, and cycle pruning starts
+                // the candidate from the intersection of their cycles.
+                let mut cycles = CycleSet::full(bounds);
+                if options.cycle_pruning {
+                    for &position in subsets {
+                        let Some(subset) = survivors.get(position) else { return };
+                        cycles.intersect_with(&subset.cycles);
+                        if cycles.is_empty() {
+                            break;
                         }
-                        // Candidates have at least two immediate subsets,
-                        // so the intersection is always populated.
-                        acc?
-                    } else {
-                        CycleSet::full(bounds)
-                    };
-                    if cycles.is_empty() {
-                        stats.candidates_pruned_by_cycles += 1;
-                        None
-                    } else {
-                        stats.candidates_generated += 1;
-                        Some(CandidateState::new(candidate, cycles))
                     }
-                })
-                .collect()
-        };
+                }
+                if cycles.is_empty() {
+                    stats.candidates_pruned_by_cycles += 1;
+                } else {
+                    stats.candidates_generated += 1;
+                    let itemset = ItemSet::from_sorted_vec(candidate.to_vec());
+                    next_states.push(CandidateState::new(itemset, cycles));
+                }
+            });
+        }
 
         all_survivors.append(&mut survivors);
         let mut states = next_states;
@@ -353,7 +339,13 @@ fn find_cyclic_itemsets(
             let counted =
                 count_unit(&mut states, i, unit, threshold, options, stats, |c| {
                     unit_rows
-                        .get_or_insert_with(|| TidBitmaps::build(&items, transactions, 2))
+                        .get_or_insert_with(|| {
+                            TidBitmaps::build(
+                                std::slice::from_ref(&items),
+                                transactions,
+                                2,
+                            )
+                        })
                         .support(c)
                 });
             if !counted {
@@ -362,6 +354,8 @@ fn find_cyclic_itemsets(
         }
         drop(scan_span);
 
+        // The join emits candidates in sorted order, so the survivors
+        // stay sorted.
         survivors = states
             .into_iter()
             .filter_map(|mut s| {
@@ -369,7 +363,6 @@ fn find_cyclic_itemsets(
                 (!s.cycles.is_empty()).then_some(s)
             })
             .collect();
-        survivors.sort_by(|a, b| a.itemset.cmp(&b.itemset));
     }
     stats.bitmap_builds = rows.iter().flatten().count() as u64;
     all_survivors.append(&mut survivors);

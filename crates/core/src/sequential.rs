@@ -17,10 +17,12 @@
 //!
 //! Phase 1 allocates nothing per rule. A rule `X ⇒ Y` is the pair (id of
 //! `Z = X ∪ Y`, mask of `X`'s positions in `Z`): each itemset `Z` is
-//! interned once, and each rule's sequence is a row of `⌈n / 64⌉` words
-//! in one flat vector (`RuleSequences`). Phase 2 settles most rules by
-//! the popcount of their words, and builds a [`BitSeq`] and a [`Rule`]
-//! only for the few that could be cyclic.
+//! interned once and lists its rules sorted by mask, and each rule's
+//! sequence is a row of `⌈n / 64⌉` words in one flat vector
+//! (`RuleSequences`). A unit's rules of `Z` find their rows by one merge
+//! walk against that list. Phase 2 settles most rules by the popcount of
+//! their words, and builds a [`BitSeq`] and a [`Rule`] only for the few
+//! that could be cyclic.
 //!
 //! This is the natural baseline: correct, simple, and — as the paper
 //! shows — wasteful, because it mines every unit at full strength even
@@ -104,17 +106,20 @@ pub(crate) fn rule_sequences(
     }
     let apriori = Apriori::new(apriori_config);
     let mut sequences = RuleSequences::new(db.num_units());
+    let mut masks: Vec<u64> = Vec::new();
     for unit in units {
+        let apriori_span = car_obs::time_span!("mine.seq.apriori");
         let (frequent, apriori_stats) = apriori.mine_with_stats(db.unit(unit));
+        drop(apriori_span);
         stats.support_computations += apriori_stats.candidates_counted;
         stats.candidates_generated += apriori_stats.candidates_counted;
         stats.bitmap_builds += apriori_stats.bitmap_builds;
+        let _rules_span = car_obs::time_span!("mine.seq.rule_rows");
         for_each_rule(&frequent, config.min_confidence, |z, _, rules| {
             stats.rules_checked += rules.len() as u64;
-            let id = sequences.intern(z);
-            for rule in rules {
-                sequences.set(id, rule.antecedent, unit);
-            }
+            masks.clear();
+            masks.extend(rules.iter().map(|rule| rule.antecedent));
+            sequences.record(z, &mut masks, unit);
         });
     }
     sequences
@@ -125,9 +130,11 @@ pub(crate) fn rule_sequences(
 ///
 /// A rule `X ⇒ Y` is the pair (id of `Z = X ∪ Y`, antecedent mask), where
 /// bit `i` of the mask says whether `Z[i]` is in `X` (the masks of
-/// [`for_each_rule`]). Each itemset `Z` is stored once, and each rule's
-/// sequence is a row of `⌈n / 64⌉` words in one flat vector, so a rule
-/// costs no allocation of its own.
+/// [`for_each_rule`]). Each itemset `Z` is stored once, with its rules'
+/// (mask, row) pairs sorted by mask, and each rule's sequence is a row of
+/// `⌈n / 64⌉` words in one flat vector, so a rule costs no allocation of
+/// its own. A unit's rules of `Z` find their rows by one merge walk of
+/// their sorted masks against `Z`'s list, with no lookup per rule.
 pub(crate) struct RuleSequences {
     num_units: usize,
     /// Words per row.
@@ -135,12 +142,10 @@ pub(crate) struct RuleSequences {
     /// The interned itemsets, by id.
     itemsets: Vec<ItemSet>,
     ids: FastHashMap<ItemSet, u32>,
-    /// The row of each rule. The key is a tuple, not one `u64` with the
-    /// id in its high bits: FxHash's multiply carries no high bits down,
-    /// so the bucket index (the hash's low bits) would depend on the
-    /// mask alone.
-    rows: FastHashMap<(u32, u64), usize>,
-    /// `row_words` words per row, in row order.
+    /// The rules of each itemset, by id: (antecedent mask, offset of the
+    /// rule's row in `words`) pairs, sorted by mask.
+    rules: Vec<Vec<(u64, usize)>>,
+    /// `row_words` words per row.
     words: Vec<u64>,
 }
 
@@ -152,7 +157,7 @@ impl RuleSequences {
             row_words: num_units.div_ceil(64),
             itemsets: Vec::new(),
             ids: FastHashMap::default(),
-            rows: FastHashMap::default(),
+            rules: Vec::new(),
             words: Vec::new(),
         }
     }
@@ -165,55 +170,89 @@ impl RuleSequences {
         // Fewer than 2^32 itemsets fit in memory.
         let id = self.itemsets.len() as u32;
         self.itemsets.push(z.clone());
+        self.rules.push(Vec::new());
         self.ids.insert(z.clone(), id);
         id
     }
 
-    /// The words of rule `(id, antecedent)`'s sequence, a row of zeros
-    /// the first time the rule is seen.
-    fn row_mut(&mut self, id: u32, antecedent: u64) -> &mut [u64] {
-        let next = self.rows.len();
-        let row = *self.rows.entry((id, antecedent)).or_insert(next);
-        if row == next {
-            self.words.resize(self.words.len() + self.row_words, 0);
+    /// Calls `f(i, words)` with the words of rule `(id, masks[i])`'s
+    /// sequence for each of `masks`, which are sorted and distinct, a row
+    /// of zeros for a rule not seen before. One merge walk against the
+    /// itemset's sorted rules finds every row; new rules are appended
+    /// and sorted in after it.
+    fn for_each_row(
+        &mut self,
+        id: u32,
+        masks: &[u64],
+        mut f: impl FnMut(usize, &mut [u64]),
+    ) {
+        let RuleSequences { row_words, rules, words, .. } = self;
+        let Some(rules) = rules.get_mut(id as usize) else { return };
+        let known = rules.len();
+        let mut at = 0;
+        for (i, &mask) in masks.iter().enumerate() {
+            while at < known && rules.get(at).is_some_and(|&(m, _)| m < mask) {
+                at += 1;
+            }
+            let start = match rules.get(at) {
+                Some(&(m, start)) if at < known && m == mask => start,
+                _ => {
+                    let start = words.len();
+                    words.resize(start + *row_words, 0);
+                    rules.push((mask, start));
+                    start
+                }
+            };
+            if let Some(row) = words.get_mut(start..start + *row_words) {
+                f(i, row);
+            }
         }
-        let start = row * self.row_words;
-        self.words.get_mut(start..start + self.row_words).unwrap_or_default()
+        if rules.len() > known {
+            rules.sort_unstable_by_key(|&(mask, _)| mask);
+        }
     }
 
-    /// The words of row `row`.
-    fn row(&self, row: usize) -> &[u64] {
-        let start = row * self.row_words;
+    /// The words of the row at offset `start`.
+    fn row(&self, start: usize) -> &[u64] {
         self.words.get(start..start + self.row_words).unwrap_or_default()
     }
 
-    /// Records that rule `(id, antecedent)` held in `unit`.
-    fn set(&mut self, id: u32, antecedent: u64, unit: usize) {
+    /// Records that the rules of `z` with antecedent masks `masks` held
+    /// in `unit`. Sorts `masks`.
+    fn record(&mut self, z: &ItemSet, masks: &mut [u64], unit: usize) {
+        masks.sort_unstable();
+        let id = self.intern(z);
         // `>> 6` and `& 63` are `/ 64` and `% 64` without the division lint.
-        if let Some(word) = self.row_mut(id, antecedent).get_mut(unit >> 6) {
-            *word |= 1 << (unit & 63);
-        }
+        let (word, bit) = (unit >> 6, 1 << (unit & 63));
+        self.for_each_row(id, masks, |_, row| {
+            if let Some(word) = row.get_mut(word) {
+                *word |= bit;
+            }
+        });
     }
 
     /// Adds the rules of `other`, mined over other units of the same
     /// database: its itemsets are re-interned and its rows OR-ed in.
     pub(crate) fn merge(&mut self, other: RuleSequences) {
-        let ids: Vec<u32> = other.itemsets.iter().map(|z| self.intern(z)).collect();
-        for (&(id, antecedent), &row) in &other.rows {
-            let Some(&id) = ids.get(id as usize) else { continue };
-            for (word, &bits) in
-                self.row_mut(id, antecedent).iter_mut().zip(other.row(row))
-            {
-                *word |= bits;
-            }
+        let mut masks: Vec<u64> = Vec::new();
+        for (z, rules) in other.itemsets.iter().zip(&other.rules) {
+            let id = self.intern(z);
+            masks.clear();
+            masks.extend(rules.iter().map(|&(mask, _)| mask));
+            self.for_each_row(id, &masks, |i, row| {
+                let Some(&(_, start)) = rules.get(i) else { return };
+                for (word, &bits) in row.iter_mut().zip(other.row(start)) {
+                    *word |= bits;
+                }
+            });
         }
     }
 
     /// Each rule, as its itemset and antecedent mask, with the words of
     /// its sequence (for [`BitSeq::from_words`]), in no particular order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (&ItemSet, u64, &[u64])> {
-        self.rows.iter().filter_map(|(&(id, antecedent), &row)| {
-            Some((self.itemsets.get(id as usize)?, antecedent, self.row(row)))
+        self.itemsets.iter().zip(&self.rules).flat_map(move |(z, rules)| {
+            rules.iter().map(move |&(antecedent, start)| (z, antecedent, self.row(start)))
         })
     }
 }

@@ -13,7 +13,7 @@ use crate::Item;
 /// lets every set operation run as a linear merge.
 ///
 /// Constructors accept unsorted input with duplicates and normalize it;
-/// operations that preserve sortedness (union, join, element removal) build
+/// operations that preserve sortedness (union, extension, element removal) build
 /// their results directly without re-sorting.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ItemSet {
@@ -207,24 +207,6 @@ impl ItemSet {
         out.extend_from_slice(&self.items);
         out.push(item);
         ItemSet { items: out.into_boxed_slice() }
-    }
-
-    /// The Apriori *join*: two `k`-itemsets that agree on their first
-    /// `k - 1` items join into a `(k+1)`-itemset; any other pair yields
-    /// `None`. `self`'s last item must be smaller than `other`'s for the
-    /// join to be produced exactly once over an ordered candidate list.
-    pub fn apriori_join(&self, other: &ItemSet) -> Option<ItemSet> {
-        let k = self.items.len();
-        if k == 0 || other.items.len() != k {
-            return None;
-        }
-        if self.items[..k - 1] != other.items[..k - 1] {
-            return None;
-        }
-        if self.items[k - 1] >= other.items[k - 1] {
-            return None;
-        }
-        Some(self.with_appended(other.items[k - 1]))
     }
 
     /// Iterates over all subsets of `self` of exactly `k` elements, in
@@ -472,31 +454,6 @@ mod tests {
         assert!(set(&[1, 2]).is_disjoint(&set(&[3, 4])));
         assert!(!set(&[1, 2]).is_disjoint(&set(&[2, 3])));
         assert!(ItemSet::empty().is_disjoint(&set(&[1])));
-    }
-
-    #[test]
-    fn apriori_join_requires_shared_prefix() {
-        let ab = set(&[1, 2]);
-        let ac = set(&[1, 3]);
-        let bc = set(&[2, 3]);
-        assert_eq!(ab.apriori_join(&ac), Some(set(&[1, 2, 3])));
-        // Last item of self must be smaller.
-        assert_eq!(ac.apriori_join(&ab), None);
-        // Different prefixes do not join.
-        assert_eq!(ab.apriori_join(&bc), None);
-        // Different sizes do not join.
-        assert_eq!(ab.apriori_join(&set(&[1])), None);
-        // Empty sets do not join.
-        assert_eq!(ItemSet::empty().apriori_join(&ItemSet::empty()), None);
-    }
-
-    #[test]
-    fn apriori_join_singletons() {
-        let a = set(&[1]);
-        let b = set(&[2]);
-        assert_eq!(a.apriori_join(&b), Some(set(&[1, 2])));
-        assert_eq!(b.apriori_join(&a), None);
-        assert_eq!(a.apriori_join(&a), None);
     }
 
     #[test]

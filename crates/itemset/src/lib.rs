@@ -8,7 +8,7 @@
 //! * [`Item`] — a compact, copyable item identifier.
 //! * [`ItemSet`] — an immutable, sorted, duplicate-free set of items with
 //!   the set algebra needed by Apriori-style miners (subset tests, unions,
-//!   k-subset enumeration, and the classic *join* step). It borrows as
+//!   k-subset enumeration, one-item extension). It borrows as
 //!   its item slice, so maps and sorted lists of itemsets can be searched
 //!   with a slice.
 //! * [`SegmentedDb`] — a transaction database partitioned into consecutive

@@ -93,16 +93,6 @@ proptest! {
     }
 
     #[test]
-    fn join_produces_valid_supersets(a in arb_ids(), b in arb_ids()) {
-        let (sa, sb) = (ItemSet::from_ids(a.iter().copied()), ItemSet::from_ids(b.iter().copied()));
-        if let Some(joined) = sa.apriori_join(&sb) {
-            prop_assert_eq!(joined.len(), sa.len() + 1);
-            prop_assert!(sa.is_subset_of(&joined));
-            prop_assert!(sb.is_subset_of(&joined));
-        }
-    }
-
-    #[test]
     fn immediate_subsets_have_size_k_minus_1(a in arb_ids()) {
         let sa = ItemSet::from_ids(a.iter().copied());
         if sa.is_empty() { return Ok(()); }
