@@ -5,7 +5,7 @@ use car_itemset::{Item, ItemSet};
 use crate::bitmap::{ItemCounter, TidBitmaps};
 use crate::candidate::join_level;
 use crate::count::{count_candidates, CountStrategy};
-use crate::frequent::FrequentItemsets;
+use crate::frequent::{FrequentItemsets, Level};
 use crate::support::MinSupport;
 
 /// Configuration for an [`Apriori`] run.
@@ -95,61 +95,62 @@ impl Apriori {
         // Level 1: every item that occurs is a counted candidate. Each
         // level is one flat sorted buffer of `k` items per itemset.
         let (counted, singles) = large_items(transactions, threshold);
-        let mut level: Vec<Item> = Vec::with_capacity(singles.len());
+        let mut singles_level = Level::new(1);
         for &(item, count) in &singles {
-            result.insert(ItemSet::single(item), count);
-            level.push(item);
+            singles_level.push(&[item], count, &[]);
         }
+        result.push_level(singles_level);
         stats.candidates_counted = counted as u64;
         stats.levels = 1;
 
-        // Levels k >= 2, each joined, pruned and counted in one pass.
-        // The vertical engine counts them all on one build over the
-        // large items at `min_len` 2, as `eclat` does (a transaction
-        // shorter than `k` sets bits but holds no `k`-candidate), and
-        // counts each candidate as it is joined; the hash tree counts
-        // each level's candidates as one batch, on a tree rebuilt at
-        // every level. A level of fewer than two itemsets joins nothing.
+        // Levels k >= 2, each joined, pruned and counted in one pass,
+        // and each large candidate appended with the subset positions
+        // the join reports. The vertical engine counts them all on one
+        // build over the large items at `min_len` 2, as `eclat` does (a
+        // transaction shorter than `k` sets bits but holds no
+        // `k`-candidate), and counts each candidate as it is joined; the
+        // hash tree counts each level's candidates as one batch, on a
+        // tree rebuilt at every level. A level of fewer than two
+        // itemsets joins nothing.
         let mut bitmaps: Option<TidBitmaps> = None;
-        let mut next: Vec<Item> = Vec::new();
         let mut k: usize = 1;
-        while level.len() >= k.saturating_mul(2) {
+        while let Some(level) = result.level_at(k).filter(|level| level.len() >= 2) {
             if self.config.max_size.is_some_and(|cap| k >= cap) {
                 break;
             }
             let span = car_obs::time_span!("mine.apriori.level");
-            next.clear();
+            let mut next = Level::new(k.saturating_add(1));
             let mut candidates: u64 = 0;
             match self.config.counting {
                 CountStrategy::Vertical => {
                     let rows = bitmaps.get_or_insert_with(|| {
-                        let large = ItemSet::from_sorted_vec(level.clone());
+                        let large = ItemSet::from_sorted_vec(level.items().to_vec());
                         TidBitmaps::build(std::slice::from_ref(&large), transactions, 2)
                     });
-                    join_level(&level, k, |candidate, _| {
+                    join_level(level.items(), k, |candidate, subsets| {
                         candidates = candidates.saturating_add(1);
                         let count = rows.support(candidate);
                         if count >= threshold {
-                            next.extend_from_slice(candidate);
-                            result.insert(
-                                ItemSet::from_sorted_vec(candidate.to_vec()),
-                                count,
-                            );
+                            next.push(candidate, count, subsets);
                         }
                     });
                 }
                 CountStrategy::HashTree => {
                     let mut batch = Vec::new();
-                    join_level(&level, k, |candidate, _| {
+                    let mut batch_subsets = Vec::new();
+                    join_level(level.items(), k, |candidate, subsets| {
                         batch.push(ItemSet::from_sorted_vec(candidate.to_vec()));
+                        batch_subsets.extend_from_slice(subsets);
                     });
                     candidates = batch.len() as u64;
                     let counts =
                         count_candidates(&batch, transactions, CountStrategy::HashTree);
-                    for (candidate, count) in batch.into_iter().zip(counts) {
+                    let subsets = batch_subsets.chunks_exact(k + 1);
+                    for ((candidate, count), subsets) in
+                        batch.iter().zip(counts).zip(subsets)
+                    {
                         if count >= threshold {
-                            next.extend_from_slice(&candidate);
-                            result.insert(candidate, count);
+                            next.push(candidate, count, subsets);
                         }
                     }
                 }
@@ -161,7 +162,7 @@ impl Apriori {
             stats.candidates_counted =
                 stats.candidates_counted.saturating_add(candidates);
             stats.levels = stats.levels.saturating_add(1);
-            std::mem::swap(&mut level, &mut next);
+            result.push_level(next);
             k += 1;
         }
         stats.bitmap_builds = u64::from(bitmaps.is_some());
@@ -247,11 +248,8 @@ mod tests {
         let a = Apriori::new(base).mine(&han_kamber());
         let b =
             Apriori::new(base.with_counting(CountStrategy::HashTree)).mine(&han_kamber());
-        let mut av: Vec<_> = a.iter().map(|(s, c)| (s.clone(), c)).collect();
-        let mut bv: Vec<_> = b.iter().map(|(s, c)| (s.clone(), c)).collect();
-        av.sort();
-        bv.sort();
-        assert_eq!(av, bv);
+        // Both keep each level sorted, so equal results iterate alike.
+        assert!(a.iter().eq(b.iter()));
     }
 
     #[test]

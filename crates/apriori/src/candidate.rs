@@ -131,7 +131,11 @@ fn locate_groups(
 /// holds on a prefix of the range. It gallops from `from`, probing ever
 /// farther until `pred` fails, and then searches the last gap, so the
 /// cost grows with the distance from `from`, not with `n`.
-fn partition_point(from: usize, n: usize, pred: impl Fn(usize) -> bool) -> usize {
+pub(crate) fn partition_point(
+    from: usize,
+    n: usize,
+    pred: impl Fn(usize) -> bool,
+) -> usize {
     let (mut lo, mut hi, mut step) = (from, from, 1usize);
     while hi < n && pred(hi) {
         lo = hi + 1;

@@ -212,7 +212,8 @@ mod tests {
     }
 
     fn as_sorted(f: &crate::FrequentItemsets) -> Vec<(ItemSet, u64)> {
-        let mut v: Vec<_> = f.iter().map(|(s, c)| (s.clone(), c)).collect();
+        let mut v: Vec<_> =
+            f.iter().map(|(s, c)| (ItemSet::from_sorted_vec(s.to_vec()), c)).collect();
         v.sort();
         v
     }

@@ -10,7 +10,8 @@
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// 64-bit multiply-rotate hasher (Fx-style).
+/// 64-bit multiply-rotate hasher (Fx-style), whose [`finish`](Hasher::finish)
+/// folds the high bits down.
 #[derive(Default)]
 pub struct FxHasher {
     state: u64,
@@ -26,9 +27,15 @@ impl FxHasher {
 }
 
 impl Hasher for FxHasher {
+    /// The state with its high half folded into its low half. Bit `i` of
+    /// a product depends only on bits `0..=i` of the word multiplied, so
+    /// the raw state's low bits, which pick a hash table's bucket, would
+    /// ignore every high bit of a one-word key: keys that differ only
+    /// above bit 32 would all share one probe chain. The fold is a
+    /// bijection, so it adds no collision.
     #[inline]
     fn finish(&self) -> u64 {
-        self.state
+        self.state ^ (self.state >> 32)
     }
 
     #[inline]
@@ -109,6 +116,14 @@ mod tests {
         let distinct_low: std::collections::HashSet<u64> =
             hashes.iter().map(|h| h & 0xff).collect();
         assert!(distinct_low.len() > 32, "low byte collides too much");
+    }
+
+    #[test]
+    fn spreads_keys_that_differ_only_in_high_bits() {
+        // A hash table picks a bucket from the low bits of the hash.
+        let buckets: std::collections::HashSet<u64> =
+            (0u64..4096).map(|i| hash_of(&(i << 32)) & 0xfff).collect();
+        assert!(buckets.len() > 2048, "{} low-12-bit buckets", buckets.len());
     }
 
     #[test]

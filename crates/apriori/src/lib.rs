@@ -21,18 +21,21 @@
 //!   each build a unit's bitmaps once and count every itemset on them.
 //! * [`Apriori`] — the level-wise driver producing [`FrequentItemsets`],
 //!   which the paper's SEQUENTIAL and INTERLEAVED algorithms extend. It
-//!   counts each candidate as [`join_level`] joins it and allocates an
-//!   [`ItemSet`](car_itemset::ItemSet) only for each large itemset.
+//!   counts each candidate as [`join_level`] joins it and appends each
+//!   large one to a flat level with its count and the subset positions
+//!   the join reports, allocating no
+//!   [`ItemSet`](car_itemset::ItemSet).
 //! * [`eclat`] — depth-first mining over the same tid-bitmaps: each
 //!   extension of a prefix class is one AND plus popcount, with no
 //!   candidate generation, and the large itemsets go into one
 //!   [`FlatItemsets`] buffer. It is the live window's per-unit miner.
 //! * [`for_each_rule`] — the one `ap-genrules` walk, with
 //!   confidence-based consequent pruning: consequents are `u64` position
-//!   masks over the itemset, and each antecedent's count is looked up by
-//!   slice, so no rule allocates. [`generate_rules`] collects it into
-//!   sorted [`AssociationRule`]s; SEQUENTIAL (in `car-core`) stores its
-//!   masks.
+//!   masks over the itemset, each carrying its antecedent's position, so
+//!   an antecedent's count is two array reads down the recorded subset
+//!   positions and no rule allocates, hashes or searches.
+//!   [`generate_rules`] collects it into sorted [`AssociationRule`]s;
+//!   SEQUENTIAL (in `car-core`) stores its masks.
 //! * [`MinSupport`] / [`MinConfidence`] — threshold handling (absolute
 //!   counts or fractions) with explicit empty-database semantics.
 //!

@@ -4,7 +4,7 @@ use std::fmt;
 
 use car_itemset::{Item, ItemSet};
 
-use crate::frequent::FrequentItemsets;
+use crate::frequent::{FrequentItemsets, Level};
 use crate::support::MinConfidence;
 
 /// An association rule `antecedent ⇒ consequent` (disjoint, non-empty).
@@ -124,20 +124,20 @@ pub struct RuleMask {
 /// (confidence is anti-monotone in the consequent).
 ///
 /// The result is sorted by `(antecedent, consequent)` for determinism.
-/// It collects [`for_each_rule`]'s walk into rules with their counts.
+/// It collects [`for_each_rule`]'s walk into rules with their counts;
+/// each consequent's count is read by following subset positions down
+/// from its itemset, one per antecedent item.
 pub fn generate_rules(
     frequent: &FrequentItemsets,
     min_confidence: MinConfidence,
 ) -> Vec<AssociationRule> {
     let mut out = Vec::new();
-    for_each_rule(frequent, min_confidence, |z, z_count, rules| {
+    for_each_rule(frequent, min_confidence, |z, z_count, position, rules| {
         for mask in rules {
-            let rule = Rule::from_mask(z, mask.antecedent);
-            let consequent_count = frequent
-                .count(&rule.consequent)
-                .expect("subsets of a frequent itemset are frequent");
+            let consequent_count =
+                count_without(frequent, z.len(), position, mask.antecedent);
             out.push(AssociationRule {
-                rule,
+                rule: Rule::from_mask(z, mask.antecedent),
                 rule_count: z_count,
                 antecedent_count: mask.antecedent_count,
                 consequent_count,
@@ -149,33 +149,53 @@ pub fn generate_rules(
     out
 }
 
+/// The count of the level-`k` itemset at `position` without its items at
+/// the positions set in `mask`. The items go from the highest position
+/// down, so each one removed is still at its own index.
+fn count_without(
+    frequent: &FrequentItemsets,
+    k: usize,
+    position: usize,
+    mask: u64,
+) -> u64 {
+    let (mut k, mut position) = (k, position);
+    for i in (0..k).rev().filter(|&i| mask >> i & 1 == 1) {
+        position = frequent.subsets(k, position)[i];
+        k -= 1;
+    }
+    frequent.level_at(k).map_or(0, |level| level.count(position))
+}
+
 /// The `ap-genrules` walk: for every frequent itemset `Z` of at least two
 /// items that yields a rule meeting `min_confidence`, calls `emit(Z,
-/// count of Z, rules)` once with all of `Z`'s rules, in no particular
-/// order.
+/// count of Z, position of Z in its level, rules)` once with all of
+/// `Z`'s rules, in no particular order. `Z`'s level is `Z.len()`.
 ///
 /// Consequents are `u64` masks of positions in `Z` and grow level-wise:
 /// a consequent one item larger is tried only when every consequent one
-/// item smaller inside it passed. Each antecedent is built in a scratch
-/// buffer and its count looked up by slice, so the walk allocates
-/// nothing per rule. An antecedent missing from `frequent` (impossible
-/// for an [`Apriori`](crate::Apriori) result) fails its rule.
+/// item smaller inside it passed. Each consequent carries its
+/// antecedent's position: a one-item consequent `{q}` has the antecedent
+/// `Z` without `Z[q]`, whose position `Z` records, and growing a
+/// consequent `c` by a position `q` above its highest removes `Z[q]`,
+/// which sits at index `q − |c|` of `c`'s antecedent, so the new
+/// antecedent's position is recorded there. Each antecedent's count is
+/// then one array read, and the walk builds, hashes and searches
+/// nothing per rule.
 pub fn for_each_rule(
     frequent: &FrequentItemsets,
     min_confidence: MinConfidence,
-    mut emit: impl FnMut(&ItemSet, u64, &[RuleMask]),
+    mut emit: impl FnMut(&[Item], u64, usize, &[RuleMask]),
 ) {
     let mut walk = RuleWalk::default();
-    for (z, z_count) in frequent.iter() {
-        // A mask has 64 positions. A frequent itemset of more items would
-        // need all 2^64 of its subsets frequent and stored, so it cannot
-        // occur; such an itemset is skipped rather than walked.
-        if z.len() < 2 || z.len() > 64 {
-            continue;
-        }
-        walk.rules_of(frequent, z, z_count, min_confidence);
-        if !walk.rules.is_empty() {
-            emit(z, z_count, &walk.rules);
+    // A mask has 64 positions. A frequent itemset of more items would
+    // need all 2^64 of its subsets frequent and stored, so it cannot
+    // occur; such levels are not walked.
+    for k in 2..=frequent.max_level().min(64) {
+        for (position, (z, z_count)) in frequent.level(k).enumerate() {
+            walk.rules_of(frequent, k, position, z_count, min_confidence);
+            if !walk.rules.is_empty() {
+                emit(z, z_count, position, &walk.rules);
+            }
         }
     }
 }
@@ -185,68 +205,74 @@ pub fn for_each_rule(
 struct RuleWalk {
     /// The rules of the current itemset.
     rules: Vec<RuleMask>,
-    /// The consequents of the current size that passed, sorted.
-    passed: Vec<u64>,
-    /// The consequents one item larger to try next.
-    next: Vec<u64>,
-    /// The antecedent being looked up.
-    antecedent: Vec<Item>,
+    /// The consequents of the current size that passed, each with its
+    /// antecedent's position, sorted by consequent.
+    passed: Vec<(u64, usize)>,
+    /// The consequents one item larger to try next, with their
+    /// antecedents' positions.
+    next: Vec<(u64, usize)>,
 }
 
 impl RuleWalk {
-    /// Fills `self.rules` with the rules of `z`, which has 2 to 64 items.
+    /// Fills `self.rules` with the rules of the level-`k` itemset at
+    /// `position`, for `k` from 2 to 64.
     fn rules_of(
         &mut self,
         frequent: &FrequentItemsets,
-        z: &[Item],
+        k: usize,
+        position: usize,
         z_count: u64,
         min_confidence: MinConfidence,
     ) {
-        let all = u64::MAX >> (64 - z.len());
+        let all = u64::MAX >> (64 - k);
         self.rules.clear();
         self.next.clear();
-        self.next.extend((0..z.len()).map(|i| 1u64 << i));
+        let subsets = frequent.subsets(k, position);
+        self.next.extend(subsets.iter().enumerate().map(|(q, &a)| (1u64 << q, a)));
+        // The size of the consequents in `self.next`.
         let mut size = 1;
-        while !self.next.is_empty() {
+        while let Some(antecedents) = frequent.level_at(k - size) {
             self.passed.clear();
-            for &consequent in &self.next {
-                let antecedent = all & !consequent;
-                self.antecedent.clear();
-                self.antecedent.extend(items_at(z, antecedent));
-                let Some(antecedent_count) = frequent.count(&self.antecedent) else {
-                    continue;
-                };
+            for &(consequent, antecedent) in &self.next {
+                let antecedent_count = antecedents.count(antecedent);
                 if min_confidence.accepts(z_count, antecedent_count) {
-                    self.rules.push(RuleMask { antecedent, antecedent_count });
-                    self.passed.push(consequent);
+                    self.rules.push(RuleMask {
+                        antecedent: all & !consequent,
+                        antecedent_count,
+                    });
+                    self.passed.push((consequent, antecedent));
                 }
             }
             // Stop before the consequent swallows z.
-            size += 1;
-            if size == z.len() {
+            if size + 1 == k || self.passed.is_empty() {
                 break;
             }
-            self.passed.sort_unstable();
-            self.grow(z.len());
+            self.passed.sort_unstable_by_key(|&(consequent, _)| consequent);
+            self.grow(antecedents, size, k);
+            size += 1;
         }
     }
 
     /// Sets `self.next` to the consequents one item larger than those in
-    /// `self.passed` whose every subset one item smaller passed. Each
-    /// passed consequent is extended by each position above its highest,
-    /// so every candidate is built once, from its subset without its
-    /// highest position.
-    fn grow(&mut self, len: usize) {
+    /// `self.passed`, of `size` items with antecedents in `antecedents`,
+    /// whose every subset one item smaller passed. Each passed consequent
+    /// is extended by each position above its highest, so every
+    /// candidate is built once, from its subset without its highest
+    /// position, and its antecedent is that subset's antecedent without
+    /// the new position's item.
+    fn grow(&mut self, antecedents: &Level, size: usize, len: usize) {
         self.next.clear();
-        for &consequent in &self.passed {
+        for &(consequent, antecedent) in &self.passed {
             let above = 64 - consequent.leading_zeros() as usize;
+            let subsets = antecedents.subsets(antecedent);
             for position in above..len {
                 let candidate = consequent | 1 << position;
                 let passed = |q: usize| {
-                    self.passed.binary_search(&(candidate & !(1 << q))).is_ok()
+                    let smaller = candidate & !(1 << q);
+                    self.passed.binary_search_by_key(&smaller, |&(c, _)| c).is_ok()
                 };
                 if (0..above).filter(|&q| consequent >> q & 1 == 1).all(passed) {
-                    self.next.push(candidate);
+                    self.next.push((candidate, subsets[position - size]));
                 }
             }
         }
@@ -304,6 +330,7 @@ mod tests {
             if z.len() < 2 {
                 continue;
             }
+            let z = ItemSet::from_sorted_vec(z.to_vec());
             for x in z.proper_nonempty_subsets() {
                 let y = z.difference(&x);
                 let x_count = tx.iter().filter(|t| x.is_subset_of(t)).count() as u64;
@@ -372,12 +399,16 @@ mod tests {
         let f = mine(&tx, 1);
         let z = set(&[1, 2, 3, 4, 5]);
         let mut masks = Vec::new();
-        for_each_rule(&f, MinConfidence::new(1.0).unwrap(), |itemset, count, rules| {
-            assert_eq!(count, 3);
-            if *itemset == z {
-                masks.extend(rules.iter().map(|r| r.antecedent));
-            }
-        });
+        for_each_rule(
+            &f,
+            MinConfidence::new(1.0).unwrap(),
+            |itemset, count, _, rules| {
+                assert_eq!(count, 3);
+                if itemset == z.as_slice() {
+                    masks.extend(rules.iter().map(|r| r.antecedent));
+                }
+            },
+        );
         masks.sort_unstable();
         assert_eq!(masks, (1..31).collect::<Vec<u64>>());
         let rule = Rule::from_mask(&z, 0b10110);

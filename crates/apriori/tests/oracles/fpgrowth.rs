@@ -11,8 +11,10 @@
 //! tests exploit as a three-way oracle.
 
 use car_apriori::hash::FastHashMap;
-use car_apriori::{FrequentItemsets, MinSupport};
+use car_apriori::MinSupport;
 use car_itemset::{Item, ItemSet};
+
+use super::Itemsets;
 
 /// An FP-tree node (arena-allocated; `u32` indices).
 struct Node {
@@ -137,9 +139,9 @@ pub fn fp_growth(
     transactions: &[ItemSet],
     min_support: MinSupport,
     max_size: Option<usize>,
-) -> FrequentItemsets {
+) -> Itemsets {
     let threshold = min_support.threshold(transactions.len());
-    let mut result = FrequentItemsets::new(transactions.len());
+    let mut result = Itemsets::new();
     if max_size == Some(0) {
         return result;
     }
@@ -171,7 +173,7 @@ fn mine_tree(
     threshold: u64,
     max_size: Option<usize>,
     suffix: &mut Vec<Item>,
-    result: &mut FrequentItemsets,
+    result: &mut Itemsets,
 ) {
     // Process header items from least to most frequent (bottom of the
     // f-list) — the classic order; any order is correct.
@@ -209,6 +211,7 @@ fn mine_tree(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracles::itemsets;
     use car_apriori::{eclat, Apriori, AprioriConfig};
 
     fn set(ids: &[u32]) -> ItemSet {
@@ -229,12 +232,6 @@ mod tests {
         ]
     }
 
-    fn as_sorted(f: &FrequentItemsets) -> Vec<(ItemSet, u64)> {
-        let mut v: Vec<_> = f.iter().map(|(s, c)| (s.clone(), c)).collect();
-        v.sort();
-        v
-    }
-
     #[test]
     fn matches_apriori_and_eclat_on_han_kamber() {
         let tx = han_kamber();
@@ -243,13 +240,12 @@ mod tests {
             let a = Apriori::new(AprioriConfig::new(ms)).mine(&tx);
             let e = eclat(&tx, ms, None);
             let f = fp_growth(&tx, ms, None);
-            assert_eq!(as_sorted(&a), as_sorted(&f), "apriori vs fp, minsup {min}");
-            let mut e: Vec<(ItemSet, u64)> = e
+            assert_eq!(itemsets(&a), f, "apriori vs fp, minsup {min}");
+            let e: Itemsets = e
                 .iter()
                 .map(|(s, c)| (ItemSet::from_sorted_vec(s.to_vec()), c))
                 .collect();
-            e.sort();
-            assert_eq!(e, as_sorted(&f), "eclat vs fp, minsup {min}");
+            assert_eq!(e, f, "eclat vs fp, minsup {min}");
         }
     }
 
@@ -257,7 +253,7 @@ mod tests {
     fn respects_max_size() {
         let tx = vec![set(&[1, 2, 3, 4]); 3];
         let f = fp_growth(&tx, MinSupport::count(1), Some(2));
-        assert_eq!(f.max_level(), 2);
+        assert_eq!(f.keys().map(ItemSet::len).max(), Some(2));
         assert_eq!(f.len(), 4 + 6);
         assert!(fp_growth(&tx, MinSupport::count(1), Some(0)).is_empty());
     }
@@ -279,7 +275,7 @@ mod tests {
         let tx = vec![set(&[1, 2, 3]); 4];
         let f = fp_growth(&tx, MinSupport::count(2), None);
         assert_eq!(f.len(), 7);
-        for (s, c) in f.iter() {
+        for (s, &c) in &f {
             assert_eq!(c, 4, "{s}");
         }
     }
@@ -289,10 +285,10 @@ mod tests {
         let tx =
             vec![set(&[1, 2]), set(&[1, 2, 3]), set(&[1, 3]), set(&[2, 3]), set(&[1])];
         let f = fp_growth(&tx, MinSupport::count(2), None);
-        assert_eq!(f.count(&set(&[1])), Some(4));
-        assert_eq!(f.count(&set(&[1, 2])), Some(2));
-        assert_eq!(f.count(&set(&[1, 3])), Some(2));
-        assert_eq!(f.count(&set(&[2, 3])), Some(2));
-        assert_eq!(f.count(&set(&[1, 2, 3])), None); // count 1
+        assert_eq!(f.get(&set(&[1])).copied(), Some(4));
+        assert_eq!(f.get(&set(&[1, 2])).copied(), Some(2));
+        assert_eq!(f.get(&set(&[1, 3])).copied(), Some(2));
+        assert_eq!(f.get(&set(&[2, 3])).copied(), Some(2));
+        assert_eq!(f.get(&set(&[1, 2, 3])), None); // count 1
     }
 }

@@ -4,8 +4,10 @@
 //! no pruning beyond the definition, and counting scans every
 //! transaction.
 
-use car_apriori::{FrequentItemsets, MinSupport};
+use car_apriori::MinSupport;
 use car_itemset::ItemSet;
+
+use super::Itemsets;
 
 /// Counts the transactions containing `itemset`.
 pub fn count_itemset(itemset: &ItemSet, transactions: &[ItemSet]) -> u64 {
@@ -15,14 +17,14 @@ pub fn count_itemset(itemset: &ItemSet, transactions: &[ItemSet]) -> u64 {
 /// Finds all large itemsets by definition-level breadth-first search.
 ///
 /// Exponential in the worst case — intended for small test inputs only.
-/// Results are identical to [`Apriori::mine`](car_apriori::Apriori::mine).
+/// Results are identical to [`Apriori::mine`](car_apriori::Apriori::mine)'s.
 pub fn frequent_itemsets(
     transactions: &[ItemSet],
     min_support: MinSupport,
     max_size: Option<usize>,
-) -> FrequentItemsets {
+) -> Itemsets {
     let threshold = min_support.threshold(transactions.len());
-    let mut result = FrequentItemsets::new(transactions.len());
+    let mut result = Itemsets::new();
     if max_size == Some(0) {
         return result;
     }
@@ -72,6 +74,7 @@ pub fn frequent_itemsets(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracles::itemsets;
     use car_apriori::{Apriori, AprioriConfig};
 
     fn set(ids: &[u32]) -> ItemSet {
@@ -104,11 +107,7 @@ mod tests {
             let ms = MinSupport::count(min);
             let naive = frequent_itemsets(&tx, ms, None);
             let fast = Apriori::new(AprioriConfig::new(ms)).mine(&tx);
-            let mut a: Vec<_> = naive.iter().map(|(s, c)| (s.clone(), c)).collect();
-            let mut b: Vec<_> = fast.iter().map(|(s, c)| (s.clone(), c)).collect();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "min support {min}");
+            assert_eq!(naive, itemsets(&fast), "min support {min}");
         }
     }
 
@@ -116,7 +115,7 @@ mod tests {
     fn max_size_is_respected() {
         let tx = vec![set(&[1, 2, 3]); 3];
         let f = frequent_itemsets(&tx, MinSupport::count(1), Some(2));
-        assert_eq!(f.max_level(), 2);
+        assert_eq!(f.keys().map(ItemSet::len).max(), Some(2));
         assert_eq!(f.len(), 6);
         assert!(frequent_itemsets(&tx, MinSupport::count(1), Some(0)).is_empty());
     }

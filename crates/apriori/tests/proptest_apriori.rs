@@ -7,8 +7,8 @@ use car_apriori::{
     count_candidates, eclat, generate_rules, Apriori, AprioriConfig, CountStrategy,
     MinConfidence, MinSupport, TidBitmaps,
 };
-use car_itemset::ItemSet;
-use oracles::{fp_growth, naive};
+use car_itemset::{Item, ItemSet};
+use oracles::{fp_growth, itemsets, naive, Itemsets};
 use proptest::prelude::*;
 
 fn arb_transactions() -> impl Strategy<Value = Vec<ItemSet>> {
@@ -165,11 +165,7 @@ proptest! {
         let ms = MinSupport::count(threshold);
         let fast = Apriori::new(AprioriConfig::new(ms)).mine(&tx);
         let slow = naive::frequent_itemsets(&tx, ms, None);
-        let mut a: Vec<(ItemSet, u64)> = fast.iter().map(|(s, c)| (s.clone(), c)).collect();
-        let mut b: Vec<(ItemSet, u64)> = slow.iter().map(|(s, c)| (s.clone(), c)).collect();
-        a.sort();
-        b.sort();
-        prop_assert_eq!(a, b);
+        prop_assert_eq!(itemsets(&fast), slow);
     }
 
     #[test]
@@ -186,19 +182,14 @@ proptest! {
         if let Some(cap) = max_size {
             config = config.with_max_size(cap);
         }
-        let a = Apriori::new(config).mine(&tx);
-        let e = eclat(&tx, ms, max_size);
+        let a = itemsets(&Apriori::new(config).mine(&tx));
+        let e: Itemsets = eclat(&tx, ms, max_size)
+            .iter()
+            .map(|(s, c)| (ItemSet::from_sorted_vec(s.to_vec()), c))
+            .collect();
         let f = fp_growth(&tx, ms, max_size);
-        let sorted = |x: &car_apriori::FrequentItemsets| {
-            let mut v: Vec<(ItemSet, u64)> = x.iter().map(|(s, c)| (s.clone(), c)).collect();
-            v.sort();
-            v
-        };
-        let mut e: Vec<(ItemSet, u64)> =
-            e.iter().map(|(s, c)| (ItemSet::from_sorted_vec(s.to_vec()), c)).collect();
-        e.sort();
-        prop_assert_eq!(sorted(&a), e, "apriori vs eclat");
-        prop_assert_eq!(sorted(&a), sorted(&f), "apriori vs fp-growth");
+        prop_assert_eq!(&a, &e, "apriori vs eclat");
+        prop_assert_eq!(&a, &f, "apriori vs fp-growth");
     }
 
     #[test]
@@ -207,14 +198,9 @@ proptest! {
         threshold in 1u64..5,
     ) {
         let base = AprioriConfig::new(MinSupport::count(threshold));
-        let sorted = |f: &car_apriori::FrequentItemsets| {
-            let mut v: Vec<(ItemSet, u64)> = f.iter().map(|(s, c)| (s.clone(), c)).collect();
-            v.sort();
-            v
-        };
         let v = Apriori::new(base).mine(&tx);
         let b = Apriori::new(base.with_counting(CountStrategy::HashTree)).mine(&tx);
-        prop_assert_eq!(sorted(&v), sorted(&b), "vertical vs hashtree");
+        prop_assert_eq!(itemsets(&v), itemsets(&b), "vertical vs hashtree");
     }
 
     #[test]
@@ -242,12 +228,41 @@ proptest! {
         let ms = MinSupport::count(threshold);
         let f = Apriori::new(AprioriConfig::new(ms)).mine(&tx);
         for (itemset, count) in f.iter() {
-            prop_assert_eq!(count, naive::count_itemset(itemset, &tx));
+            let itemset = ItemSet::from_sorted_vec(itemset.to_vec());
+            prop_assert_eq!(count, naive::count_itemset(&itemset, &tx));
             prop_assert!(count >= threshold.max(1));
             // Anti-monotonicity: every immediate subset is also large.
             for sub in itemset.immediate_subsets() {
                 if !sub.is_empty() {
                     prop_assert!(f.contains(&sub), "{} missing subset {}", itemset, sub);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn subset_positions_name_immediate_subsets(
+        tx in arb_transactions(),
+        threshold in 1u64..4,
+    ) {
+        // Both engines record, for every level-k itemset, the position in
+        // level k − 1 of the itemset without each item j; the itemset and
+        // count found there must be that subset's, by definition.
+        let base = AprioriConfig::new(MinSupport::count(threshold));
+        for counting in [CountStrategy::Vertical, CountStrategy::HashTree] {
+            let f = Apriori::new(base.with_counting(counting)).mine(&tx);
+            for k in 2..=f.max_level() {
+                let below: Vec<(&[Item], u64)> = f.level(k - 1).collect();
+                for (position, (z, _)) in f.level(k).enumerate() {
+                    let z = ItemSet::from_sorted_vec(z.to_vec());
+                    let subsets = f.subsets(k, position);
+                    prop_assert_eq!(subsets.len(), k, "{:?} {}", counting, z);
+                    for (j, &at) in subsets.iter().enumerate() {
+                        let subset = z.without_index(j);
+                        let (items, count) = below[at];
+                        prop_assert_eq!(items, subset.as_slice(), "{:?} {} j={}", counting, z, j);
+                        prop_assert_eq!(count, naive::count_itemset(&subset, &tx));
+                    }
                 }
             }
         }

@@ -61,7 +61,7 @@ impl fmt::Display for Timing {
 
 /// Formats a duration in the human scale benchmarking output wants. A
 /// unit starts where the smaller one would round to 1000.
-fn format_duration(d: Duration) -> String {
+pub(crate) fn format_duration(d: Duration) -> String {
     let secs = d.as_secs_f64();
     if secs >= 0.999_95 {
         format!("{secs:.2}s")
@@ -108,6 +108,11 @@ pub fn time_runs<T: PartialEq, const N: usize>(
 pub struct Measurement {
     /// Wall-clock runtime over the point's [`RUNS`] runs.
     pub runtime: Timing,
+    /// Median time of phase 1 (mining the units) over the runs.
+    pub phase1: Duration,
+    /// Median time of phase 2 (turning phase 1's result into cyclic
+    /// rules) over the runs.
+    pub phase2: Duration,
     /// Number of cyclic rules found.
     pub rules: usize,
     /// The work counters, the same in every run; the phase times are
@@ -130,18 +135,28 @@ pub fn measure<const N: usize>(
     algorithms: [Algorithm; N],
 ) -> [Measurement; N] {
     let miners = algorithms.map(|algorithm| CyclicRuleMiner::new(*config, algorithm));
+    let mut phases: [(Vec<Duration>, Vec<Duration>); N] =
+        std::array::from_fn(|_| (Vec::new(), Vec::new()));
     let runs = time_runs(|i| {
         let outcome = miners[i].mine(db).expect("scenario must be valid");
+        phases[i].0.push(outcome.stats.phase1);
+        phases[i].1.push(outcome.stats.phase2);
         (outcome.rules, counters(outcome.stats))
     });
     let (_, (reference, _)) = &runs[0];
     for (algorithm, (_, (rules, _))) in algorithms.iter().zip(&runs) {
         assert!(rules == reference, "{algorithm:?} and {:?} disagree", algorithms[0]);
     }
-    runs.map(|(runtime, (rules, stats))| Measurement {
-        runtime,
-        rules: rules.len(),
-        stats,
+    let mut phases = phases.into_iter();
+    runs.map(|(runtime, (rules, stats))| {
+        let (phase1, phase2) = phases.next().expect("one entry per algorithm");
+        Measurement {
+            runtime,
+            phase1: Timing::of(&phase1).median,
+            phase2: Timing::of(&phase2).median,
+            rules: rules.len(),
+            stats,
+        }
     })
 }
 
@@ -172,6 +187,7 @@ mod tests {
             let t = m.runtime;
             assert!(t.q1 <= t.median && t.median <= t.q3, "{t:?}");
             assert!(t.q1 > Duration::ZERO);
+            assert!(m.phase1 > Duration::ZERO, "{m:?}");
             let single = CyclicRuleMiner::new(s.config, algorithm).mine(&s.db).unwrap();
             assert_eq!(m.rules, single.rules.len());
             assert_eq!(m.stats, counters(single.stats), "{algorithm:?}");

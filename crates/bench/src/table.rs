@@ -1,5 +1,6 @@
 //! Markdown tables for experiment series.
 
+use crate::measure::format_duration;
 use crate::Measurement;
 
 /// One point of a SEQUENTIAL versus INTERLEAVED sweep.
@@ -16,27 +17,35 @@ pub struct SeriesRow {
 ///
 /// ```text
 /// == EXP-1: runtime vs number of time units ==
-/// | units | SEQUENTIAL | INTERLEAVED | speedup | rules | SEQ support computations | SEQ rules checked | INT support computations | INT skipped counts |
-/// |---|---|---|---|---|---|---|---|---|
-/// | 16 | 1.23s [1.20s, 1.25s] | 410.0ms [405.1ms, 412.9ms] | 3.00× | 210 | ... |
+/// | units | SEQUENTIAL | INTERLEAVED | speedup | SEQ phase 1 + 2 | INT phase 1 + 2 | rules | SEQ support computations | SEQ rules checked | INT support computations | INT skipped counts |
+/// |---|---|---|---|---|---|---|---|---|---|---|
+/// | 16 | 1.23s [1.20s, 1.25s] | 410.0ms [405.1ms, 412.9ms] | 3.00× | 1.17s + 60.2ms | 398.0ms + 11.9ms | 210 | ... |
 /// ```
 ///
 /// Runtimes are `median [q1, q3]`, the speedup is the ratio of the
-/// medians, and the counters are the ones that explain the gap:
-/// SEQUENTIAL's support computations and rule checks, INTERLEAVED's
-/// support computations and the counts its cycles let it skip.
+/// medians, and each algorithm's phases are its median phase 1 (mining
+/// the units) and phase 2 (turning that into cyclic rules). The
+/// counters are the ones that explain the gap: SEQUENTIAL's support
+/// computations and rule checks, INTERLEAVED's support computations and
+/// the counts its cycles let it skip.
 pub fn print_series(title: &str, x_label: &str, rows: &[SeriesRow]) -> String {
     let mut out = format!(
-        "== {title} ==\n| {x_label} | SEQUENTIAL | INTERLEAVED | speedup | rules \
+        "== {title} ==\n| {x_label} | SEQUENTIAL | INTERLEAVED | speedup \
+         | SEQ phase 1 + 2 | INT phase 1 + 2 | rules \
          | SEQ support computations | SEQ rules checked | INT support computations \
-         | INT skipped counts |\n|---|---|---|---|---|---|---|---|---|\n"
+         | INT skipped counts |\n|---|---|---|---|---|---|---|---|---|---|---|\n"
     );
+    let phases = |m: &Measurement| {
+        format!("{} + {}", format_duration(m.phase1), format_duration(m.phase2))
+    };
     for SeriesRow { x, sequential: seq, interleaved: int } in rows {
         out.push_str(&format!(
-            "| {x} | {} | {} | {:.2}× | {} | {} | {} | {} | {} |\n",
+            "| {x} | {} | {} | {:.2}× | {} | {} | {} | {} | {} | {} | {} |\n",
             seq.runtime,
             int.runtime,
             seq.runtime.ratio(&int.runtime),
+            phases(seq),
+            phases(int),
             seq.rules,
             seq.stats.support_computations,
             seq.stats.rules_checked,
@@ -58,6 +67,8 @@ mod tests {
         let ms = Duration::from_millis(ms);
         Measurement {
             runtime: Timing::of(&[ms, ms, ms + ms]),
+            phase1: ms.mul_f64(0.9),
+            phase2: ms.mul_f64(0.1),
             rules,
             stats: MiningStats { support_computations, ..MiningStats::default() },
         }
@@ -80,8 +91,13 @@ mod tests {
         let text = print_series("EXP-1: test", "units", &rows);
         assert!(text.starts_with("== EXP-1: test ==\n| units | SEQUENTIAL |"), "{text}");
         assert!(text.contains("| 16 | 100.0ms [100.0ms, 150.0ms] | 25.0ms"), "{text}");
-        assert!(text.contains("| 4.00× | 5 | 70 | 0 | 9 | 0 |"), "{text}");
-        assert!(text.contains("| 5.00× | 9 | 80 | 0 | 8 | 0 |"), "{text}");
+        assert!(
+            text.contains("| 4.00× | 90.0ms + 10.0ms | 22.5ms + 2.5ms | 5 |"),
+            "{text}"
+        );
+        assert!(text.contains("| 5 | 70 | 0 | 9 | 0 |"), "{text}");
+        assert!(text.contains("| 5.00× | 270.0ms + 30.0ms | 54.0ms + 6.0ms |"), "{text}");
+        assert!(text.contains("| 9 | 80 | 0 | 8 | 0 |"), "{text}");
         assert_eq!(text.lines().count(), 5);
     }
 }

@@ -70,13 +70,13 @@ pub fn mine_approx(
 
     let phase2_start = Instant::now();
     let mut rules: Vec<ApproxCyclicRule> = Vec::new();
-    for (z, antecedent, words) in sequences.iter() {
+    for (id, antecedent, words) in sequences.iter() {
         let seq = BitSeq::from_words(n, words);
         let cycles = detect_approx_cycles(&seq, config.cycle_bounds, max_misses);
         if cycles.is_empty() {
             continue;
         }
-        rules.push(ApproxCyclicRule { rule: Rule::from_mask(z, antecedent), cycles });
+        rules.push(ApproxCyclicRule { rule: sequences.rule(id, antecedent), cycles });
     }
     rules.sort_by(|a, b| a.rule.cmp(&b.rule));
     stats.phase2 = phase2_start.elapsed();

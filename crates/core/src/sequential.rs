@@ -15,14 +15,18 @@
 //!    sequence with fewer holds than any cycle covers is settled by its
 //!    popcount.
 //!
-//! Phase 1 allocates nothing per rule. A rule `X ⇒ Y` is the pair (id of
-//! `Z = X ∪ Y`, mask of `X`'s positions in `Z`): each itemset `Z` is
-//! interned once and lists its rules sorted by mask, and each rule's
-//! sequence is a row of `⌈n / 64⌉` words in one flat vector
-//! (`RuleSequences`). A unit's rules of `Z` find their rows by one merge
-//! walk against that list. Phase 2 settles most rules by the popcount of
-//! their words, and builds a [`BitSeq`] and a [`Rule`] only for the few
-//! that could be cyclic.
+//! Phase 1 allocates nothing per rule and hashes no itemset. A rule
+//! `X ⇒ Y` is the pair (id of `Z = X ∪ Y`, mask of `X`'s positions in
+//! `Z`). Each itemset is interned once, as the pair (id of its prefix,
+//! last item): Apriori records where each itemset's prefix sits in the
+//! level below, so a unit's itemsets get their ids level by level, one
+//! probe of a map keyed by two `u32`s each. Each itemset lists its rules
+//! sorted by mask, and each rule's sequence is a row of `⌈n / 64⌉`
+//! words in one flat vector (`RuleSequences`). A unit's rules of `Z`
+//! find their rows by one merge walk against that list. Phase 2 settles
+//! most rules by the popcount of their words, and builds a [`BitSeq`],
+//! the itemset's items and a [`Rule`] only for the few that could be
+//! cyclic.
 //!
 //! This is the natural baseline: correct, simple, and — as the paper
 //! shows — wasteful, because it mines every unit at full strength even
@@ -38,9 +42,9 @@ use std::ops::Range;
 use std::time::Instant;
 
 use car_apriori::hash::FastHashMap;
-use car_apriori::{for_each_rule, Apriori, AprioriConfig, Rule};
+use car_apriori::{for_each_rule, Apriori, AprioriConfig, FrequentItemsets, Rule};
 use car_cycles::{detect_cycles_with, minimal_cycles, BitSeq, CycleSet};
-use car_itemset::{ItemSet, SegmentedDb};
+use car_itemset::{Item, SegmentedDb};
 
 use crate::config::{ConfigError, MiningConfig};
 use crate::result::{CyclicRule, MiningOutcome, MiningStats};
@@ -114,34 +118,54 @@ pub(crate) fn rule_sequences(
         stats.support_computations += apriori_stats.candidates_counted;
         stats.candidates_generated += apriori_stats.candidates_counted;
         stats.bitmap_builds += apriori_stats.bitmap_builds;
+        let intern_span = car_obs::time_span!("mine.seq.intern");
+        let ids = sequences.intern_levels(&frequent);
+        drop(intern_span);
         let _rules_span = car_obs::time_span!("mine.seq.rule_rows");
-        for_each_rule(&frequent, config.min_confidence, |z, _, rules| {
+        for_each_rule(&frequent, config.min_confidence, |z, _, position, rules| {
             stats.rules_checked += rules.len() as u64;
+            let Some(&id) = ids.get(z.len()).and_then(|level| level.get(position)) else {
+                return;
+            };
             masks.clear();
             masks.extend(rules.iter().map(|rule| rule.antecedent));
-            sequences.record(z, &mut masks, unit);
+            sequences.record(id, &mut masks, unit);
         });
     }
     sequences
 }
+
+/// The id of no itemset in [`RuleSequences`]: the prefix of a one-item
+/// itemset.
+const NO_PREFIX: u32 = u32::MAX;
 
 /// Phase 1's result: every rule that held in a mined unit, with its
 /// binary sequence over the database's `n` units.
 ///
 /// A rule `X ⇒ Y` is the pair (id of `Z = X ∪ Y`, antecedent mask), where
 /// bit `i` of the mask says whether `Z[i]` is in `X` (the masks of
-/// [`for_each_rule`]). Each itemset `Z` is stored once, with its rules'
-/// (mask, row) pairs sorted by mask, and each rule's sequence is a row of
-/// `⌈n / 64⌉` words in one flat vector, so a rule costs no allocation of
-/// its own. A unit's rules of `Z` find their rows by one merge walk of
-/// their sorted masks against `Z`'s list, with no lookup per rule.
+/// [`for_each_rule`]). Each itemset is interned as (id of its prefix,
+/// last item), its prefix being the itemset without its last item, so
+/// a unit's itemsets are interned level by level from the prefix
+/// positions Apriori records, with no itemset built or hashed; the
+/// items of an itemset are rebuilt from the chain only for the rules
+/// phase 2 reports. Each itemset lists its rules' (mask, row) pairs
+/// sorted by mask, and each rule's sequence is a row of `⌈n / 64⌉`
+/// words in one flat vector, so a rule costs no allocation of its own.
+/// A unit's rules of `Z` find their rows by one merge walk of their
+/// sorted masks against `Z`'s list, with no lookup per rule.
 pub(crate) struct RuleSequences {
     num_units: usize,
     /// Words per row.
     row_words: usize,
-    /// The interned itemsets, by id.
-    itemsets: Vec<ItemSet>,
-    ids: FastHashMap<ItemSet, u32>,
+    /// The interned itemsets, by id: the id of the prefix
+    /// ([`NO_PREFIX`] for one item) and the last item. A prefix is
+    /// always interned before its extensions, so its id is smaller.
+    itemsets: Vec<(u32, Item)>,
+    /// The id of each interned (prefix id, last item) pair. Each half is
+    /// hashed as a word of its own, so no bucket rests on the hasher
+    /// mixing a packed word's high half into its low bits.
+    ids: FastHashMap<(u32, Item), u32>,
     /// The rules of each itemset, by id: (antecedent mask, offset of the
     /// rule's row in `words`) pairs, sorted by mask.
     rules: Vec<Vec<(u64, usize)>>,
@@ -162,17 +186,52 @@ impl RuleSequences {
         }
     }
 
-    /// The id of `z`, interned the first time it is seen.
-    fn intern(&mut self, z: &ItemSet) -> u32 {
-        if let Some(&id) = self.ids.get(z) {
-            return id;
-        }
+    /// The id of the itemset `prefix` extended by `last`, interned the
+    /// first time it is seen.
+    fn intern(&mut self, prefix: u32, last: Item) -> u32 {
         // Fewer than 2^32 itemsets fit in memory.
-        let id = self.itemsets.len() as u32;
-        self.itemsets.push(z.clone());
-        self.rules.push(Vec::new());
-        self.ids.insert(z.clone(), id);
+        let next = self.itemsets.len() as u32;
+        let id = *self.ids.entry((prefix, last)).or_insert(next);
+        if id == next {
+            self.itemsets.push((prefix, last));
+            self.rules.push(Vec::new());
+        }
         id
+    }
+
+    /// Interns every itemset of `frequent`, level by level, and returns
+    /// their ids: entry `k` lists the ids of level `k` by position, and
+    /// entry 0 is empty. Each itemset is interned through its prefix's
+    /// id, found at the prefix position Apriori recorded.
+    fn intern_levels(&mut self, frequent: &FrequentItemsets) -> Vec<Vec<u32>> {
+        let mut ids: Vec<Vec<u32>> = vec![Vec::new()];
+        for k in 1..=frequent.max_level() {
+            let below = ids.last();
+            let mut level = Vec::new();
+            for (position, (items, _)) in frequent.level(k).enumerate() {
+                let prefix =
+                    frequent.subsets(k, position).last().and_then(|&p| below?.get(p));
+                let prefix = prefix.copied().unwrap_or(NO_PREFIX);
+                level.push(
+                    items.last().map_or(NO_PREFIX, |&last| self.intern(prefix, last)),
+                );
+            }
+            ids.push(level);
+        }
+        ids
+    }
+
+    /// The rule of itemset `id` with antecedent mask `antecedent`. The
+    /// itemset's items are rebuilt from its prefix chain.
+    pub(crate) fn rule(&self, id: u32, antecedent: u64) -> Rule {
+        let mut items = Vec::new();
+        let mut at = id;
+        while let Some(&(prefix, last)) = self.itemsets.get(at as usize) {
+            items.push(last);
+            at = prefix;
+        }
+        items.reverse();
+        Rule::from_mask(&items, antecedent)
     }
 
     /// Calls `f(i, words)` with the words of rule `(id, masks[i])`'s
@@ -217,11 +276,10 @@ impl RuleSequences {
         self.words.get(start..start + self.row_words).unwrap_or_default()
     }
 
-    /// Records that the rules of `z` with antecedent masks `masks` held
-    /// in `unit`. Sorts `masks`.
-    fn record(&mut self, z: &ItemSet, masks: &mut [u64], unit: usize) {
+    /// Records that the rules of itemset `id` with antecedent masks
+    /// `masks` held in `unit`. Sorts `masks`.
+    fn record(&mut self, id: u32, masks: &mut [u64], unit: usize) {
         masks.sort_unstable();
-        let id = self.intern(z);
         // `>> 6` and `& 63` are `/ 64` and `% 64` without the division lint.
         let (word, bit) = (unit >> 6, 1 << (unit & 63));
         self.for_each_row(id, masks, |_, row| {
@@ -232,11 +290,15 @@ impl RuleSequences {
     }
 
     /// Adds the rules of `other`, mined over other units of the same
-    /// database: its itemsets are re-interned and its rows OR-ed in.
+    /// database: its itemsets are re-interned in creation order, so each
+    /// prefix is mapped before its extensions, and its rows OR-ed in.
     pub(crate) fn merge(&mut self, other: RuleSequences) {
         let mut masks: Vec<u64> = Vec::new();
-        for (z, rules) in other.itemsets.iter().zip(&other.rules) {
-            let id = self.intern(z);
+        let mut mapped: Vec<u32> = Vec::with_capacity(other.itemsets.len());
+        for (&(prefix, last), rules) in other.itemsets.iter().zip(&other.rules) {
+            let prefix = mapped.get(prefix as usize).copied().unwrap_or(NO_PREFIX);
+            let id = self.intern(prefix, last);
+            mapped.push(id);
             masks.clear();
             masks.extend(rules.iter().map(|&(mask, _)| mask));
             self.for_each_row(id, &masks, |i, row| {
@@ -248,11 +310,14 @@ impl RuleSequences {
         }
     }
 
-    /// Each rule, as its itemset and antecedent mask, with the words of
-    /// its sequence (for [`BitSeq::from_words`]), in no particular order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&ItemSet, u64, &[u64])> {
-        self.itemsets.iter().zip(&self.rules).flat_map(move |(z, rules)| {
-            rules.iter().map(move |&(antecedent, start)| (z, antecedent, self.row(start)))
+    /// Each rule, as its itemset's id and antecedent mask, with the words
+    /// of its sequence (for [`BitSeq::from_words`]), in no particular
+    /// order. [`RuleSequences::rule`] turns the first two into a rule.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, u64, &[u64])> {
+        self.rules.iter().zip(0u32..).flat_map(move |(rules, id)| {
+            rules
+                .iter()
+                .map(move |&(antecedent, start)| (id, antecedent, self.row(start)))
         })
     }
 }
@@ -279,10 +344,10 @@ pub(crate) fn cyclic_rules(
         .filter(|(_, _, words)| {
             words.iter().map(|w| w.count_ones() as usize).sum::<usize>() >= fewest
         })
-        .filter_map(|(z, antecedent, words)| {
+        .filter_map(|(id, antecedent, words)| {
             let set = detect_cycles_with(&BitSeq::from_words(n, words), bounds, &units);
             (!set.is_empty()).then(|| CyclicRule {
-                rule: Rule::from_mask(z, antecedent),
+                rule: sequences.rule(id, antecedent),
                 cycles: minimal_cycles(&set),
             })
         })

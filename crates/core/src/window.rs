@@ -992,7 +992,7 @@ mod tests {
             for (u, unit) in retained.iter().enumerate() {
                 for (itemset, _) in apriori.mine(unit).iter() {
                     sequences
-                        .entry(itemset.clone())
+                        .entry(ItemSet::from_sorted_vec(itemset.to_vec()))
                         .or_insert_with(|| BitSeq::zeros(n))
                         .set(u, true);
                 }
